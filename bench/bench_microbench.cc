@@ -120,7 +120,7 @@ void BM_LayoutFaceConvolveLevel(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(level.num_cells()));
 }
-BENCHMARK(BM_LayoutFaceConvolveLevel)->Arg(8)->Arg(14);
+BENCHMARK(BM_LayoutFaceConvolveLevel)->Arg(8)->Arg(14)->Arg(30);
 
 // Same probes through the tree's root-to-level descent, the path the
 // batched form replaced: O(level * d) per probe instead of O(d).
@@ -160,7 +160,7 @@ void BM_LayoutLevelIndexFind(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(level.num_cells()));
 }
-BENCHMARK(BM_LayoutLevelIndexFind)->Arg(8)->Arg(14);
+BENCHMARK(BM_LayoutLevelIndexFind)->Arg(8)->Arg(14)->Arg(30);
 
 // Streaming one packed attribute array (the argmax sweep's access
 // pattern): how fast the SoA layout lets a level be scanned.

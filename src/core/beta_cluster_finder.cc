@@ -318,16 +318,15 @@ class BetaClusterFinder {
     const uint32_t growth_floor = std::max<uint32_t>(
         1, static_cast<uint32_t>(out->center_count / 20));
 
-    std::vector<uint64_t> self(coords, coords + d_);
     const double width = std::ldexp(1.0, -h);
     for (size_t j = 0; j < d_; ++j) {
       if (relevance[j] < threshold) continue;  // Irrelevant: spans [0,1].
       out->relevant[j] = true;
-      double lo = static_cast<double>(self[j]) * width;
+      double lo = static_cast<double>(coords[j]) * width;
       double hi = lo + width;
-      const int64_t below = index.FindFaceNeighbor(self.data(), j, -1);
+      const int64_t below = index.FindFaceNeighbor(coords, j, -1);
       if (below >= 0 && counts[below] >= growth_floor) lo -= width;
-      const int64_t above = index.FindFaceNeighbor(self.data(), j, +1);
+      const int64_t above = index.FindFaceNeighbor(coords, j, +1);
       if (above >= 0 && counts[above] >= growth_floor) hi += width;
       out->lower[j] = std::max(0.0, lo);
       out->upper[j] = std::min(1.0, hi);

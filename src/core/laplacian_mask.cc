@@ -28,17 +28,8 @@ void FaceLaplacianConvolveRange(const CountingTree::LevelView& view,
   // pass, then subtract the face neighbors cell by cell.
   simd::ScaleU32ToI64(out + begin, counts + begin, end - begin,
                       2 * static_cast<int64_t>(d));
-  std::vector<uint64_t> coords(d);
   for (uint32_t i = begin; i < end; ++i) {
-    view.CoordsInto(i, coords.data());
-    int64_t neighbor_sum = 0;
-    for (size_t j = 0; j < d; ++j) {
-      const int64_t lower = index.FindFaceNeighbor(coords.data(), j, -1);
-      if (lower >= 0) neighbor_sum += counts[lower];
-      const int64_t upper = index.FindFaceNeighbor(coords.data(), j, +1);
-      if (upper >= 0) neighbor_sum += counts[upper];
-    }
-    out[i] -= neighbor_sum;
+    out[i] -= index.FaceNeighborSum(i, counts);
   }
 }
 
@@ -69,27 +60,30 @@ void FullLaplacianConvolveRange(const CountingTree::LevelView& view,
   const uint64_t max_coord = (uint64_t{1} << view.level()) - 1;
   const size_t cells = Pow3(d);
   const int64_t center_weight = static_cast<int64_t>(cells) - 1;
-  std::vector<uint64_t> coords(d);
   std::vector<uint64_t> probe(d);
   for (uint32_t i = begin; i < end; ++i) {
-    view.CoordsInto(i, coords.data());
+    const uint64_t* coords = index.CellCoords(i);
+    const uint64_t center_key = index.Key(coords);
     int64_t neighbor_sum = 0;
-    // Odometer over {-1,0,1}^d offsets.
+    // Odometer over {-1,0,1}^d offsets; the probe key moves by
+    // off_j * K_j per axis, so no probe rehashes its coordinates.
     for (size_t code = 0; code < cells; ++code) {
       size_t rem = code;
       bool is_center = true;
       bool in_bounds = true;
+      uint64_t key = center_key;
       for (size_t j = d; j-- > 0;) {
         const int off = static_cast<int>(rem % 3) - 1;
         rem /= 3;
         if (off != 0) is_center = false;
         if (off < 0 && coords[j] == 0) in_bounds = false;
         if (off > 0 && coords[j] == max_coord) in_bounds = false;
-        probe[j] =
-            coords[j] + static_cast<uint64_t>(static_cast<int64_t>(off));
+        const uint64_t step = static_cast<uint64_t>(static_cast<int64_t>(off));
+        probe[j] = coords[j] + step;
+        key += step * index.axis_key(j);
       }
       if (is_center || !in_bounds) continue;
-      const int64_t found = index.Find(probe.data());
+      const int64_t found = index.FindKeyed(probe.data(), key);
       if (found >= 0) neighbor_sum += counts[found];
     }
     out[i] = center_weight * counts[i] - neighbor_sum;

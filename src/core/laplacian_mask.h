@@ -10,9 +10,10 @@
 //   - The *Range functions are the production path: they convolve a
 //     contiguous run of one level's packed arena, seeding all center
 //     terms with one SIMD streaming pass (simd::ScaleU32ToI64) and
-//     resolving neighbors through a LevelIndex in O(d) per probe instead
-//     of an O(level * d) root descent. The β-search calls these from its
-//     parallel sweep.
+//     resolving neighbors through a LevelIndex, whose linear keys make
+//     each probe one key step plus one hash instead of an O(level * d)
+//     root descent — O(d) per cell for the face-only mask. The β-search
+//     calls these from its parallel sweep.
 //   - The single-cell functions convolve one cell through the tree's
 //     FindCell walk — convenient for tests, reference checks and
 //     benchmarks; results are identical.

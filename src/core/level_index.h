@@ -5,16 +5,29 @@
 // O(level) node lookups per query. The β-cluster search does millions of
 // such queries (2d face neighbors per convolved cell, plus parent and
 // growth lookups), all against the *same* level, so it pays to spend one
-// linear pass per level building a direct coordinate table and answer
-// every query in O(d) with a single probe sequence.
+// linear pass per level building a direct coordinate table.
+//
+// Keys are linear in the coordinates: k(c) = level + Σ_j c_j·K_j
+// (mod 2^64) with fixed, odd, per-axis constants K_j, and a cell's slot
+// is picked by Mix64(k). Moving one step along axis j changes the key by
+// exactly ±K_j, so a cell's 2d face neighbors are probed from its own key
+// with one add and one mix each: the face-only convolution costs O(d)
+// hashing work per cell (the paper's §III-B bound), not the O(d²) of
+// rehashing every neighbor's d coordinates.
+//
+// Open addressing with linear probing over a power-of-two array of 32-bit
+// slots. A slot packs the cell's arena index into its low bits and a tag
+// (top bits of the mix's high half) into the bits the index leaves free,
+// so a probe that lands on another cell's slot is usually rejected
+// without touching the coordinate copy, at no extra memory. A tag match
+// is confirmed by an exact compare against the packed coordinates (d
+// uint64 per cell, cell-major), so every lookup returns exactly the cell
+// a root descent would — the hash only decides where to look, never what
+// is found.
 //
 // The index is a transient, read-side acceleration structure: it lives in
 // the search stage (built lazily per level), never inside the tree, so
 // tree memory accounting and the budget-pressure behavior are unchanged.
-// Open addressing with linear probing over a power-of-two slot array;
-// slots store the cell's arena index (kEmptySlot = vacant) and keys are
-// compared against a packed copy of each cell's coordinates (d uint64
-// per cell, cell-major — one memcmp per probe).
 
 #pragma once
 
@@ -33,14 +46,31 @@ class LevelIndex {
 
   int level() const { return level_; }
 
+  /// The linear key k(coords) = level + Σ_j coords[j]·axis_key(j).
+  uint64_t Key(const uint64_t* coords) const;
+
+  /// K_j: the key step of one cell along `axis`.
+  uint64_t axis_key(size_t axis) const { return axis_keys_[axis]; }
+
   /// Arena index of the cell at `coords` (d values in [0, 2^level)), or
   /// -1 when that region holds no points.
-  int64_t Find(const uint64_t* coords) const;
+  int64_t Find(const uint64_t* coords) const {
+    return FindKeyed(coords, Key(coords));
+  }
+
+  /// Find() with the key supplied by the caller; `key` must equal
+  /// Key(coords) (callers stepping through neighbors update it in O(1)).
+  int64_t FindKeyed(const uint64_t* coords, uint64_t key) const;
 
   /// The face neighbor's arena index along `axis` in direction `dir`
-  /// (-1 / +1), or -1 when off the cube or not materialized. `coords` is
-  /// borrowed as scratch and restored before returning.
-  int64_t FindFaceNeighbor(uint64_t* coords, size_t axis, int dir) const;
+  /// (-1 / +1), or -1 when off the cube or not materialized.
+  int64_t FindFaceNeighbor(const uint64_t* coords, size_t axis,
+                           int dir) const;
+
+  /// Σ counts[n] over the existing face neighbors n of cell `cell` (both
+  /// directions on every axis) — the neighbor term of the face-only
+  /// Laplacian. `counts` is the level's per-cell count array.
+  int64_t FaceNeighborSum(uint32_t cell, const uint32_t* counts) const;
 
   /// The packed coordinates (d values) of cell `cell` — the copy the
   /// index built at construction, handed back so callers iterating a
@@ -52,14 +82,24 @@ class LevelIndex {
   size_t MemoryBytes() const;
 
  private:
+  // Vacant slot. Never a packed cell: cell_mask_ > every arena index.
   static constexpr uint32_t kEmptySlot = ~uint32_t{0};
 
-  uint64_t HashCoords(const uint64_t* coords) const;
+  // Probes the table for `key`; `matches(cell)` is the exact compare,
+  // consulted only on a tag hit.
+  template <typename Matches>
+  int64_t Probe(uint64_t key, Matches matches) const;
+
+  // FindFaceNeighbor() with `key` = Key(center) supplied by the caller.
+  int64_t FindStep(const uint64_t* center, uint64_t key, size_t axis,
+                   int dir) const;
 
   int level_;
   size_t num_dims_;
   uint64_t max_coord_;               // 2^level - 1.
+  std::vector<uint64_t> axis_keys_;  // K_j, odd.
   std::vector<uint64_t> coords_;     // d per cell, cell-major.
+  uint32_t cell_mask_;               // Low bits of a slot: the arena index.
   std::vector<uint32_t> slots_;      // Power-of-two open-addressing table.
 };
 

@@ -46,7 +46,7 @@ class DistBuildTest : public ::testing::Test {
  protected:
   void SetUp() override {
     data_ = testing::SmallClustered(2500, 6, 2, 23).data;
-    dir_ = ::testing::TempDir() + "mrcc_dist_build_test";
+    dir_ = testing::UniqueTempPath("mrcc_dist_build_test");
     (void)std::system(("rm -rf " + dir_ + " && mkdir -p " + dir_).c_str());
     options_.dataset_path = dir_ + "/points.bin";
     options_.work_dir = dir_;

@@ -176,7 +176,7 @@ TEST(HashParamsTest, SensitiveToResultAffectingKnobsOnly) {
 class ManifestFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "mrcc_manifest_test";
+    dir_ = testing::UniqueTempPath("mrcc_manifest_test");
     (void)std::system(("rm -rf " + dir_ + " && mkdir -p " + dir_).c_str());
     path_ = dir_ + "/manifest.json";
   }

@@ -77,7 +77,7 @@ class DistProcessTest : public ::testing::Test {
  protected:
   void SetUp() override {
     data_ = testing::SmallClustered(2000, 6, 2, 41).data;
-    dir_ = ::testing::TempDir() + "mrcc_dist_process_test";
+    dir_ = testing::UniqueTempPath("mrcc_dist_process_test");
     (void)std::system(("rm -rf " + dir_ + " && mkdir -p " + dir_).c_str());
     bin_path_ = dir_ + "/points.bin";
     ASSERT_TRUE(SaveBinary(data_, bin_path_).ok());

@@ -30,7 +30,7 @@ class ShardIoTest : public ::testing::Test {
     meta_.begin = 0;
     meta_.end = data_.NumPoints();
     meta_.point_count = data_.NumPoints();
-    path_ = ::testing::TempDir() + "mrcc_shard_io_test.tree";
+    path_ = testing::UniqueTempPath("mrcc_shard_io_test") + ".tree";
   }
   void TearDown() override {
     fp::DisarmAll();

@@ -130,8 +130,8 @@ class FaultInjectionTest : public ::testing::Test {
   void SetUp() override {
     fp::DisarmAll();  // A crashed prior test must not leak armed sites.
     data_ = testing::SmallClustered(6000, 4, 2, 77).data;
-    bin_path_ = ::testing::TempDir() + "mrcc_fault_sweep.bin";
-    out_prefix_ = ::testing::TempDir() + "mrcc_fault_sweep_";
+    bin_path_ = testing::UniqueTempPath("mrcc_fault_sweep") + ".bin";
+    out_prefix_ = testing::UniqueTempPath("mrcc_fault_sweep") + "_";
     ASSERT_TRUE(SaveBinary(data_, bin_path_).ok());
   }
   void TearDown() override {
@@ -160,7 +160,7 @@ TEST_F(FaultInjectionTest, EveryRegisteredSiteFailsCleanlyOrDegrades) {
       << "a failpoint site is missing a sweep expectation; add it to "
          "Expectations() (or DistExpectations() for dist/ seams) and the "
          "failure model in DESIGN.md §11";
-  const std::string work_dir = ::testing::TempDir() + "mrcc_fault_dist";
+  const std::string work_dir = testing::UniqueTempPath("mrcc_fault_dist");
   for (const std::string& site : sites) {
     SCOPED_TRACE("failpoint: " + site);
     const bool dist_site =

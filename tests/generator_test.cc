@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <tuple>
 
 namespace mrcc {
@@ -136,38 +137,56 @@ TEST(GeneratorTest, RotationKeepsCubeAndLabels) {
   EXPECT_TRUE(any_diff);
 }
 
-// Invalid-config sweep.
-class GeneratorValidationTest
-    : public ::testing::TestWithParam<SyntheticConfig> {};
+// Invalid-config sweep. Each case carries a fixed label that gtest prints
+// as the parameter value, so the discovered test names are stable from run
+// to run (the default byte dump of SyntheticConfig includes heap addresses).
+struct InvalidCase {
+  const char* label;
+  SyntheticConfig config;
+};
+
+void PrintTo(const InvalidCase& c, std::ostream* os) { *os << c.label; }
+
+class GeneratorValidationTest : public ::testing::TestWithParam<InvalidCase> {
+};
 
 TEST_P(GeneratorValidationTest, RejectsInvalidConfig) {
-  Result<LabeledDataset> r = GenerateSynthetic(GetParam());
+  Result<LabeledDataset> r = GenerateSynthetic(GetParam().config);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
-SyntheticConfig Invalid(void (*mutate)(SyntheticConfig&)) {
+InvalidCase Invalid(const char* label, void (*mutate)(SyntheticConfig&)) {
   SyntheticConfig c = BaseConfig();
   mutate(c);
-  return c;
+  return {label, c};
 }
 
 INSTANTIATE_TEST_SUITE_P(
     BadConfigs, GeneratorValidationTest,
     ::testing::Values(
-        Invalid([](SyntheticConfig& c) { c.num_dims = 0; }),
-        Invalid([](SyntheticConfig& c) { c.num_points = 0; }),
-        Invalid([](SyntheticConfig& c) { c.noise_fraction = 1.0; }),
-        Invalid([](SyntheticConfig& c) { c.noise_fraction = -0.1; }),
-        Invalid([](SyntheticConfig& c) { c.min_cluster_dims = 0; }),
-        Invalid([](SyntheticConfig& c) {
-          c.min_cluster_dims = 5;
-          c.max_cluster_dims = 3;
-        }),
-        Invalid([](SyntheticConfig& c) { c.min_stddev = 0.0; }),
-        Invalid([](SyntheticConfig& c) { c.max_stddev = 0.2; }),
-        Invalid([](SyntheticConfig& c) { c.cluster_weights = {1.0}; }),
-        Invalid([](SyntheticConfig& c) {
+        Invalid("num_dims_zero",
+                [](SyntheticConfig& c) { c.num_dims = 0; }),
+        Invalid("num_points_zero",
+                [](SyntheticConfig& c) { c.num_points = 0; }),
+        Invalid("noise_fraction_one",
+                [](SyntheticConfig& c) { c.noise_fraction = 1.0; }),
+        Invalid("noise_fraction_negative",
+                [](SyntheticConfig& c) { c.noise_fraction = -0.1; }),
+        Invalid("min_cluster_dims_zero",
+                [](SyntheticConfig& c) { c.min_cluster_dims = 0; }),
+        Invalid("min_cluster_dims_above_max",
+                [](SyntheticConfig& c) {
+                  c.min_cluster_dims = 5;
+                  c.max_cluster_dims = 3;
+                }),
+        Invalid("min_stddev_zero",
+                [](SyntheticConfig& c) { c.min_stddev = 0.0; }),
+        Invalid("max_stddev_too_wide",
+                [](SyntheticConfig& c) { c.max_stddev = 0.2; }),
+        Invalid("cluster_weights_wrong_count",
+                [](SyntheticConfig& c) { c.cluster_weights = {1.0}; }),
+        Invalid("cluster_weights_negative", [](SyntheticConfig& c) {
           c.cluster_weights = {1.0, 1.0, 1.0, -1.0};
         })));
 

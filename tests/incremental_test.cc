@@ -39,7 +39,7 @@ uint64_t FnvMix(uint64_t h, const void* data, size_t len) {
 /// FNV-1a over the exact serialized tree bytes — byte identity, not just
 /// count equality.
 uint64_t TreeBytesHash(const CountingTree& tree) {
-  const std::string path = ::testing::TempDir() + "mrcc_incremental_tree.bin";
+  const std::string path = testing::UniqueTempPath("mrcc_incremental_tree") + ".bin";
   EXPECT_TRUE(SaveTree(tree, path).ok());
   std::ifstream in(path, std::ios::binary);
   std::ostringstream ss;

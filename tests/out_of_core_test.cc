@@ -48,7 +48,7 @@ class OutOfCoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
     data_ = testing::SmallClustered(3000, 6, 2, 29).data;
-    bin_path_ = ::testing::TempDir() + "mrcc_out_of_core.bin";
+    bin_path_ = testing::UniqueTempPath("mrcc_out_of_core") + ".bin";
     ASSERT_TRUE(SaveBinary(data_, bin_path_).ok());
   }
   void TearDown() override {

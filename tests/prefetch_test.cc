@@ -22,6 +22,7 @@
 #include "data/data_source.h"
 #include "data/dataset_io.h"
 #include "data/generator.h"
+#include "test_util.h"
 
 namespace mrcc {
 namespace {
@@ -59,7 +60,7 @@ class PrefetchTest : public ::testing::Test {
     Result<LabeledDataset> r = GenerateSynthetic(cfg);
     MRCC_CHECK(r.ok());
     data_ = std::move(r->data);
-    bin_path_ = ::testing::TempDir() + "mrcc_prefetch_test.bin";
+    bin_path_ = testing::UniqueTempPath("mrcc_prefetch_test") + ".bin";
     MRCC_CHECK(SaveBinary(data_, bin_path_).ok());
   }
 

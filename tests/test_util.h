@@ -2,6 +2,10 @@
 
 #pragma once
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -47,6 +51,16 @@ inline LabeledDataset SmallClustered(size_t n = 4000, size_t dims = 8,
   Result<LabeledDataset> r = GenerateSynthetic(cfg);
   MRCC_CHECK(r.ok());  // Test fixture: a generator failure is a test bug.
   return std::move(r).value();
+}
+
+/// A scratch path under ::testing::TempDir() that names the running test
+/// (suite + test) and process, so tests that ctest runs concurrently
+/// never share a file or directory.
+inline std::string UniqueTempPath(const std::string& stem) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + stem + "_" + info->test_suite_name() + "_" +
+         info->name() + "_" + std::to_string(::getpid());
 }
 
 }  // namespace mrcc::testing

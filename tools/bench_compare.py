@@ -4,9 +4,12 @@
 Usage:
   tools/bench_compare.py BASELINE.json CURRENT.json [options]
 
-Entries are matched by (method, dataset). For each matched pair the
-per-run wall time is compared; the record-level totals (wall_seconds,
-peak_rss_bytes) are compared as well. A regression is a relative increase
+Entries are matched by (method, dataset, source, read_ahead, threads,
+workers); a field an older record lacks takes its default ("memory" for
+source, 0 for the rest), and entries equal on all six are matched by
+their order within the record. For each matched pair the per-run wall
+time is compared; the record-level totals (wall_seconds, peak_rss_bytes)
+are compared as well. A regression is a relative increase
 above --threshold (default 25%). Small absolute times are noisy, so pairs
 where both sides are under --min-seconds (default 50 ms) are only reported
 informationally, never failed on.
@@ -65,8 +68,45 @@ def load_record(path, *, required):
     return None
 
 
-def entry_key(entry):
-    return (entry.get("method", ""), entry.get("dataset", ""))
+# The axes that tell two entries of one record apart, with the value a
+# record written before the axis existed implies.
+KEY_FIELDS = (
+    ("method", ""),
+    ("dataset", ""),
+    ("source", "memory"),
+    ("read_ahead", 0),
+    ("threads", 0),
+    ("workers", 0),
+)
+
+
+def keyed_entries(record):
+    """Maps each entry's key to the entry.
+
+    Entries that agree on every key axis (a bench may run one cell twice,
+    e.g. as part of two sweeps) are told apart by their order within the
+    record: the second such entry gets the suffix "#2", and so on.
+    """
+    entries = {}
+    seen = {}
+    for entry in record.get("entries", []):
+        key = tuple(entry.get(field, default) for field, default in KEY_FIELDS)
+        seen[key] = seen.get(key, 0) + 1
+        if seen[key] > 1:
+            key = key + (f"#{seen[key]}",)
+        entries[key] = entry
+    return entries
+
+
+def key_name(key):
+    """method/dataset, then every non-default axis as field=value."""
+    name = f"{key[0]}/{key[1]}"
+    for (field, default), value in zip(KEY_FIELDS[2:], key[2:]):
+        if value != default:
+            name += f" {field}={value}"
+    if len(key) > len(KEY_FIELDS):
+        name += f" {key[-1]}"
+    return name
 
 
 def relative_change(base, cur):
@@ -128,20 +168,20 @@ def main():
             f"current {cur.get('scale')}); timings are not comparable"
         )
 
-    base_entries = {entry_key(e): e for e in base.get("entries", [])}
-    cur_entries = {entry_key(e): e for e in cur.get("entries", [])}
+    base_entries = keyed_entries(base)
+    cur_entries = keyed_entries(cur)
 
     regressions = []
     infos = []
 
-    for key in sorted(base_entries.keys() - cur_entries.keys()):
-        infos.append(f"entry {key[0]}/{key[1]}: missing from current run")
-    for key in sorted(cur_entries.keys() - base_entries.keys()):
-        infos.append(f"entry {key[0]}/{key[1]}: new in current run")
+    for key in sorted(base_entries.keys() - cur_entries.keys(), key=str):
+        infos.append(f"entry {key_name(key)}: missing from current run")
+    for key in sorted(cur_entries.keys() - base_entries.keys(), key=str):
+        infos.append(f"entry {key_name(key)}: new in current run")
 
-    for key in sorted(base_entries.keys() & cur_entries.keys()):
+    for key in sorted(base_entries.keys() & cur_entries.keys(), key=str):
         b, c = base_entries[key], cur_entries[key]
-        name = f"{key[0]}/{key[1]}"
+        name = key_name(key)
         if b.get("completed") and not c.get("completed"):
             regressions.append(
                 f"entry {name}: completed in baseline, now fails "
