@@ -6,11 +6,16 @@
 //     order-3 mask at O(3^d) (the ablation the paper argues about when
 //     choosing the face-only mask).
 //   - Binomial critical value: log-space tail inversion cost.
+//   - Shard-artifact load: ParseTree and ValidateInvariants over one
+//     shard-sized tree (the load cost a multi-process build pays per
+//     shard; DESIGN.md §16).
 //   - Full MrCC runs at increasing eta (end-to-end linearity).
 
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -19,7 +24,9 @@
 #include "core/counting_tree.h"
 #include "core/laplacian_mask.h"
 #include "core/mrcc.h"
+#include "core/tree_io.h"
 #include "data/generator.h"
+#include "dist/shard_io.h"
 
 namespace {
 
@@ -177,6 +184,72 @@ void BM_LayoutLevelCountScan(benchmark::State& state) {
                           static_cast<int64_t>(level.num_cells()));
 }
 BENCHMARK(BM_LayoutLevelCountScan);
+
+// ---- Shard-artifact load (DESIGN.md §16): what the merger pays per byte
+// of a shard. One shard-sized tree: a quarter of paper-14d's million
+// points, at H = 4 like the pipeline's default. Items are cells.
+
+struct ShardFixture {
+  std::string artifact;
+  size_t cells = 0;
+};
+
+// Built once per d: google-benchmark calls each function several times.
+const ShardFixture& ShardFor(size_t d) {
+  static std::map<size_t, ShardFixture> cache;
+  auto [it, inserted] = cache.try_emplace(d);
+  ShardFixture& shard = it->second;
+  if (inserted) {
+    const LabeledDataset ds = MakeData(250000, d);
+    Result<CountingTree> tree = CountingTree::Build(ds.data, 4);
+    MRCC_CHECK(tree.ok());
+    for (int h = 1; h < tree->num_resolutions(); ++h) {
+      shard.cells += tree->NumCellsAtLevel(h);
+    }
+    const uint64_t n = ds.data.NumPoints();
+    shard.artifact =
+        dist::SerializeShardArtifact(*tree, dist::ShardMeta{0, n, n});
+  }
+  return shard;
+}
+
+// Footer checks, checksum, in-place ParseTree and ValidateInvariants:
+// everything ReadShardArtifact does after reading the file.
+void BM_ParseShardArtifact(benchmark::State& state) {
+  const ShardFixture& shard = ShardFor(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    Result<dist::ShardArtifact> loaded =
+        dist::ParseShardArtifact(shard.artifact, "bench");
+    MRCC_CHECK(loaded.ok());
+    benchmark::DoNotOptimize(loaded->tree.total_points());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(shard.cells));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(shard.artifact.size()));
+}
+BENCHMARK(BM_ParseShardArtifact)
+    ->Arg(14)
+    ->Arg(30)
+    ->Unit(benchmark::kMillisecond);
+
+// The structural walk alone, over the loaded tree.
+void BM_ValidateInvariants(benchmark::State& state) {
+  const ShardFixture& shard = ShardFor(static_cast<size_t>(state.range(0)));
+  Result<dist::ShardArtifact> loaded =
+      dist::ParseShardArtifact(shard.artifact, "bench");
+  MRCC_CHECK(loaded.ok());
+  for (auto _ : state) {
+    const Status v = loaded->tree.ValidateInvariants();
+    MRCC_CHECK(v.ok());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(shard.cells));
+}
+BENCHMARK(BM_ValidateInvariants)
+    ->Arg(14)
+    ->Arg(30)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_BinomialCriticalValue(benchmark::State& state) {
   const int64_t n = state.range(0);

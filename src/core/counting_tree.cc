@@ -5,7 +5,6 @@
 #include <cstring>
 #include <numeric>
 #include <string>
-#include <unordered_set>
 
 #include "common/check.h"
 #include "common/simd.h"
@@ -37,6 +36,50 @@ inline uint64_t HashLoc(uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
 }
+
+// Duplicate detector for one node's sibling locs at a time, reused by a
+// ValidateInvariants walk across all nodes. Each slot is stamped with the
+// generation (node) that filled it, so starting the next node is one
+// increment instead of a clear, and the table only ever grows: the walk
+// allocates a handful of times in total, never per node or per cell.
+class SiblingLocSet {
+ public:
+  /// Empties the set and sizes it for up to `count` inserts.
+  void Reset(size_t count) {
+    size_t capacity = 8;
+    while (capacity < 2 * count) capacity <<= 1;
+    if (capacity > slots_.size()) {
+      slots_.assign(capacity, Slot{});
+      generation_ = 0;
+    }
+    if (++generation_ == 0) {  // Wrapped: old stamps would read as live.
+      std::fill(slots_.begin(), slots_.end(), Slot{});
+      generation_ = 1;
+    }
+    mask_ = capacity - 1;
+  }
+
+  /// Adds `loc`; false when it is already in the set.
+  bool Insert(uint64_t loc) {
+    for (size_t s = HashLoc(loc) & mask_;; s = (s + 1) & mask_) {
+      Slot& slot = slots_[s];
+      if (slot.generation != generation_) {
+        slot = Slot{loc, generation_};
+        return true;
+      }
+      if (slot.loc == loc) return false;
+    }
+  }
+
+ private:
+  struct Slot {
+    uint64_t loc = 0;
+    uint32_t generation = 0;
+  };
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+  uint32_t generation_ = 0;
+};
 
 }  // namespace
 
@@ -594,24 +637,27 @@ Status CountingTree::ValidateInvariants() const {
   // the canonical enumeration order everything downstream relies on.
   for (int h = 1; h < num_resolutions_; ++h) {
     const Arena& arena = arenas_[static_cast<size_t>(h)];
-    const std::string where = "level " + std::to_string(h) + ": ";
+    // Message prefixes are built on the failure path only: this walk runs
+    // on every tree load, and the passing case must not allocate per
+    // level, node or cell.
+    const auto where = [h] { return "level " + std::to_string(h) + ": "; };
     const size_t n_cells = arena.loc.size();
     if (arena.n.size() != n_cells || arena.child.size() != n_cells ||
         arena.used.size() != n_cells || arena.owner.size() != n_cells ||
         arena.half.size() != n_cells * d) {
-      return fail(where + "arena arrays disagree on cell count");
+      return fail(where() + "arena arrays disagree on cell count");
     }
     size_t running = 0;
     for (uint32_t node_idx : by_level_[static_cast<size_t>(h)]) {
       const Node& node = nodes_[node_idx];
       if (node.first != running) {
-        return fail(where + "node " + std::to_string(node_idx) +
+        return fail(where() + "node " + std::to_string(node_idx) +
                     " slice does not start where the previous slice ended");
       }
       running += node.count;
     }
     if (running != n_cells) {
-      return fail(where + "node slices cover " + std::to_string(running) +
+      return fail(where() + "node slices cover " + std::to_string(running) +
                   " cells, arena holds " + std::to_string(n_cells));
     }
   }
@@ -619,47 +665,48 @@ Status CountingTree::ValidateInvariants() const {
   // parent_refs[m]: number of cells pointing at node m as their child.
   std::vector<uint32_t> parent_refs(nodes_.size(), 0);
   uint64_t root_points = 0;
-  std::unordered_set<uint64_t> locs;
+  SiblingLocSet locs;
   for (size_t m = 0; m < nodes_.size(); ++m) {
     const Node& node = nodes_[m];
-    const std::string where = "node " + std::to_string(m) + ": ";
+    const auto where = [m] { return "node " + std::to_string(m) + ": "; };
     if (node.level < 1 || node.level >= num_resolutions_) {
-      return fail(where + "level " + std::to_string(node.level) +
+      return fail(where() + "level " + std::to_string(node.level) +
                   " out of range");
     }
     if (node.base_coords.size() != d) {
-      return fail(where + "base coordinate dimensionality mismatch");
+      return fail(where() + "base coordinate dimensionality mismatch");
     }
     const uint64_t max_base = uint64_t{1} << (node.level - 1);
     for (uint64_t c : node.base_coords) {
-      if (c >= max_base) return fail(where + "base coordinate out of range");
+      if (c >= max_base) return fail(where() + "base coordinate out of range");
     }
     const Arena& arena = arenas_[static_cast<size_t>(node.level)];
     if (static_cast<size_t>(node.first) + node.count > arena.size()) {
-      return fail(where + "cell slice exceeds the level arena");
+      return fail(where() + "cell slice exceeds the level arena");
     }
-    locs.clear();
+    locs.Reset(node.count);
     for (uint32_t c = 0; c < node.count; ++c) {
       const uint32_t i = node.first + c;
-      const std::string cell_where =
-          where + "cell " + std::to_string(c) + ": ";
+      const auto cell_where = [&where, c] {
+        return where() + "cell " + std::to_string(c) + ": ";
+      };
       if (arena.owner[i] != m) {
-        return fail(cell_where + "arena owner points at node " +
+        return fail(cell_where() + "arena owner points at node " +
                     std::to_string(arena.owner[i]));
       }
       const uint64_t loc = arena.loc[i];
       if (d < 64 && (loc >> d) != 0) {
-        return fail(cell_where + "loc has bits above dimension " +
+        return fail(cell_where() + "loc has bits above dimension " +
                     std::to_string(d));
       }
-      if (!locs.insert(loc).second) {
-        return fail(cell_where + "duplicate loc among siblings");
+      if (!locs.Insert(loc)) {
+        return fail(cell_where() + "duplicate loc among siblings");
       }
       const uint32_t n = arena.n[i];
-      if (n == 0) return fail(cell_where + "materialized cell is empty");
+      if (n == 0) return fail(cell_where() + "materialized cell is empty");
       for (size_t j = 0; j < d; ++j) {
         if (arena.half[i * d + j] > n) {
-          return fail(cell_where + "half-space count " +
+          return fail(cell_where() + "half-space count " +
                       std::to_string(arena.half[i * d + j]) +
                       " exceeds cell count " + std::to_string(n) +
                       " on axis " + std::to_string(j));
@@ -669,12 +716,12 @@ Status CountingTree::ValidateInvariants() const {
       if (child_node >= 0) {
         const auto child_idx = static_cast<size_t>(child_node);
         if (child_idx >= nodes_.size()) {
-          return fail(cell_where + "dangling child pointer");
+          return fail(cell_where() + "dangling child pointer");
         }
-        if (child_idx == 0) return fail(cell_where + "root used as child");
+        if (child_idx == 0) return fail(cell_where() + "root used as child");
         const Node& child = nodes_[child_idx];
         if (child.level != node.level + 1) {
-          return fail(cell_where + "child level is not parent level + 1");
+          return fail(cell_where() + "child level is not parent level + 1");
         }
         bool coords_match = child.base_coords.size() == d;
         for (size_t j = 0; coords_match && j < d; ++j) {
@@ -682,14 +729,14 @@ Status CountingTree::ValidateInvariants() const {
               child.base_coords[j] == node.base_coords[j] * 2 + ((loc >> j) & 1);
         }
         if (!coords_match) {
-          return fail(cell_where + "child base coordinates do not match");
+          return fail(cell_where() + "child base coordinates do not match");
         }
         const Arena& child_arena =
             arenas_[static_cast<size_t>(child.level)];
         const uint64_t child_sum =
             simd::SumU32(child_arena.n.data() + child.first, child.count);
         if (child_sum != n) {
-          return fail(cell_where + "child counts sum to " +
+          return fail(cell_where() + "child counts sum to " +
                       std::to_string(child_sum) + ", expected " +
                       std::to_string(n));
         }

@@ -43,6 +43,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -238,10 +239,11 @@ class CountingTree {
   /// arena consistency, d-bit loc codes, half-space counts P[j] <= n,
   /// child levels/base coordinates, child count sums equal to the parent
   /// cell count, single-parent linkage, by-level index consistency and
-  /// the total-point count. O(cells * d) — debug/validation tool, not a
-  /// hot-path call. Returns OK or Internal naming the first violated
-  /// invariant. Builder::Finish and MergeTree run it in debug builds;
-  /// LoadTree runs it unconditionally to reject corrupt files.
+  /// the total-point count. O(cells * d) time and no allocation per
+  /// node or cell when the tree is valid. Returns OK or Internal naming
+  /// the first violated invariant. Builder::Finish and MergeTree run it
+  /// in debug builds; ParseTree (LoadTree, every shard-artifact load)
+  /// runs it unconditionally to reject corrupt bytes.
   [[nodiscard]] Status ValidateInvariants() const;
 
   /// Approximate heap footprint of the tree in bytes.
@@ -316,7 +318,7 @@ class CountingTree {
 
   // Persistence and merging need raw access to the arenas (tree_io.h).
   friend std::string SerializeTree(const CountingTree& tree);
-  friend Result<CountingTree> ParseTree(const std::string& bytes,
+  friend Result<CountingTree> ParseTree(std::string_view bytes,
                                         const std::string& path);
   friend Result<MergeTreeStats> MergeTree(CountingTree* tree,
                                           const CountingTree& other);
@@ -368,6 +370,9 @@ struct CountingTree::TestPeer {
   }
   static int32_t& Child(CountingTree& tree, CellRef ref) {
     return tree.arenas_[static_cast<size_t>(ref.level)].child[ref.index];
+  }
+  static uint32_t& Owner(CountingTree& tree, CellRef ref) {
+    return tree.arenas_[static_cast<size_t>(ref.level)].owner[ref.index];
   }
   static uint32_t& Half(CountingTree& tree, CellRef ref, size_t axis) {
     return tree.arenas_[static_cast<size_t>(ref.level)]

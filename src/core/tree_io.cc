@@ -1,6 +1,7 @@
 #include "core/tree_io.h"
 
 #include <cstring>
+#include <string_view>
 
 #include "common/check.h"
 #include "common/fs.h"
@@ -22,7 +23,7 @@ void AppendPod(const T& v, std::string* out) {
 /// a multi-megabyte artifact without a hex dump.
 class TreeCursor {
  public:
-  TreeCursor(const std::string& bytes, const std::string& path)
+  TreeCursor(std::string_view bytes, const std::string& path)
       : bytes_(bytes), path_(path) {}
 
   template <typename T>
@@ -39,6 +40,25 @@ class TreeCursor {
     return Status::OK();
   }
 
+  /// Reads `count` consecutive fields of one section into `out`. When the
+  /// whole run fits in the remaining bytes it is one memcpy; otherwise
+  /// the fields are read one by one, so a short stream fails on exactly
+  /// the field a per-field parse would name.
+  template <typename T>
+  [[nodiscard]] Status ReadArray(const char* section, T* out, size_t count) {
+    const size_t run = count * sizeof(T);
+    if (bytes_.size() - pos_ < run) {
+      for (size_t k = 0; k < count; ++k) {
+        MRCC_RETURN_IF_ERROR(Read(section, &out[k]));
+      }
+      return Status::OK();
+    }
+    field_start_ = pos_ + run - sizeof(T);
+    std::memcpy(out, bytes_.data() + pos_, run);
+    pos_ += run;
+    return Status::OK();
+  }
+
   /// Rejects a value that parsed but cannot be right, pointing at the
   /// offset where the offending field starts.
   Status Bad(const char* section, const std::string& why) const {
@@ -51,7 +71,7 @@ class TreeCursor {
   size_t size() const { return bytes_.size(); }
 
  private:
-  const std::string& bytes_;
+  std::string_view bytes_;
   const std::string& path_;
   size_t pos_ = 0;
   size_t field_start_ = 0;
@@ -91,7 +111,7 @@ Status SaveTree(const CountingTree& tree, const std::string& path) {
   return WriteFileAtomic(path, SerializeTree(tree));
 }
 
-Result<CountingTree> ParseTree(const std::string& bytes,
+Result<CountingTree> ParseTree(std::string_view bytes,
                                const std::string& path) {
   TreeCursor in(bytes, path);
   char magic[4];
@@ -152,9 +172,8 @@ Result<CountingTree> ParseTree(const std::string& bytes,
     }
     node.level = level;
     node.base_coords.resize(dims);
-    for (uint64_t& c : node.base_coords) {
-      MRCC_RETURN_IF_ERROR(in.Read("node base coordinate", &c));
-    }
+    MRCC_RETURN_IF_ERROR(in.ReadArray("node base coordinate",
+                                      node.base_coords.data(), dims));
     uint64_t cell_count = 0;
     MRCC_RETURN_IF_ERROR(in.Read("node cell_count", &cell_count));
     if (cell_count > bytes.size() / cell_bytes) {
@@ -184,10 +203,8 @@ Result<CountingTree> ParseTree(const std::string& bytes,
       arena.owner.push_back(static_cast<uint32_t>(n));
       const size_t half_base = arena.half.size();
       arena.half.resize(half_base + dims);
-      for (size_t j = 0; j < dims; ++j) {
-        MRCC_RETURN_IF_ERROR(
-            in.Read("cell half count", &arena.half[half_base + j]));  // lint-allow: cell-storage
-      }
+      MRCC_RETURN_IF_ERROR(in.ReadArray(
+          "cell half count", arena.half.data() + half_base, dims));  // lint-allow: cell-storage
     }
     if (cell_count > CountingTree::kIndexThreshold) {
       node.index = std::make_unique<CountingTree::LocMap>();

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "core/counting_tree.h"
 
@@ -55,8 +56,11 @@ std::string SerializeTree(const CountingTree& tree);
 /// style: "truncated tree file <path>: <section> ends at byte <end>
 /// (needed <n> bytes at offset <start>)" for short reads, and
 /// "bad <section> in <path> at byte <start>: <why>" for parseable bytes
-/// with impossible values.
-[[nodiscard]] Result<CountingTree> ParseTree(const std::string& bytes,
+/// with impossible values. The tree is parsed straight out of `bytes`
+/// (no copy of the stream is made) and owns all of its storage: the view
+/// is not retained past the call, so the caller may free the buffer as
+/// soon as ParseTree returns.
+[[nodiscard]] Result<CountingTree> ParseTree(std::string_view bytes,
                                              const std::string& path);
 
 /// Writes `tree` to `path` atomically (temp file + fsync + rename; see

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 #include <thread>
 
 #include "common/failpoint.h"
@@ -121,8 +122,10 @@ Result<ShardArtifact> ParseShardArtifact(const std::string& bytes,
         std::to_string(meta.begin) + ", " + std::to_string(meta.end) +
         ") does not match point count " + std::to_string(meta.point_count));
   }
+  // The tree stream is parsed in place: no copy of the (multi-megabyte)
+  // tree bytes is made on the way to ParseTree.
   Result<CountingTree> tree =
-      ParseTree(bytes.substr(0, tree_len), path);
+      ParseTree(std::string_view(bytes).substr(0, tree_len), path);
   MRCC_RETURN_IF_ERROR(tree.status());
   return ShardArtifact{std::move(*tree), meta};
 }

@@ -241,9 +241,8 @@ Result<CountingTree> LoadOrRebuildShard(const ShardedBuildOptions& options,
   return BuildShardTree(options, plan.begin, plan.end);
 }
 
-Result<CountingTree> MergeShardTrees(const ShardedBuildOptions& options,
-                                     const BuildManifest& manifest,
-                                     MergeTreeStats* merge_stats) {
+Result<FoldedShards> MergeShardTrees(const ShardedBuildOptions& options,
+                                     const BuildManifest& manifest) {
   Result<CountingTree> tree =
       LoadOrRebuildShard(options, manifest, 0);
   MRCC_RETURN_IF_ERROR(tree.status());
@@ -258,10 +257,9 @@ Result<CountingTree> MergeShardTrees(const ShardedBuildOptions& options,
     MRCC_RETURN_IF_ERROR(merged.status());
     stats += *merged;
   }
-  if (merge_stats != nullptr) *merge_stats = stats;
   MetricsRegistry::Global().counter("tree.merge.conflict_cells").Add(
       static_cast<int64_t>(stats.cells_merged));
-  return tree;
+  return FoldedShards{std::move(tree).value(), stats};
 }
 
 Result<MrCCResult> MergeShards(const ShardedBuildOptions& options,
@@ -276,17 +274,19 @@ Result<MrCCResult> MergeShards(const ShardedBuildOptions& options,
   Timer total;
 
   Timer phase;
-  Result<CountingTree> tree(Status::Internal("merge not run"));
+  Result<FoldedShards> folded(Status::Internal("merge not run"));
   {
     MRCC_TRACE_SPAN_N("merge.fold",
                       static_cast<int64_t>(manifest.shards.size()));
-    tree = MergeShardTrees(options, manifest, &result.stats.tree_merge);
+    folded = MergeShardTrees(options, manifest);
   }
-  MRCC_RETURN_IF_ERROR(tree.status());
+  MRCC_RETURN_IF_ERROR(folded.status());
   result.stats.tree_merge_seconds = phase.ElapsedSeconds();
   result.stats.tree_build_seconds = result.stats.tree_merge_seconds;
-  result.stats.effective_resolutions = tree->num_resolutions();
-  result.stats.tree_memory_bytes = tree->MemoryBytes();
+  result.stats.tree_merge = folded->merge_stats;
+  CountingTree& tree = folded->tree;
+  result.stats.effective_resolutions = tree.num_resolutions();
+  result.stats.tree_memory_bytes = tree.MemoryBytes();
 
   // From here the pipeline is MrCC::Run's phases 2-3 verbatim: β-search
   // over the merged tree, geometric cluster merge, labeling scan. The
@@ -302,7 +302,7 @@ Result<MrCCResult> MergeShards(const ShardedBuildOptions& options,
   {
     MRCC_TRACE_SPAN("beta.search");
     Result<BetaSearchResult> search =
-        RunBetaSearch(*tree, finder_options, &tracker);
+        RunBetaSearch(tree, finder_options, &tracker);
     MRCC_RETURN_IF_ERROR(search.status());
     result.beta_clusters = std::move(search->betas);
     result.stats.beta_search = search->stats;

@@ -99,12 +99,17 @@ bool ShardComplete(const ShardedBuildOptions& options,
     const ShardedBuildOptions& options, const BuildManifest& manifest,
     size_t index);
 
+/// MergeShardTrees' result: the folded, serial-equivalent tree and the
+/// fold's MergeTree counters summed over every shard.
+struct FoldedShards {
+  CountingTree tree;
+  MergeTreeStats merge_stats;
+};
+
 /// The merger's tree half: loads (or rebuilds) every shard and folds
-/// them left-to-right into the serial-equivalent tree. `merge_stats`,
-/// when non-null, receives the fold's summed counters.
-[[nodiscard]] Result<CountingTree> MergeShardTrees(
-    const ShardedBuildOptions& options, const BuildManifest& manifest,
-    MergeTreeStats* merge_stats = nullptr);
+/// them left-to-right into the serial-equivalent tree.
+[[nodiscard]] Result<FoldedShards> MergeShardTrees(
+    const ShardedBuildOptions& options, const BuildManifest& manifest);
 
 /// The merger's whole job: MergeShardTrees, then the β-search, cluster
 /// merge, and labeling scan — the exact phases MrCC::Run performs after

@@ -1,5 +1,6 @@
-// Fuzz-style corpus tests for the two parsers that consume external
-// bytes: the binary dataset reader and the BenchRecord JSON reader.
+// Fuzz-style corpus tests for the parsers that consume external bytes:
+// the binary dataset reader, the BenchRecord JSON reader and the shard
+// artifact loader (footer, checksum, ParseTree, ValidateInvariants).
 //
 // Contract under test (DESIGN.md §11): any byte sequence either parses
 // or returns a non-OK Status. No crash, no abort, no unbounded
@@ -7,21 +8,28 @@
 // is parsed as-is, then a deterministic 10,000-iteration loop mutates
 // the seeds (byte flips, truncations, splices, extensions) and replays
 // them. The Rng seed is fixed so a failing iteration reproduces exactly.
+// The shard-artifact seed is built in the test, so it always matches the
+// current format.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/fs.h"
 #include "common/rng.h"
+#include "core/counting_tree.h"
 #include "data/dataset_io.h"
 #include "data/dataset_reader.h"
+#include "dist/shard_io.h"
 #include "eval/bench_record.h"
+#include "test_util.h"
 
 #ifndef MRCC_CORPUS_DIR
 #error "tests/CMakeLists.txt must define MRCC_CORPUS_DIR"
@@ -258,6 +266,106 @@ TEST(CorpusRoundTripTest, MutatedDataThatLoadsAlsoRoundTrips) {
   }
   std::remove(tmp.c_str());
   std::remove(tmp2.c_str());
+}
+
+// ---- Shard artifacts (dist/shard_io.h): the only state one mrcc-build
+// process hands another.
+
+/// A small clustered tree serialized as a shard artifact.
+std::string ShardArtifactSeed() {
+  const Dataset data = testing::SmallClustered(400, 4, 2, 77).data;
+  Result<CountingTree> tree = CountingTree::Build(data, 5);
+  EXPECT_TRUE(tree.ok()) << tree.status().ToString();
+  const uint64_t n = data.NumPoints();
+  return dist::SerializeShardArtifact(*tree, dist::ShardMeta{0, n, n});
+}
+
+/// Rewrites the footer's tree length and checksum (the last 16 bytes of
+/// the 48-byte footer, see dist/shard_io.h) to match the bytes in front
+/// of them, so a mutated artifact passes the trailer checks and reaches
+/// ParseTree and ValidateInvariants.
+void Restamp(std::string* bytes) {
+  constexpr size_t kFooterBytes = 48;
+  if (bytes->size() < kFooterBytes) return;
+  const uint64_t tree_len = bytes->size() - kFooterBytes;
+  std::memcpy(bytes->data() + bytes->size() - 16, &tree_len,
+              sizeof(tree_len));
+  const uint64_t sum = Fnv1a(bytes->data(), bytes->size() - sizeof(sum));
+  std::memcpy(bytes->data() + bytes->size() - 8, &sum, sizeof(sum));
+}
+
+/// Outcome tally of a mutation loop over the artifact loader. A rejection
+/// must be a clean IOError; which layer rejected is read off the message
+/// (the footer checks name the "shard artifact", ParseTree and the
+/// validator do not).
+struct ShardFuzzTally {
+  int footer = 0;          // Footer shape, version, length, partition.
+  int checksum = 0;        // "checksum mismatch ..."
+  int tree_parse = 0;      // ParseTree's field-level errors.
+  int tree_invariant = 0;  // ValidateInvariants, via "corrupt tree in".
+
+  void Add(const Result<dist::ShardArtifact>& r) {
+    if (r.ok()) {
+      EXPECT_TRUE(r->tree.ValidateInvariants().ok());
+      return;
+    }
+    ASSERT_EQ(r.status().code(), StatusCode::kIOError)
+        << r.status().ToString();
+    const std::string m = r.status().message();
+    if (m.rfind("checksum mismatch", 0) == 0) {
+      ++checksum;
+    } else if (m.find("shard artifact") != std::string::npos) {
+      ++footer;
+    } else if (m.rfind("corrupt tree in", 0) == 0) {
+      ++tree_invariant;
+    } else {
+      ++tree_parse;
+    }
+  }
+};
+
+TEST(CorpusShardArtifactTest, SeedLoadsAndRestampIsIdentity) {
+  const std::string seed = ShardArtifactSeed();
+  const Result<dist::ShardArtifact> loaded =
+      dist::ParseShardArtifact(seed, "seed");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->meta.point_count, 400u);
+  // Restamp writes exactly the footer the writer wrote.
+  std::string restamped = seed;
+  Restamp(&restamped);
+  EXPECT_EQ(restamped, seed);
+}
+
+TEST(CorpusShardArtifactTest, TenThousandMutationsNeverCrashTheLoader) {
+  const std::string seed = ShardArtifactSeed();
+  Rng rng(20261017);
+  ShardFuzzTally tally;
+  for (int i = 0; i < 10000; ++i) {
+    SCOPED_TRACE("mutation iteration " + std::to_string(i));
+    tally.Add(dist::ParseShardArtifact(Mutate(seed, rng), "mutated"));
+  }
+  // Without a re-stamped trailer the footer checks and the checksum stop
+  // every damaged artifact before its tree bytes are parsed.
+  EXPECT_GT(tally.checksum, 0);
+  EXPECT_EQ(tally.tree_parse + tally.tree_invariant, 0);
+}
+
+TEST(CorpusShardArtifactTest, RestampedMutationsReachTreeParserAndValidator) {
+  const std::string seed = ShardArtifactSeed();
+  Rng rng(20261018);
+  ShardFuzzTally tally;
+  for (int i = 0; i < 10000; ++i) {
+    SCOPED_TRACE("mutation iteration " + std::to_string(i));
+    std::string bytes = Mutate(seed, rng);
+    Restamp(&bytes);
+    tally.Add(dist::ParseShardArtifact(bytes, "restamped"));
+  }
+  // With the trailer re-stamped the damage gets past the checksum, so
+  // both tree layers must have rejected some of it; a loop that never
+  // reached them would prove nothing about their buffer handling.
+  EXPECT_EQ(tally.checksum, 0);
+  EXPECT_GT(tally.tree_parse, 0);
+  EXPECT_GT(tally.tree_invariant, 0);
 }
 
 }  // namespace

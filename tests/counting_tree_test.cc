@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -368,6 +370,85 @@ TEST(CountingTreeInvariantsTest, DetectsDanglingChildPointer) {
   const Status v = tree->ValidateInvariants();
   ASSERT_FALSE(v.ok());
   EXPECT_NE(v.message().find("child"), std::string::npos) << v.ToString();
+}
+
+// Exact messages of the per-cell checks. The level-1 arena is the root
+// node's (node 0) slice, so CellRef{1, c} is "node 0: cell c". Loaders
+// surface these strings verbatim ("corrupt tree in <path>: ..."), so
+// they are pinned byte for byte.
+class InvariantMessageTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const Dataset data = testing::UniformDataset(1000, 4, 16);
+    Result<CountingTree> tree = CountingTree::Build(data, 4);
+    ASSERT_TRUE(tree.ok());
+    tree_ = std::make_unique<CountingTree>(std::move(tree).value());
+    ASSERT_GE(tree_->NumCellsAtLevel(1), 6u);
+    ASSERT_TRUE(tree_->ValidateInvariants().ok());
+  }
+
+  std::string Message() const { return tree_->ValidateInvariants().message(); }
+
+  std::unique_ptr<CountingTree> tree_;
+};
+
+TEST_F(InvariantMessageTest, DuplicateSiblingLoc) {
+  CountingTree::TestPeer::Loc(*tree_, CellRef{1, 1}) =
+      CountingTree::TestPeer::Loc(*tree_, CellRef{1, 0});
+  EXPECT_EQ(Message(),
+            "tree invariant violated: node 0: cell 1: duplicate loc among "
+            "siblings");
+}
+
+TEST_F(InvariantMessageTest, DuplicateSiblingLocNamesTheLaterCell) {
+  // Not adjacent, not the first cell: the report names the second
+  // occurrence in slice order.
+  CountingTree::TestPeer::Loc(*tree_, CellRef{1, 5}) =
+      CountingTree::TestPeer::Loc(*tree_, CellRef{1, 2});
+  EXPECT_EQ(Message(),
+            "tree invariant violated: node 0: cell 5: duplicate loc among "
+            "siblings");
+}
+
+TEST_F(InvariantMessageTest, OwnerMismatch) {
+  CountingTree::TestPeer::Owner(*tree_, CellRef{1, 2}) = 7;
+  EXPECT_EQ(Message(),
+            "tree invariant violated: node 0: cell 2: arena owner points at "
+            "node 7");
+}
+
+TEST_F(InvariantMessageTest, HalfCountAboveCellCount) {
+  const CellRef cell{1, 3};
+  const uint32_t n = tree_->Count(cell);
+  CountingTree::TestPeer::Half(*tree_, cell, 2) = n + 1;
+  EXPECT_EQ(Message(), "tree invariant violated: node 0: cell 3: half-space "
+                       "count " + std::to_string(n + 1) +
+                           " exceeds cell count " + std::to_string(n) +
+                           " on axis 2");
+}
+
+TEST_F(InvariantMessageTest, LocBitsAboveDimension) {
+  CountingTree::TestPeer::Loc(*tree_, CellRef{1, 0}) |= uint64_t{1} << 60;
+  EXPECT_EQ(Message(),
+            "tree invariant violated: node 0: cell 0: loc has bits above "
+            "dimension 4");
+}
+
+TEST_F(InvariantMessageTest, ChildSumMismatch) {
+  const CellRef cell{1, 4};
+  const uint32_t n = tree_->Count(cell);
+  CountingTree::TestPeer::Count(*tree_, cell) += 5;
+  EXPECT_EQ(Message(), "tree invariant violated: node 0: cell 4: child "
+                       "counts sum to " + std::to_string(n) +
+                           ", expected " + std::to_string(n + 5));
+}
+
+TEST_F(InvariantMessageTest, DanglingChild) {
+  CountingTree::TestPeer::Child(*tree_, CellRef{1, 1}) =
+      static_cast<int32_t>(tree_->num_nodes() + 100);
+  EXPECT_EQ(Message(),
+            "tree invariant violated: node 0: cell 1: dangling child "
+            "pointer");
 }
 
 // ---- LevelView: the sanctioned bulk read API over the SoA arenas.

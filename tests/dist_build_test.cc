@@ -98,14 +98,14 @@ TEST_F(DistBuildTest, MergedTreeEqualsSerialTree) {
   for (size_t i = 0; i < manifest->shards.size(); ++i) {
     ASSERT_TRUE(BuildShard(options_, *manifest, i).ok());
   }
-  Result<CountingTree> merged = MergeShardTrees(options_, *manifest);
+  Result<FoldedShards> merged = MergeShardTrees(options_, *manifest);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   Result<CountingTree> serial =
       CountingTree::Build(data_, options_.params.num_resolutions);
   ASSERT_TRUE(serial.ok());
   // Byte equality, not just equivalence: the sharded path must reproduce
   // the serial tree's serialized form exactly (the golden contract).
-  EXPECT_EQ(SerializeTree(*merged), SerializeTree(*serial));
+  EXPECT_EQ(SerializeTree(merged->tree), SerializeTree(*serial));
 }
 
 TEST_F(DistBuildTest, ResumeSkipsCompletedShards) {
