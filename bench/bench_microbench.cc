@@ -9,6 +9,8 @@
 //   - Shard-artifact load: ParseTree and ValidateInvariants over one
 //     shard-sized tree (the load cost a multi-process build pays per
 //     shard; DESIGN.md §16).
+//   - Window fold: nine sealed generation trees folded with a seal per
+//     source versus one seal at the end (DESIGN.md §14).
 //   - Full MrCC runs at increasing eta (end-to-end linearity).
 
 #include <benchmark/benchmark.h>
@@ -250,6 +252,63 @@ BENCHMARK(BM_ValidateInvariants)
     ->Arg(14)
     ->Arg(30)
     ->Unit(benchmark::kMillisecond);
+
+// ---- Window fold (DESIGN.md §14): a sliding-window snapshot folds its
+// sealed generation trees into an empty tree. Nine 16,384-point
+// generations of the bench's 14-d design at H = 4, as in mrcc_bench's
+// stream-window workload. Arg(0) seals after every source (MergeTree),
+// Arg(1) counts every source in with InsertTree and seals once. Items
+// are source cells.
+
+struct GenerationFixture {
+  std::vector<CountingTree> generations;
+  size_t cells = 0;
+};
+
+const GenerationFixture& Generations() {
+  static const GenerationFixture fixture = [] {
+    constexpr size_t kGenerations = 9;
+    constexpr size_t kGenerationPoints = 16384;
+    const LabeledDataset ds = MakeData(kGenerations * kGenerationPoints, 14);
+    GenerationFixture f;
+    for (size_t g = 0; g < kGenerations; ++g) {
+      Dataset slice(0, ds.data.NumDims());
+      for (size_t i = g * kGenerationPoints; i < (g + 1) * kGenerationPoints;
+           ++i) {
+        slice.AppendPoint(ds.data.Point(i));
+      }
+      Result<CountingTree> tree = CountingTree::Build(slice, 4);
+      MRCC_CHECK(tree.ok());
+      for (int h = 1; h < tree->num_resolutions(); ++h) {
+        f.cells += tree->NumCellsAtLevel(h);
+      }
+      f.generations.push_back(std::move(*tree));
+    }
+    return f;
+  }();
+  return fixture;
+}
+
+void BM_FoldGenerations(benchmark::State& state) {
+  const GenerationFixture& f = Generations();
+  const bool seal_once = state.range(0) == 1;
+  for (auto _ : state) {
+    CountingTree::Builder builder(14, 4);
+    Result<CountingTree> window = std::move(builder).Finish();
+    MRCC_CHECK(window.ok());
+    for (const CountingTree& generation : f.generations) {
+      Result<MergeTreeStats> fold = seal_once
+                                        ? window->InsertTree(generation)
+                                        : MergeTree(&*window, generation);
+      MRCC_CHECK(fold.ok());
+    }
+    window->Seal();
+    benchmark::DoNotOptimize(window->total_points());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(f.cells));
+}
+BENCHMARK(BM_FoldGenerations)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_BinomialCriticalValue(benchmark::State& state) {
   const int64_t n = state.range(0);

@@ -353,6 +353,13 @@ class BetaClusterFinder {
 Result<BetaSearchResult> RunBetaSearch(CountingTree& tree,
                                        const BetaFinderOptions& options,
                                        BudgetTracker* budget) {
+  // The argmax breaks ties by the canonical cell order only a sealed
+  // tree has, so searching an unsealed one would differ from the serial
+  // result only when a tie happens to occur: reject it outright.
+  if (!tree.sealed()) {
+    return Status::InvalidArgument(
+        "β-search needs a sealed tree: call Seal() after inserting");
+  }
   BetaFinderOptions effective = options;
   // The full order-3 mask costs O(3^d) per cell; above kMaxFullMaskDims it
   // would effectively hang. High-level drivers (MrCC::Run) reject the

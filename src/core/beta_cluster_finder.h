@@ -107,7 +107,8 @@ struct BetaSearchResult {
 /// boundary; on expiry the search returns the β-clusters found so far
 /// with stats.deadline_hit set — a partial result, not an error. A
 /// non-OK status only signals a real failure (the `beta.search.alloc`
-/// failpoint stands in for level-cache allocation failure).
+/// failpoint stands in for level-cache allocation failure). An unsealed
+/// `tree` (Insert or InsertTree since its last Seal) is InvalidArgument.
 [[nodiscard]] Result<BetaSearchResult> RunBetaSearch(CountingTree& tree,
                                        const BetaFinderOptions& options,
                                        BudgetTracker* budget = nullptr);

@@ -1,6 +1,7 @@
 #include "core/counting_tree.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <numeric>
@@ -12,10 +13,10 @@
 namespace mrcc {
 namespace {
 
-// Debug-build hook shared by Builder::Finish and MergeTree: a structural
-// violation at these points is a construction bug, so abort with the
-// invariant's message rather than return a Status the caller would have
-// to treat as an input error.
+// Debug-build hook shared by Seal and DropDeepestLevel: a structural
+// violation at these points is a construction or merge bug, so abort with
+// the invariant's message rather than return a Status the caller would
+// have to treat as an input error.
 void DCheckInvariants(const CountingTree& tree) {
 #ifndef NDEBUG
   const Status v = tree.ValidateInvariants();
@@ -135,6 +136,38 @@ size_t CountingTree::LocMap::MemoryBytes() const {
 }
 
 // ---------------------------------------------------------------------------
+// CellIds: a node's cell list, stored in place up to kInline ids.
+
+uint32_t CountingTree::CellIds::HeapCapacity(uint32_t size) {
+  return std::bit_ceil(std::max<uint32_t>(size, 8));
+}
+
+void CountingTree::CellIds::push_back(uint32_t id) {
+  if (size_ < kInline) {
+    inline_[size_++] = id;
+    return;
+  }
+  if (!heap_ || size_ == HeapCapacity(size_)) {
+    // Moving to the heap, or the heap block is full: double it.
+    auto grown =
+        std::make_unique_for_overwrite<uint32_t[]>(HeapCapacity(size_ + 1));
+    std::copy(begin(), end(), grown.get());
+    heap_ = std::move(grown);
+  }
+  heap_[size_++] = id;
+}
+
+void CountingTree::CellIds::AssignIota(uint32_t first, uint32_t count) {
+  heap_.reset();
+  if (count > kInline) {
+    heap_ = std::make_unique_for_overwrite<uint32_t[]>(HeapCapacity(count));
+  }
+  uint32_t* ids = heap_ ? heap_.get() : inline_;
+  std::iota(ids, ids + count, first);
+  size_ = count;
+}
+
+// ---------------------------------------------------------------------------
 // Construction.
 
 CountingTree::Builder::Builder(size_t num_dims, int num_resolutions) {
@@ -158,23 +191,12 @@ CountingTree::Builder::Builder(size_t num_dims, int num_resolutions) {
 
 Status CountingTree::Builder::Add(std::span<const double> point) {
   MRCC_RETURN_IF_ERROR(status_);
-  if (point.size() != tree_->num_dims_) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
-  for (double v : point) {
-    if (!(v >= 0.0 && v < 1.0)) {
-      return Status::InvalidArgument(
-          "points must be normalized to [0,1)^d before insertion");
-    }
-  }
-  tree_->InsertPoint(point);
-  return Status::OK();
+  return tree_->Insert(point);
 }
 
 Result<CountingTree> CountingTree::Builder::Finish() && {
   MRCC_RETURN_IF_ERROR(status_);
-  tree_->Pack();
-  DCheckInvariants(*tree_);
+  tree_->Seal();
   return std::move(*tree_);
 }
 
@@ -213,6 +235,113 @@ void CountingTree::Seal() {
   // unused, so clear everything for the next search.
   ResetUsedFlags();
   DCheckInvariants(*this);
+}
+
+Result<MergeTreeStats> CountingTree::InsertTree(const CountingTree& other) {
+  if (&other == this) {
+    return Status::InvalidArgument("cannot insert a tree into itself");
+  }
+  if (num_dims_ != other.num_dims_) {
+    return Status::InvalidArgument("tree dimensionality mismatch");
+  }
+  if (num_resolutions_ != other.num_resolutions_) {
+    return Status::InvalidArgument("tree resolution mismatch");
+  }
+  // The walk below reads `other` through its packed slices; an unsealed
+  // source's slices are stale and would be misread.
+  if (!other.packed_) {
+    return Status::InvalidArgument(
+        "source tree is not sealed: call Seal() before inserting it");
+  }
+  // The walk reaches each source node through its parent cell, so every
+  // node must come after its parent in the pool. Built and folded trees
+  // always are in that order, but a tree parsed from crafted bytes need
+  // not be: check up front, so such a source is rejected before the
+  // destination changes.
+  {
+    std::vector<uint8_t> reached(other.nodes_.size(), 0);
+    reached[0] = 1;
+    for (size_t m = 0; m < other.nodes_.size(); ++m) {
+      if (reached[m] == 0) {
+        return Status::Internal("merge source tree is not in creation order");
+      }
+      const Node& src = other.nodes_[m];
+      const int32_t* child =
+          other.arenas_[static_cast<size_t>(src.level)].child.data() +
+          src.first;
+      for (uint32_t c = 0; c < src.count; ++c) {
+        if (child[c] < 0) continue;
+        if (static_cast<size_t>(child[c]) >= reached.size()) {
+          return Status::Internal("merge source tree has a dangling child");
+        }
+        reached[static_cast<size_t>(child[c])] = 1;
+      }
+    }
+  }
+
+  // Layout-preserving merge: iterate `other`'s node pool in index order —
+  // which is creation order, i.e. the order in which `other`'s point
+  // stream first touched each region — and only create a missing
+  // destination node at the moment its source counterpart is reached.
+  // Because InsertPoint creates a cell and its child node at the same
+  // point (the first one landing there), this reproduces exactly the node
+  // and cell ordering a serial build over the concatenated point streams
+  // would have produced; Seal() then restores the canonical arena layout
+  // of that serial build. Pack only normalizes layout — it keeps the node
+  // pool and each node's cell creation order — so sealing once after N
+  // InsertTree calls gives the same bytes as sealing after each. Callers
+  // therefore cannot tell a folded tree from a serial build: the trees
+  // are identical, not merely equivalent.
+  MergeTreeStats stats;
+  const size_t d = num_dims_;
+  if (packed_) Unpack();
+  // parent_cell[s]: the destination cell (one level above source node s)
+  // that s refines, recorded while merging the parent's cells.
+  std::vector<uint32_t> parent_cell(other.nodes_.size(), 0);
+  for (size_t m = 0; m < other.nodes_.size(); ++m) {
+    const Node& src = other.nodes_[m];
+    uint32_t dst_node = 0;
+    if (m != 0) {
+      // Create the destination counterpart only now, when the source pool
+      // scan reaches this node, so new destination nodes appear in source
+      // creation order (not in parent-cell order). Its base coordinates
+      // are the parent cell's absolute coordinates: the same in both trees.
+      std::vector<int32_t>& parent_children =
+          arenas_[static_cast<size_t>(src.level - 1)].child;
+      const uint32_t parent = parent_cell[m];
+      if (parent_children[parent] < 0) {
+        parent_children[parent] =
+            static_cast<int32_t>(NewNode(src.level, src.base_coords));
+        ++stats.nodes_created;
+      }
+      dst_node = static_cast<uint32_t>(parent_children[parent]);
+    }
+    const Arena& src_arena = other.arenas_[static_cast<size_t>(src.level)];
+    Arena& dst_arena = arenas_[static_cast<size_t>(src.level)];
+    for (uint32_t c = 0; c < src.count; ++c) {
+      const size_t si = static_cast<size_t>(src.first) + c;
+      const uint32_t dst_cells_before = nodes_[dst_node].count;
+      const uint32_t dst_idx = FindOrCreateInNode(dst_node, src_arena.loc[si]);
+      // An unchanged cell count means the cell existed in both trees —
+      // a genuine merge (count addition) rather than an append.
+      if (nodes_[dst_node].count == dst_cells_before) {
+        ++stats.cells_merged;
+      } else {
+        ++stats.cells_created;
+      }
+      dst_arena.n[dst_idx] += src_arena.n[si];
+      for (size_t j = 0; j < d; ++j) {
+        dst_arena.half[static_cast<size_t>(dst_idx) * d + j] +=
+            src_arena.half[si * d + j];
+      }
+      const int32_t src_child = src_arena.child[si];
+      if (src_child >= 0) {
+        parent_cell[static_cast<size_t>(src_child)] = dst_idx;
+      }
+    }
+  }
+  total_points_ += other.total_points_;
+  return stats;
 }
 
 Result<CountingTree> CountingTree::Build(const Dataset& data,
@@ -279,15 +408,18 @@ void CountingTree::InsertPoint(std::span<const double> point) {
   // Binary expansion of each coordinate, one level beyond the deepest so
   // half-space counts at the deepest level are available:
   // bits[h-1][j] = h-th binary digit of point[j] (level-h position bit).
-  // ldexp is a pure exponent shift — exact for doubles — so the truncated
-  // integer holds all deepest+1 digits at once; digit h is bit
-  // (deepest+1-h). One scaled conversion replaces the digit-by-digit
-  // repeated-doubling loop (identical output: both read the same finite
-  // binary expansion).
+  // Multiplying a finite x in [0,1) by the power of two 2^(deepest+1) is
+  // a pure exponent shift — exact, the same double std::ldexp returns —
+  // so the truncated integer holds all deepest+1 digits at once; digit h
+  // is bit (deepest+1-h). One scaled conversion replaces the
+  // digit-by-digit repeated-doubling loop (identical output: both read
+  // the same finite binary expansion), and the scale is computed once
+  // per point instead of a libm call per coordinate.
   bits_scratch_.resize(static_cast<size_t>(deepest + 1) * d);
   uint8_t* bits = bits_scratch_.data();
+  const double scale = std::ldexp(1.0, deepest + 1);
   for (size_t j = 0; j < d; ++j) {
-    const auto grid = static_cast<uint64_t>(std::ldexp(point[j], deepest + 1));
+    const auto grid = static_cast<uint64_t>(point[j] * scale);
     for (int h = 1; h <= deepest + 1; ++h) {
       bits[static_cast<size_t>(h - 1) * d + j] =
           static_cast<uint8_t>((grid >> (deepest + 1 - h)) & 1);
@@ -329,7 +461,7 @@ void CountingTree::InsertPoint(std::span<const double> point) {
       const Node& next = nodes_[node_idx];
       __builtin_prefetch(&next);
       if (!next.cell_ids.empty()) {
-        __builtin_prefetch(next.cell_ids.data());
+        __builtin_prefetch(next.cell_ids.begin());
       }
     }
   }
@@ -387,8 +519,7 @@ void CountingTree::Pack() {
     // maps (arena indices changed under them).
     for (uint32_t node_idx : by_level_[static_cast<size_t>(h)]) {
       Node& node = nodes_[node_idx];
-      node.cell_ids.clear();
-      node.cell_ids.shrink_to_fit();
+      node.cell_ids.Clear();
       if (node.count > kIndexThreshold) {
         node.index = std::make_unique<LocMap>();
         node.index->Reserve(node.count * 2);
@@ -405,8 +536,7 @@ void CountingTree::Pack() {
 
 void CountingTree::Unpack() {
   for (Node& node : nodes_) {
-    node.cell_ids.resize(node.count);
-    std::iota(node.cell_ids.begin(), node.cell_ids.end(), node.first);
+    node.cell_ids.AssignIota(node.first, node.count);
     // Arena indices are unchanged, so any loc index stays valid.
   }
   packed_ = false;
@@ -781,7 +911,7 @@ size_t CountingTree::MemoryBytes() const {
   size_t bytes = sizeof(*this) + nodes_.capacity() * sizeof(Node);
   for (const Node& node : nodes_) {
     bytes += node.base_coords.capacity() * sizeof(uint64_t);
-    bytes += node.cell_ids.capacity() * sizeof(uint32_t);
+    bytes += node.cell_ids.HeapBytes();
     if (node.index != nullptr) {
       bytes += sizeof(LocMap) + node.index->MemoryBytes();
     }

@@ -24,10 +24,10 @@
 // (small nodes use a linear scan over the contiguous loc slice).
 //
 // During construction cells append to their level arena in point-stream
-// order, which interleaves the slices of different nodes; Builder::Finish
-// (and every other structural mutation: MergeTree, LoadTree,
-// DropDeepestLevel) then *packs* each arena into the canonical order —
-// nodes in creation order, cells in creation order within their node.
+// order, which interleaves the slices of different nodes; Seal() (run by
+// Builder::Finish, MergeTree and after Insert / InsertTree) then *packs*
+// each arena into the canonical order — nodes in creation order, cells
+// in creation order within their node.
 // That order is load-bearing: the β-search argmax breaks ties by the
 // lowest cell index in exactly this enumeration, so packing is what
 // keeps results bit-identical across serial, sharded and reloaded
@@ -51,7 +51,24 @@
 
 namespace mrcc {
 
-struct MergeTreeStats;  // tree_io.h
+/// Work counters of one CountingTree::InsertTree (or MergeTree) call.
+/// `cells_merged` — cells present in both trees whose counts were
+/// combined (the merge "conflicts" a sharded build pays for);
+/// `cells_created` / `nodes_created` — structure that existed only in
+/// the source tree and was appended to the destination. A fold sums them
+/// with +=.
+struct MergeTreeStats {
+  uint64_t cells_merged = 0;
+  uint64_t cells_created = 0;
+  uint64_t nodes_created = 0;
+
+  MergeTreeStats& operator+=(const MergeTreeStats& o) {
+    cells_merged += o.cells_merged;
+    cells_created += o.cells_created;
+    nodes_created += o.nodes_created;
+    return *this;
+  }
+};
 
 /// Sparse multi-resolution grid of point counts (see file comment).
 class CountingTree {
@@ -132,7 +149,8 @@ class CountingTree {
                                                   int num_resolutions);
 
   /// Incremental construction for streamed data (one point at a time, any
-  /// source). Points must lie in [0,1)^d.
+  /// source): a validated empty tree fed through Insert() and Seal().
+  /// Points must lie in [0,1)^d.
   class Builder {
    public:
     /// Validates (d, H) like Build(); check status() before adding.
@@ -140,11 +158,11 @@ class CountingTree {
 
     const Status& status() const { return status_; }
 
-    /// Counts one point into the tree. Rejects out-of-cube values.
+    /// Counts one point into the tree (Insert). Rejects out-of-cube
+    /// values.
     [[nodiscard]] Status Add(std::span<const double> point);
 
-    /// Finalizes (packs the arenas) and returns the tree. The builder is
-    /// consumed.
+    /// Seals and returns the tree. The builder is consumed.
     [[nodiscard]] Result<CountingTree> Finish() &&;
 
    private:
@@ -166,11 +184,24 @@ class CountingTree {
   /// points before it stay counted, the rest are not.
   [[nodiscard]] Status InsertBatch(std::span<const double> values);
 
-  /// Packs the tree back into canonical (readable) order after Insert
-  /// calls and clears the β-search's used flags. No-op on a sealed tree.
+  /// Counts every point of the sealed tree `other` into this one, as if
+  /// `other`'s point stream had been Insert()ed: after Seal() this tree
+  /// is byte-identical to the one built over the concatenation of both
+  /// streams. Like Insert, it leaves the tree unsealed — call Seal()
+  /// before any read — so folding N trees costs one Unpack and one Pack,
+  /// not N. Requires equal dimensionality and resolution count, a sealed
+  /// `other` and `&other != this`: a violation returns InvalidArgument
+  /// (a source whose node pool is not in creation order, Internal)
+  /// before this tree is touched. `other` is never modified. Returns
+  /// this call's work counters.
+  [[nodiscard]] Result<MergeTreeStats> InsertTree(const CountingTree& other);
+
+  /// Packs the tree back into canonical (readable) order after Insert /
+  /// InsertTree calls and clears the β-search's used flags. No-op on a
+  /// sealed tree.
   void Seal();
 
-  /// False while unsealed Insert()s are pending.
+  /// False while Insert() / InsertTree() changes await a Seal().
   bool sealed() const { return packed_; }
 
   /// Number of resolutions H (the root counts as resolution 0).
@@ -241,9 +272,10 @@ class CountingTree {
   /// cell count, single-parent linkage, by-level index consistency and
   /// the total-point count. O(cells * d) time and no allocation per
   /// node or cell when the tree is valid. Returns OK or Internal naming
-  /// the first violated invariant. Builder::Finish and MergeTree run it
-  /// in debug builds; ParseTree (LoadTree, every shard-artifact load)
-  /// runs it unconditionally to reject corrupt bytes.
+  /// the first violated invariant. Seal() (and so Builder::Finish and
+  /// MergeTree) runs it in debug builds; ParseTree (LoadTree, every
+  /// shard-artifact load) runs it unconditionally to reject corrupt
+  /// bytes.
   [[nodiscard]] Status ValidateInvariants() const;
 
   /// Approximate heap footprint of the tree in bytes.
@@ -272,6 +304,43 @@ class CountingTree {
     std::vector<uint64_t> keys_;
     std::vector<uint32_t> vals_;
     size_t size_ = 0;
+  };
+
+  /// An unpacked node's arena cell indices, in creation order. Most
+  /// nodes hold one to three cells, so up to kInline ids live in the
+  /// node itself and only larger nodes allocate: building, unpacking,
+  /// folding and packing a tree then cost no allocation per small node.
+  class CellIds {
+   public:
+    const uint32_t* begin() const { return heap_ ? heap_.get() : inline_; }
+    const uint32_t* end() const { return begin() + size_; }
+    bool empty() const { return size_ == 0; }
+
+    void push_back(uint32_t id);
+
+    /// Replaces the contents with first, first + 1, ..., first + count - 1.
+    void AssignIota(uint32_t first, uint32_t count);
+
+    /// Empties the list and frees its heap storage.
+    void Clear() {
+      heap_.reset();
+      size_ = 0;
+    }
+
+    /// Heap bytes held (0 while the ids fit in place).
+    size_t HeapBytes() const {
+      return heap_ ? HeapCapacity(size_) * sizeof(uint32_t) : 0;
+    }
+
+   private:
+    static constexpr uint32_t kInline = 3;
+
+    /// Heap capacity for `size` ids: the next power of two, at least 8.
+    static uint32_t HeapCapacity(uint32_t size);
+
+    std::unique_ptr<uint32_t[]> heap_;
+    uint32_t inline_[kInline] = {};
+    uint32_t size_ = 0;
   };
 
   /// One level's packed cell storage. Parallel arrays; `half` holds d
@@ -307,7 +376,7 @@ class CountingTree {
     uint32_t count = 0;
 
     /// Unpacked only: arena indices of this node's cells, creation order.
-    std::vector<uint32_t> cell_ids;
+    CellIds cell_ids;
 
     /// loc -> arena cell; built once the node outgrows linear scan.
     std::unique_ptr<LocMap> index;
@@ -316,12 +385,10 @@ class CountingTree {
   CountingTree(size_t num_dims, int num_resolutions)
       : num_dims_(num_dims), num_resolutions_(num_resolutions) {}
 
-  // Persistence and merging need raw access to the arenas (tree_io.h).
+  // Persistence needs raw access to the arenas (tree_io.h).
   friend std::string SerializeTree(const CountingTree& tree);
   friend Result<CountingTree> ParseTree(std::string_view bytes,
                                         const std::string& path);
-  friend Result<MergeTreeStats> MergeTree(CountingTree* tree,
-                                          const CountingTree& other);
 
   /// Inserts one point (unpacked trees only); see Build.
   void InsertPoint(std::span<const double> point);
@@ -344,7 +411,8 @@ class CountingTree {
   void Pack();
 
   /// Re-materializes per-node cell_id lists from the packed slices so
-  /// the tree accepts insertions again (MergeTree's destination).
+  /// the tree accepts insertions again. Packed trees only: on an
+  /// unpacked tree the slices are stale and would corrupt cell_ids.
   void Unpack();
 
   size_t num_dims_;

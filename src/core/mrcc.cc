@@ -60,8 +60,9 @@ size_t ChunkPointsFor(const MrCCParams& params, size_t num_dims,
 /// Builds the Counting-tree over `source`, sharded across `num_threads`
 /// workers. Each worker counts one contiguous point slice into a private
 /// partial tree; the partial trees are then folded left-to-right with the
-/// layout-preserving MergeTree, which reproduces — node for node, cell for
-/// cell — the tree a serial scan of the whole source would have built.
+/// layout-preserving InsertTree and sealed once, which reproduces — node
+/// for node, cell for cell — the tree a serial scan of the whole source
+/// would have built.
 /// Counts are additive, so the merge is exact, and the layout preservation
 /// makes every downstream stage bit-identical to the serial run.
 Result<CountingTree> BuildTreeSharded(const DataSource& source,
@@ -231,10 +232,11 @@ Result<CountingTree> BuildTreeSharded(const DataSource& source,
   for (size_t t = 1; t < partial.size(); ++t) {
     // tree.merge.alloc stands in for the fold's cell-pool growth failing.
     MRCC_RETURN_IF_ERROR(fp::Maybe("tree.merge.alloc"));
-    Result<MergeTreeStats> merged = MergeTree(&tree, *partial[t]);
+    Result<MergeTreeStats> merged = tree.InsertTree(*partial[t]);
     if (!merged.ok()) return merged.status();
     merge_stats += *merged;
   }
+  tree.Seal();
   if (shards > 1) {
     stats->tree_merge_seconds = merge_timer.ElapsedSeconds();
     stats->tree_merge = merge_stats;

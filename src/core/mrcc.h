@@ -153,7 +153,7 @@ struct MrCCStats {
   /// returned them.
   BetaSearchStats beta_search;
 
-  /// The MergeTree fold's counters summed across the sharded build's
+  /// The InsertTree fold's counters summed across the sharded build's
   /// merges (all zero for a serial build). cells_merged counts cells
   /// present in more than one shard tree — high values relative to the
   /// tree size mean the shards cover the same regions, the expected

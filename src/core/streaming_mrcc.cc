@@ -121,7 +121,9 @@ Result<MrCCResult> StreamingMrCC::Run(const DataSource* label_source) {
   // Assemble the window tree: fold the generations oldest-to-newest,
   // the filling generation last — creation order equals stream order,
   // so the fold reproduces a batch build over the retained points
-  // exactly. Always fold into a scratch tree: the budget drops below
+  // exactly. Every source is counted in with InsertTree and the result
+  // sealed once: one pack of the window tree instead of one per
+  // generation. Always fold into a scratch tree: the budget drops below
   // must never mutate the live generations.
   Timer phase;
   current_->Seal();  // Re-opens automatically on the next Push.
@@ -132,13 +134,14 @@ Result<MrCCResult> StreamingMrCC::Run(const DataSource* label_source) {
     MRCC_TRACE_SPAN_N("tree.merge",
                       static_cast<int64_t>(generations_.size() + 1));
     for (const CountingTree& generation : generations_) {
-      Result<MergeTreeStats> fold = MergeTree(&*merged, generation);
+      Result<MergeTreeStats> fold = merged->InsertTree(generation);
       if (!fold.ok()) return fold.status();
       merge_stats += *fold;
     }
-    Result<MergeTreeStats> fold = MergeTree(&*merged, *current_);
+    Result<MergeTreeStats> fold = merged->InsertTree(*current_);
     if (!fold.ok()) return fold.status();
     merge_stats += *fold;
+    merged->Seal();
   }
   result.stats.tree_merge = merge_stats;
   result.stats.tree_build_seconds = phase.ElapsedSeconds();

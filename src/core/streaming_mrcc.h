@@ -6,8 +6,8 @@
 // re-derived on demand — without rescanning (or even retaining) the raw
 // points. The tree makes this cheap: counts are additive, so appending a
 // point is one root-to-leaf insertion, and the layout-preserving
-// MergeTree fold (core/tree_io.h) makes a tree assembled from sub-trees
-// bit-identical to one built from the concatenated stream.
+// InsertTree fold (core/counting_tree.h) makes a tree assembled from
+// sub-trees bit-identical to one built from the concatenated stream.
 //
 // Two modes, selected by MrCCParams::window:
 //   - Unwindowed (window.points == 0): every pushed point stays counted.

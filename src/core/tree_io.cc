@@ -226,7 +226,7 @@ Result<CountingTree> ParseTree(std::string_view bytes,
   // Field-level reads above only prove the bytes parse; a well-formed
   // stream can still encode a structurally corrupt tree (half counts
   // exceeding the cell count, child sums that do not add up, duplicate
-  // sibling locs). MergeTree and the β-search would turn such a tree
+  // sibling locs). InsertTree and the β-search would turn such a tree
   // into silent nonsense, so reject it at the I/O boundary.
   if (Status v = tree.ValidateInvariants(); !v.ok()) {
     return Status::IOError("corrupt tree in " + path + ": " + v.message());
@@ -242,106 +242,10 @@ Result<CountingTree> LoadTree(const std::string& path) {
 
 Result<MergeTreeStats> MergeTree(CountingTree* tree,
                                  const CountingTree& other) {
-  if (tree->num_dims() != other.num_dims()) {
-    return Status::InvalidArgument("tree dimensionality mismatch");
-  }
-  if (tree->num_resolutions() != other.num_resolutions()) {
-    return Status::InvalidArgument("tree resolution mismatch");
-  }
-
-  // Layout-preserving merge: iterate `other`'s node pool in index order —
-  // which is creation order, i.e. the order in which `other`'s point
-  // stream first touched each region — and only create a missing
-  // destination node at the moment its source counterpart is reached.
-  // Because InsertPoint creates a cell and its child node at the same
-  // point (the first one landing there), this reproduces exactly the node
-  // and cell ordering a serial build over the concatenated point streams
-  // would have produced; the final Pack() then restores the canonical
-  // arena layout of that serial build. Downstream consumers therefore
-  // cannot tell a sharded build from a serial one — the trees are
-  // identical, not merely equivalent.
-  MergeTreeStats stats;
-  const size_t d = tree->num_dims();
-  tree->Unpack();
-  // parent_slot[s]: destination (node, arena cell) refined by source node
-  // s, recorded while merging the parent's cells; -1 node = not yet seen.
-  struct Slot {
-    int64_t node = -1;
-    uint32_t cell = 0;
-  };
-  std::vector<Slot> parent_slot(other.nodes_.size());
-  for (size_t m = 0; m < other.nodes_.size(); ++m) {
-    uint32_t dst_node = 0;
-    if (m != 0) {
-      const Slot& slot = parent_slot[m];
-      if (slot.node < 0) {
-        // A child preceding its parent in the pool never comes out of
-        // Builder or LoadTree; a tree that does is corrupt. Repack so the
-        // (half-merged) destination stays structurally readable.
-        tree->Pack();
-        return Status::Internal("merge source tree is not in creation order");
-      }
-      // Create the destination counterpart only now, when the source pool
-      // scan reaches this node, so new destination nodes appear in source
-      // creation order (not in parent-cell order).
-      const CountingTree::Node& parent =
-          tree->nodes_[static_cast<size_t>(slot.node)];
-      const size_t parent_level = static_cast<size_t>(parent.level);
-      int32_t dst_child = tree->arenas_[parent_level].child[slot.cell];
-      if (dst_child < 0) {
-        std::vector<uint64_t> base(d);
-        const uint64_t loc = tree->arenas_[parent_level].loc[slot.cell];
-        for (size_t j = 0; j < d; ++j) {
-          base[j] = parent.base_coords[j] * 2 + ((loc >> j) & 1);
-        }
-        dst_child = static_cast<int32_t>(
-            tree->NewNode(parent.level + 1, std::move(base)));
-        tree->arenas_[parent_level].child[slot.cell] = dst_child;
-        ++stats.nodes_created;
-      }
-      dst_node = static_cast<uint32_t>(dst_child);
-    }
-    const CountingTree::Node& src = other.nodes_[m];
-    const CountingTree::Arena& src_arena =
-        other.arenas_[static_cast<size_t>(src.level)];
-    for (uint32_t c = 0; c < src.count; ++c) {
-      const size_t si = static_cast<size_t>(src.first) + c;
-      const uint32_t dst_cells_before = tree->nodes_[dst_node].count;
-      const uint32_t dst_idx =
-          tree->FindOrCreateInNode(dst_node, src_arena.loc[si]);
-      // An unchanged cell count means the cell existed in both trees —
-      // a genuine merge (count addition) rather than an append.
-      if (tree->nodes_[dst_node].count == dst_cells_before) {
-        ++stats.cells_merged;
-      } else {
-        ++stats.cells_created;
-      }
-      CountingTree::Arena& dst_arena =
-          tree->arenas_[static_cast<size_t>(src.level)];
-      dst_arena.n[dst_idx] += src_arena.n[si];
-      for (size_t j = 0; j < d; ++j) {
-        dst_arena.half[static_cast<size_t>(dst_idx) * d + j] +=  // lint-allow: cell-storage
-            src_arena.half[si * d + j];  // lint-allow: cell-storage
-      }
-      const int32_t src_child = src_arena.child[si];
-      if (src_child >= 0) {
-        MRCC_DCHECK_LT(static_cast<size_t>(src_child), other.nodes_.size());
-        parent_slot[static_cast<size_t>(src_child)] = {
-            static_cast<int64_t>(dst_node), dst_idx};
-      }
-    }
-  }
-  tree->total_points_ += other.total_points_;
-  tree->Pack();
-  tree->ResetUsedFlags();
-#ifndef NDEBUG
-  // A merge that breaks structure is a bug in this function, not bad
-  // input — abort with the violated invariant rather than return it.
-  if (Status v = tree->ValidateInvariants(); !v.ok()) {
-    internal::CheckFailed(__FILE__, __LINE__, "ValidateInvariants()",
-                          v.message().c_str());
-  }
-#endif
+  Result<MergeTreeStats> stats = tree->InsertTree(other);
+  // InsertTree fails before touching the tree, so on error this only
+  // seals a destination that arrived unsealed.
+  tree->Seal();
   return stats;
 }
 

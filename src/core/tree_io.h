@@ -26,24 +26,6 @@
 
 namespace mrcc {
 
-/// Work counters of one MergeTree call. `cells_merged` — cells present in
-/// both trees whose counts were combined (the merge "conflicts" a sharded
-/// build pays for); `cells_created` / `nodes_created` — structure that
-/// existed only in the source tree and was appended to the destination.
-/// Returned by value from MergeTree; a shard fold sums them with +=.
-struct MergeTreeStats {
-  uint64_t cells_merged = 0;
-  uint64_t cells_created = 0;
-  uint64_t nodes_created = 0;
-
-  MergeTreeStats& operator+=(const MergeTreeStats& o) {
-    cells_merged += o.cells_merged;
-    cells_created += o.cells_created;
-    nodes_created += o.nodes_created;
-    return *this;
-  }
-};
-
 /// Serializes `tree` into the binary layout above (usedCell flags are not
 /// persisted — they are search state, not data). The returned bytes are
 /// what SaveTree writes and what a shard artifact embeds ahead of its
@@ -72,12 +54,18 @@ std::string SerializeTree(const CountingTree& tree);
 /// Reads a tree written by SaveTree.
 [[nodiscard]] Result<CountingTree> LoadTree(const std::string& path);
 
-/// Merges `other` into `tree`: afterwards `tree` equals the tree built
-/// over the concatenation of both datasets. Requires equal
-/// dimensionality and resolution count. `other` is left untouched.
-/// Returns this merge's work counters.
+/// Merges `other` into `tree` and seals it: afterwards `tree` equals the
+/// tree built over the concatenation of both datasets. This is
+/// tree->InsertTree(other) followed by tree->Seal(), so it has the same
+/// requirements: equal dimensionality and resolution count, `other`
+/// sealed (a tree that took Insert()s since its last Seal() is rejected
+/// with InvalidArgument) and not `tree` itself. On error `tree` keeps its
+/// counts and is left sealed. `other` is left untouched. Returns this
+/// merge's work counters. A fold of several trees should call InsertTree
+/// per source and Seal() once instead: every MergeTree call unpacks and
+/// repacks the whole destination.
 [[nodiscard]] Result<MergeTreeStats> MergeTree(CountingTree* tree,
-                                 const CountingTree& other);
+                                               const CountingTree& other);
 
 /// True when the two trees hold identical counts everywhere (structure
 /// may differ in node ordering; comparison is by cell coordinates).

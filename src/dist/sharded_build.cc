@@ -251,12 +251,14 @@ Result<FoldedShards> MergeShardTrees(const ShardedBuildOptions& options,
     Result<CountingTree> next = LoadOrRebuildShard(options, manifest, i);
     MRCC_RETURN_IF_ERROR(next.status());
     MRCC_RETURN_IF_ERROR(fp::Maybe("tree.merge.alloc"));
-    // Left-to-right fold in partition order: the layout-preserving merge
-    // reproduces the serial tree exactly (core/tree_io.h).
-    Result<MergeTreeStats> merged = MergeTree(&*tree, *next);
+    // Left-to-right fold in partition order: the layout-preserving
+    // InsertTree reproduces the serial tree exactly once sealed
+    // (core/counting_tree.h). One source is resident at a time.
+    Result<MergeTreeStats> merged = tree->InsertTree(*next);
     MRCC_RETURN_IF_ERROR(merged.status());
     stats += *merged;
   }
+  tree->Seal();
   MetricsRegistry::Global().counter("tree.merge.conflict_cells").Add(
       static_cast<int64_t>(stats.cells_merged));
   return FoldedShards{std::move(tree).value(), stats};

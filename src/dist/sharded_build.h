@@ -4,12 +4,13 @@
 // worker processes: each worker counts one contiguous point partition
 // into a Counting-tree and publishes it as a checksummed artifact
 // (dist/shard_io.h); a merger then folds the shard trees left-to-right
-// with the layout-preserving MergeTree and runs the search + labeling
-// phases once over the merged tree.
+// with the layout-preserving CountingTree::InsertTree, seals the result
+// once and runs the search + labeling phases once over it.
 //
-// Why this is bit-identical to a single-process run: MergeTree's
+// Why this is bit-identical to a single-process run: InsertTree's
 // left-to-right fold over ordered contiguous partitions reproduces the
-// serial build's tree node-for-node and cell-for-cell (core/tree_io.h),
+// serial build's tree node-for-node and cell-for-cell
+// (core/counting_tree.h),
 // and every downstream stage is deterministic at any thread count — so
 // labels, clusters, and even the serialized tree bytes match the
 // single-process golden hashes exactly (tests/golden_regression_test.cc).
@@ -100,7 +101,7 @@ bool ShardComplete(const ShardedBuildOptions& options,
     size_t index);
 
 /// MergeShardTrees' result: the folded, serial-equivalent tree and the
-/// fold's MergeTree counters summed over every shard.
+/// fold's InsertTree counters summed over every shard.
 struct FoldedShards {
   CountingTree tree;
   MergeTreeStats merge_stats;

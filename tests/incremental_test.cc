@@ -1,10 +1,11 @@
 // Incremental tree maintenance and the sliding-window streaming engine.
 //
 // The contract under test (counting_tree.h, streaming_mrcc.h): a tree
-// grown point by point through Insert/Seal is byte-identical to one built
-// in a single batch over the same stream, however the stream is cut into
-// batches or generations; and a StreamingMrCC snapshot over a window that
-// holds the whole stream reproduces the batch pipeline's clusters exactly.
+// grown point by point through Insert/InsertTree/Seal is byte-identical
+// to one built in a single batch over the same stream, however the stream
+// is cut into batches, sub-trees or generations; and a StreamingMrCC
+// snapshot reproduces the batch pipeline's clusters over exactly the
+// points its window retains.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "core/beta_cluster_finder.h"
 #include "core/counting_tree.h"
 #include "core/mrcc.h"
 #include "core/streaming_mrcc.h"
@@ -117,6 +119,46 @@ TEST(IncrementalTreeTest, SealedTreeReopensOnInsert) {
   EXPECT_EQ(TreeBytesHash(grown), TreeBytesHash(*batch));
 }
 
+TEST(IncrementalTreeTest, InsertTreeBetweenInsertsMatchesBatchBuild) {
+  // Insert -> InsertTree -> Insert -> Seal: the destination is unsealed
+  // when the sealed sub-tree arrives, so InsertTree must count it in
+  // without repacking (or re-unpacking) the pending inserts.
+  const Dataset data = testing::UniformDataset(900, 4, 19);
+  const int resolutions = 5;
+  Result<CountingTree> batch = CountingTree::Build(data, resolutions);
+  ASSERT_TRUE(batch.ok());
+
+  Dataset middle(0, data.NumDims());
+  for (size_t i = 300; i < 650; ++i) middle.AppendPoint(data.Point(i));
+  Result<CountingTree> sub = CountingTree::Build(middle, resolutions);
+  ASSERT_TRUE(sub.ok());
+
+  CountingTree grown = EmptyTree(data.NumDims(), resolutions);
+  for (size_t i = 0; i < 300; ++i) {
+    ASSERT_TRUE(grown.Insert(data.Point(i)).ok());
+  }
+  ASSERT_FALSE(grown.sealed());
+  ASSERT_TRUE(grown.InsertTree(*sub).ok());
+  ASSERT_FALSE(grown.sealed());
+  for (size_t i = 650; i < data.NumPoints(); ++i) {
+    ASSERT_TRUE(grown.Insert(data.Point(i)).ok());
+  }
+  grown.Seal();
+  EXPECT_EQ(grown.total_points(), data.NumPoints());
+  EXPECT_EQ(TreeBytesHash(grown), TreeBytesHash(*batch));
+}
+
+TEST(IncrementalTreeTest, SearchRejectsAnUnsealedTree) {
+  const Dataset data = testing::UniformDataset(200, 3, 23);
+  Result<CountingTree> tree = CountingTree::Build(data, 4);
+  ASSERT_TRUE(tree.ok());
+  ASSERT_TRUE(tree->Insert(data.Point(0)).ok());
+  Result<BetaSearchResult> search = RunBetaSearch(*tree, BetaFinderOptions{});
+  EXPECT_EQ(search.status().code(), StatusCode::kInvalidArgument);
+  tree->Seal();
+  EXPECT_TRUE(RunBetaSearch(*tree, BetaFinderOptions{}).ok());
+}
+
 TEST(IncrementalTreeTest, InsertValidatesItsInput) {
   CountingTree tree = EmptyTree(3, 4);
   const double wrong_dims[] = {0.5, 0.5};
@@ -212,6 +254,43 @@ TEST_F(StreamingMrCCTest, WindowEvictsWholeGenerations) {
   const Result<MrCCResult> snap = engine->Snapshot();
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   EXPECT_TRUE(snap->clustering.labels.empty());  // No raw points retained.
+}
+
+TEST_F(StreamingMrCCTest, SnapshotAfterEvictionEqualsBatchOverRetainedPoints) {
+  // Evicted generations plus a partly filled current one: the snapshot
+  // folds the retained sealed generations and the unsealed tail, and must
+  // equal a batch run over exactly the points still in the window.
+  const Dataset& data = dataset_.data;
+  MrCCParams params;
+  params.window.points = 1000;
+  params.window.generations = 4;  // 250 points per generation.
+  Result<StreamingMrCC> engine = StreamingMrCC::Create(params, data.NumDims());
+  ASSERT_TRUE(engine.ok());
+  const size_t pushed = 2600;
+  Push(*engine, data, 0, pushed, 100);
+  ASSERT_GT(engine->points_evicted(), 0u);
+  const uint64_t retained = engine->points_retained();
+  ASSERT_EQ(retained % 250, 100u);  // The filling generation holds 100.
+
+  Dataset window(0, data.NumDims());
+  for (size_t i = pushed - retained; i < pushed; ++i) {
+    window.AppendPoint(data.Point(i));
+  }
+  const Result<MrCCResult> batch = MrCC(MrCCParams{}).Run(window);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_FALSE(batch->beta_clusters.empty());
+
+  const MemoryDataSource source(window);
+  const Result<MrCCResult> snap = engine->Snapshot(source);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  EXPECT_EQ(snap->clustering.labels, batch->clustering.labels);
+  ASSERT_EQ(snap->beta_clusters.size(), batch->beta_clusters.size());
+  for (size_t i = 0; i < snap->beta_clusters.size(); ++i) {
+    EXPECT_EQ(snap->beta_clusters[i].lower, batch->beta_clusters[i].lower);
+    EXPECT_EQ(snap->beta_clusters[i].upper, batch->beta_clusters[i].upper);
+    EXPECT_EQ(snap->beta_clusters[i].relevant,
+              batch->beta_clusters[i].relevant);
+  }
 }
 
 TEST_F(StreamingMrCCTest, SnapshotsAreRepeatableAndNonDestructive) {

@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "core/beta_cluster_finder.h"
 #include "test_util.h"
@@ -300,6 +302,165 @@ TEST(TreeMergeTest, RejectsIncompatibleTrees) {
   ASSERT_TRUE(a.ok() && b.ok() && c.ok());
   EXPECT_FALSE(MergeTree(&*a, *b).ok());  // Dim mismatch.
   EXPECT_FALSE(MergeTree(&*a, *c).ok());  // Resolution mismatch.
+}
+
+/// Points [begin, end) of `data` as their own dataset.
+Dataset Slice(const Dataset& data, size_t begin, size_t end) {
+  Dataset out(0, data.NumDims());
+  for (size_t i = begin; i < end; ++i) out.AppendPoint(data.Point(i));
+  return out;
+}
+
+TEST(TreeMergeTest, RejectedCallsLeaveTheDestinationUntouched) {
+  const Dataset data = testing::UniformDataset(400, 4, 11);
+  Result<CountingTree> a = CountingTree::Build(Slice(data, 0, 300), 4);
+  ASSERT_TRUE(a.ok());
+  const std::string before = SerializeTree(*a);
+
+  // A source that took an Insert after its last Seal: its packed slices
+  // no longer describe it, so folding it would misread the counts.
+  Result<CountingTree> unsealed = CountingTree::Build(Slice(data, 300, 350), 4);
+  ASSERT_TRUE(unsealed.ok());
+  for (size_t i = 350; i < data.NumPoints(); ++i) {
+    ASSERT_TRUE(unsealed->Insert(data.Point(i)).ok());
+  }
+  ASSERT_FALSE(unsealed->sealed());
+  Result<CountingTree> wide =
+      CountingTree::Build(testing::UniformDataset(50, 5, 12), 4);
+  Result<CountingTree> deep = CountingTree::Build(Slice(data, 300, 400), 5);
+  ASSERT_TRUE(wide.ok() && deep.ok());
+
+  struct Case {
+    const char* what;
+    const CountingTree* source;
+  };
+  for (const Case& c : {Case{"unsealed source", &*unsealed},
+                        Case{"itself", &*a},
+                        Case{"dimensionality mismatch", &*wide},
+                        Case{"resolution mismatch", &*deep}}) {
+    SCOPED_TRACE(c.what);
+    Result<MergeTreeStats> inserted = a->InsertTree(*c.source);
+    ASSERT_FALSE(inserted.ok());
+    EXPECT_EQ(inserted.status().code(), StatusCode::kInvalidArgument);
+    ASSERT_TRUE(a->sealed());
+    EXPECT_EQ(SerializeTree(*a), before);
+
+    Result<MergeTreeStats> merged = MergeTree(&*a, *c.source);
+    ASSERT_FALSE(merged.ok());
+    EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
+    ASSERT_TRUE(a->sealed());
+    EXPECT_EQ(SerializeTree(*a), before);
+    EXPECT_TRUE(a->ValidateInvariants().ok());
+  }
+
+  // Once sealed, the same source folds in normally.
+  unsealed->Seal();
+  Result<CountingTree> whole = CountingTree::Build(data, 4);
+  ASSERT_TRUE(whole.ok());
+  ASSERT_TRUE(MergeTree(&*a, *unsealed).ok());
+  EXPECT_EQ(SerializeTree(*a), SerializeTree(*whole));
+}
+
+template <typename T>
+void AppendBytes(const T& v, std::string* out) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(T));
+}
+
+TEST(TreeMergeTest, SourceOutOfCreationOrderIsRejectedUntouched) {
+  // A structurally valid tree whose pool lists a level-3 node before its
+  // level-2 parent: one point in d = 1, H = 4, pool {root, leaf, middle}.
+  // Builder and ParseTree of real data never produce this order, and the
+  // fold cannot reproduce a serial layout from it.
+  std::string bytes = "MRTR";
+  AppendBytes(uint32_t{1}, &bytes);  // version
+  AppendBytes(uint32_t{1}, &bytes);  // d
+  AppendBytes(uint32_t{4}, &bytes);  // H
+  AppendBytes(uint64_t{1}, &bytes);  // total_points
+  AppendBytes(uint64_t{3}, &bytes);  // node_count
+  const auto node = [&bytes](int32_t level, int32_t child, uint32_t half) {
+    AppendBytes(level, &bytes);
+    AppendBytes(uint64_t{0}, &bytes);  // base coordinate
+    AppendBytes(uint64_t{1}, &bytes);  // cell count
+    AppendBytes(uint64_t{0}, &bytes);  // loc
+    AppendBytes(uint32_t{1}, &bytes);  // n
+    AppendBytes(child, &bytes);
+    AppendBytes(half, &bytes);
+  };
+  node(1, 2, 1);   // root -> node 2
+  node(3, -1, 0);  // leaf, child of node 2
+  node(2, 1, 1);   // middle -> node 1
+  Result<CountingTree> reordered = ParseTree(bytes, "reordered");
+  ASSERT_TRUE(reordered.ok()) << reordered.status().ToString();
+
+  const double point[] = {0.1};
+  Dataset one(0, 1);
+  one.AppendPoint(point);
+  Result<CountingTree> a = CountingTree::Build(one, 4);
+  ASSERT_TRUE(a.ok());
+  const std::string before = SerializeTree(*a);
+  Result<MergeTreeStats> inserted = a->InsertTree(*reordered);
+  ASSERT_FALSE(inserted.ok());
+  EXPECT_EQ(inserted.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(inserted.status().message(),
+            "merge source tree is not in creation order");
+  ASSERT_TRUE(a->sealed());
+  EXPECT_EQ(SerializeTree(*a), before);
+}
+
+TEST(TreeFoldTest, OneSealAfterManyInsertTreesEqualsMergeFoldAndBuild) {
+  // k sealed trees over consecutive slices (empty and one-point slices
+  // included), folded into an empty tree two ways: InsertTree per source
+  // plus one Seal, and MergeTree (a Seal) per source. Both must give the
+  // bytes of a single Build over the concatenation.
+  const Dataset data = testing::SmallClustered(1000, 5, 2, 91).data;
+  const int resolutions = 5;
+  Result<CountingTree> whole = CountingTree::Build(data, resolutions);
+  ASSERT_TRUE(whole.ok());
+  const std::string golden = SerializeTree(*whole);
+
+  const std::vector<std::vector<size_t>> layouts = {
+      {1000},
+      {1, 999},
+      {0, 999, 1},
+      {0, 1, 300, 0, 250, 1, 200, 148, 100},
+  };
+  for (const std::vector<size_t>& sizes : layouts) {
+    SCOPED_TRACE("k = " + std::to_string(sizes.size()));
+    std::vector<CountingTree> sources;
+    size_t begin = 0;
+    for (size_t size : sizes) {
+      Result<CountingTree> t =
+          CountingTree::Build(Slice(data, begin, begin + size), resolutions);
+      ASSERT_TRUE(t.ok());
+      sources.push_back(std::move(*t));
+      begin += size;
+    }
+    ASSERT_EQ(begin, data.NumPoints());
+
+    const Dataset empty = Slice(data, 0, 0);
+    Result<CountingTree> folded = CountingTree::Build(empty, resolutions);
+    Result<CountingTree> merged = CountingTree::Build(empty, resolutions);
+    ASSERT_TRUE(folded.ok() && merged.ok());
+    MergeTreeStats fold_stats, merge_stats;
+    for (const CountingTree& source : sources) {
+      Result<MergeTreeStats> s = folded->InsertTree(source);
+      ASSERT_TRUE(s.ok()) << s.status().ToString();
+      EXPECT_FALSE(folded->sealed());
+      fold_stats += *s;
+      Result<MergeTreeStats> m = MergeTree(&*merged, source);
+      ASSERT_TRUE(m.ok()) << m.status().ToString();
+      EXPECT_TRUE(merged->sealed());
+      merge_stats += *m;
+    }
+    folded->Seal();
+    EXPECT_TRUE(folded->ValidateInvariants().ok());
+    EXPECT_EQ(folded->total_points(), data.NumPoints());
+    EXPECT_EQ(SerializeTree(*folded), golden);
+    EXPECT_EQ(SerializeTree(*merged), golden);
+    EXPECT_EQ(fold_stats.cells_merged, merge_stats.cells_merged);
+    EXPECT_EQ(fold_stats.cells_created, merge_stats.cells_created);
+    EXPECT_EQ(fold_stats.nodes_created, merge_stats.nodes_created);
+  }
 }
 
 TEST(TreeMergeTest, EquivalenceDetectsDifferences) {
