@@ -293,8 +293,7 @@ void BM_FoldGenerations(benchmark::State& state) {
   const GenerationFixture& f = Generations();
   const bool seal_once = state.range(0) == 1;
   for (auto _ : state) {
-    CountingTree::Builder builder(14, 4);
-    Result<CountingTree> window = std::move(builder).Finish();
+    Result<CountingTree> window = CountingTree::Empty(14, 4);
     MRCC_CHECK(window.ok());
     for (const CountingTree& generation : f.generations) {
       Result<MergeTreeStats> fold = seal_once

@@ -63,7 +63,7 @@ Result<std::vector<int>> LabelPoints(const std::vector<BetaCluster>& betas,
   MRCC_CHECK_EQ(beta_to_cluster.size(), betas.size());
   const size_t n = source.NumPoints();
   const size_t num_dims = source.NumDims();
-  if (chunk_points == 0) chunk_points = 4096;
+  if (chunk_points == 0) chunk_points = kDefaultChunkPoints;
   std::vector<int> labels(n, kNoiseLabel);
   // Every worker labels one contiguous slice through its own cursor;
   // writes are disjoint, so the result does not depend on the thread
@@ -91,19 +91,14 @@ Result<std::vector<int>> LabelPoints(const std::vector<BetaCluster>& betas,
           for (size_t j = 0; j < count; ++j) {
             std::span<const double> point =
                 values.subspan(j * num_dims, num_dims);
-            // Mirror the tree-build pass: a skipped point was never
-            // counted, so it stays noise; a clamped point was counted at
-            // its clamped coordinates, so it is looked up there. kReject
-            // checks nothing — the build already failed on the first bad
-            // value.
-            if (policy != BadPointPolicy::kReject) {
-              const PointAction action = ClassifyPoint(point, policy);
-              if (action == PointAction::kSkip) continue;
-              if (action == PointAction::kClamp) {
-                scratch.assign(point.begin(), point.end());
-                SanitizePoint(scratch, policy);
-                point = scratch;
-              }
+            // The tree-build pass's ingest step: a skipped point was
+            // never counted, so it stays noise; a clamped point was
+            // counted at its clamped coordinates, so it is looked up
+            // there. kReject checks nothing — the build already failed on
+            // the first bad value.
+            if (policy != BadPointPolicy::kReject &&
+                IngestPoint(&point, policy, &scratch) == PointAction::kSkip) {
+              continue;
             }
             for (size_t b = 0; b < betas.size(); ++b) {
               if (betas[b].Contains(point)) {

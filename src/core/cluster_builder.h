@@ -47,11 +47,12 @@ Clustering MergeBetaClusters(const std::vector<BetaCluster>& betas,
 /// first bad value, so labeling assumes clean input and checks nothing.
 ///
 /// The scan consumes the source in bounded chunks of `chunk_points`
-/// points (0 = a 4096-point default); the chunk size bounds raw-point
-/// memory and never changes the labels. `read_ahead_chunks` pipelines
-/// each slice's scan through a ReadAheadScanner of that depth (0 = the
-/// synchronous path; never changes the labels either); `prefetch`, when
-/// non-null, accumulates the scans' counters in slice order.
+/// points (0 = kDefaultChunkPoints, data/data_source.h); the chunk size
+/// bounds raw-point memory and never changes the labels.
+/// `read_ahead_chunks` pipelines each slice's scan through a
+/// ReadAheadScanner of that depth (0 = the synchronous path; never
+/// changes the labels either); `prefetch`, when non-null, accumulates the
+/// scans' counters in slice order.
 [[nodiscard]] Result<std::vector<int>> LabelPoints(
     const std::vector<BetaCluster>& betas,
     const std::vector<int>& beta_to_cluster, const DataSource& source,

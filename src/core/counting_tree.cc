@@ -170,34 +170,24 @@ void CountingTree::CellIds::AssignIota(uint32_t first, uint32_t count) {
 // ---------------------------------------------------------------------------
 // Construction.
 
-CountingTree::Builder::Builder(size_t num_dims, int num_resolutions) {
+Result<CountingTree> CountingTree::Empty(size_t num_dims,
+                                         int num_resolutions) {
   if (num_resolutions < 3) {
-    status_ = Status::InvalidArgument("num_resolutions (H) must be >= 3");
-    return;
+    return Status::InvalidArgument("num_resolutions (H) must be >= 3");
   }
   if (num_dims == 0 || num_dims > kMaxDims) {
-    status_ = Status::InvalidArgument(
+    return Status::InvalidArgument(
         "dimensionality must be in [1, " + std::to_string(kMaxDims) + "]");
-    return;
   }
   // Clamp to the deepest meaningful resolution (see kMaxResolutions): the
   // paper likewise allows truncating the tree to fit resources.
   const int h_effective = std::min(num_resolutions, kMaxResolutions + 1);
-  tree_.reset(new CountingTree(num_dims, h_effective));
-  tree_->by_level_.resize(static_cast<size_t>(h_effective));
-  tree_->arenas_.resize(static_cast<size_t>(h_effective));
-  tree_->NewNode(1, std::vector<uint64_t>(num_dims, 0));
-}
-
-Status CountingTree::Builder::Add(std::span<const double> point) {
-  MRCC_RETURN_IF_ERROR(status_);
-  return tree_->Insert(point);
-}
-
-Result<CountingTree> CountingTree::Builder::Finish() && {
-  MRCC_RETURN_IF_ERROR(status_);
-  tree_->Seal();
-  return std::move(*tree_);
+  CountingTree tree(num_dims, h_effective);
+  tree.by_level_.resize(static_cast<size_t>(h_effective));
+  tree.arenas_.resize(static_cast<size_t>(h_effective));
+  tree.NewNode(1, std::vector<uint64_t>(num_dims, 0));
+  tree.Seal();
+  return tree;
 }
 
 Status CountingTree::Insert(std::span<const double> point) {
@@ -212,19 +202,6 @@ Status CountingTree::Insert(std::span<const double> point) {
   }
   if (packed_) Unpack();
   InsertPoint(point);
-  return Status::OK();
-}
-
-Status CountingTree::InsertBatch(std::span<const double> values) {
-  if (values.size() % num_dims_ != 0) {
-    return Status::InvalidArgument(
-        "batch of " + std::to_string(values.size()) +
-        " values is not a whole number of " + std::to_string(num_dims_) +
-        "-dimensional points");
-  }
-  for (size_t off = 0; off < values.size(); off += num_dims_) {
-    MRCC_RETURN_IF_ERROR(Insert(values.subspan(off, num_dims_)));
-  }
   return Status::OK();
 }
 
@@ -350,12 +327,13 @@ Result<CountingTree> CountingTree::Build(const Dataset& data,
     return Status::InvalidArgument(
         "dataset must be normalized to [0,1)^d before building the tree");
   }
-  Builder builder(data.NumDims(), num_resolutions);
-  MRCC_RETURN_IF_ERROR(builder.status());
+  Result<CountingTree> tree = Empty(data.NumDims(), num_resolutions);
+  MRCC_RETURN_IF_ERROR(tree.status());
   for (size_t i = 0; i < data.NumPoints(); ++i) {
-    MRCC_RETURN_IF_ERROR(builder.Add(data.Point(i)));
+    MRCC_RETURN_IF_ERROR(tree->Insert(data.Point(i)));
   }
-  return std::move(builder).Finish();
+  tree->Seal();
+  return tree;
 }
 
 int64_t CountingTree::FindInNode(const Node& node, uint64_t loc) const {
@@ -908,7 +886,7 @@ Status CountingTree::ValidateInvariants() const {
 }
 
 size_t CountingTree::MemoryBytes() const {
-  size_t bytes = sizeof(*this) + nodes_.capacity() * sizeof(Node);
+  size_t bytes = sizeof(*this) + nodes_.size() * sizeof(Node);
   for (const Node& node : nodes_) {
     bytes += node.base_coords.capacity() * sizeof(uint64_t);
     bytes += node.cell_ids.HeapBytes();
@@ -925,7 +903,7 @@ size_t CountingTree::MemoryBytes() const {
     bytes += arena.half.capacity() * sizeof(uint32_t);
   }
   for (const auto& level : by_level_) {
-    bytes += level.capacity() * sizeof(uint32_t);
+    bytes += level.size() * sizeof(uint32_t);
   }
   return bytes;
 }

@@ -25,7 +25,7 @@
 //
 // During construction cells append to their level arena in point-stream
 // order, which interleaves the slices of different nodes; Seal() (run by
-// Builder::Finish, MergeTree and after Insert / InsertTree) then *packs*
+// Build, MergeTree and after Insert / InsertTree) then *packs*
 // each arena into the canonical order — nodes in creation order, cells
 // in creation order within their node.
 // That order is load-bearing: the β-search argmax breaks ties by the
@@ -148,27 +148,12 @@ class CountingTree {
   [[nodiscard]] static Result<CountingTree> Build(const Dataset& data,
                                                   int num_resolutions);
 
-  /// Incremental construction for streamed data (one point at a time, any
-  /// source): a validated empty tree fed through Insert() and Seal().
-  /// Points must lie in [0,1)^d.
-  class Builder {
-   public:
-    /// Validates (d, H) like Build(); check status() before adding.
-    Builder(size_t num_dims, int num_resolutions);
-
-    const Status& status() const { return status_; }
-
-    /// Counts one point into the tree (Insert). Rejects out-of-cube
-    /// values.
-    [[nodiscard]] Status Add(std::span<const double> point);
-
-    /// Seals and returns the tree. The builder is consumed.
-    [[nodiscard]] Result<CountingTree> Finish() &&;
-
-   private:
-    Status status_;
-    std::unique_ptr<CountingTree> tree_;
-  };
+  /// A validated empty, sealed tree with d = `num_dims` and H =
+  /// `num_resolutions` (checked like Build(); H beyond kMaxResolutions + 1
+  /// is clamped) — the start of every incremental construction: feed it
+  /// through Insert() / InsertTree() and Seal().
+  [[nodiscard]] static Result<CountingTree> Empty(size_t num_dims,
+                                                  int num_resolutions);
 
   /// Incremental maintenance: counts one more point into an already-built
   /// tree. The tree re-enters construction mode on the first Insert; call
@@ -178,11 +163,6 @@ class CountingTree {
   /// points — the canonical pack order depends only on cell creation
   /// order, which appending preserves. Points must lie in [0,1)^d.
   [[nodiscard]] Status Insert(std::span<const double> point);
-
-  /// Counts `values.size() / num_dims()` points laid out row-major (the
-  /// ScanChunks chunk shape). On a bad point the batch stops there:
-  /// points before it stay counted, the rest are not.
-  [[nodiscard]] Status InsertBatch(std::span<const double> values);
 
   /// Counts every point of the sealed tree `other` into this one, as if
   /// `other`'s point stream had been Insert()ed: after Seal() this tree
@@ -272,13 +252,16 @@ class CountingTree {
   /// cell count, single-parent linkage, by-level index consistency and
   /// the total-point count. O(cells * d) time and no allocation per
   /// node or cell when the tree is valid. Returns OK or Internal naming
-  /// the first violated invariant. Seal() (and so Builder::Finish and
-  /// MergeTree) runs it in debug builds; ParseTree (LoadTree, every
-  /// shard-artifact load) runs it unconditionally to reject corrupt
-  /// bytes.
+  /// the first violated invariant. Seal() (and so Build and MergeTree)
+  /// runs it in debug builds; ParseTree (LoadTree, every shard-artifact
+  /// load) runs it unconditionally to reject corrupt bytes.
   [[nodiscard]] Status ValidateInvariants() const;
 
-  /// Approximate heap footprint of the tree in bytes.
+  /// Approximate heap footprint of the tree in bytes. The node pool and
+  /// the per-level node lists count by size, not capacity, so a sealed
+  /// tree reports the same footprint however it was assembled (one scan,
+  /// a sharded fold, a window fold, loaded shard artifacts) — memory-
+  /// budget decisions never depend on the engine or the thread count.
   size_t MemoryBytes() const;
 
   /// Test-only mutable access to the raw arenas, for corrupting a tree

@@ -1,10 +1,11 @@
 #include "core/mrcc.h"
 
 #include <algorithm>
-#include <limits>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -15,7 +16,6 @@
 #include "common/trace.h"
 #include "core/laplacian_mask.h"
 #include "core/streaming_mrcc.h"
-#include "core/tree_io.h"
 #include "data/prefetch.h"
 
 namespace mrcc {
@@ -26,35 +26,28 @@ namespace {
 /// saves, and the thread count never changes the result anyway.
 constexpr size_t kMinPointsPerShard = 2048;
 
-/// Default points per scan chunk when no explicit size or memory budget
-/// constrains it. 4096 points × 62 dims × 8 bytes ≈ 2 MiB per shard —
-/// enough to amortize a block read, small enough to stay cache-friendly.
-constexpr size_t kDefaultChunkPoints = 4096;
-
 /// Chunk buffers live per scan: the read-ahead ring holds up to
 /// read_ahead_chunks of them, and a synchronous scan (depth 0) holds one.
 size_t BuffersPerScan(const MrCCParams& params) {
   return std::max<size_t>(1, params.read_ahead_chunks);
 }
 
-/// Effective chunk size of the streaming scans: an explicit
-/// params.chunk_points wins; otherwise the default, shrunk so all
-/// shards' chunk buffers together — read_ahead_chunks deep each — fit in
-/// half of budget.max_memory_bytes (the other half belongs to the tree).
-/// Never zero.
-size_t ChunkPointsFor(const MrCCParams& params, size_t num_dims,
-                      int shards) {
-  if (params.chunk_points > 0) return params.chunk_points;
-  size_t chunk = kDefaultChunkPoints;
-  if (params.budget.max_memory_bytes > 0 && num_dims > 0 && shards > 0) {
-    const size_t bytes_per_point = num_dims * sizeof(double);
-    const size_t cap =
-        params.budget.max_memory_bytes /
-        (2 * static_cast<size_t>(shards) * BuffersPerScan(params) *
-         bytes_per_point);
-    chunk = std::clamp<size_t>(cap, 1, kDefaultChunkPoints);
+/// Publishes the tree-build scan's telemetry, the same for the batch and
+/// the window feed.
+void PublishScanMetrics(const MrCCStats& stats) {
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  metrics.counter("tree.chunks_scanned").Add(
+      static_cast<int64_t>(stats.chunks_scanned));
+  metrics.gauge("memory.resident_points").SetMax(
+      static_cast<int64_t>(stats.resident_point_bound));
+  if (stats.points_skipped > 0) {
+    metrics.counter("input.points_skipped").Add(
+        static_cast<int64_t>(stats.points_skipped));
   }
-  return chunk;
+  if (stats.points_clamped > 0) {
+    metrics.counter("input.points_clamped").Add(
+        static_cast<int64_t>(stats.points_clamped));
+  }
 }
 
 /// Builds the Counting-tree over `source`, sharded across `num_threads`
@@ -66,9 +59,8 @@ size_t ChunkPointsFor(const MrCCParams& params, size_t num_dims,
 /// Counts are additive, so the merge is exact, and the layout preservation
 /// makes every downstream stage bit-identical to the serial run.
 Result<CountingTree> BuildTreeSharded(const DataSource& source,
-                                      int num_resolutions, int num_threads,
-                                      BadPointPolicy policy,
-                                      size_t chunk_points, size_t read_ahead,
+                                      const MrCCParams& params,
+                                      int num_threads, size_t chunk_points,
                                       MrCCStats* stats) {
   const size_t n = source.NumPoints();
   const size_t num_dims = source.NumDims();
@@ -79,9 +71,7 @@ Result<CountingTree> BuildTreeSharded(const DataSource& source,
 
   if (n == 0) {
     stats->tree_build_threads = 1;
-    CountingTree::Builder builder(source.NumDims(), num_resolutions);
-    MRCC_RETURN_IF_ERROR(builder.status());
-    return std::move(builder).Finish();
+    return CountingTree::Empty(num_dims, params.num_resolutions);
   }
 
   // The pool may come up short of workers (thread-limit pressure, the
@@ -107,109 +97,40 @@ Result<CountingTree> BuildTreeSharded(const DataSource& source,
   // diagnostic. Slices are equal by construction, so a skewed profile
   // points at data distribution (hot tree regions) or the machine.
   std::vector<double> shard_seconds(static_cast<size_t>(shards), 0.0);
-  // Bad points each worker skipped/clamped; reduced in slice order below
-  // so the totals are deterministic like everything else.
-  std::vector<uint64_t> shard_skipped(static_cast<size_t>(shards), 0);
-  std::vector<uint64_t> shard_clamped(static_cast<size_t>(shards), 0);
-  std::vector<uint64_t> shard_chunks(static_cast<size_t>(shards), 0);
-  std::vector<PrefetchStats> shard_prefetch(static_cast<size_t>(shards));
+  // Each worker's scan counters; reduced in slice order below so the
+  // totals are deterministic like everything else.
+  std::vector<ScanTally> tallies(static_cast<size_t>(shards));
   pool.ParallelFor(n, [&](int t, size_t begin, size_t end) {
     MRCC_TRACE_SPAN_N("tree.build.shard",
                       static_cast<int64_t>(end - begin));
     Timer shard_timer;
     const size_t st = static_cast<size_t>(t);
-    CountingTree::Builder builder(num_dims, num_resolutions);
-    std::vector<double> scratch;
-    // tree.build.alloc stands in for the builder's node-pool allocation
-    // failing under memory pressure.
-    Status status = fp::Maybe("tree.build.alloc");
-    if (status.ok()) status = builder.status();
-    if (status.ok()) {
-      // Chunks arrive in order and cover [begin, end) exactly once, so
-      // this fold is bit-identical to the old point-at-a-time cursor
-      // loop at every chunk size. The scanner keeps up to read_ahead
-      // chunks in flight behind this shard's inserts; depth 0 is the
-      // plain synchronous scan.
-      const ReadAheadScanner scanner(source, read_ahead);
-      status = scanner.ScanChunks(
-          begin, end, chunk_points,
-          [&](size_t first, std::span<const double> values) -> Status {
-            ++shard_chunks[st];
-            const size_t count = values.size() / num_dims;
-            for (size_t j = 0; j < count; ++j) {
-              std::span<const double> point =
-                  values.subspan(j * num_dims, num_dims);
-              if (fp::MaybeTrue("source.read.corrupt")) {
-                // Simulated bit rot: poison one coordinate the way a
-                // damaged row would arrive from any backend.
-                scratch.assign(point.begin(), point.end());
-                scratch[0] = std::numeric_limits<double>::quiet_NaN();
-                point = scratch;
-              }
-              const PointAction action = ClassifyPoint(point, policy);
-              if (action == PointAction::kReject) {
-                return Status::InvalidArgument(
-                    "point " + std::to_string(first + j) + " of " +
-                    source.Name() +
-                    " has a NaN/Inf/out-of-[0,1) value; normalize the data "
-                    "or pick a bad_point_policy");
-              }
-              if (action == PointAction::kSkip) {
-                ++shard_skipped[st];
-                continue;
-              }
-              if (action == PointAction::kClamp) {
-                if (point.data() != scratch.data()) {
-                  scratch.assign(point.begin(), point.end());
-                }
-                SanitizePoint(scratch, policy);
-                point = scratch;
-                ++shard_clamped[st];
-              }
-              MRCC_RETURN_IF_ERROR(builder.Add(point));
-            }
-            return Status::OK();
-          },
-          &shard_prefetch[st]);
-    }
-    partial[st] =
-        status.ok() ? std::move(builder).Finish() : Result<CountingTree>(status);
+    partial[st] = BuildTreeOverRange(source, begin, end, params,
+                                     chunk_points, &tallies[st]);
     shard_seconds[st] = shard_timer.ElapsedSeconds();
   });
   for (const Result<CountingTree>& shard : partial) {
     if (!shard.ok()) return shard.status();
   }
-  for (int t = 0; t < shards; ++t) {
-    stats->points_skipped += shard_skipped[static_cast<size_t>(t)];
-    stats->points_clamped += shard_clamped[static_cast<size_t>(t)];
-    stats->chunks_scanned += shard_chunks[static_cast<size_t>(t)];
-    stats->prefetch_stalls += shard_prefetch[static_cast<size_t>(t)].stalls;
-    stats->prefetch_queue_full_waits +=
-        shard_prefetch[static_cast<size_t>(t)].queue_full_waits;
+  for (const ScanTally& tally : tallies) {
+    stats->points_skipped += tally.points_skipped;
+    stats->points_clamped += tally.points_clamped;
+    stats->chunks_scanned += tally.prefetch.chunks;
+    stats->prefetch_stalls += tally.prefetch.stalls;
+    stats->prefetch_queue_full_waits += tally.prefetch.queue_full_waits;
   }
 
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  metrics.counter("tree.chunks_scanned").Add(
-      static_cast<int64_t>(stats->chunks_scanned));
   // Worst-case raw points resident at once: every shard holding all of
   // its scan's chunk buffers (the read-ahead ring, or one buffer for a
   // synchronous scan). Zero-copy backends (memory, mmap) stay below it.
-  const size_t buffers = std::max<size_t>(1, read_ahead);
+  const size_t buffers = BuffersPerScan(params);
   stats->resident_point_bound =
       static_cast<size_t>(shards) *
       std::min(buffers * chunk_points,
                (n + static_cast<size_t>(shards) - 1) /
                    static_cast<size_t>(shards));
-  metrics.gauge("memory.resident_points").SetMax(
-      static_cast<int64_t>(stats->resident_point_bound));
-  if (stats->points_skipped > 0) {
-    metrics.counter("input.points_skipped").Add(
-        static_cast<int64_t>(stats->points_skipped));
-  }
-  if (stats->points_clamped > 0) {
-    metrics.counter("input.points_clamped").Add(
-        static_cast<int64_t>(stats->points_clamped));
-  }
+  PublishScanMetrics(*stats);
+  MetricsRegistry& metrics = MetricsRegistry::Global();
   if (shards > 1) {
     double sum = 0.0;
     double slowest = 0.0;
@@ -249,6 +170,180 @@ Result<CountingTree> BuildTreeSharded(const DataSource& source,
 }
 
 }  // namespace
+
+size_t ChunkPointsFor(const MrCCParams& params, size_t num_dims, int shards) {
+  if (params.chunk_points > 0) return params.chunk_points;
+  size_t chunk = kDefaultChunkPoints;
+  if (params.budget.max_memory_bytes > 0 && num_dims > 0 && shards > 0) {
+    const size_t bytes_per_point = num_dims * sizeof(double);
+    const size_t cap =
+        params.budget.max_memory_bytes /
+        (2 * static_cast<size_t>(shards) * BuffersPerScan(params) *
+         bytes_per_point);
+    chunk = std::clamp<size_t>(cap, 1, kDefaultChunkPoints);
+  }
+  return chunk;
+}
+
+Result<CountingTree> BuildTreeOverRange(const DataSource& source,
+                                        size_t begin, size_t end,
+                                        const MrCCParams& params,
+                                        size_t chunk_points,
+                                        ScanTally* tally) {
+  // tree.build.alloc stands in for the node-pool allocation failing
+  // under memory pressure.
+  MRCC_RETURN_IF_ERROR(fp::Maybe("tree.build.alloc"));
+  const size_t num_dims = source.NumDims();
+  const BadPointPolicy policy = params.bad_point_policy;
+  Result<CountingTree> built =
+      CountingTree::Empty(num_dims, params.num_resolutions);
+  MRCC_RETURN_IF_ERROR(built.status());
+  CountingTree& tree = *built;
+  std::vector<double> scratch;
+  // Chunks arrive in order and cover [begin, end) exactly once, so this
+  // fold is bit-identical to a point-at-a-time scan at every chunk size.
+  // The scanner keeps up to read_ahead_chunks chunks in flight behind the
+  // inserts; depth 0 is the plain synchronous scan.
+  const ReadAheadScanner scanner(source, params.read_ahead_chunks);
+  MRCC_RETURN_IF_ERROR(scanner.ScanChunks(
+      begin, end, chunk_points,
+      [&](size_t first, std::span<const double> values) -> Status {
+        const size_t count = values.size() / num_dims;
+        for (size_t j = 0; j < count; ++j) {
+          std::span<const double> point =
+              values.subspan(j * num_dims, num_dims);
+          const PointAction action = IngestPoint(&point, policy, &scratch);
+          if (action == PointAction::kReject) {
+            return BadPointError(first + j, source.Name());
+          }
+          if (action == PointAction::kSkip) {
+            ++tally->points_skipped;
+            continue;
+          }
+          if (action == PointAction::kClamp) ++tally->points_clamped;
+          MRCC_RETURN_IF_ERROR(tree.Insert(point));
+        }
+        return Status::OK();
+      },
+      &tally->prefetch));
+  tree.Seal();
+  return built;
+}
+
+Status ClusterTree(CountingTree& tree, const MrCCParams& params,
+                   int num_threads, const DataSource* label_source,
+                   size_t chunk_points, BudgetTracker& tracker,
+                   MrCCResult* result) {
+  MrCCStats& stats = result->stats;
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  const auto note_degraded = [&stats](std::string reason) {
+    stats.degraded = true;
+    stats.degradation_reasons.push_back(std::move(reason));
+  };
+
+  // Memory pressure: trade resolution for footprint, the paper's own
+  // lever — H is a quality knob, so a coarser tree is a degraded but
+  // valid run, unlike an OOM kill. Each drop is exact: the remaining
+  // levels match a tree built with the smaller H from the start.
+  while (tracker.MemoryPressure(tree.MemoryBytes())) {
+    const size_t before = tree.MemoryBytes();
+    if (!tree.DropDeepestLevel().ok()) {
+      // Already at the paper's minimum H = 3; nothing left to shed.
+      note_degraded("memory budget still exceeded at the minimum H = 3 (" +
+                    std::to_string(tree.MemoryBytes()) +
+                    " bytes); continuing");
+      break;
+    }
+    metrics.counter("budget.depth_drops").Add(1);
+    note_degraded("memory pressure: dropped the deepest resolution level "
+                  "(H now " + std::to_string(tree.num_resolutions()) +
+                  ", " + std::to_string(before) + " -> " +
+                  std::to_string(tree.MemoryBytes()) + " bytes)");
+  }
+  stats.effective_resolutions = tree.num_resolutions();
+  stats.tree_memory_bytes = tree.MemoryBytes();
+  stats.cells_per_level.assign(static_cast<size_t>(tree.num_resolutions()),
+                               0);
+  for (int h = 1; h < tree.num_resolutions(); ++h) {
+    stats.cells_per_level[static_cast<size_t>(h)] = tree.NumCellsAtLevel(h);
+    metrics.gauge("tree.cells.level" + std::to_string(h)).Set(
+        static_cast<int64_t>(stats.cells_per_level[static_cast<size_t>(h)]));
+  }
+  metrics.gauge("tree.memory_bytes").Set(
+      static_cast<int64_t>(stats.tree_memory_bytes));
+
+  // Deadline gate: past the wall budget the most useful answer is the
+  // cheapest valid one — no clusters, every point noise — returned now
+  // instead of starting a search that would blow the deadline further.
+  const size_t label_points =
+      label_source != nullptr ? label_source->NumPoints() : 0;
+  if (tracker.DeadlineExceeded()) {
+    note_degraded("wall deadline exceeded after the tree build (" +
+                  std::to_string(tracker.ElapsedSeconds()) +
+                  "s): returning an empty clustering, all points noise");
+    result->clustering.labels.assign(label_points, kNoiseLabel);
+    return Status::OK();
+  }
+
+  // β-cluster search, parallel over the cells of each level.
+  Timer phase;
+  BetaFinderOptions finder_options;
+  finder_options.alpha = params.alpha;
+  finder_options.full_mask = params.full_mask;
+  finder_options.num_threads = num_threads;
+  stats.beta_search_threads = num_threads;
+  {
+    MRCC_TRACE_SPAN("beta.search");
+    Result<BetaSearchResult> search =
+        RunBetaSearch(tree, finder_options, &tracker);
+    if (!search.ok()) return search.status();
+    result->beta_clusters = std::move(search->betas);
+    stats.beta_search = search->stats;
+  }
+  if (stats.beta_search.deadline_hit) {
+    note_degraded(
+        "wall deadline exceeded during the β-search: the β-clusters are "
+        "a deterministic prefix of the full search");
+  }
+  stats.beta_search_seconds = phase.ElapsedSeconds();
+
+  // Merge β-clusters (geometry only), then label every point in a second
+  // scan of the source, parallel over point slices.
+  phase.Reset();
+  {
+    MRCC_TRACE_SPAN_N("cluster.merge_betas",
+                      static_cast<int64_t>(result->beta_clusters.size()));
+    result->clustering = MergeBetaClusters(
+        result->beta_clusters, tree.num_dims(), &result->beta_to_cluster);
+  }
+  if (label_source != nullptr) {
+    stats.labeling_threads = num_threads;
+    if (tracker.DeadlineExceeded()) {
+      // The cluster geometry above is already paid for; the labeling scan
+      // (a full second pass over the data) is what gets cut.
+      note_degraded("wall deadline exceeded before labeling: skipping the "
+                    "labeling scan, all points labeled noise");
+      result->clustering.labels.assign(label_points, kNoiseLabel);
+    } else {
+      Result<std::vector<int>> labels(Status::Internal("labeling not run"));
+      PrefetchStats label_prefetch;
+      {
+        MRCC_TRACE_SPAN_N("cluster.label_points",
+                          static_cast<int64_t>(label_points));
+        labels = LabelPoints(result->beta_clusters, result->beta_to_cluster,
+                             *label_source, num_threads,
+                             params.bad_point_policy, chunk_points,
+                             params.read_ahead_chunks, &label_prefetch);
+      }
+      if (!labels.ok()) return labels.status();
+      result->clustering.labels = std::move(*labels);
+      stats.prefetch_stalls += label_prefetch.stalls;
+      stats.prefetch_queue_full_waits += label_prefetch.queue_full_waits;
+    }
+  }
+  stats.cluster_build_seconds = phase.ElapsedSeconds();
+  return Status::OK();
+}
 
 Status WindowParams::Validate() const {
   if (generations == 0) {
@@ -297,17 +392,11 @@ Result<MrCCResult> MrCC::Run(const DataSource& source) const {
   const int num_threads = ResolveThreadCount(params_.num_threads);
 
   MRCC_TRACE_SPAN_N("mrcc.run", static_cast<int64_t>(source.NumPoints()));
-  MetricsRegistry& metrics = MetricsRegistry::Global();
 
   MrCCResult result;
   result.stats.num_threads = num_threads;
   Timer total;
   BudgetTracker tracker(params_.budget);
-
-  const auto note_degraded = [&result](std::string reason) {
-    result.stats.degraded = true;
-    result.stats.degradation_reasons.push_back(std::move(reason));
-  };
 
   // Phase 1: single-scan Counting-tree construction, sharded by points.
   // Shards consume the source in bounded chunks, so raw-point memory
@@ -320,116 +409,21 @@ Result<MrCCResult> MrCC::Run(const DataSource& source) const {
   Result<CountingTree> tree(Status::Internal("tree build not run"));
   {
     MRCC_TRACE_SPAN("tree.build");
-    tree = BuildTreeSharded(source, params_.num_resolutions, num_threads,
-                            params_.bad_point_policy, chunk_points,
-                            params_.read_ahead_chunks, &result.stats);
+    tree = BuildTreeSharded(source, params_, num_threads, chunk_points,
+                            &result.stats);
   }
   if (!tree.ok()) return tree.status();
   result.stats.tree_build_seconds = phase.ElapsedSeconds();
 
-  // Memory pressure: trade resolution for footprint, the paper's own
-  // lever — H is a quality knob, so a coarser tree is a degraded but
-  // valid run, unlike an OOM kill. Each drop is exact: the remaining
-  // levels match a tree built with the smaller H from the start.
-  while (tracker.MemoryPressure(tree->MemoryBytes())) {
-    const size_t before = tree->MemoryBytes();
-    if (!tree->DropDeepestLevel().ok()) {
-      // Already at the paper's minimum H = 3; nothing left to shed.
-      note_degraded(
-          "memory budget still exceeded at the minimum H = 3 (" +
-          std::to_string(tree->MemoryBytes()) + " bytes); continuing");
-      break;
-    }
-    metrics.counter("budget.depth_drops").Add(1);
-    note_degraded("memory pressure: dropped the deepest resolution level "
-                  "(H now " + std::to_string(tree->num_resolutions()) +
-                  ", " + std::to_string(before) + " -> " +
-                  std::to_string(tree->MemoryBytes()) + " bytes)");
-  }
-  result.stats.effective_resolutions = tree->num_resolutions();
-  result.stats.tree_memory_bytes = tree->MemoryBytes();
-  result.stats.cells_per_level.assign(
-      static_cast<size_t>(tree->num_resolutions()), 0);
-  for (int h = 1; h < tree->num_resolutions(); ++h) {
-    result.stats.cells_per_level[h] = tree->NumCellsAtLevel(h);
-    metrics.gauge("tree.cells.level" + std::to_string(h)).Set(
-        static_cast<int64_t>(result.stats.cells_per_level[h]));
-  }
-  metrics.gauge("tree.memory_bytes").Set(
-      static_cast<int64_t>(result.stats.tree_memory_bytes));
-
-  // Deadline gate: past the wall budget the most useful answer is the
-  // cheapest valid one — no clusters, every point noise — returned now
-  // instead of starting a search that would blow the deadline further.
-  if (tracker.DeadlineExceeded()) {
-    note_degraded("wall deadline exceeded after the tree build (" +
-                  std::to_string(tracker.ElapsedSeconds()) +
-                  "s): returning an empty clustering, all points noise");
-    result.clustering.labels.assign(source.NumPoints(), kNoiseLabel);
-    result.stats.total_seconds = total.ElapsedSeconds();
-    return result;
-  }
-
-  // Phase 2: β-cluster search, parallel over the cells of each level.
-  phase.Reset();
-  BetaFinderOptions finder_options;
-  finder_options.alpha = params_.alpha;
-  finder_options.full_mask = params_.full_mask;
-  finder_options.num_threads = num_threads;
-  result.stats.beta_search_threads = num_threads;
-  {
-    MRCC_TRACE_SPAN("beta.search");
-    Result<BetaSearchResult> search =
-        RunBetaSearch(*tree, finder_options, &tracker);
-    if (!search.ok()) return search.status();
-    result.beta_clusters = std::move(search->betas);
-    result.stats.beta_search = search->stats;
-  }
-  if (result.stats.beta_search.deadline_hit) {
-    note_degraded(
-        "wall deadline exceeded during the β-search: the β-clusters are "
-        "a deterministic prefix of the full search");
-  }
-  result.stats.beta_search_seconds = phase.ElapsedSeconds();
-
-  // Phase 3: merge β-clusters (geometry only), then label every point in
-  // a second scan of the source, parallel over point slices.
-  phase.Reset();
-  {
-    MRCC_TRACE_SPAN_N("cluster.merge_betas",
-                      static_cast<int64_t>(result.beta_clusters.size()));
-    result.clustering = MergeBetaClusters(
-        result.beta_clusters, source.NumDims(), &result.beta_to_cluster);
-  }
-  result.stats.labeling_threads = num_threads;
-  if (tracker.DeadlineExceeded()) {
-    // The cluster geometry above is already paid for; the labeling scan
-    // (a full second pass over the data) is what gets cut.
-    note_degraded("wall deadline exceeded before labeling: skipping the "
-                  "labeling scan, all points labeled noise");
-    result.clustering.labels.assign(source.NumPoints(), kNoiseLabel);
-  } else {
-    Result<std::vector<int>> labels(Status::Internal("labeling not run"));
-    PrefetchStats label_prefetch;
-    {
-      MRCC_TRACE_SPAN_N("cluster.label_points",
-                        static_cast<int64_t>(source.NumPoints()));
-      labels = LabelPoints(result.beta_clusters, result.beta_to_cluster,
-                           source, num_threads, params_.bad_point_policy,
-                           chunk_points, params_.read_ahead_chunks,
-                           &label_prefetch);
-    }
-    if (!labels.ok()) return labels.status();
-    result.clustering.labels = std::move(*labels);
-    result.stats.prefetch_stalls += label_prefetch.stalls;
-    result.stats.prefetch_queue_full_waits += label_prefetch.queue_full_waits;
-  }
-  result.stats.cluster_build_seconds = phase.ElapsedSeconds();
+  // Phases 2-3: β-search, β-cluster merge and the labeling scan.
+  MRCC_RETURN_IF_ERROR(ClusterTree(*tree, params_, num_threads, &source,
+                                   chunk_points, tracker, &result));
   result.stats.total_seconds = total.ElapsedSeconds();
   // Allocator high-water mark since the last ResetPeak() — with the
   // bench harness's per-run reset this is the run's peak ("arena
   // high-water"); standalone it is a process-lifetime bound.
-  metrics.gauge("memory.high_water_bytes").SetMax(MemoryTracker::PeakBytes());
+  MetricsRegistry::Global().gauge("memory.high_water_bytes").SetMax(
+      MemoryTracker::PeakBytes());
   return result;
 }
 
@@ -447,31 +441,28 @@ Result<MrCCResult> MrCC::RunWindowed(const DataSource& source) const {
   // snapshot and label every point against the trailing window's
   // clusters.
   const size_t chunk_points = ChunkPointsFor(params_, source.NumDims(), 1);
-  uint64_t chunks = 0;
   PrefetchStats prefetch;
   const ReadAheadScanner scanner(source, params_.read_ahead_chunks);
   MRCC_RETURN_IF_ERROR(scanner.ScanChunks(
       0, n, chunk_points,
-      [&](size_t, std::span<const double> values) -> Status {
-        ++chunks;
+      [&](size_t, std::span<const double> values) {
         return engine->PushChunk(values);
       },
       &prefetch));
   Result<MrCCResult> result = engine->Snapshot(source);
   if (!result.ok()) return result.status();
-  result->stats.chunks_scanned = chunks;
+  result->stats.chunks_scanned = prefetch.chunks;
   result->stats.chunk_points = chunk_points;
   result->stats.read_ahead_chunks = params_.read_ahead_chunks;
-  result->stats.prefetch_stalls = prefetch.stalls;
-  result->stats.prefetch_queue_full_waits = prefetch.queue_full_waits;
+  // The snapshot's labeling scan already counted its own prefetch stats.
+  result->stats.prefetch_stalls += prefetch.stalls;
+  result->stats.prefetch_queue_full_waits += prefetch.queue_full_waits;
   result->stats.resident_point_bound =
       std::min<size_t>(BuffersPerScan(params_) * chunk_points, n);
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  metrics.counter("tree.chunks_scanned").Add(static_cast<int64_t>(chunks));
-  metrics.gauge("memory.resident_points").SetMax(
-      static_cast<int64_t>(result->stats.resident_point_bound));
+  PublishScanMetrics(result->stats);
   result->stats.total_seconds = total.ElapsedSeconds();
-  metrics.gauge("memory.high_water_bytes").SetMax(MemoryTracker::PeakBytes());
+  MetricsRegistry::Global().gauge("memory.high_water_bytes").SetMax(
+      MemoryTracker::PeakBytes());
   return result;
 }
 

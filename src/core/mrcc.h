@@ -28,6 +28,7 @@
 #include "core/subspace_clusterer.h"
 #include "core/tree_io.h"
 #include "data/data_source.h"
+#include "data/prefetch.h"
 #include "data/sanitize.h"
 
 namespace mrcc {
@@ -110,7 +111,7 @@ struct MrCCParams {
   /// d bounds, the full-mask cost gate). MrCC::Run calls this once at
   /// entry — it is the single parameter gate of the pipeline; the stage
   /// entry points below it only re-check their own narrow public
-  /// contracts (e.g. CountingTree::Builder, which is callable directly).
+  /// contracts (e.g. CountingTree::Empty, which is callable directly).
   [[nodiscard]] Status Validate(size_t num_dims) const;
 };
 
@@ -257,6 +258,57 @@ class MrCC : public SubspaceClusterer {
 
   MrCCParams params_;
 };
+
+// ---- The pipeline body. Three engines drive it — the batch engine
+// (MrCC::Run), the sliding-window engine (core/streaming_mrcc.h) and the
+// sharded merger (dist/sharded_build.h) — and differ only in how they
+// assemble the sealed tree; everything else is declared here, once.
+
+/// Effective chunk size of the streaming scans: an explicit
+/// params.chunk_points wins; otherwise kDefaultChunkPoints, shrunk so
+/// `shards` concurrent scans' chunk buffers — read_ahead_chunks deep
+/// each — fit in half of budget.max_memory_bytes (the other half belongs
+/// to the tree).
+/// Never zero. The chunk size never changes results, only memory.
+size_t ChunkPointsFor(const MrCCParams& params, size_t num_dims, int shards);
+
+/// Counters of one BuildTreeOverRange scan. Callers that run several
+/// scans sum them in slice order, so the totals are deterministic.
+struct ScanTally {
+  /// Points dropped / clamped by the bad-point policy.
+  uint64_t points_skipped = 0;
+  uint64_t points_clamped = 0;
+
+  /// The read-ahead scanner's counters (prefetch.chunks: chunks the
+  /// scan delivered).
+  PrefetchStats prefetch;
+};
+
+/// Counts points [begin, end) of `source` into a sealed tree with
+/// params.num_resolutions levels, streaming `chunk_points`-point chunks
+/// through a read-ahead scanner of params.read_ahead_chunks depth and
+/// each point through IngestPoint under params.bad_point_policy. The
+/// tree equals the slice a serial scan would have counted, at every
+/// chunk size and depth. `tally` accumulates (+=) the scan's counters.
+/// Honors the `tree.build.alloc` failpoint.
+[[nodiscard]] Result<CountingTree> BuildTreeOverRange(
+    const DataSource& source, size_t begin, size_t end,
+    const MrCCParams& params, size_t chunk_points, ScanTally* tally);
+
+/// The pipeline's tail over a sealed tree, shared by every engine:
+/// drops the deepest level while `tracker` reports memory pressure,
+/// records the tree's stats, returns an all-noise clustering when the
+/// wall deadline has already passed, then runs the β-search, merges the
+/// β-clusters and — when `label_source` is non-null — labels its points
+/// in a `chunk_points`-chunk scan. Fills `result`'s clusters, labels and
+/// the matching MrCCStats fields; each concession is noted in
+/// stats.degradation_reasons. Emits the `beta.search`,
+/// `cluster.merge_betas` and `cluster.label_points` spans.
+[[nodiscard]] Status ClusterTree(CountingTree& tree, const MrCCParams& params,
+                                 int num_threads,
+                                 const DataSource* label_source,
+                                 size_t chunk_points, BudgetTracker& tracker,
+                                 MrCCResult* result);
 
 }  // namespace mrcc
 

@@ -51,8 +51,10 @@ class StreamingMrCC {
   StreamingMrCC(StreamingMrCC&&) = default;
   StreamingMrCC& operator=(StreamingMrCC&&) = default;
 
-  /// Feeds one point, honoring params.bad_point_policy exactly like the
-  /// batch build scan (kReject fails, kSkip drops, kClamp clamps).
+  /// Feeds one point through the batch build scan's ingest step
+  /// (IngestPoint, data/sanitize.h) under params.bad_point_policy:
+  /// kReject fails naming the point's stream position, kSkip drops,
+  /// kClamp clamps.
   [[nodiscard]] Status Push(std::span<const double> point);
 
   /// Feeds `values.size() / num_dims` points laid out row-major (the
@@ -68,8 +70,12 @@ class StreamingMrCC {
   /// Points evicted with their generations (0 when unwindowed).
   uint64_t points_evicted() const { return points_evicted_; }
 
-  /// Points dropped by the kSkip bad-point policy.
+  /// Points dropped by the bad-point policy (kSkip, and kClamp's
+  /// non-finite points).
   uint64_t points_skipped() const { return points_skipped_; }
+
+  /// Points clamped into [0,1) by the kClamp bad-point policy.
+  uint64_t points_clamped() const { return points_clamped_; }
 
   /// Sealed generations currently retained (excludes the one filling).
   size_t generations_sealed() const { return generations_.size(); }
@@ -96,9 +102,6 @@ class StreamingMrCC {
 
   [[nodiscard]] Result<MrCCResult> Run(const DataSource* label_source);
 
-  /// A fresh empty tree with this engine's (d, H).
-  [[nodiscard]] Result<CountingTree> EmptyTree() const;
-
   MrCCParams params_;
   size_t num_dims_ = 0;
 
@@ -116,8 +119,9 @@ class StreamingMrCC {
   uint64_t retained_ = 0;
   uint64_t points_evicted_ = 0;
   uint64_t points_skipped_ = 0;
+  uint64_t points_clamped_ = 0;
 
-  std::vector<double> scratch_;  // Clamp buffer, reused across pushes.
+  std::vector<double> scratch_;  // Ingest buffer, reused across pushes.
 };
 
 }  // namespace mrcc

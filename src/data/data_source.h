@@ -51,6 +51,12 @@
 
 namespace mrcc {
 
+/// Points per chunk of the pipeline's scans when nothing constrains it
+/// (see MrCC's ChunkPointsFor). 4096 points × 62 dims × 8 bytes ≈ 2 MiB
+/// per scan — enough to amortize a block read, small enough to stay
+/// cache-friendly.
+inline constexpr size_t kDefaultChunkPoints = 4096;
+
 /// A readable collection of η points in d dimensions (see file comment).
 class DataSource {
  public:

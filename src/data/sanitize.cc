@@ -1,6 +1,9 @@
 #include "data/sanitize.h"
 
 #include <cmath>
+#include <limits>
+
+#include "common/failpoint.h"
 
 namespace mrcc {
 namespace {
@@ -61,6 +64,31 @@ PointAction SanitizePoint(std::span<double> point, BadPointPolicy policy) {
     }
   }
   return action;
+}
+
+PointAction IngestPoint(std::span<const double>* point, BadPointPolicy policy,
+                        std::vector<double>* scratch) {
+  if (!point->empty() && fp::MaybeTrue("source.read.corrupt")) {
+    scratch->assign(point->begin(), point->end());
+    (*scratch)[0] = std::numeric_limits<double>::quiet_NaN();
+    *point = *scratch;
+  }
+  const PointAction action = ClassifyPoint(*point, policy);
+  if (action == PointAction::kClamp) {
+    if (point->data() != scratch->data()) {
+      scratch->assign(point->begin(), point->end());
+    }
+    SanitizePoint(*scratch, policy);
+    *point = *scratch;
+  }
+  return action;
+}
+
+Status BadPointError(uint64_t row, const std::string& source_name) {
+  return Status::InvalidArgument(
+      "point " + std::to_string(row) + " of " + source_name +
+      " has a NaN/Inf/out-of-[0,1) value; normalize the data or pick a "
+      "bad_point_policy");
 }
 
 }  // namespace mrcc

@@ -21,8 +21,12 @@
 
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
+
+#include "common/status.h"
 
 namespace mrcc {
 
@@ -56,5 +60,22 @@ PointAction SanitizePoint(std::span<double> point, BadPointPolicy policy);
 /// clamping", for callers that copy lazily).
 PointAction ClassifyPoint(std::span<const double> point,
                           BadPointPolicy policy);
+
+/// The per-point ingest step every data pass runs (the range build,
+/// StreamingMrCC::Push, the labeling scan), so the passes cannot drift
+/// apart. Applies the `source.read.corrupt` failpoint (a fired hit
+/// poisons the point's first coordinate with NaN, the way a damaged row
+/// arrives from any backend), then `policy`. On kKeep `*point` is
+/// unchanged; on kClamp it views the clamped copy in `*scratch` (valid
+/// until the next call with the same scratch). kSkip means drop the
+/// point, kReject means fail the pass with BadPointError.
+[[nodiscard]] PointAction IngestPoint(std::span<const double>* point,
+                                      BadPointPolicy policy,
+                                      std::vector<double>* scratch);
+
+/// The InvalidArgument a pass fails with on a kReject point: names row
+/// `row` of `source_name`.
+[[nodiscard]] Status BadPointError(uint64_t row,
+                                   const std::string& source_name);
 
 }  // namespace mrcc

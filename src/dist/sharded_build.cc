@@ -1,9 +1,6 @@
 #include "dist/sharded_build.h"
 
-#include <algorithm>
-#include <limits>
 #include <utility>
-#include <vector>
 
 #include "common/budget.h"
 #include "common/failpoint.h"
@@ -12,25 +9,11 @@
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "common/trace.h"
-#include "core/beta_cluster_finder.h"
-#include "core/cluster_builder.h"
 #include "core/tree_io.h"
-#include "data/prefetch.h"
-#include "data/sanitize.h"
 
 namespace mrcc {
 namespace dist {
 namespace {
-
-/// Scan chunk size (points) of the worker and labeling scans. The chunk
-/// size never changes results (DataSource contract), so the distributed
-/// path does not replicate the single-process budget-driven shrink — an
-/// explicit params.chunk_points still wins.
-constexpr size_t kDefaultChunkPoints = 4096;
-
-size_t ChunkPointsFor(const MrCCParams& params) {
-  return params.chunk_points > 0 ? params.chunk_points : kDefaultChunkPoints;
-}
 
 /// Opens the dataset with the block-read backend — every worker holds
 /// only its scan's chunk buffers, so N processes stay out-of-core.
@@ -126,51 +109,15 @@ Result<CountingTree> BuildShardTree(const ShardedBuildOptions& options,
         std::to_string(end) + ") outside dataset of " +
         std::to_string(source->NumPoints()) + " points");
   }
-  const size_t num_dims = source->NumDims();
-  const BadPointPolicy policy = options.params.bad_point_policy;
   MRCC_TRACE_SPAN_N("shard.build", static_cast<int64_t>(end - begin));
-  CountingTree::Builder builder(num_dims, options.params.num_resolutions);
-  MRCC_RETURN_IF_ERROR(fp::Maybe("tree.build.alloc"));
-  MRCC_RETURN_IF_ERROR(builder.status());
-  std::vector<double> scratch;
-  // Identical chunked fold to the in-process sharded build (mrcc.cc):
-  // chunks arrive in order and cover [begin, end) exactly once, and the
-  // per-point classify/sanitize steps match, so this tree equals the
-  // slice a single-process worker would have counted.
-  const ReadAheadScanner scanner(*source, options.params.read_ahead_chunks);
-  MRCC_RETURN_IF_ERROR(scanner.ScanChunks(
-      begin, end, ChunkPointsFor(options.params),
-      [&](size_t first, std::span<const double> values) -> Status {
-        const size_t count = values.size() / num_dims;
-        for (size_t j = 0; j < count; ++j) {
-          std::span<const double> point =
-              values.subspan(j * num_dims, num_dims);
-          if (fp::MaybeTrue("source.read.corrupt")) {
-            scratch.assign(point.begin(), point.end());
-            scratch[0] = std::numeric_limits<double>::quiet_NaN();
-            point = scratch;
-          }
-          const PointAction action = ClassifyPoint(point, policy);
-          if (action == PointAction::kReject) {
-            return Status::InvalidArgument(
-                "point " + std::to_string(first + j) + " of " +
-                source->Name() +
-                " has a NaN/Inf/out-of-[0,1) value; normalize the data "
-                "or pick a bad_point_policy");
-          }
-          if (action == PointAction::kSkip) continue;
-          if (action == PointAction::kClamp) {
-            if (point.data() != scratch.data()) {
-              scratch.assign(point.begin(), point.end());
-            }
-            SanitizePoint(scratch, policy);
-            point = scratch;
-          }
-          MRCC_RETURN_IF_ERROR(builder.Add(point));
-        }
-        return Status::OK();
-      }));
-  return std::move(builder).Finish();
+  // The same range build as each in-process shard of MrCC::Run, so this
+  // tree equals the slice a single-process worker would have counted.
+  // Skip/clamp counts stay in the worker: the artifact has no field for
+  // them.
+  ScanTally tally;
+  return BuildTreeOverRange(
+      *source, begin, end, options.params,
+      ChunkPointsFor(options.params, source->NumDims(), 1), &tally);
 }
 
 Status BuildShard(const ShardedBuildOptions& options,
@@ -274,6 +221,7 @@ Result<MrCCResult> MergeShards(const ShardedBuildOptions& options,
   MrCCResult result;
   result.stats.num_threads = num_threads;
   Timer total;
+  BudgetTracker tracker(options.params.budget);
 
   Timer phase;
   Result<FoldedShards> folded(Status::Internal("merge not run"));
@@ -286,45 +234,18 @@ Result<MrCCResult> MergeShards(const ShardedBuildOptions& options,
   result.stats.tree_merge_seconds = phase.ElapsedSeconds();
   result.stats.tree_build_seconds = result.stats.tree_merge_seconds;
   result.stats.tree_merge = folded->merge_stats;
-  CountingTree& tree = folded->tree;
-  result.stats.effective_resolutions = tree.num_resolutions();
-  result.stats.tree_memory_bytes = tree.MemoryBytes();
 
-  // From here the pipeline is MrCC::Run's phases 2-3 verbatim: β-search
-  // over the merged tree, geometric cluster merge, labeling scan. The
-  // merged tree equals the serial tree, every phase is deterministic, so
-  // the result is bit-identical to the single-process run.
-  BudgetTracker tracker(options.params.budget);
-  phase.Reset();
-  BetaFinderOptions finder_options;
-  finder_options.alpha = options.params.alpha;
-  finder_options.full_mask = options.params.full_mask;
-  finder_options.num_threads = num_threads;
-  result.stats.beta_search_threads = num_threads;
-  {
-    MRCC_TRACE_SPAN("beta.search");
-    Result<BetaSearchResult> search =
-        RunBetaSearch(tree, finder_options, &tracker);
-    MRCC_RETURN_IF_ERROR(search.status());
-    result.beta_clusters = std::move(search->betas);
-    result.stats.beta_search = search->stats;
-  }
-  result.stats.beta_search_seconds = phase.ElapsedSeconds();
-
-  phase.Reset();
-  result.clustering = MergeBetaClusters(
-      result.beta_clusters, source->NumDims(), &result.beta_to_cluster);
-  result.stats.labeling_threads = num_threads;
-  PrefetchStats label_prefetch;
-  Result<std::vector<int>> labels = LabelPoints(
-      result.beta_clusters, result.beta_to_cluster, *source, num_threads,
-      options.params.bad_point_policy, ChunkPointsFor(options.params),
-      options.params.read_ahead_chunks, &label_prefetch);
-  MRCC_RETURN_IF_ERROR(labels.status());
-  result.clustering.labels = std::move(*labels);
-  result.stats.prefetch_stalls = label_prefetch.stalls;
-  result.stats.prefetch_queue_full_waits = label_prefetch.queue_full_waits;
-  result.stats.cluster_build_seconds = phase.ElapsedSeconds();
+  // From here the pipeline is MrCC::Run's own tail: the merged tree
+  // equals the serial tree and every phase is deterministic, so the
+  // result is bit-identical to the single-process run — budget
+  // concessions included.
+  const size_t chunk_points =
+      ChunkPointsFor(options.params, source->NumDims(), num_threads);
+  result.stats.chunk_points = chunk_points;
+  result.stats.read_ahead_chunks = options.params.read_ahead_chunks;
+  MRCC_RETURN_IF_ERROR(ClusterTree(folded->tree, options.params, num_threads,
+                                   &*source, chunk_points, tracker,
+                                   &result));
   result.stats.total_seconds = total.ElapsedSeconds();
   return result;
 }

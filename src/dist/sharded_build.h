@@ -2,10 +2,13 @@
 //
 // The distributed pipeline splits the paper's single data scan across N
 // worker processes: each worker counts one contiguous point partition
-// into a Counting-tree and publishes it as a checksummed artifact
-// (dist/shard_io.h); a merger then folds the shard trees left-to-right
-// with the layout-preserving CountingTree::InsertTree, seals the result
-// once and runs the search + labeling phases once over it.
+// into a Counting-tree with the pipeline's shared range build
+// (BuildTreeOverRange, core/mrcc.h) and publishes it as a checksummed
+// artifact (dist/shard_io.h); a merger then folds the shard trees
+// left-to-right with the layout-preserving CountingTree::InsertTree,
+// seals the result once and runs the pipeline's shared cluster tail
+// (ClusterTree: budget drops, β-search, cluster merge, labeling) once
+// over it.
 //
 // Why this is bit-identical to a single-process run: InsertTree's
 // left-to-right fold over ordered contiguous partitions reproduces the
@@ -80,8 +83,8 @@ bool ShardComplete(const ShardedBuildOptions& options,
                    const BuildManifest& manifest, size_t index);
 
 /// Builds the Counting-tree over points [begin, end) of the dataset —
-/// the worker's core. Chunked scan, same bad-point handling as the
-/// single-process build.
+/// the worker's core: BuildTreeOverRange over the block-read backend,
+/// the same range build each in-process shard of MrCC::Run runs.
 [[nodiscard]] Result<CountingTree> BuildShardTree(
     const ShardedBuildOptions& options, uint64_t begin, uint64_t end);
 
@@ -112,9 +115,10 @@ struct FoldedShards {
 [[nodiscard]] Result<FoldedShards> MergeShardTrees(
     const ShardedBuildOptions& options, const BuildManifest& manifest);
 
-/// The merger's whole job: MergeShardTrees, then the β-search, cluster
-/// merge, and labeling scan — the exact phases MrCC::Run performs after
-/// its tree build, producing a bit-identical MrCCResult.
+/// The merger's whole job: MergeShardTrees, then ClusterTree — the same
+/// tail MrCC::Run runs after its tree build (memory-budget resolution
+/// drops, tree stats, deadline gates, β-search, cluster merge, labeling
+/// scan), producing a bit-identical MrCCResult.
 [[nodiscard]] Result<MrCCResult> MergeShards(
     const ShardedBuildOptions& options, const BuildManifest& manifest);
 

@@ -17,6 +17,7 @@
 #include "common/fs.h"
 #include "common/metrics.h"
 #include "core/tree_io.h"
+#include "data/data_source.h"
 #include "data/dataset_io.h"
 #include "test_util.h"
 
@@ -227,6 +228,47 @@ TEST_F(DistBuildTest, ThreadedMergePhasesMatchSerial) {
   Result<MrCCResult> sharded = RunShardedBuild(options);
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
   ExpectSameResults(*baseline_, *sharded);
+}
+
+TEST_F(DistBuildTest, MergeShardsRunsTheSingleProcessTailUnderABudget) {
+  // The merger runs MrCC::Run's own tail, so with or without a memory
+  // budget it reports the same tree stats and makes the same concessions
+  // as the single-process run over the same file.
+  Result<CountingTree> full =
+      CountingTree::Build(data_, options_.params.num_resolutions);
+  ASSERT_TRUE(full.ok());
+  const size_t full_bytes = full->MemoryBytes();
+  ASSERT_TRUE(full->DropDeepestLevel().ok());
+  // Between the H = 4 and H = 3 footprints: exactly one drop.
+  const size_t one_drop = (full_bytes + full->MemoryBytes()) / 2;
+  Result<MmapFileDataSource> file =
+      MmapFileDataSource::Open(options_.dataset_path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  for (const size_t budget : {size_t{0}, one_drop}) {
+    SCOPED_TRACE("max_memory_bytes=" + std::to_string(budget));
+    ShardedBuildOptions options = options_;
+    options.work_dir = dir_ + "/budget" + std::to_string(budget);
+    (void)std::system(("mkdir -p " + options.work_dir).c_str());
+    options.num_shards = 3;
+    options.params.budget.max_memory_bytes = budget;
+    Result<MrCCResult> single = MrCC(options.params).Run(*file);
+    ASSERT_TRUE(single.ok()) << single.status().ToString();
+    Result<MrCCResult> sharded = RunShardedBuild(options);
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    ExpectSameResults(*single, *sharded);
+    EXPECT_EQ(sharded->stats.effective_resolutions,
+              single->stats.effective_resolutions);
+    EXPECT_EQ(sharded->stats.effective_resolutions, budget > 0 ? 3 : 4);
+    EXPECT_EQ(sharded->stats.cells_per_level, single->stats.cells_per_level);
+    EXPECT_EQ(sharded->stats.tree_memory_bytes,
+              single->stats.tree_memory_bytes);
+    EXPECT_EQ(sharded->stats.cells_per_level.size(),
+              static_cast<size_t>(single->stats.effective_resolutions));
+    EXPECT_EQ(sharded->stats.degraded, single->stats.degraded);
+    EXPECT_EQ(sharded->stats.degraded, budget > 0);
+    EXPECT_EQ(sharded->stats.degradation_reasons,
+              single->stats.degradation_reasons);
+  }
 }
 
 TEST_F(DistBuildTest, BuildShardRejectsOutOfRangeIndex) {

@@ -52,9 +52,7 @@ uint64_t TreeBytesHash(const CountingTree& tree) {
 }
 
 CountingTree EmptyTree(size_t dims, int resolutions) {
-  CountingTree::Builder builder(dims, resolutions);
-  MRCC_CHECK(builder.status().ok());
-  Result<CountingTree> tree = std::move(builder).Finish();
+  Result<CountingTree> tree = CountingTree::Empty(dims, resolutions);
   MRCC_CHECK(tree.ok());
   return std::move(*tree);
 }
@@ -89,12 +87,11 @@ TEST(IncrementalTreeTest, BatchCutsNeverChangeTheTree) {
     CountingTree grown = EmptyTree(num_dims, resolutions);
     for (size_t i = 0; i < data.NumPoints(); i += cut) {
       const size_t count = std::min(cut, data.NumPoints() - i);
-      ASSERT_TRUE(grown
-                      .InsertBatch(std::span<const double>(
-                          data.Point(i).data(), count * num_dims))
-                      .ok());
+      for (size_t j = i; j < i + count; ++j) {
+        ASSERT_TRUE(grown.Insert(data.Point(j)).ok());
+      }
+      grown.Seal();
     }
-    grown.Seal();
     EXPECT_EQ(TreeBytesHash(grown), golden);
   }
 }
@@ -165,8 +162,6 @@ TEST(IncrementalTreeTest, InsertValidatesItsInput) {
   EXPECT_EQ(tree.Insert(wrong_dims).code(), StatusCode::kInvalidArgument);
   const double out_of_cube[] = {0.5, 1.5, 0.5};
   EXPECT_EQ(tree.Insert(out_of_cube).code(), StatusCode::kInvalidArgument);
-  const double ragged[] = {0.5, 0.5, 0.5, 0.25};
-  EXPECT_EQ(tree.InsertBatch(ragged).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(tree.total_points(), 0u);
 }
 
@@ -325,6 +320,18 @@ TEST_F(StreamingMrCCTest, PushHonorsTheBadPointPolicy) {
   ASSERT_TRUE(reject.ok());
   const double bad[] = {0.5, 2.0, 0.5};
   EXPECT_EQ(reject->Push(bad).code(), StatusCode::kInvalidArgument);
+  // A chunk that is not a whole number of points is refused whole.
+  const double ragged[] = {0.5, 0.5, 0.5, 0.25};
+  EXPECT_EQ(reject->PushChunk(ragged).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(reject->points_seen(), 0u);
+  // On a bad point the chunk stops there: points before it stay counted,
+  // the rest are not, and the error names the point's stream position.
+  const double chunk[] = {0.5, 0.5, 0.5, 0.5, 2.0, 0.5, 0.25, 0.25, 0.25};
+  const Status stopped = reject->PushChunk(chunk);
+  EXPECT_EQ(stopped.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(stopped.message().find("point 1 of"), std::string::npos)
+      << stopped.ToString();
+  EXPECT_EQ(reject->points_seen(), 1u);
 
   params.bad_point_policy = BadPointPolicy::kSkip;
   Result<StreamingMrCC> skip = StreamingMrCC::Create(params, 3);
@@ -338,6 +345,7 @@ TEST_F(StreamingMrCCTest, PushHonorsTheBadPointPolicy) {
   ASSERT_TRUE(clamp.ok());
   EXPECT_TRUE(clamp->Push(bad).ok());
   EXPECT_EQ(clamp->points_seen(), 1u);
+  EXPECT_EQ(clamp->points_clamped(), 1u);
 }
 
 TEST_F(StreamingMrCCTest, WindowParamsAreValidated) {

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "core/mrcc.h"
 #include "test_util.h"
 
@@ -131,15 +132,45 @@ TEST(SanitizePipelineTest, CleanDataIsPolicyInvariant) {
 }
 
 TEST(SanitizePipelineTest, SkipAndClampCountsAreThreadInvariant) {
+  // Every engine runs the one ingest step, so the window engine (a
+  // window wider than the data) must count exactly what the batch build
+  // counts, at every thread count.
   const Dataset d = DirtyDataset();
-  for (const int threads : {1, 2, 4}) {
-    MrCCParams params;
-    params.bad_point_policy = BadPointPolicy::kClamp;
-    params.num_threads = threads;
-    const Result<MrCCResult> result = MrCC(params).Run(d);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->stats.points_skipped, 2u) << threads;
-    EXPECT_EQ(result->stats.points_clamped, 2u) << threads;
+  for (const BadPointPolicy policy :
+       {BadPointPolicy::kSkip, BadPointPolicy::kClamp}) {
+    MrCCParams batch_params;
+    batch_params.bad_point_policy = policy;
+    const Result<MrCCResult> batch = MrCC(batch_params).Run(d);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    EXPECT_EQ(batch->stats.points_skipped,
+              policy == BadPointPolicy::kSkip ? 4u : 2u);
+    EXPECT_EQ(batch->stats.points_clamped,
+              policy == BadPointPolicy::kSkip ? 0u : 2u);
+    for (const size_t window : {size_t{0}, size_t{10000}}) {
+      for (const int threads : {1, 2, 4}) {
+        SCOPED_TRACE(std::string(BadPointPolicyName(policy)) + " window=" +
+                     std::to_string(window) +
+                     " threads=" + std::to_string(threads));
+        MrCCParams params = batch_params;
+        params.num_threads = threads;
+        params.window.points = window;
+        Counter& skipped = MetricsRegistry::Global().counter(
+            "input.points_skipped");
+        Counter& clamped = MetricsRegistry::Global().counter(
+            "input.points_clamped");
+        const int64_t skipped_before = skipped.value();
+        const int64_t clamped_before = clamped.value();
+        const Result<MrCCResult> result = MrCC(params).Run(d);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_EQ(result->stats.points_skipped, batch->stats.points_skipped);
+        EXPECT_EQ(result->stats.points_clamped, batch->stats.points_clamped);
+        EXPECT_EQ(skipped.value() - skipped_before,
+                  static_cast<int64_t>(batch->stats.points_skipped));
+        EXPECT_EQ(clamped.value() - clamped_before,
+                  static_cast<int64_t>(batch->stats.points_clamped));
+        EXPECT_EQ(result->clustering.labels, batch->clustering.labels);
+      }
+    }
   }
 }
 

@@ -135,12 +135,12 @@ TEST(StreamingTest, RejectsUnnormalizedFile) {
 TEST(CountingTreeBuilderTest, IncrementalMatchesBatch) {
   Dataset d = testing::UniformDataset(500, 4, 99);
   Result<CountingTree> batch = CountingTree::Build(d, 4);
-  CountingTree::Builder builder(4, 4);
-  ASSERT_TRUE(builder.status().ok());
+  Result<CountingTree> incremental = CountingTree::Empty(4, 4);
+  ASSERT_TRUE(incremental.ok());
   for (size_t i = 0; i < d.NumPoints(); ++i) {
-    ASSERT_TRUE(builder.Add(d.Point(i)).ok());
+    ASSERT_TRUE(incremental->Insert(d.Point(i)).ok());
   }
-  Result<CountingTree> incremental = std::move(builder).Finish();
+  incremental->Seal();
   ASSERT_TRUE(batch.ok() && incremental.ok());
   EXPECT_EQ(incremental->total_points(), batch->total_points());
   for (int h = 1; h < 4; ++h) {
@@ -149,11 +149,11 @@ TEST(CountingTreeBuilderTest, IncrementalMatchesBatch) {
 }
 
 TEST(CountingTreeBuilderTest, RejectsBadPoints) {
-  CountingTree::Builder builder(3, 4);
-  ASSERT_TRUE(builder.status().ok());
-  EXPECT_FALSE(builder.Add(std::vector<double>{0.5, 0.5}).ok());  // Wrong d.
-  EXPECT_FALSE(builder.Add(std::vector<double>{0.5, 0.5, 1.5}).ok());
-  EXPECT_TRUE(builder.Add(std::vector<double>{0.5, 0.5, 0.5}).ok());
+  Result<CountingTree> tree = CountingTree::Empty(3, 4);
+  ASSERT_TRUE(tree.ok());
+  EXPECT_FALSE(tree->Insert(std::vector<double>{0.5, 0.5}).ok());  // Wrong d.
+  EXPECT_FALSE(tree->Insert(std::vector<double>{0.5, 0.5, 1.5}).ok());
+  EXPECT_TRUE(tree->Insert(std::vector<double>{0.5, 0.5, 0.5}).ok());
 }
 
 }  // namespace

@@ -369,7 +369,7 @@ void AppendBytes(const T& v, std::string* out) {
 TEST(TreeMergeTest, SourceOutOfCreationOrderIsRejectedUntouched) {
   // A structurally valid tree whose pool lists a level-3 node before its
   // level-2 parent: one point in d = 1, H = 4, pool {root, leaf, middle}.
-  // Builder and ParseTree of real data never produce this order, and the
+  // Insert and ParseTree of real data never produce this order, and the
   // fold cannot reproduce a serial layout from it.
   std::string bytes = "MRTR";
   AppendBytes(uint32_t{1}, &bytes);  // version

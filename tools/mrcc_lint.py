@@ -52,6 +52,17 @@ offending line):
                      layout stays an implementation detail. (Moved here
                      from tools/lint.sh ban #5.)
 
+  single-ingest      The pipeline's one-of-each pieces stay one of each
+                     (DESIGN.md §13). Inside src/, `ClassifyPoint(` and
+                     `SanitizePoint(` appear only in src/data/sanitize.*,
+                     `fp::MaybeTrue("source.read.corrupt")` only in
+                     src/data/sanitize.cc (all three belong to the one
+                     per-point ingest step, IngestPoint), and a
+                     `.DropDeepestLevel()` / `->DropDeepestLevel()` call
+                     only in src/core/mrcc.cc (the one cluster tail,
+                     ClusterTree). A second copy of the scan loop or of
+                     the tail trips it; tests and benches are exempt.
+
 Exit status: 0 clean, 1 findings, 2 usage/internal error. Run from
 anywhere: the repo root is derived from this script's location, or pass
 --root. CI runs this in the lint job; locally just `tools/mrcc_lint.py`.
@@ -438,6 +449,43 @@ def check_cell_storage(path, source, findings):
             "CellRef (tests: CountingTree::TestPeer)"))
 
 
+# single-ingest: (code pattern, owning path prefix, the piece it belongs
+# to). Patterns run on the neutralized source, so mentions in comments
+# and strings never count.
+SINGLE_OWNER_RULES = (
+    (re.compile(r"\bClassifyPoint\s*\("), "src/data/sanitize.",
+     "ClassifyPoint(", "the ingest step IngestPoint (data/sanitize.h)"),
+    (re.compile(r"\bSanitizePoint\s*\("), "src/data/sanitize.",
+     "SanitizePoint(", "the ingest step IngestPoint (data/sanitize.h)"),
+    (re.compile(r"(?:\.|->)\s*DropDeepestLevel\s*\(\s*\)"),
+     "src/core/mrcc.cc", "DropDeepestLevel()",
+     "the cluster tail ClusterTree (core/mrcc.h)"),
+)
+
+
+def check_single_ingest(path, source, findings):
+    rel = path.replace(os.sep, "/")
+    clean = neutralized(source)
+    for pattern, owner, what, piece in SINGLE_OWNER_RULES:
+        if rel.startswith(owner):
+            continue
+        for m in pattern.finditer(clean):
+            line = clean.count("\n", 0, m.start()) + 1
+            findings.append(Finding(
+                path, line, "single-ingest",
+                "%s outside %s — use %s"
+                % (what, owner + "*" if owner.endswith(".") else owner,
+                   piece)))
+    if rel != "src/data/sanitize.cc":
+        for line, lit in call_string_literals(source, r"\bfp::MaybeTrue"):
+            if lit == "source.read.corrupt":
+                findings.append(Finding(
+                    path, line, "single-ingest",
+                    "the source.read.corrupt failpoint outside "
+                    "src/data/sanitize.cc — use the ingest step IngestPoint "
+                    "(data/sanitize.h)"))
+
+
 def lint_file(path, rel, sites, spans, result_fns, findings):
     with open(path, encoding="utf-8", errors="replace") as f:
         source = f.read()
@@ -446,6 +494,7 @@ def lint_file(path, rel, sites, spans, result_fns, findings):
     if rel.replace(os.sep, "/").startswith("src/"):
         check_metric_and_span_names(rel, source, raw)
         check_spans_documented(rel, source, spans, raw)
+        check_single_ingest(rel, source, raw)
     check_result_value(rel, source, result_fns, raw)
     check_cell_storage(rel, source, raw)
     allow = suppressed_lines(source)
