@@ -108,22 +108,21 @@ void BM_FullMaskConvolve(benchmark::State& state) {
 BENCHMARK(BM_FullMaskConvolve)->DenseRange(2, 12, 2);
 
 // ---- Data layout (DESIGN.md §12): SoA arena sweeps versus the pointer
-// walks they replaced, and the per-level hash index the batched
-// convolution runs on.
+// walks they replaced, and the per-level sorted keys the convolution
+// joins over.
 
-// Batched convolution over a whole level in arena order — the β-search
-// hot path (LevelIndex hash lookups, simd-seeded center terms).
+// Whole-level convolution — the β-search hot path: sort the level's keys,
+// then one merge-join per axis (simd-seeded center terms), one thread.
 void BM_LayoutFaceConvolveLevel(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));
   const LabeledDataset ds = MakeData(20000, d);
   auto tree = CountingTree::Build(ds.data, 4);
   const CountingTree::LevelView level = tree->Level(3);
-  const LevelIndex index(level);
+  ThreadPool pool(1);
   std::vector<int64_t> conv(level.num_cells());
   for (auto _ : state) {
-    FaceLaplacianConvolveRange(level, index, 0,
-                               static_cast<uint32_t>(level.num_cells()),
-                               conv.data());
+    const LevelKeys keys(level);
+    LaplacianConvolveLevel(keys, /*full_mask=*/false, pool, conv.data());
     benchmark::DoNotOptimize(conv.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -151,25 +150,25 @@ void BM_LayoutFindCellDescent(benchmark::State& state) {
 }
 BENCHMARK(BM_LayoutFindCellDescent)->Arg(8)->Arg(14);
 
-// LevelIndex probes alone: the flat O(d) hash lookup feeding the range
-// convolutions.
-void BM_LayoutLevelIndexFind(benchmark::State& state) {
+// Sorted-key point lookups alone: binary search plus exact coordinate
+// compare, what the binomial test and box growth pay per probe.
+void BM_LayoutLevelKeysFind(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));
   const LabeledDataset ds = MakeData(20000, d);
   auto tree = CountingTree::Build(ds.data, 4);
   const CountingTree::LevelView level = tree->Level(3);
-  const LevelIndex index(level);
+  const LevelKeys keys(level);
   std::vector<uint64_t> coords(d);
   for (auto _ : state) {
     for (uint32_t i = 0; i < level.num_cells(); ++i) {
       level.CoordsInto(i, coords.data());
-      benchmark::DoNotOptimize(index.Find(coords.data()));
+      benchmark::DoNotOptimize(keys.Find(coords.data()));
     }
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(level.num_cells()));
 }
-BENCHMARK(BM_LayoutLevelIndexFind)->Arg(8)->Arg(14)->Arg(30);
+BENCHMARK(BM_LayoutLevelKeysFind)->Arg(8)->Arg(14)->Arg(30);
 
 // Streaming one packed attribute array (the argmax sweep's access
 // pattern): how fast the SoA layout lets a level be scanned.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
 
 #include "common/check.h"
 #include "common/failpoint.h"
@@ -14,7 +15,7 @@
 #include "common/stats.h"
 #include "common/trace.h"
 #include "core/laplacian_mask.h"
-#include "core/level_index.h"
+#include "core/level_keys.h"
 
 namespace mrcc {
 
@@ -43,8 +44,8 @@ namespace {
 // cached; sweeps then only rescan eligibility (usedCell, box overlap).
 // Cells are addressed by their packed arena index throughout — the level
 // arena *is* the enumeration, so the caches are plain parallel arrays and
-// every lookup (face neighbor, parent, growth probe) goes through a
-// per-level LevelIndex in O(d) instead of an O(level * d) root descent.
+// every lookup (face neighbor, parent, growth probe) is a search of the
+// level's sorted keys instead of an O(level * d) root descent.
 class BetaClusterFinder {
  public:
   BetaClusterFinder(CountingTree& tree, const BetaFinderOptions& options)
@@ -77,7 +78,10 @@ class BetaClusterFinder {
         tree_.SetUsed(
             CountingTree::CellRef{h, static_cast<uint32_t>(best)}, true);
         BetaCluster beta;
-        if (TestAndDescribe(h, static_cast<uint32_t>(best), &beta)) {
+        Result<bool> accepted =
+            TestAndDescribe(h, static_cast<uint32_t>(best), &beta);
+        if (!accepted.ok()) return accepted.status();
+        if (*accepted) {
           betas.push_back(std::move(beta));
           found_new = true;
         }
@@ -90,24 +94,22 @@ class BetaClusterFinder {
   struct LevelData {
     bool ready = false;  // Convolution responses cached?
     std::vector<int64_t> conv;  // One response per cell (arena order).
-    std::unique_ptr<LevelIndex> index;  // coords -> cell, built lazily.
+    std::vector<uint8_t> blocked;  // 1: overlaps a found β (for good).
+    std::unique_ptr<LevelKeys> keys;  // Sorted cell keys, built lazily.
   };
 
-  // coords -> cell table of level h; built on first use (parent-level
-  // lookups need it one level before the convolution sweep gets there).
-  // Serial construction — the table layout must not depend on threads.
-  const LevelIndex& EnsureIndex(int h) {
+  // Sorted keys of level h; built on first use (parent-level lookups need
+  // them one level before the convolution sweep gets there).
+  const LevelKeys& EnsureKeys(int h) {
     LevelData& level = levels_[static_cast<size_t>(h)];
-    if (level.index == nullptr) {
-      level.index = std::make_unique<LevelIndex>(tree_.Level(h));
+    if (level.keys == nullptr) {
+      level.keys = std::make_unique<LevelKeys>(tree_.Level(h));
     }
-    return *level.index;
+    return *level.keys;
   }
 
-  // Convolves every cell of level h once and caches the responses. The
-  // coordinate table build is serial and cheap; the Laplacian responses —
-  // the expensive part — are computed in parallel, each worker filling a
-  // disjoint slice of the response array.
+  // Convolves every cell of level h once and caches the responses (one
+  // merge-join per mask offset over the level's sorted keys).
   Status EnsureLevel(int h) {
     MRCC_DCHECK_GE(h, 2);
     MRCC_DCHECK_LT(static_cast<size_t>(h), levels_.size());
@@ -116,21 +118,11 @@ class BetaClusterFinder {
     // The level cache is the search's only sizable allocation.
     MRCC_RETURN_IF_ERROR(fp::Maybe("beta.search.alloc"));
     MRCC_TRACE_SPAN_N("beta.convolve", h);
-    const CountingTree::LevelView view = tree_.Level(h);
-    const LevelIndex& index = EnsureIndex(h);
-    const size_t cells = view.num_cells();
+    const LevelKeys& keys = EnsureKeys(h);
+    const size_t cells = keys.view().num_cells();
     level.conv.assign(cells, 0);
-    pool_.ParallelFor(cells, [&](int, size_t begin, size_t end) {
-      if (options_.full_mask) {
-        FullLaplacianConvolveRange(view, index, static_cast<uint32_t>(begin),
-                                   static_cast<uint32_t>(end),
-                                   level.conv.data());
-      } else {
-        FaceLaplacianConvolveRange(view, index, static_cast<uint32_t>(begin),
-                                   static_cast<uint32_t>(end),
-                                   level.conv.data());
-      }
-    });
+    level.blocked.assign(cells, 0);
+    LaplacianConvolveLevel(keys, options_.full_mask, pool_, level.conv.data());
     stats_.cells_convolved += cells;
     MetricsRegistry::Global().counter("beta.cells_convolved").Add(
         static_cast<int64_t>(cells));
@@ -146,9 +138,10 @@ class BetaClusterFinder {
   // the selection is identical for every thread count.
   int64_t SelectBestCell(int h, const std::vector<BetaCluster>& betas) {
     MRCC_TRACE_SPAN_N("beta.argmax", h);
-    const LevelData& level = levels_[static_cast<size_t>(h)];
-    const LevelIndex& index = *level.index;
-    const uint8_t* used = tree_.Level(h).used().data();
+    LevelData& level = levels_[static_cast<size_t>(h)];
+    uint8_t* blocked = level.blocked.data();
+    const CountingTree::LevelView view = tree_.Level(h);
+    const uint8_t* used = view.used().data();
     const int64_t* conv = level.conv.data();
     const double width = std::ldexp(1.0, -h);  // Cell side 1/2^h.
     const int num_threads = pool_.num_threads();
@@ -159,6 +152,7 @@ class BetaClusterFinder {
         level.conv.size(), [&](int t, size_t begin, size_t end) {
           int64_t best = -1;
           int64_t best_val = std::numeric_limits<int64_t>::min();
+          uint64_t coords[CountingTree::kMaxDims];
           // Block-skip: a vector max over each block rules it out wholesale
           // when nothing in it can beat the running best. Only valid once
           // a candidate is held (best >= 0) — before that, the serial scan
@@ -172,11 +166,13 @@ class BetaClusterFinder {
               continue;
             }
             for (size_t i = b; i < b_end; ++i) {
-              if (used[i]) continue;
+              if (used[i] || blocked[i]) continue;
               if (conv[i] <= best_val && best >= 0) continue;
-              const uint64_t* coords =
-                  index.CellCoords(static_cast<uint32_t>(i));
-              if (SharesSpaceWithAny(coords, width, betas)) continue;
+              view.CoordsInto(static_cast<uint32_t>(i), coords);
+              if (SharesSpaceWithAny(coords, width, betas)) {
+                blocked[i] = 1;
+                continue;
+              }
               best = static_cast<int64_t>(i);
               best_val = conv[i];
             }
@@ -219,22 +215,27 @@ class BetaClusterFinder {
 
   // The statistical test around center cell a_h plus, on success, the MDL
   // relevance cut and bound construction. Returns true when a_h seeds a
-  // new β-cluster (Algorithm 2, lines 14-30).
-  bool TestAndDescribe(int h, uint32_t center, BetaCluster* out) {
+  // new β-cluster (Algorithm 2, lines 14-30); Internal when the tree is
+  // corrupt (the center cell has no parent cell).
+  Result<bool> TestAndDescribe(int h, uint32_t center, BetaCluster* out) {
     MRCC_TRACE_SPAN_N("beta.test", h);
     ++stats_.candidates_tested;
     stats_.binomial_tests += d_;
-    const uint64_t* coords = levels_[static_cast<size_t>(h)]
-                                 .index->CellCoords(center);
+    const LevelKeys& keys = *levels_[static_cast<size_t>(h)].keys;
+    const std::vector<uint64_t> coords = keys.view().Coords(center);
     // Parent cell a_{h-1} and its per-axis face neighbors at level h-1.
-    const LevelIndex& parent_index = EnsureIndex(h - 1);
+    const LevelKeys& parent_keys = EnsureKeys(h - 1);
     const uint32_t* parent_counts = tree_.Level(h - 1).counts().data();
     std::vector<uint64_t> parent_coords(d_);
     for (size_t j = 0; j < d_; ++j) parent_coords[j] = coords[j] >> 1;
-    const int64_t parent = parent_index.Find(parent_coords.data());
+    const int64_t parent = parent_keys.Find(parent_coords.data());
     // The center cell's ancestor always exists in a structurally valid
     // tree; a miss here means the tree is corrupt.
-    MRCC_CHECK(parent >= 0);
+    if (parent < 0) {
+      return Status::Internal("β-search: level-" + std::to_string(h) +
+                              " cell " + std::to_string(center) +
+                              " has no parent cell; corrupt tree");
+    }
     const uint32_t parent_n = parent_counts[parent];
     const CountingTree::CellRef parent_ref{h - 1,
                                            static_cast<uint32_t>(parent)};
@@ -247,9 +248,9 @@ class BetaClusterFinder {
       // (the paper's internal + external neighbors); together they form six
       // consecutive half-cell regions along e_j.
       const int64_t below =
-          parent_index.FindFaceNeighbor(parent_coords.data(), j, -1);
+          parent_keys.FindFaceNeighbor(parent_coords.data(), j, -1);
       const int64_t above =
-          parent_index.FindFaceNeighbor(parent_coords.data(), j, +1);
+          parent_keys.FindFaceNeighbor(parent_coords.data(), j, +1);
       np[j] = static_cast<int64_t>(parent_n) +
               (below >= 0 ? parent_counts[below] : 0) +
               (above >= 0 ? parent_counts[above] : 0);
@@ -307,7 +308,6 @@ class BetaClusterFinder {
     out->upper.assign(d_, 1.0);
     out->level = h;
 
-    const LevelIndex& index = *levels_[static_cast<size_t>(h)].index;
     const uint32_t* counts = tree_.Level(h).counts().data();
     out->center_count = counts[center];
     // Growth floor: the paper grows toward any neighbor "containing at
@@ -324,9 +324,9 @@ class BetaClusterFinder {
       out->relevant[j] = true;
       double lo = static_cast<double>(coords[j]) * width;
       double hi = lo + width;
-      const int64_t below = index.FindFaceNeighbor(coords, j, -1);
+      const int64_t below = keys.FindFaceNeighbor(coords.data(), j, -1);
       if (below >= 0 && counts[below] >= growth_floor) lo -= width;
-      const int64_t above = index.FindFaceNeighbor(coords, j, +1);
+      const int64_t above = keys.FindFaceNeighbor(coords.data(), j, +1);
       if (above >= 0 && counts[above] >= growth_floor) hi += width;
       out->lower[j] = std::max(0.0, lo);
       out->upper[j] = std::min(1.0, hi);

@@ -106,9 +106,10 @@ struct BetaSearchResult {
 /// When `budget` is non-null its deadline is checked at every level
 /// boundary; on expiry the search returns the β-clusters found so far
 /// with stats.deadline_hit set — a partial result, not an error. A
-/// non-OK status only signals a real failure (the `beta.search.alloc`
-/// failpoint stands in for level-cache allocation failure). An unsealed
-/// `tree` (Insert or InsertTree since its last Seal) is InvalidArgument.
+/// non-OK status only signals a real failure: the `beta.search.alloc`
+/// failpoint (a failed level-cache allocation), or Internal for a tree
+/// whose cells lack a parent cell. An unsealed `tree` (Insert or
+/// InsertTree since its last Seal) is InvalidArgument.
 [[nodiscard]] Result<BetaSearchResult> RunBetaSearch(CountingTree& tree,
                                        const BetaFinderOptions& options,
                                        BudgetTracker* budget = nullptr);

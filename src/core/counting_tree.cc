@@ -578,6 +578,29 @@ std::vector<uint64_t> CountingTree::LevelView::Coords(uint32_t i) const {
   return coords;
 }
 
+bool CountingTree::LevelView::AtOffset(uint32_t a, uint32_t b,
+                                      const uint64_t* offset) const {
+  const Arena& arena = tree_->arenas_[static_cast<size_t>(level_)];
+  const uint64_t loc_a = arena.loc[a];
+  const uint64_t loc_b = arena.loc[b];
+  const size_t d = tree_->num_dims_;
+  if (arena.owner[a] == arena.owner[b]) {  // Same base: loc bits decide.
+    for (size_t j = 0; j < d; ++j) {
+      if (((loc_b >> j) & 1) != ((loc_a >> j) & 1) + offset[j]) return false;
+    }
+    return true;
+  }
+  const uint64_t* base_a = tree_->nodes_[arena.owner[a]].base_coords.data();
+  const uint64_t* base_b = tree_->nodes_[arena.owner[b]].base_coords.data();
+  for (size_t j = 0; j < d; ++j) {
+    if (base_b[j] * 2 + ((loc_b >> j) & 1) !=
+        base_a[j] * 2 + ((loc_a >> j) & 1) + offset[j]) {
+      return false;
+    }
+  }
+  return true;
+}
+
 size_t CountingTree::NumCellsAtLevel(int h) const {
   MRCC_DCHECK_GE(h, 1);
   MRCC_DCHECK_LT(h, num_resolutions_);

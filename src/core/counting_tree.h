@@ -131,6 +131,11 @@ class CountingTree {
 
     std::vector<uint64_t> Coords(uint32_t i) const;
 
+    /// True when coords(b) = coords(a) + offset (d values, each added
+    /// mod 2^64). Exact; cells of one node compare by loc bits alone, so
+    /// only cells of different nodes read their nodes' base coordinates.
+    bool AtOffset(uint32_t a, uint32_t b, const uint64_t* offset) const;
+
     CellRef ref(uint32_t i) const { return CellRef{level_, i}; }
 
    private:

@@ -1,6 +1,6 @@
 #include "core/laplacian_mask.h"
 
-#include <cmath>
+#include <utility>
 
 #include "common/check.h"
 #include "common/simd.h"
@@ -16,20 +16,65 @@ size_t Pow3(size_t d) {
 
 }  // namespace
 
-void FaceLaplacianConvolveRange(const CountingTree::LevelView& view,
-                                const LevelIndex& index, uint32_t begin,
-                                uint32_t end, int64_t* out) {
+size_t PositiveOffsets(size_t d, bool full_mask) {
+  if (!full_mask) return d;
+  MRCC_DCHECK_LE(d, kMaxFullMaskDims);
+  return (Pow3(d) - 1) / 2;
+}
+
+void SubtractNeighborPairs(const LevelKeys& keys, bool full_mask,
+                           size_t begin, size_t end, int64_t* acc) {
+  const CountingTree::LevelView& view = keys.view();
   const size_t d = view.num_dims();
-  MRCC_DCHECK_EQ(index.level(), view.level());
-  MRCC_DCHECK_LE(end, view.num_cells());
-  MRCC_DCHECK_LE(begin, end);
+  MRCC_DCHECK_LE(end, PositiveOffsets(d, full_mask));
   const uint32_t* counts = view.counts().data();
-  // Seed every response with the center term 2d * n in one streaming
-  // pass, then subtract the face neighbors cell by cell.
-  simd::ScaleU32ToI64(out + begin, counts + begin, end - begin,
-                      2 * static_cast<int64_t>(d));
-  for (uint32_t i = begin; i < end; ++i) {
-    out[i] -= index.FaceNeighborSum(i, counts);
+  const size_t center = full_mask ? PositiveOffsets(d, true) : 0;
+  uint64_t offset[CountingTree::kMaxDims];
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  for (size_t k = begin; k < end; ++k) {
+    // Offset k — e_k, or the k-th odometer code after the center — with
+    // entries mod 2^64, and its key shift Σ_j o_j·K_j.
+    size_t code = center + 1 + k;
+    uint64_t shift = 0;
+    for (size_t j = d; j-- > 0;) {
+      offset[j] = full_mask ? uint64_t{code % 3} - 1 : (j == k);
+      code /= 3;
+      shift += offset[j] * keys.axis_key(j);
+    }
+    // Key matches first, then their exact compares in a loop of their
+    // own, so the compares' cache misses do not stall the join.
+    pairs.clear();
+    keys.ForEachShiftedPair(shift, [&](uint32_t a, uint32_t b) {
+      pairs.emplace_back(a, b);
+    });
+    for (const auto& [a, b] : pairs) {
+      // Exact compare: b must sit at a + offset (an off-cube step wraps
+      // past every valid coordinate and never matches).
+      if (!view.AtOffset(a, b, offset)) continue;
+      acc[a] -= counts[b];
+      acc[b] -= counts[a];
+    }
+  }
+}
+
+void LaplacianConvolveLevel(const LevelKeys& keys, bool full_mask,
+                            ThreadPool& pool, int64_t* out) {
+  const CountingTree::LevelView& view = keys.view();
+  const size_t n = view.num_cells();
+  const size_t offsets = PositiveOffsets(view.num_dims(), full_mask);
+  // Center weight = number of neighbor offsets: 2d, or 3^d - 1.
+  simd::ScaleU32ToI64(out, view.counts().data(), n,
+                      2 * static_cast<int64_t>(offsets));
+  std::vector<std::vector<int64_t>> partial(
+      static_cast<size_t>(pool.num_threads()));
+  pool.ParallelFor(offsets, [&](int t, size_t begin, size_t end) {
+    std::vector<int64_t>& mine = partial[static_cast<size_t>(t)];
+    if (t > 0) mine.assign(n, 0);
+    SubtractNeighborPairs(keys, full_mask, begin, end,
+                          t > 0 ? mine.data() : out);
+  });
+  for (const std::vector<int64_t>& acc : partial) {
+    for (size_t i = 0; i < acc.size(); ++i) out[i] += acc[i];
   }
 }
 
@@ -46,48 +91,6 @@ int64_t FaceLaplacianConvolve(const CountingTree& tree, int level,
     acc -= tree.FaceNeighborCount(level, coords, j, +1);
   }
   return acc;
-}
-
-void FullLaplacianConvolveRange(const CountingTree::LevelView& view,
-                                const LevelIndex& index, uint32_t begin,
-                                uint32_t end, int64_t* out) {
-  const size_t d = view.num_dims();
-  MRCC_DCHECK_LE(d, kMaxFullMaskDims);
-  MRCC_DCHECK_EQ(index.level(), view.level());
-  MRCC_DCHECK_LE(end, view.num_cells());
-  MRCC_DCHECK_LE(begin, end);
-  const uint32_t* counts = view.counts().data();
-  const uint64_t max_coord = (uint64_t{1} << view.level()) - 1;
-  const size_t cells = Pow3(d);
-  const int64_t center_weight = static_cast<int64_t>(cells) - 1;
-  std::vector<uint64_t> probe(d);
-  for (uint32_t i = begin; i < end; ++i) {
-    const uint64_t* coords = index.CellCoords(i);
-    const uint64_t center_key = index.Key(coords);
-    int64_t neighbor_sum = 0;
-    // Odometer over {-1,0,1}^d offsets; the probe key moves by
-    // off_j * K_j per axis, so no probe rehashes its coordinates.
-    for (size_t code = 0; code < cells; ++code) {
-      size_t rem = code;
-      bool is_center = true;
-      bool in_bounds = true;
-      uint64_t key = center_key;
-      for (size_t j = d; j-- > 0;) {
-        const int off = static_cast<int>(rem % 3) - 1;
-        rem /= 3;
-        if (off != 0) is_center = false;
-        if (off < 0 && coords[j] == 0) in_bounds = false;
-        if (off > 0 && coords[j] == max_coord) in_bounds = false;
-        const uint64_t step = static_cast<uint64_t>(static_cast<int64_t>(off));
-        probe[j] = coords[j] + step;
-        key += step * index.axis_key(j);
-      }
-      if (is_center || !in_bounds) continue;
-      const int64_t found = index.FindKeyed(probe.data(), key);
-      if (found >= 0) neighbor_sum += counts[found];
-    }
-    out[i] = center_weight * counts[i] - neighbor_sum;
-  }
 }
 
 int64_t FullLaplacianConvolve(const CountingTree& tree, int level,

@@ -7,36 +7,32 @@
 // O(d) instead of O(3^d).
 //
 // Two access tiers:
-//   - The *Range functions are the production path: they convolve a
-//     contiguous run of one level's packed arena, seeding all center
-//     terms with one SIMD streaming pass (simd::ScaleU32ToI64) and
-//     resolving neighbors through a LevelIndex, whose linear keys make
-//     each probe one key step plus one hash instead of an O(level * d)
-//     root descent — O(d) per cell for the face-only mask. The β-search
-//     calls these from its parallel sweep.
+//   - LaplacianConvolveLevel is the production path. A mask is a center
+//     weight minus the counts at offsets that come in ± pairs; for each
+//     positive offset o one merge-join over the level's sorted keys
+//     (LevelKeys) finds every pair of cells o apart, confirms it by an
+//     exact coordinate compare, and subtracts each cell's count from the
+//     other's response. The face-only mask is d joins: O(d) sequential
+//     work per cell, no random probes.
 //   - The single-cell functions convolve one cell through the tree's
-//     FindCell walk — convenient for tests, reference checks and
-//     benchmarks; results are identical.
+//     FindCell walk — the reference the joins are tested against;
+//     results are identical.
 //
 // The full order-3 mask (center 3^d - 1, everything else -1, Fig. 2a) is
-// also provided for the ablation study and for testing the face-only
-// shortcut; it is exponential in d and gated to small dimensionalities.
+// also provided for the ablation study: the same joins over its
+// (3^d - 1)/2 positive offsets, exponential in d and gated to small
+// dimensionalities.
 
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "common/parallel.h"
 #include "core/counting_tree.h"
-#include "core/level_index.h"
+#include "core/level_keys.h"
 
 namespace mrcc {
-
-/// Face-only Laplacian responses of cells [begin, end) of `view`, written
-/// to out[begin..end). `index` must be built over the same level.
-void FaceLaplacianConvolveRange(const CountingTree::LevelView& view,
-                                const LevelIndex& index, uint32_t begin,
-                                uint32_t end, int64_t* out);
 
 /// Face-only Laplacian response of the cell at `coords` on `level`:
 ///   2d * n  -  sum over axes of (lower face neighbor count
@@ -48,14 +44,27 @@ int64_t FaceLaplacianConvolve(const CountingTree& tree, int level,
                               uint32_t center_count);
 
 /// Maximum dimensionality accepted by the full-mask routines (3^d cells
-/// per convolution grows fast; 12 keeps it under ~0.5M neighbor probes).
+/// per convolution grows fast; 12 keeps it under ~0.5M neighbor offsets).
 inline constexpr size_t kMaxFullMaskDims = 12;
 
-/// Full order-3 Laplacian responses of cells [begin, end) of `view` (the
-/// ablation path). Requires num_dims <= kMaxFullMaskDims.
-void FullLaplacianConvolveRange(const CountingTree::LevelView& view,
-                                const LevelIndex& index, uint32_t begin,
-                                uint32_t end, int64_t* out);
+/// Positive offsets of a mask, one per ± pair: d (face-only, offset k is
+/// e_k) or (3^d - 1)/2 (full, offset k is the k-th {-1,0,1}^d odometer
+/// code after the center). Full requires d <= kMaxFullMaskDims.
+size_t PositiveOffsets(size_t d, bool full_mask);
+
+/// The join kernel. For every positive offset o with index in
+/// [begin, end) and every pair of materialized cells c, c + o of
+/// keys.view(): acc[c] -= n(c + o) and acc[c + o] -= n(c). Summed over
+/// all PositiveOffsets(), acc gains minus the mask's neighbor term.
+void SubtractNeighborPairs(const LevelKeys& keys, bool full_mask,
+                           size_t begin, size_t end, int64_t* acc);
+
+/// Laplacian responses (face-only, or full when `full_mask`) of every cell
+/// of keys.view() into out[0..num_cells), arena order. Workers split the
+/// offsets into private integer accumulators (worker 0 into `out`), so
+/// the responses are identical for every thread count.
+void LaplacianConvolveLevel(const LevelKeys& keys, bool full_mask,
+                            ThreadPool& pool, int64_t* out);
 
 /// Full order-3 Laplacian response: (3^d - 1) * n - sum of all 3^d - 1
 /// neighbor counts (faces and corners). Requires d <= kMaxFullMaskDims.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -239,6 +240,28 @@ TEST(BetaFinderTest, RelevanceDiagnosticsPopulated) {
     EXPECT_GE(beta.level, 2);
     EXPECT_GT(beta.center_count, 0u);
   }
+}
+
+// A corrupt tree whose level-2 cells have no parent cell ends the search
+// with Internal instead of aborting the process.
+TEST(BetaFinderTest, MissingParentCellIsInternalError) {
+  Rng rng(3);
+  Dataset d(400, 3);
+  for (size_t i = 0; i < 400; ++i) {
+    for (size_t j = 0; j < 3; ++j) d(i, j) = 0.45 * rng.UniformDouble();
+  }
+  Result<CountingTree> tree = CountingTree::Build(d, 4);
+  ASSERT_TRUE(tree.ok());
+  // Every point lies in level-1 cell (0, 0, 0); move it to (1, 0, 0).
+  ASSERT_EQ(tree->NumCellsAtLevel(1), 1u);
+  CountingTree::TestPeer::Loc(*tree, CountingTree::CellRef{1, 0}) ^= 1;
+  const Result<BetaSearchResult> result =
+      RunBetaSearch(*tree, BetaFinderOptions{});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  EXPECT_NE(result.status().message().find("no parent cell"),
+            std::string::npos)
+      << result.status().ToString();
 }
 
 }  // namespace

@@ -109,24 +109,20 @@ TEST(ConvolveTest, FullConvolutionMatchesDenseMask) {
   }
 }
 
-// The batched arena-order convolutions (the β-search hot path) must agree
-// cell for cell with the single-cell forms.
+// The whole-level merge-join convolutions (the β-search hot path) must
+// agree cell for cell with the single-cell forms.
 TEST(ConvolveTest, BatchedRangesMatchSingleCellForms) {
   Dataset data = testing::UniformDataset(800, 3, 41);
   Result<CountingTree> tree = CountingTree::Build(data, 4);
   ASSERT_TRUE(tree.ok());
   for (int h = 1; h < 4; ++h) {
     const CountingTree::LevelView level = tree->Level(h);
-    const LevelIndex index(level);
+    const LevelKeys keys(level);
     const size_t cells = level.num_cells();
     std::vector<int64_t> face(cells, -1), full(cells, -1);
-    // Split the range to check absolute positioning of partial batches.
-    const uint32_t mid = static_cast<uint32_t>(cells / 2);
-    FaceLaplacianConvolveRange(level, index, 0, mid, face.data());
-    FaceLaplacianConvolveRange(level, index, mid,
-                               static_cast<uint32_t>(cells), face.data());
-    FullLaplacianConvolveRange(level, index, 0, static_cast<uint32_t>(cells),
-                               full.data());
+    ThreadPool pool(2);
+    LaplacianConvolveLevel(keys, /*full_mask=*/false, pool, face.data());
+    LaplacianConvolveLevel(keys, /*full_mask=*/true, pool, full.data());
     for (uint32_t i = 0; i < cells; ++i) {
       const auto coords = level.Coords(i);
       EXPECT_EQ(face[i],
