@@ -4,8 +4,7 @@
 // (Fig. 4 / Fig. 5): it builds the corresponding dataset family, runs the
 // configured methods, and prints the same rows the paper plots — Quality,
 // Subspaces Quality, memory (KB) and wall-clock seconds — plus machine-
-// readable CSV and (via --json_out=) a schema-versioned BenchRecord JSON
-// that tools/bench_compare.py diffs against a baseline.
+// readable CSV and (via --json_out=) a schema-versioned BenchRecord JSON.
 //
 // Environment knobs:
 //   MRCC_BENCH_SCALE    point-count multiplier (default 0.125). The shape

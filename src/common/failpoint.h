@@ -8,14 +8,14 @@
 //   if (fp::MaybeTrue("source.read.truncate")) { ... }     // boolean seam
 //
 // Disarmed (the production state) a check is one relaxed atomic load and a
-// predictable branch — cheap enough for per-point hot paths; the
-// bench_compare gate holds bench_scale_points within noise of the
-// pre-failpoint baseline. Armed, the slow path looks the site up in a
-// mutex-guarded registry, counts the hit and decides deterministically
-// from (trigger spec, hit count) whether to fire. Firing yields the
-// site's registered StatusCode ("source.*" sites are IOError, "*.alloc"
-// sites ResourceExhausted, ...), so injected faults exercise exactly the
-// error category a real failure would.
+// predictable branch — cheap enough for per-point hot paths;
+// bench_scale_points measured within noise of the pre-failpoint build.
+// Armed, the slow path looks the site up in a mutex-guarded registry,
+// counts the hit and decides deterministically from (trigger spec, hit
+// count) whether to fire. Firing yields the site's registered StatusCode
+// ("source.*" sites are IOError, "*.alloc" sites ResourceExhausted, ...),
+// so injected faults exercise exactly the error category a real failure
+// would.
 //
 // Arming:
 //   - tests: fp::ScopedArm arm("tree.build.alloc");      // RAII disarm

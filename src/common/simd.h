@@ -143,51 +143,6 @@ inline void ScaleU32ToI64(int64_t* out, const uint32_t* in, size_t n,
 #endif
 }
 
-/// acc[j] += (flags[j] == 0) for j in [0, n) — the half-space count
-/// update of one point insertion (flags[j] = next-level position bit).
-inline void IncrementWhereZero(uint32_t* acc, const uint8_t* flags,
-                               size_t n) {
-#if defined(MRCC_SIMD_AVX2)
-  size_t j = 0;
-  const __m128i zero8 = _mm_setzero_si128();
-  const __m256i one = _mm256_set1_epi32(1);
-  for (; j + 8 <= n; j += 8) {
-    // 8 flag bytes -> 8x 32-bit lanes of (flag == 0 ? 1 : 0).
-    const __m128i bytes = _mm_loadl_epi64(
-        reinterpret_cast<const __m128i*>(flags + j));
-    const __m128i is_zero = _mm_cmpeq_epi8(bytes, zero8);
-    const __m256i mask32 = _mm256_cvtepi8_epi32(is_zero);
-    const __m256i inc = _mm256_and_si256(mask32, one);
-    const __m256i cur =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + j));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + j),
-                        _mm256_add_epi32(cur, inc));
-  }
-  for (; j < n; ++j) acc[j] += flags[j] == 0 ? 1u : 0u;
-#elif defined(MRCC_SIMD_NEON)
-  size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const uint8x8_t bytes = vld1_u8(flags + j);
-    const uint8x8_t is_zero = vceq_u8(bytes, vdup_n_u8(0));
-    // 0xFF -> 1 per byte, widen to 32 bits and accumulate.
-    const uint8x8_t inc8 = vand_u8(is_zero, vdup_n_u8(1));
-    const uint16x8_t inc16 = vmovl_u8(inc8);
-    uint32x4_t lo = vld1q_u32(acc + j);
-    uint32x4_t hi = vld1q_u32(acc + j + 4);
-    lo = vaddw_u16(lo, vget_low_u16(inc16));
-    hi = vaddw_u16(hi, vget_high_u16(inc16));
-    vst1q_u32(acc + j, lo);
-    vst1q_u32(acc + j + 4, hi);
-  }
-  for (; j < n; ++j) acc[j] += flags[j] == 0 ? 1u : 0u;
-#else
-  for (size_t j = 0; j < n; ++j) {
-    // Branchless: the comparison result is exactly the increment.
-    acc[j] += static_cast<uint32_t>(flags[j] == 0);
-  }
-#endif
-}
-
 /// First index i in [0, n) with p[i] == key, or -1. Linear sibling-loc
 /// scan inside one packed node (nodes below the hash-index threshold).
 inline int64_t FindU64(const uint64_t* p, size_t n, uint64_t key) {

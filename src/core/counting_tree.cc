@@ -82,6 +82,82 @@ class SiblingLocSet {
   uint32_t generation_ = 0;
 };
 
+// Transposes the 8 x 8 bit matrix whose row r is byte r of x (bit r * 8 +
+// c moves to bit c * 8 + r) in three rounds of block swaps.
+inline uint64_t Transpose8x8(uint64_t x) {
+  x = (x & 0xAA55AA55AA55AA55ull) | ((x & 0x00AA00AA00AA00AAull) << 7) |
+      ((x >> 7) & 0x00AA00AA00AA00AAull);
+  x = (x & 0xCCCC3333CCCC3333ull) | ((x & 0x0000CCCC0000CCCCull) << 14) |
+      ((x >> 14) & 0x0000CCCC0000CCCCull);
+  x = (x & 0xF0F0F0F00F0F0F0Full) | ((x & 0x00000000F0F0F0F0ull) << 28) |
+      ((x >> 28) & 0x00000000F0F0F0F0ull);
+  return x;
+}
+
+// Bits per digit of the run sort: 2048 buckets, whose counters and
+// write cursors stay in L1/L2 while a pass streams the records.
+constexpr int kRadixBits = 11;
+
+// Bits [lo, lo + width) of the little-endian integer in key[0..words),
+// width <= 64; bits past the last word read as 0.
+inline uint64_t KeyBits(const uint64_t* key, size_t words, size_t lo,
+                        int width) {
+  const size_t w = lo >> 6;
+  const unsigned shift = lo & 63;
+  uint64_t v = key[w] >> shift;
+  if (shift + static_cast<unsigned>(width) > 64 && w + 1 < words) {
+    v |= key[w + 1] << (64 - shift);
+  }
+  return width >= 64 ? v : v & ((uint64_t{1} << width) - 1);
+}
+
+// Stable LSD radix sort of `records` (`stride` words each) by bits
+// [lo, hi) of the little-endian integer in each record's first
+// `key_words` words, kRadixBits per pass. All digit histograms come from
+// one read pass; a pass whose digit is the same for every record moves
+// nothing and is skipped.
+void RadixSortRecords(std::vector<uint64_t>& records, size_t stride,
+                      size_t key_words, size_t lo, size_t hi) {
+  const size_t count = records.size() / stride;
+  if (count < 2 || hi <= lo) return;
+  constexpr size_t kBuckets = size_t{1} << kRadixBits;
+  const size_t passes = (hi - lo + kRadixBits - 1) / kRadixBits;
+  const auto width_of = [&](size_t pass) {
+    return static_cast<int>(
+        std::min<size_t>(kRadixBits, hi - lo - pass * kRadixBits));
+  };
+  std::vector<uint32_t> histograms(passes * kBuckets, 0);
+  for (size_t r = 0; r < count; ++r) {
+    const uint64_t* rec = records.data() + r * stride;
+    for (size_t p = 0; p < passes; ++p) {
+      ++histograms[p * kBuckets +
+                   KeyBits(rec, key_words, lo + p * kRadixBits, width_of(p))];
+    }
+  }
+  std::vector<uint64_t> scratch(records.size());
+  for (size_t p = 0; p < passes; ++p) {
+    uint32_t* next = histograms.data() + p * kBuckets;
+    const size_t digit_lo = lo + p * kRadixBits;
+    const int width = width_of(p);
+    if (next[KeyBits(records.data(), key_words, digit_lo, width)] == count) {
+      continue;
+    }
+    uint32_t start = 0;
+    for (size_t b = 0; b < kBuckets; ++b) {
+      const uint32_t c = next[b];
+      next[b] = start;
+      start += c;
+    }
+    // One stable counting-sort pass: next[digit] is the bucket's next slot.
+    for (size_t r = 0; r < count; ++r) {
+      const uint64_t* rec = records.data() + r * stride;
+      const size_t slot = next[KeyBits(rec, key_words, digit_lo, width)]++;
+      std::copy(rec, rec + stride, scratch.data() + slot * stride);
+    }
+    records.swap(scratch);
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -194,24 +270,338 @@ Status CountingTree::Insert(std::span<const double> point) {
   if (point.size() != num_dims_) {
     return Status::InvalidArgument("point dimensionality mismatch");
   }
-  for (double v : point) {
-    if (!(v >= 0.0 && v < 1.0)) {
-      return Status::InvalidArgument(
-          "points must be normalized to [0,1)^d before insertion");
-    }
+  bool in_cube = true;
+  for (double v : point) in_cube &= (v >= 0.0) & (v < 1.0);
+  if (!in_cube) {
+    return Status::InvalidArgument(
+        "points must be normalized to [0,1)^d before insertion");
   }
-  if (packed_) Unpack();
-  InsertPoint(point);
+  const size_t words = KeyWords();
+  if ((run_.size() + words + 1) * sizeof(uint64_t) > kMaxRunBytes) {
+    FlushRun();
+  }
+  const size_t at = run_.size();
+  if (at + words + 1 > run_.capacity()) {
+    // Grow by doubling, but never past the cap: the run's memory is
+    // bounded by kMaxRunBytes, not just its contents.
+    run_.reserve(std::min(std::max(2 * run_.capacity(), 64 * (words + 1)),
+                          kMaxRunBytes / sizeof(uint64_t)));
+  }
+  run_.resize(at + words + 1, 0);  // BuildRun numbers the records.
+  DigitKey(point, run_.data() + at);
   return Status::OK();
 }
 
 void CountingTree::Seal() {
-  if (packed_) return;
-  Pack();
+  if (sealed()) return;
+  FlushRun();
+  if (!packed_) Pack();
   // A search may have marked cells before the inserts; new cells start
   // unused, so clear everything for the next search.
   ResetUsedFlags();
   DCheckInvariants(*this);
+}
+
+void CountingTree::DigitKey(std::span<const double> point,
+                            uint64_t* key) const {
+  // With g_j = floor(x_j * 2^H), the level-h digit of axis j is bit H - h
+  // of g_j, stored at key bit d * (H - h) + j: level 1 on top, the H-th
+  // digit (half-space bits of the deepest cell) at the bottom.
+  // Multiplying a finite x in [0,1) by 2^H is an exact exponent shift, so
+  // g_j holds the coordinate's first H binary digits exactly (and fits an
+  // int64_t, H <= 63).
+  const size_t d = num_dims_;
+  const auto resolutions = static_cast<size_t>(num_resolutions_);
+  const double scale = std::ldexp(1.0, num_resolutions_);
+  uint64_t grid[kMaxDims + 7] = {};
+  for (size_t j = 0; j < d; ++j) {
+    grid[j] = static_cast<uint64_t>(static_cast<int64_t>(point[j] * scale));
+  }
+  // Transposing the d x H bit matrix 8 x 8 bits at a time: byte k of
+  // `block` holds bits [8c, 8c + 8) of g_{8m+k}; after Transpose8x8 byte
+  // t holds bit 8c + t of g_{8m}..g_{8m+7}, the level digit's 8 bits for
+  // axes 8m..8m+7. Padding axes and bits past H are zero.
+  for (size_t c = 0; 8 * c < resolutions; ++c) {
+    uint64_t rows[(kMaxDims + 7) / 8] = {};
+    for (size_t m = 0; 8 * m < d; ++m) {
+      uint64_t block = 0;
+      for (size_t k = 0; k < 8; ++k) {
+        block |= ((grid[8 * m + k] >> (8 * c)) & 0xff) << (8 * k);
+      }
+      rows[m] = Transpose8x8(block);
+    }
+    for (size_t t = 8 * c; t < std::min(resolutions, 8 * c + 8); ++t) {
+      uint64_t digit = 0;
+      for (size_t m = 0; 8 * m < d; ++m) {
+        digit |= ((rows[m] >> (8 * (t - 8 * c))) & 0xff) << (8 * m);
+      }
+      const size_t bit = d * t;
+      const unsigned shift = bit & 63;
+      key[bit >> 6] |= digit << shift;
+      if (shift + d > 64) key[(bit >> 6) + 1] |= digit >> (64 - shift);
+    }
+  }
+}
+
+uint64_t CountingTree::total_points() const {
+  return total_points_ + run_.size() / (KeyWords() + 1);
+}
+
+size_t CountingTree::KeyWords() const {
+  return (num_dims_ * static_cast<size_t>(num_resolutions_) + 63) / 64;
+}
+
+void CountingTree::FlushRun() {
+  if (run_.empty()) return;
+  CountingTree built = BuildRun();
+  if (total_points_ == 0) {
+    // Nothing counted yet, so no cells: the run's tree is this tree.
+    nodes_ = std::move(built.nodes_);
+    by_level_ = std::move(built.by_level_);
+    arenas_ = std::move(built.arenas_);
+    total_points_ = built.total_points_;
+    packed_ = true;
+    return;
+  }
+  // Same d and H, sealed, built in creation order: the fold cannot fail.
+  const Result<MergeTreeStats> folded = InsertTree(built);
+  MRCC_CHECK(folded.ok());
+}
+
+CountingTree CountingTree::BuildRun() {
+  const size_t d = num_dims_;
+  const int resolutions = num_resolutions_;
+  const int deepest = resolutions - 1;
+  const size_t words = KeyWords();
+  const size_t stride = words + 1;
+  const size_t points = run_.size() / stride;
+  const auto digit_lo = [&](int h) {  // Lowest key bit of level h's digit.
+    return d * static_cast<size_t>(resolutions - h);
+  };
+
+  // Sort by the digits of levels 1..H-1: then every cell of every level
+  // is one contiguous group of records, and LSD stability keeps each
+  // group in stream order.
+  std::vector<uint64_t> run = std::move(run_);
+  run_ = {};
+  for (size_t r = 0; r < points; ++r) run[r * stride + words] = r;
+  RadixSortRecords(run, stride, words, d, d * static_cast<size_t>(resolutions));
+  const auto record = [&](size_t r) { return run.data() + r * stride; };
+
+  // split[r]: the shallowest level at which record r's cell differs from
+  // record r - 1's (the highest differing digit bit), H when the two
+  // share their deepest cell. Record r opens a new cell at every level
+  // from split[r] down, so these also size each level exactly.
+  std::vector<uint8_t> split(points);
+  std::vector<size_t> cells(static_cast<size_t>(resolutions), 0);
+  const uint64_t low_mask = (uint64_t{1} << d) - 1;  // The H-th digit.
+  for (size_t r = 0; r < points; ++r) {
+    int level = 1;
+    if (r > 0) {
+      level = resolutions;
+      const uint64_t* a = record(r - 1);
+      const uint64_t* b = record(r);
+      for (size_t w = words; w-- > 0;) {
+        const uint64_t diff = (a[w] ^ b[w]) & (w == 0 ? ~low_mask : ~0ull);
+        if (diff != 0) {
+          const size_t bit =
+              64 * w + 63 - static_cast<size_t>(std::countl_zero(diff));
+          level = resolutions - static_cast<int>(bit / d);
+          break;
+        }
+      }
+    }
+    split[r] = static_cast<uint8_t>(level);
+    for (int h = level; h <= deepest; ++h) ++cells[static_cast<size_t>(h)];
+  }
+
+  // Every level's cells in key order. Record r opens one cell at each
+  // level from split[r] down; the deepest level is counted from its
+  // records, then each upper level is summed from its children.
+  struct KeyOrderLevel {
+    std::vector<uint64_t> loc;
+    std::vector<uint32_t> n;
+    std::vector<uint32_t> first;   // Lowest stream index in the cell.
+    std::vector<uint32_t> parent;  // Key-order index one level up.
+    std::vector<uint32_t> half;    // d per cell.
+  };
+  std::vector<KeyOrderLevel> levels(static_cast<size_t>(resolutions));
+  for (int h = 1; h <= deepest; ++h) {
+    KeyOrderLevel& lv = levels[static_cast<size_t>(h)];
+    const size_t count = cells[static_cast<size_t>(h)];
+    lv.loc.resize(count);
+    lv.n.resize(count);
+    lv.first.resize(count, UINT32_MAX);
+    lv.parent.resize(count);
+    lv.half.resize(count * d);
+  }
+  KeyOrderLevel& leaf = levels[static_cast<size_t>(deepest)];
+  std::vector<uint32_t> opened(static_cast<size_t>(resolutions), 0);
+  for (size_t r = 0; r < points; ++r) {
+    const uint64_t* rec = record(r);
+    for (int h = split[r]; h <= deepest; ++h) {
+      const auto hs = static_cast<size_t>(h);
+      KeyOrderLevel& lv = levels[hs];
+      const uint32_t c = opened[hs]++;
+      lv.loc[c] = KeyBits(rec, words, digit_lo(h), static_cast<int>(d));
+      lv.parent[c] = h == 1 ? 0 : opened[hs - 1] - 1;
+    }
+    const uint32_t c = opened[static_cast<size_t>(deepest)] - 1;
+    leaf.n[c] += 1;
+    // Stable sorting keeps the cell's records in stream order.
+    if (leaf.first[c] == UINT32_MAX) {
+      leaf.first[c] = static_cast<uint32_t>(rec[words]);
+    }
+    // The point is in the lower half of its deepest cell along e_j
+    // exactly when its H-th digit j is 0.
+    const uint64_t lower = ~rec[0] & low_mask;
+    uint32_t* half = leaf.half.data() + size_t{c} * d;
+    for (size_t j = 0; j < d; ++j) {
+      half[j] += static_cast<uint32_t>((lower >> j) & 1);
+    }
+  }
+  run = {};
+  split = {};
+  for (int h = deepest; h >= 2; --h) {
+    const KeyOrderLevel& lv = levels[static_cast<size_t>(h)];
+    KeyOrderLevel& up = levels[static_cast<size_t>(h - 1)];
+    for (size_t c = 0; c < lv.n.size(); ++c) {
+      const uint32_t p = lv.parent[c];
+      const uint32_t n = lv.n[c];
+      up.n[p] += n;
+      up.first[p] = std::min(up.first[p], lv.first[c]);
+      // A child whose loc bit j is 0 lies in its parent's lower half.
+      const uint64_t lower = ~lv.loc[c];
+      uint32_t* half = up.half.data() + size_t{p} * d;
+      for (size_t j = 0; j < d; ++j) {
+        half[j] += n * static_cast<uint32_t>((lower >> j) & 1);
+      }
+    }
+  }
+
+  // Creation order. The point at a cell's first stream index creates it
+  // and, above the deepest level, its child node; a point creates its
+  // new cells top-down. So visiting every cell by (first, level) meets
+  // nodes in pool order and each node's cells in creation order. Sort
+  // (first << 6 | level, level << 32 | key-order index) records.
+  size_t total_cells = 0;
+  for (size_t count : cells) total_cells += count;
+  std::vector<uint64_t> visit;
+  visit.reserve(2 * total_cells);
+  for (int h = 1; h <= deepest; ++h) {
+    const KeyOrderLevel& lv = levels[static_cast<size_t>(h)];
+    for (size_t c = 0; c < lv.first.size(); ++c) {
+      visit.push_back(uint64_t{lv.first[c]} << 6 | static_cast<uint64_t>(h));
+      visit.push_back(static_cast<uint64_t>(h) << 32 | c);
+    }
+  }
+  RadixSortRecords(visit, 2, 1, 0,
+                   6 + static_cast<size_t>(std::bit_width(points)));
+
+  CountingTree tree(d, resolutions);
+  tree.total_points_ = points;
+  tree.by_level_.resize(static_cast<size_t>(resolutions));
+  tree.arenas_.resize(static_cast<size_t>(resolutions));
+  size_t num_nodes = 1;
+  for (int h = 1; h < deepest; ++h) num_nodes += cells[static_cast<size_t>(h)];
+  tree.nodes_.resize(num_nodes);
+  Node& root = tree.nodes_[0];
+  root.base_coords.assign(d, 0);
+  root.count = static_cast<uint32_t>(cells[1]);
+  tree.by_level_[1].push_back(0);
+  for (int h = 2; h <= deepest; ++h) {
+    tree.by_level_[static_cast<size_t>(h)].reserve(
+        cells[static_cast<size_t>(h - 1)]);
+  }
+
+  // Per level: each cell's arena slot, and (above the deepest level) its
+  // child node and that node's next free slot.
+  std::vector<std::vector<uint32_t>> slot(static_cast<size_t>(resolutions));
+  std::vector<std::vector<uint32_t>> node_of(static_cast<size_t>(resolutions));
+  std::vector<std::vector<uint32_t>> next_slot(
+      static_cast<size_t>(resolutions));
+  std::vector<uint32_t> children(static_cast<size_t>(resolutions), 0);
+  for (int h = 1; h <= deepest; ++h) {
+    const size_t count = cells[static_cast<size_t>(h)];
+    slot[static_cast<size_t>(h)].resize(count);
+    if (h < deepest) {
+      node_of[static_cast<size_t>(h)].resize(count);
+      next_slot[static_cast<size_t>(h)].resize(count);
+    }
+  }
+  // Each node's cell count: its parent cell's children in key order.
+  std::vector<std::vector<uint32_t>> fanout(static_cast<size_t>(resolutions));
+  for (int h = 1; h < deepest; ++h) {
+    std::vector<uint32_t>& f = fanout[static_cast<size_t>(h)];
+    f.assign(cells[static_cast<size_t>(h)], 0);
+    for (uint32_t p : levels[static_cast<size_t>(h + 1)].parent) ++f[p];
+  }
+  uint32_t root_cells = 0;
+  uint32_t next_node = 1;
+  for (size_t v = 0; v < visit.size(); v += 2) {
+    const auto h = static_cast<int>(visit[v + 1] >> 32);
+    const auto c = static_cast<uint32_t>(visit[v + 1]);
+    const auto hs = static_cast<size_t>(h);
+    const KeyOrderLevel& lv = levels[hs];
+    uint32_t owner = 0;
+    if (h == 1) {
+      slot[1][c] = root_cells++;
+    } else {
+      const uint32_t parent = lv.parent[c];
+      owner = node_of[hs - 1][parent];
+      slot[hs][c] = next_slot[hs - 1][parent]++;
+    }
+    if (h == deepest) continue;
+    // The cell's child node: the next node of the pool. Its base is the
+    // cell's own coordinates, one level below its owner's base.
+    const uint32_t k = next_node++;
+    node_of[hs][c] = k;
+    Node& node = tree.nodes_[k];
+    node.level = h + 1;
+    node.first = children[hs + 1];
+    node.count = fanout[hs][c];
+    children[hs + 1] += node.count;
+    next_slot[hs][c] = node.first;
+    const std::vector<uint64_t>& base = tree.nodes_[owner].base_coords;
+    node.base_coords.resize(d);
+    for (size_t j = 0; j < d; ++j) {
+      node.base_coords[j] = base[j] * 2 + ((lv.loc[c] >> j) & 1);
+    }
+    tree.by_level_[hs + 1].push_back(k);
+  }
+  visit = {};
+  fanout = {};
+  next_slot = {};
+
+  // Scatter each level's key-order cells to their arena slots.
+  for (int h = 1; h <= deepest; ++h) {
+    const auto hs = static_cast<size_t>(h);
+    KeyOrderLevel& lv = levels[hs];
+    const size_t count = cells[hs];
+    Arena& arena = tree.arenas_[hs];
+    arena.loc.resize(count);
+    arena.n.resize(count);
+    arena.child.resize(count);
+    arena.used.resize(count);
+    arena.owner.resize(count);
+    arena.half.resize(count * d);
+    for (size_t c = 0; c < count; ++c) {
+      const uint32_t i = slot[hs][c];
+      arena.loc[i] = lv.loc[c];
+      arena.n[i] = lv.n[c];
+      arena.child[i] =
+          h < deepest ? static_cast<int32_t>(node_of[hs][c]) : -1;
+      arena.owner[i] = h == 1 ? 0 : node_of[hs - 1][lv.parent[c]];
+      std::copy_n(lv.half.data() + c * d, d, arena.half.data() + size_t{i} * d);
+    }
+    lv = KeyOrderLevel{};
+    if (h > 1) node_of[hs - 1] = {};
+    slot[hs] = {};
+  }
+  for (Node& node : tree.nodes_) tree.IndexNode(node);
+  tree.packed_ = true;
+  DCheckInvariants(tree);
+  return tree;
 }
 
 Result<MergeTreeStats> CountingTree::InsertTree(const CountingTree& other) {
@@ -226,7 +616,7 @@ Result<MergeTreeStats> CountingTree::InsertTree(const CountingTree& other) {
   }
   // The walk below reads `other` through its packed slices; an unsealed
   // source's slices are stale and would be misread.
-  if (!other.packed_) {
+  if (!other.sealed()) {
     return Status::InvalidArgument(
         "source tree is not sealed: call Seal() before inserting it");
   }
@@ -260,8 +650,8 @@ Result<MergeTreeStats> CountingTree::InsertTree(const CountingTree& other) {
   // which is creation order, i.e. the order in which `other`'s point
   // stream first touched each region — and only create a missing
   // destination node at the moment its source counterpart is reached.
-  // Because InsertPoint creates a cell and its child node at the same
-  // point (the first one landing there), this reproduces exactly the node
+  // Because a cell and its child node are created by the same point
+  // (the first one landing in the cell), this reproduces exactly the node
   // and cell ordering a serial build over the concatenated point streams
   // would have produced; Seal() then restores the canonical arena layout
   // of that serial build. Pack only normalizes layout — it keeps the node
@@ -271,6 +661,7 @@ Result<MergeTreeStats> CountingTree::InsertTree(const CountingTree& other) {
   // are identical, not merely equivalent.
   MergeTreeStats stats;
   const size_t d = num_dims_;
+  FlushRun();  // This tree's own pending points come first in the stream.
   if (packed_) Unpack();
   // parent_cell[s]: the destination cell (one level above source node s)
   // that s refines, recorded while merging the parent's cells.
@@ -378,74 +769,6 @@ uint32_t CountingTree::FindOrCreateInNode(uint32_t node_idx, uint64_t loc) {
   return cell_idx;
 }
 
-void CountingTree::InsertPoint(std::span<const double> point) {
-  MRCC_DCHECK(!packed_);
-  const size_t d = num_dims_;
-  const int deepest = num_resolutions_ - 1;
-
-  // Binary expansion of each coordinate, one level beyond the deepest so
-  // half-space counts at the deepest level are available:
-  // bits[h-1][j] = h-th binary digit of point[j] (level-h position bit).
-  // Multiplying a finite x in [0,1) by the power of two 2^(deepest+1) is
-  // a pure exponent shift — exact, the same double std::ldexp returns —
-  // so the truncated integer holds all deepest+1 digits at once; digit h
-  // is bit (deepest+1-h). One scaled conversion replaces the
-  // digit-by-digit repeated-doubling loop (identical output: both read
-  // the same finite binary expansion), and the scale is computed once
-  // per point instead of a libm call per coordinate.
-  bits_scratch_.resize(static_cast<size_t>(deepest + 1) * d);
-  uint8_t* bits = bits_scratch_.data();
-  const double scale = std::ldexp(1.0, deepest + 1);
-  for (size_t j = 0; j < d; ++j) {
-    const auto grid = static_cast<uint64_t>(point[j] * scale);
-    for (int h = 1; h <= deepest + 1; ++h) {
-      bits[static_cast<size_t>(h - 1) * d + j] =
-          static_cast<uint8_t>((grid >> (deepest + 1 - h)) & 1);
-    }
-  }
-
-  uint32_t node_idx = 0;  // Root node (level-1 cells).
-  for (int h = 1; h <= deepest; ++h) {
-    const uint8_t* level_bits = bits + static_cast<size_t>(h - 1) * d;
-    const uint8_t* next_bits = bits + static_cast<size_t>(h) * d;
-
-    uint64_t loc = 0;
-    for (size_t j = 0; j < d; ++j) {
-      loc |= static_cast<uint64_t>(level_bits[j]) << j;
-    }
-
-    const uint32_t cell_idx = FindOrCreateInNode(node_idx, loc);
-    Arena& arena = arenas_[static_cast<size_t>(h)];
-    arena.n[cell_idx] += 1;
-    // The point is in the lower half of this cell along e_j exactly when
-    // its next-level bit is 0.
-    simd::IncrementWhereZero(&arena.half[static_cast<size_t>(cell_idx) * d],
-                             next_bits, d);
-
-    if (h < deepest) {
-      int32_t child = arena.child[cell_idx];
-      if (child < 0) {
-        std::vector<uint64_t> child_base(d);
-        const Node& node = nodes_[node_idx];
-        for (size_t j = 0; j < d; ++j) {
-          child_base[j] = node.base_coords[j] * 2 + ((loc >> j) & 1);
-        }
-        child = static_cast<int32_t>(NewNode(h + 1, std::move(child_base)));
-        arenas_[static_cast<size_t>(h)].child[cell_idx] = child;
-      }
-      node_idx = static_cast<uint32_t>(child);
-      // Pull the next level's node header (and its sibling-loc list) into
-      // cache while this level's bookkeeping retires.
-      const Node& next = nodes_[node_idx];
-      __builtin_prefetch(&next);
-      if (!next.cell_ids.empty()) {
-        __builtin_prefetch(next.cell_ids.begin());
-      }
-    }
-  }
-  ++total_points_;
-}
-
 uint32_t CountingTree::NewNode(int level, std::vector<uint64_t> base_coords) {
   const uint32_t idx = static_cast<uint32_t>(nodes_.size());
   Node node;
@@ -498,18 +821,23 @@ void CountingTree::Pack() {
     for (uint32_t node_idx : by_level_[static_cast<size_t>(h)]) {
       Node& node = nodes_[node_idx];
       node.cell_ids.Clear();
-      if (node.count > kIndexThreshold) {
-        node.index = std::make_unique<LocMap>();
-        node.index->Reserve(node.count * 2);
-        for (uint32_t i = 0; i < node.count; ++i) {
-          node.index->Insert(arena.loc[node.first + i], node.first + i);
-        }
-      } else {
-        node.index.reset();
-      }
+      IndexNode(node);
     }
   }
   packed_ = true;
+}
+
+void CountingTree::IndexNode(Node& node) const {
+  if (node.count <= kIndexThreshold) {
+    node.index.reset();
+    return;
+  }
+  const Arena& arena = arenas_[static_cast<size_t>(node.level)];
+  node.index = std::make_unique<LocMap>();
+  node.index->Reserve(node.count * 2);
+  for (uint32_t i = 0; i < node.count; ++i) {
+    node.index->Insert(arena.loc[node.first + i], node.first + i);
+  }
 }
 
 void CountingTree::Unpack() {
@@ -524,7 +852,7 @@ void CountingTree::Unpack() {
 // Read API.
 
 CountingTree::LevelView CountingTree::Level(int h) const {
-  MRCC_DCHECK(packed_);
+  MRCC_DCHECK(sealed());
   MRCC_DCHECK_GE(h, 1);
   MRCC_DCHECK_LT(h, num_resolutions_);
   return LevelView(this, h);
@@ -698,7 +1026,7 @@ Status CountingTree::DropDeepestLevel() {
     return Status::InvalidArgument(
         "cannot drop below the paper's minimum of H = 3 resolutions");
   }
-  MRCC_DCHECK(packed_);
+  MRCC_DCHECK(sealed());
   // Unlink the dropped level from its parent cells, then drop its arena
   // and compact the node pool. Compaction preserves relative order and
   // the surviving arenas are untouched, so the result has exactly the
@@ -909,7 +1237,8 @@ Status CountingTree::ValidateInvariants() const {
 }
 
 size_t CountingTree::MemoryBytes() const {
-  size_t bytes = sizeof(*this) + nodes_.size() * sizeof(Node);
+  size_t bytes = sizeof(*this) + nodes_.size() * sizeof(Node) +
+                 run_.capacity() * sizeof(uint64_t);
   for (const Node& node : nodes_) {
     bytes += node.base_coords.capacity() * sizeof(uint64_t);
     bytes += node.cell_ids.HeapBytes();

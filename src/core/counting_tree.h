@@ -23,19 +23,36 @@
 // many cells additionally carry a flat open-addressing loc -> cell map
 // (small nodes use a linear scan over the contiguous loc slice).
 //
-// During construction cells append to their level arena in point-stream
-// order, which interleaves the slices of different nodes; Seal() (run by
-// Build, MergeTree and after Insert / InsertTree) then *packs*
-// each arena into the canonical order — nodes in creation order, cells
-// in creation order within their node.
-// That order is load-bearing: the β-search argmax breaks ties by the
-// lowest cell index in exactly this enumeration, so packing is what
-// keeps results bit-identical across serial, sharded and reloaded
-// builds. All public read access requires a packed tree; the only
-// sanctioned way to read cells is the LevelView / CellRef API below.
+// Construction counts points by sorting them; no point walks the tree.
+// Insert() validates a point and appends one record to a pending run:
+// its digit key — the binary digits of its cell at levels 1..H-1
+// (level 1 most significant) followed by its H-th digit (the half-space
+// bits of its deepest cell), ceil(d * H / 64) words — and a word for
+// its stream index. Seal() — or Insert() when the run would pass
+// kMaxRunBytes — LSD-radix-sorts the run on the digits of levels
+// 1..H-1, counts the deepest level in one sequential pass, derives
+// every upper level from its children (n = sum of the children's n,
+// P[j] = sum of the n of the children whose loc bit j is 0), and writes
+// the packed arenas directly in the canonical order below. An empty
+// tree adopts the result; otherwise the layout-preserving InsertTree
+// fold counts it in and Seal() packs once.
 //
-// The tree is built in a single scan of the data: O(eta * H * d) time
-// and O(H * eta * d) space, matching Algorithm 1.
+// The canonical (packed) order: nodes in creation order — by the first
+// stream index of their parent cell, then by level — and cells in
+// creation order within their node, i.e. by their first stream index.
+// It is the order a point-at-a-time scan creates them in, so any split
+// of a stream into runs, sealed trees and folds gives the same bytes.
+// That order is load-bearing: the β-search argmax breaks ties by the
+// lowest cell index in exactly this enumeration, so it is what keeps
+// results bit-identical across serial, sharded and reloaded builds.
+// All public read access requires a sealed tree; the only sanctioned
+// way to read cells is the LevelView / CellRef API below.
+//
+// Cost: O(eta * d * H) key work plus O(eta * ceil(d * (H - 1) / b))
+// radix-sort work (b = 11-bit digits) and O(cells * d) for the levels;
+// memory O(H * eta * d) for the tree, plus a pending run of at most
+// kMaxRunBytes that Seal() sorts through a second buffer of the same
+// size.
 
 #pragma once
 
@@ -83,6 +100,12 @@ class CountingTree {
 
   /// Node size at which a loc -> cell hash map replaces linear search.
   static constexpr size_t kIndexThreshold = 16;
+
+  /// Most bytes a pending run of Insert()ed points holds: the Insert
+  /// that would pass it first builds the run's tree and folds it in.
+  /// Each point takes 8 * (ceil(d * H / 64) + 1) bytes, so 2^21 points
+  /// at d * H <= 64.
+  static constexpr size_t kMaxRunBytes = size_t{32} << 20;
 
   /// A located cell: its level and its index in that level's arena.
   /// Indices are stable between structural mutations (pack order only
@@ -160,19 +183,21 @@ class CountingTree {
   [[nodiscard]] static Result<CountingTree> Empty(size_t num_dims,
                                                   int num_resolutions);
 
-  /// Incremental maintenance: counts one more point into an already-built
-  /// tree. The tree re-enters construction mode on the first Insert; call
-  /// Seal() before any read access (Level, FindCell, the β-search). A
-  /// sealed tree that received inserts is cell-for-cell identical to one
-  /// built from the concatenation of the original stream and the inserted
-  /// points — the canonical pack order depends only on cell creation
-  /// order, which appending preserves. Points must lie in [0,1)^d.
+  /// Counts one more point: validates it and appends its digit key to
+  /// the pending run (see the file comment). The tree is unsealed until
+  /// the next Seal(); call it before any read access (Level, FindCell,
+  /// the β-search). A sealed tree that received inserts is cell-for-cell
+  /// identical to one built from the concatenation of the original
+  /// stream and the inserted points — the canonical pack order depends
+  /// only on cell creation order, which appending preserves. Points must
+  /// lie in [0,1)^d.
   [[nodiscard]] Status Insert(std::span<const double> point);
 
   /// Counts every point of the sealed tree `other` into this one, as if
   /// `other`'s point stream had been Insert()ed: after Seal() this tree
   /// is byte-identical to the one built over the concatenation of both
-  /// streams. Like Insert, it leaves the tree unsealed — call Seal()
+  /// streams (a pending run of this tree is counted in first, so stream
+  /// order holds). Like Insert, it leaves the tree unsealed — call Seal()
   /// before any read — so folding N trees costs one Unpack and one Pack,
   /// not N. Requires equal dimensionality and resolution count, a sealed
   /// `other` and `&other != this`: a violation returns InvalidArgument
@@ -181,13 +206,14 @@ class CountingTree {
   /// this call's work counters.
   [[nodiscard]] Result<MergeTreeStats> InsertTree(const CountingTree& other);
 
-  /// Packs the tree back into canonical (readable) order after Insert /
-  /// InsertTree calls and clears the β-search's used flags. No-op on a
-  /// sealed tree.
+  /// Counts the pending run in (a sorted-run build, then adoption by an
+  /// empty tree or an InsertTree fold), packs the tree back into
+  /// canonical (readable) order and clears the β-search's used flags.
+  /// No-op on a sealed tree.
   void Seal();
 
   /// False while Insert() / InsertTree() changes await a Seal().
-  bool sealed() const { return packed_; }
+  bool sealed() const { return packed_ && run_.empty(); }
 
   /// Number of resolutions H (the root counts as resolution 0).
   int num_resolutions() const { return num_resolutions_; }
@@ -195,8 +221,8 @@ class CountingTree {
   /// Dataset dimensionality d.
   size_t num_dims() const { return num_dims_; }
 
-  /// Total points counted (eta).
-  uint64_t total_points() const { return total_points_; }
+  /// Total points counted (eta), the pending run included.
+  uint64_t total_points() const;
 
   /// Number of nodes in the pool (the root included).
   size_t num_nodes() const { return nodes_.size(); }
@@ -262,7 +288,8 @@ class CountingTree {
   /// load) runs it unconditionally to reject corrupt bytes.
   [[nodiscard]] Status ValidateInvariants() const;
 
-  /// Approximate heap footprint of the tree in bytes. The node pool and
+  /// Approximate heap footprint of the tree in bytes, the pending run
+  /// included (by capacity, like the arenas). The node pool and
   /// the per-level node lists count by size, not capacity, so a sealed
   /// tree reports the same footprint however it was assembled (one scan,
   /// a sharded fold, a window fold, loaded shard artifacts) — memory-
@@ -378,8 +405,22 @@ class CountingTree {
   friend Result<CountingTree> ParseTree(std::string_view bytes,
                                         const std::string& path);
 
-  /// Inserts one point (unpacked trees only); see Build.
-  void InsertPoint(std::span<const double> point);
+  /// Words of one digit key: ceil(d * H / 64).
+  size_t KeyWords() const;
+
+  /// Writes the digit key of `point` (see the file comment) into the
+  /// zeroed words key[0, KeyWords()).
+  void DigitKey(std::span<const double> point, uint64_t* key) const;
+
+  /// Builds the sealed tree of the pending run alone — the tree an empty
+  /// tree would hold after Insert()ing the run's points in order — and
+  /// empties the run (freeing its memory).
+  CountingTree BuildRun();
+
+  /// Counts the pending run into this tree: an empty tree adopts
+  /// BuildRun()'s tree, any other folds it in with InsertTree (and is
+  /// left unpacked). No-op when the run is empty.
+  void FlushRun();
 
   /// Arena index of the cell with position `loc` in `node`, or -1.
   int64_t FindInNode(const Node& node, uint64_t loc) const;
@@ -398,6 +439,10 @@ class CountingTree {
   /// is bit-identity-critical.
   void Pack();
 
+  /// Gives a packed node past kIndexThreshold cells its loc -> cell map
+  /// over its slice, and drops the map of a smaller node.
+  void IndexNode(Node& node) const;
+
   /// Re-materializes per-node cell_id lists from the packed slices so
   /// the tree accepts insertions again. Packed trees only: on an
   /// unpacked tree the slices are stale and would corrupt cell_ids.
@@ -410,8 +455,10 @@ class CountingTree {
   std::vector<Node> nodes_;                      // nodes_[0] is the root.
   std::vector<std::vector<uint32_t>> by_level_;  // level -> node indices.
   std::vector<Arena> arenas_;                    // arenas_[h], h >= 1.
-  std::vector<uint8_t> bits_scratch_;  // InsertPoint digit buffer (reused
-                                       // across points: no per-point alloc).
+  // Pending run: KeyWords() + 1 words per Insert()ed point — its digit
+  // key (little-endian words), then a word BuildRun sets to its index in
+  // the run.
+  std::vector<uint64_t> run_;
 };
 
 /// Mutation hooks for tests that corrupt a tree on purpose (invariant

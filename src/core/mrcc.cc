@@ -161,10 +161,7 @@ Result<CountingTree> BuildTreeSharded(const DataSource& source,
   if (shards > 1) {
     stats->tree_merge_seconds = merge_timer.ElapsedSeconds();
     stats->tree_merge = merge_stats;
-    metrics.counter("tree.merge.conflict_cells").Add(
-        static_cast<int64_t>(merge_stats.cells_merged));
-    metrics.counter("tree.merge.cells_created").Add(
-        static_cast<int64_t>(merge_stats.cells_created));
+    PublishMergeMetrics(merge_stats);
   }
   return tree;
 }
@@ -183,6 +180,14 @@ size_t ChunkPointsFor(const MrCCParams& params, size_t num_dims, int shards) {
     chunk = std::clamp<size_t>(cap, 1, kDefaultChunkPoints);
   }
   return chunk;
+}
+
+void PublishMergeMetrics(const MergeTreeStats& stats) {
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  metrics.counter("tree.merge.conflict_cells").Add(
+      static_cast<int64_t>(stats.cells_merged));
+  metrics.counter("tree.merge.cells_created").Add(
+      static_cast<int64_t>(stats.cells_created));
 }
 
 Result<CountingTree> BuildTreeOverRange(const DataSource& source,

@@ -295,6 +295,12 @@ struct ScanTally {
     const DataSource& source, size_t begin, size_t end,
     const MrCCParams& params, size_t chunk_points, ScanTally* tally);
 
+/// Publishes one tree fold's work counters — `tree.merge.conflict_cells`
+/// (cells_merged) and `tree.merge.cells_created` — to the global metrics
+/// registry. Every engine that folds trees (the sharded batch build, the
+/// window snapshot, the shard merger) reports through this one call.
+void PublishMergeMetrics(const MergeTreeStats& stats);
+
 /// The pipeline's tail over a sealed tree, shared by every engine:
 /// drops the deepest level while `tracker` reports memory pressure,
 /// records the tree's stats, returns an all-noise clustering when the

@@ -129,6 +129,7 @@ Result<MrCCResult> StreamingMrCC::Run(const DataSource* label_source) {
     merge_stats += *fold;
     merged->Seal();
   }
+  PublishMergeMetrics(merge_stats);
   result.stats.tree_merge = merge_stats;
   result.stats.tree_build_seconds = phase.ElapsedSeconds();
   result.stats.tree_merge_seconds = result.stats.tree_build_seconds;

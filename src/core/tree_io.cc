@@ -206,13 +206,7 @@ Result<CountingTree> ParseTree(std::string_view bytes,
       MRCC_RETURN_IF_ERROR(in.ReadArray(
           "cell half count", arena.half.data() + half_base, dims));  // lint-allow: cell-storage
     }
-    if (cell_count > CountingTree::kIndexThreshold) {
-      node.index = std::make_unique<CountingTree::LocMap>();
-      node.index->Reserve(cell_count * 2);
-      for (uint32_t c = 0; c < cell_count; ++c) {
-        node.index->Insert(arena.loc[node.first + c], node.first + c);
-      }
-    }
+    tree.IndexNode(node);
     tree.by_level_[static_cast<size_t>(level)].push_back(
         static_cast<uint32_t>(n));
   }

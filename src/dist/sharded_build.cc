@@ -206,8 +206,7 @@ Result<FoldedShards> MergeShardTrees(const ShardedBuildOptions& options,
     stats += *merged;
   }
   tree->Seal();
-  MetricsRegistry::Global().counter("tree.merge.conflict_cells").Add(
-      static_cast<int64_t>(stats.cells_merged));
+  PublishMergeMetrics(stats);
   return FoldedShards{std::move(tree).value(), stats};
 }
 

@@ -4,9 +4,7 @@
 // flag in bench/bench_common.h): the bench configuration, one entry per
 // (method, dataset) measurement, end-of-run totals (wall time, peak RSS)
 // and a flat snapshot of the pipeline metrics registry. The record is the
-// unit of performance history — tools/bench_compare.py diffs two record
-// files and flags wall-time or RSS regressions, and CI compares every run
-// against the committed bench/baselines/BENCH_baseline.json.
+// unit of performance history: CI uploads one per run.
 //
 // Schema stability rules (DESIGN.md §10): the schema is versioned by
 // `schema_version`. Adding a field is backward compatible and does NOT

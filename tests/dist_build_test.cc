@@ -16,6 +16,7 @@
 #include "common/failpoint.h"
 #include "common/fs.h"
 #include "common/metrics.h"
+#include "core/streaming_mrcc.h"
 #include "core/tree_io.h"
 #include "data/data_source.h"
 #include "data/dataset_io.h"
@@ -284,6 +285,72 @@ TEST_F(DistBuildTest, BuildShardTreeRejectsBadRange) {
   EXPECT_EQ(
       BuildShardTree(options_, 0, data_.NumPoints() + 1).status().code(),
       StatusCode::kInvalidArgument);
+}
+
+TEST_F(DistBuildTest, EveryTreeFoldPublishesBothMergeCounters) {
+  // The three engines that fold trees — the sharded batch build, the
+  // window snapshot and the shard merger — each add their fold's
+  // MergeTreeStats to both registry counters, nothing more or less.
+  const auto run = [this](const auto& engine) {
+    const int64_t conflict = Metric("tree.merge.conflict_cells");
+    const int64_t created = Metric("tree.merge.cells_created");
+    const MergeTreeStats stats = engine();
+    EXPECT_GT(stats.cells_created, 0u);
+    EXPECT_EQ(Metric("tree.merge.conflict_cells") - conflict,
+              static_cast<int64_t>(stats.cells_merged));
+    EXPECT_EQ(Metric("tree.merge.cells_created") - created,
+              static_cast<int64_t>(stats.cells_created));
+  };
+
+  const Dataset big = testing::SmallClustered(5000, 6, 2, 29).data;
+  {
+    SCOPED_TRACE("MrCC::Run, two build shards");
+    run([&big] {
+      MrCCParams params;
+      params.num_threads = 2;
+      Result<MrCCResult> result = MrCC(params).Run(big);
+      if (!result.ok()) {
+        ADD_FAILURE() << result.status().ToString();
+        return MergeTreeStats{};
+      }
+      EXPECT_EQ(result->stats.tree_build_threads, 2);
+      return result->stats.tree_merge;
+    });
+  }
+  {
+    SCOPED_TRACE("StreamingMrCC snapshot");
+    run([this] {
+      MrCCParams params;
+      params.window.points = 2000;
+      params.window.generations = 4;
+      Result<StreamingMrCC> engine =
+          StreamingMrCC::Create(params, data_.NumDims());
+      if (!engine.ok()) {
+        ADD_FAILURE() << engine.status().ToString();
+        return MergeTreeStats{};
+      }
+      for (size_t i = 0; i < data_.NumPoints(); ++i) {
+        EXPECT_TRUE(engine->Push(data_.Point(i)).ok());
+      }
+      Result<MrCCResult> result = engine->Snapshot();
+      if (!result.ok()) {
+        ADD_FAILURE() << result.status().ToString();
+        return MergeTreeStats{};
+      }
+      return result->stats.tree_merge;
+    });
+  }
+  {
+    SCOPED_TRACE("dist::RunShardedBuild, four shard artifacts");
+    run([this] {
+      Result<MrCCResult> result = RunShardedBuild(options_);
+      if (!result.ok()) {
+        ADD_FAILURE() << result.status().ToString();
+        return MergeTreeStats{};
+      }
+      return result->stats.tree_merge;
+    });
+  }
 }
 
 }  // namespace
