@@ -45,8 +45,8 @@ int main(int argc, char** argv) {
   mrcc::MrCCParams params;
   params.num_threads = argc > 2 ? std::atoi(argv[2]) : 0;
   mrcc::MemoryUsageScope memory;
-  mrcc::Result<mrcc::BinaryFileDataSource> source =
-      mrcc::BinaryFileDataSource::Open(path);
+  mrcc::Result<mrcc::ChunkedBinaryDataSource> source =
+      mrcc::ChunkedBinaryDataSource::Open(path);
   if (!source.ok()) {
     std::fprintf(stderr, "open failed: %s\n",
                  source.status().ToString().c_str());

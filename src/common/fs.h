@@ -7,7 +7,7 @@
 // retried with bounded backoff, and truncation reported with the exact
 // byte offset so an operator can locate the damage. These helpers wrap
 // positional POSIX reads (pread) with exactly that contract; pread also
-// removes the shared-file-position hazard, so cursors over one file
+// removes the shared-file-position hazard, so scans over one file
 // descriptor could even share it safely.
 //
 // Fault injection: ReadExactAt honors the `source.read.transient` (fails

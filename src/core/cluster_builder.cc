@@ -65,10 +65,10 @@ Result<std::vector<int>> LabelPoints(const std::vector<BetaCluster>& betas,
   const size_t num_dims = source.NumDims();
   if (chunk_points == 0) chunk_points = kDefaultChunkPoints;
   std::vector<int> labels(n, kNoiseLabel);
-  // Every worker labels one contiguous slice through its own cursor;
+  // Every worker labels one contiguous slice through its own scan;
   // writes are disjoint, so the result does not depend on the thread
-  // count. Cap the workers so each slice amortizes its cursor (for a file
-  // source: an open + seek) over a reasonable number of points.
+  // count. Cap the workers so each slice amortizes its scan's setup (for
+  // a file source: an open) over a reasonable number of points.
   constexpr size_t kMinPointsPerSlice = 1024;
   ThreadPool pool(std::min<int>(
       ResolveThreadCount(num_threads),

@@ -38,7 +38,7 @@ Clustering MergeBetaClusters(const std::vector<BetaCluster>& betas,
 /// `beta_to_cluster`; points outside every box get kNoiseLabel. Distinct
 /// correlation clusters never share space, so the label is unique.
 /// `num_threads` (0 = hardware concurrency) splits the points into
-/// contiguous slices, one cursor per worker.
+/// contiguous slices, one ScanChunks call per worker.
 ///
 /// `policy` must match the tree-build pass: points the build skipped are
 /// labeled noise and points it clamped are looked up at their clamped

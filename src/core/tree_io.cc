@@ -67,6 +67,13 @@ class TreeCursor {
                            why);
   }
 
+  /// Advances past `n` bytes; false (and no move) when fewer remain.
+  bool Skip(uint64_t n) {
+    if (bytes_.size() - pos_ < n) return false;
+    pos_ += n;
+    return true;
+  }
+
   size_t pos() const { return pos_; }
   size_t size() const { return bytes_.size(); }
 
@@ -153,10 +160,39 @@ Result<CountingTree> ParseTree(std::string_view bytes,
                       std::to_string(bytes.size()) + " bytes");
   }
 
+  // Size each level arena exactly, as a built tree's are (MemoryBytes
+  // counts capacity): a first walk over the node headers sums the cells
+  // per level, skipping the cell records. It stops at the first record
+  // that does not fit; the parse below reports that one.
+  std::vector<uint64_t> level_cells(resolutions, 0);
+  TreeCursor walk = in;
+  for (uint64_t n = 0; n < node_count; ++n) {
+    int32_t level = 0;
+    uint64_t cell_count = 0;
+    if (!walk.Read("node level", &level).ok() || level < 1 ||
+        level >= static_cast<int32_t>(resolutions) ||
+        !walk.Skip(d * sizeof(uint64_t)) ||
+        !walk.Read("node cell_count", &cell_count).ok() ||
+        cell_count > bytes.size() / cell_bytes ||
+        !walk.Skip(cell_count * cell_bytes)) {
+      break;
+    }
+    level_cells[static_cast<size_t>(level)] += cell_count;
+  }
+
   CountingTree tree(dims, static_cast<int>(resolutions));
   tree.total_points_ = total_points;
   tree.by_level_.resize(resolutions);
   tree.arenas_.resize(resolutions);
+  for (size_t h = 0; h < resolutions; ++h) {
+    CountingTree::Arena& arena = tree.arenas_[h];
+    arena.loc.reserve(level_cells[h]);
+    arena.n.reserve(level_cells[h]);
+    arena.child.reserve(level_cells[h]);
+    arena.used.reserve(level_cells[h]);
+    arena.owner.reserve(level_cells[h]);
+    arena.half.reserve(level_cells[h] * d);
+  }
   tree.nodes_.resize(node_count);
   // Nodes are on disk in pool (creation) order and cells in per-node
   // creation order, so appending each record to its level arena directly

@@ -1,6 +1,7 @@
 #include "data/data_source.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
@@ -9,27 +10,22 @@
 namespace mrcc {
 namespace {
 
-Status CheckRange(size_t begin, size_t end, size_t num_points) {
+Status CheckChunkArgs(size_t begin, size_t end, size_t num_points,
+                      size_t chunk_points) {
   if (begin > end || end > num_points) {
     return Status::OutOfRange("scan range [" + std::to_string(begin) + ", " +
                               std::to_string(end) + ") outside dataset of " +
                               std::to_string(num_points) + " points");
   }
-  return Status::OK();
-}
-
-Status CheckChunkArgs(size_t begin, size_t end, size_t num_points,
-                      size_t chunk_points) {
-  MRCC_RETURN_IF_ERROR(CheckRange(begin, end, num_points));
   if (chunk_points == 0) {
     return Status::InvalidArgument("chunk_points must be >= 1");
   }
   return Status::OK();
 }
 
-/// Shared tail of every ScanChunks implementation: opens the per-chunk
-/// trace span, honors the chunk-delivery failpoint, and hands the chunk
-/// to the consumer.
+/// Shared tail of the in-place (memory and mmap) ScanChunks: opens the
+/// per-chunk trace span, honors the chunk-delivery failpoint, and hands
+/// the chunk to the consumer.
 Status EmitChunk(size_t first, size_t count, std::span<const double> values,
                  const DataSource::ChunkCallback& fn) {
   MRCC_TRACE_SPAN_N("source.scan_chunk", static_cast<int64_t>(count));
@@ -37,169 +33,7 @@ Status EmitChunk(size_t first, size_t count, std::span<const double> values,
   return fn(first, values);
 }
 
-class MemoryCursor : public DataSource::Cursor {
- public:
-  MemoryCursor(const Dataset& data, size_t begin, size_t end)
-      : data_(data), next_(begin), end_(end) {}
-
-  bool Next(std::span<const double>* point) override {
-    if (next_ >= end_) return false;
-    *point = data_.Point(next_++);
-    return true;
-  }
-
-  const Status& status() const override { return status_; }
-
- private:
-  const Dataset& data_;
-  size_t next_;
-  const size_t end_;
-  Status status_;
-};
-
-class FileCursor : public DataSource::Cursor {
- public:
-  FileCursor(BinaryDatasetReader reader, size_t end)
-      : reader_(std::move(reader)),
-        end_(end),
-        buffer_(reader_.num_dims()) {}
-
-  bool Next(std::span<const double>* point) override {
-    if (reader_.position() >= end_) return false;
-    if (!reader_.Next(buffer_)) return false;
-    *point = buffer_;
-    return true;
-  }
-
-  const Status& status() const override { return reader_.status(); }
-
- private:
-  BinaryDatasetReader reader_;
-  const size_t end_;
-  std::vector<double> buffer_;
-};
-
-/// Serves points out of a bounded block buffer, refilled with one pread
-/// per block. The block-refill is the same chunk-delivery seam as
-/// ScanChunks, so it honors the `source.chunk.read` failpoint too.
-class ChunkedFileCursor : public DataSource::Cursor {
- public:
-  ChunkedFileCursor(UniqueFd fd, std::string path, size_t num_dims,
-                    uint64_t data_start, size_t block_points, size_t begin,
-                    size_t end)
-      : fd_(std::move(fd)),
-        path_(std::move(path)),
-        num_dims_(num_dims),
-        data_start_(data_start),
-        block_points_(block_points),
-        next_(begin),
-        end_(end) {}
-
-  bool Next(std::span<const double>* point) override {
-    if (!status_.ok() || next_ >= end_) return false;
-    if (served_ >= buffered_ && !Fill()) return false;
-    *point = std::span<const double>(buffer_.data() + served_ * num_dims_,
-                                     num_dims_);
-    ++served_;
-    ++next_;
-    return true;
-  }
-
-  const Status& status() const override { return status_; }
-
- private:
-  bool Fill() {
-    const size_t count = std::min(block_points_, end_ - next_);
-    buffer_.resize(count * num_dims_);
-    MRCC_TRACE_SPAN_N("source.scan_chunk", static_cast<int64_t>(count));
-    status_ = fp::Maybe("source.chunk.read");
-    if (status_.ok()) {
-      const uint64_t point_bytes = num_dims_ * sizeof(double);
-      status_ = ReadExactAt(fd_.get(), buffer_.data(), count * point_bytes,
-                            data_start_ + next_ * point_bytes, path_);
-    }
-    if (!status_.ok()) return false;
-    buffered_ = count;
-    served_ = 0;
-    return true;
-  }
-
-  UniqueFd fd_;
-  const std::string path_;
-  const size_t num_dims_;
-  const uint64_t data_start_;
-  const size_t block_points_;
-  size_t next_;
-  const size_t end_;
-  std::vector<double> buffer_;
-  size_t buffered_ = 0;
-  size_t served_ = 0;
-  Status status_;
-};
-
-/// Zero-copy cursor over a memory-mapped point array.
-class MmapCursor : public DataSource::Cursor {
- public:
-  MmapCursor(const double* base, size_t num_dims, size_t begin, size_t end)
-      : base_(base), num_dims_(num_dims), next_(begin), end_(end) {}
-
-  bool Next(std::span<const double>* point) override {
-    if (next_ >= end_) return false;
-    *point = std::span<const double>(base_ + next_ * num_dims_, num_dims_);
-    ++next_;
-    return true;
-  }
-
-  const Status& status() const override { return status_; }
-
- private:
-  const double* base_;
-  const size_t num_dims_;
-  size_t next_;
-  const size_t end_;
-  Status status_;
-};
-
 }  // namespace
-
-Status DataSource::ScanChunks(size_t begin, size_t end, size_t chunk_points,
-                              const ChunkCallback& fn) const {
-  MRCC_RETURN_IF_ERROR(CheckChunkArgs(begin, end, NumPoints(), chunk_points));
-  const size_t num_dims = NumDims();
-  Result<std::unique_ptr<Cursor>> cursor = Scan(begin, end);
-  if (!cursor.ok()) return cursor.status();
-  // One buffer for the whole scan, sized for the largest chunk; each
-  // chunk is a prefix of it (the last chunk may be short).
-  std::vector<double> buffer(std::min(chunk_points, end - begin) * num_dims);
-  size_t next = begin;
-  while (next < end) {
-    const size_t count = std::min(chunk_points, end - next);
-    for (size_t i = 0; i < count; ++i) {
-      std::span<const double> point;
-      if (!(*cursor)->Next(&point)) {
-        return (*cursor)->status().ok()
-                   ? Status::Internal("source " + Name() + " ended at point " +
-                                      std::to_string(next + i) + " of " +
-                                      std::to_string(end))
-                   : (*cursor)->status();
-      }
-      std::copy(point.begin(), point.end(),
-                buffer.begin() + static_cast<std::ptrdiff_t>(i * num_dims));
-    }
-    MRCC_RETURN_IF_ERROR(EmitChunk(
-        next, count, std::span<const double>(buffer.data(), count * num_dims),
-        fn));
-    next += count;
-  }
-  return Status::OK();
-}
-
-Result<std::unique_ptr<DataSource::Cursor>> MemoryDataSource::Scan(
-    size_t begin, size_t end) const {
-  MRCC_RETURN_IF_ERROR(CheckRange(begin, end, NumPoints()));
-  MRCC_RETURN_IF_ERROR(fp::Maybe("source.scan"));
-  return std::unique_ptr<Cursor>(new MemoryCursor(*data_, begin, end));
-}
 
 Status MemoryDataSource::ScanChunks(size_t begin, size_t end,
                                     size_t chunk_points,
@@ -220,79 +54,41 @@ Status MemoryDataSource::ScanChunks(size_t begin, size_t end,
   return Status::OK();
 }
 
-Result<BinaryFileDataSource> BinaryFileDataSource::Open(
-    const std::string& path) {
-  Result<BinaryDatasetReader> reader = BinaryDatasetReader::Open(path);
-  if (!reader.ok()) return reader.status();
-  BinaryFileDataSource source;
-  source.path_ = path;
-  source.num_points_ = reader->num_points();
-  source.num_dims_ = reader->num_dims();
-  return source;
-}
-
-Result<std::unique_ptr<DataSource::Cursor>> BinaryFileDataSource::Scan(
-    size_t begin, size_t end) const {
-  MRCC_RETURN_IF_ERROR(CheckRange(begin, end, num_points_));
-  MRCC_RETURN_IF_ERROR(fp::Maybe("source.scan"));
-  Result<BinaryDatasetReader> reader = BinaryDatasetReader::Open(path_);
-  if (!reader.ok()) return reader.status();
-  MRCC_RETURN_IF_ERROR(reader->SeekTo(begin));
-  return std::unique_ptr<Cursor>(
-      new FileCursor(std::move(*reader), end));
-}
-
 Result<ChunkedBinaryDataSource> ChunkedBinaryDataSource::Open(
-    const std::string& path, size_t buffer_bytes) {
-  Result<BinaryDatasetReader> reader = BinaryDatasetReader::Open(path);
-  if (!reader.ok()) return reader.status();
+    const std::string& path) {
+  Result<UniqueFd> fd = OpenForRead(path);
+  if (!fd.ok()) return fd.status();
+  Result<BinaryHeader> header = ReadBinaryHeader(fd->get(), path);
+  if (!header.ok()) return header.status();
   ChunkedBinaryDataSource source;
   source.path_ = path;
-  source.num_points_ = reader->num_points();
-  source.num_dims_ = reader->num_dims();
-  source.data_start_ = reader->data_start();
-  const size_t point_bytes = source.num_dims_ * sizeof(double);
-  source.buffer_points_ =
-      std::max<size_t>(1, point_bytes == 0 ? 1 : buffer_bytes / point_bytes);
+  source.header_ = *header;
   return source;
-}
-
-Result<std::unique_ptr<DataSource::Cursor>> ChunkedBinaryDataSource::Scan(
-    size_t begin, size_t end) const {
-  MRCC_RETURN_IF_ERROR(CheckRange(begin, end, num_points_));
-  MRCC_RETURN_IF_ERROR(fp::Maybe("source.scan"));
-  Result<UniqueFd> fd = OpenForRead(path_);
-  if (!fd.ok()) return fd.status();
-  return std::unique_ptr<Cursor>(
-      new ChunkedFileCursor(std::move(*fd), path_, num_dims_, data_start_,
-                            buffer_points_, begin, end));
 }
 
 Status ChunkedBinaryDataSource::ScanChunks(size_t begin, size_t end,
                                            size_t chunk_points,
                                            const ChunkCallback& fn) const {
-  MRCC_RETURN_IF_ERROR(CheckChunkArgs(begin, end, num_points_, chunk_points));
+  MRCC_RETURN_IF_ERROR(CheckChunkArgs(begin, end, NumPoints(), chunk_points));
   MRCC_RETURN_IF_ERROR(fp::Maybe("source.scan"));
   Result<UniqueFd> fd = OpenForRead(path_);
   if (!fd.ok()) return fd.status();
-  // The caller's chunk size and this source's buffer cap both bound the
-  // block; chunks stay "at most chunk_points" either way.
-  const size_t block = std::min(chunk_points, buffer_points_);
-  const uint64_t point_bytes = num_dims_ * sizeof(double);
+  const size_t num_dims = NumDims();
+  const uint64_t point_bytes = num_dims * sizeof(double);
   // One block buffer reused across the whole scan (no per-chunk
   // allocation); short final blocks read a prefix of it.
-  std::vector<double> buffer(std::min(block, end - begin) * num_dims_);
+  std::vector<double> buffer(std::min(chunk_points, end - begin) * num_dims);
   size_t next = begin;
   while (next < end) {
-    const size_t count = std::min(block, end - next);
+    const size_t count = std::min(chunk_points, end - next);
     MRCC_RETURN_IF_ERROR(fp::Maybe("source.chunk.read"));
-    MRCC_RETURN_IF_ERROR(ReadExactAt(fd->get(), buffer.data(),
-                                     count * point_bytes,
-                                     data_start_ + next * point_bytes, path_));
+    MRCC_RETURN_IF_ERROR(ReadExactAt(
+        fd->get(), buffer.data(), count * point_bytes,
+        header_.data_start + next * point_bytes, path_));
     {
       MRCC_TRACE_SPAN_N("source.scan_chunk", static_cast<int64_t>(count));
       MRCC_RETURN_IF_ERROR(fn(next, std::span<const double>(
-                                        buffer.data(), count * num_dims_)));
+                                        buffer.data(), count * num_dims)));
     }
     next += count;
   }
@@ -300,57 +96,41 @@ Status ChunkedBinaryDataSource::ScanChunks(size_t begin, size_t end,
 }
 
 Result<MmapFileDataSource> MmapFileDataSource::Open(const std::string& path) {
-  Result<BinaryDatasetReader> reader = BinaryDatasetReader::Open(path);
-  if (!reader.ok()) return reader.status();
-  MmapFileDataSource source;
-  source.path_ = path;
-  source.num_points_ = reader->num_points();
-  source.num_dims_ = reader->num_dims();
-  source.data_start_ = reader->data_start();
-  // Map header + point data only; a trailing label block is not scanned.
-  const uint64_t map_bytes =
-      source.data_start_ + static_cast<uint64_t>(source.num_points_) *
-                               source.num_dims_ * sizeof(double);
+  Result<ChunkedBinaryDataSource> file = ChunkedBinaryDataSource::Open(path);
+  if (!file.ok()) return file.status();
+  MmapFileDataSource source(std::move(*file));
   Result<UniqueFd> fd = OpenForRead(path);
   if (!fd.ok()) return fd.status();
+  // Map header + point data only; a trailing label block is not scanned.
+  const BinaryHeader& header = source.file_.header_;
+  const uint64_t map_bytes =
+      header.data_start + uint64_t{header.num_points} * header.num_dims *
+                              sizeof(double);
   Result<MmapRegion> region = MmapRegion::Map(fd->get(), map_bytes, path);
   if (region.ok()) {
     source.region_ = std::move(*region);
   } else {
-    // Kernel (or failpoint) refused the mapping: degrade to bounded
-    // pread blocks rather than failing — the data is still streamable.
+    // Kernel (or failpoint) refused the mapping: scans degrade to the
+    // file's bounded pread blocks rather than failing.
     MetricsRegistry::Global().counter("source.mmap_fallbacks").Increment();
-    Result<ChunkedBinaryDataSource> fallback = ChunkedBinaryDataSource::Open(path);
-    if (!fallback.ok()) return fallback.status();
-    source.fallback_ = std::make_unique<ChunkedBinaryDataSource>(
-        std::move(*fallback));
   }
   return source;
 }
 
 const double* MmapFileDataSource::Row(size_t i) const {
-  return reinterpret_cast<const double*>(region_.data() + data_start_) +
-         i * num_dims_;
-}
-
-Result<std::unique_ptr<DataSource::Cursor>> MmapFileDataSource::Scan(
-    size_t begin, size_t end) const {
-  if (fallback_ != nullptr) return fallback_->Scan(begin, end);
-  MRCC_RETURN_IF_ERROR(CheckRange(begin, end, num_points_));
-  MRCC_RETURN_IF_ERROR(fp::Maybe("source.scan"));
-  const double* base = num_points_ == 0 ? nullptr : Row(0);
-  return std::unique_ptr<Cursor>(new MmapCursor(base, num_dims_, begin, end));
+  return reinterpret_cast<const double*>(region_.data() +
+                                         file_.header_.data_start) +
+         i * NumDims();
 }
 
 Status MmapFileDataSource::ScanChunks(size_t begin, size_t end,
                                       size_t chunk_points,
                                       const ChunkCallback& fn) const {
-  if (fallback_ != nullptr) {
-    return fallback_->ScanChunks(begin, end, chunk_points, fn);
-  }
-  MRCC_RETURN_IF_ERROR(CheckChunkArgs(begin, end, num_points_, chunk_points));
+  if (!using_mmap()) return file_.ScanChunks(begin, end, chunk_points, fn);
+  MRCC_RETURN_IF_ERROR(CheckChunkArgs(begin, end, NumPoints(), chunk_points));
   MRCC_RETURN_IF_ERROR(fp::Maybe("source.scan"));
-  const size_t point_bytes = num_dims_ * sizeof(double);
+  const size_t num_dims = NumDims();
+  const size_t point_bytes = num_dims * sizeof(double);
   size_t next = begin;
   while (next < end) {
     const size_t count = std::min(chunk_points, end - next);
@@ -360,10 +140,10 @@ Status MmapFileDataSource::ScanChunks(size_t begin, size_t end,
     // pins it to the scan's actual stride).
     const size_t ahead = next + count;
     if (ahead < end) {
-      region_.WillNeed(data_start_ + ahead * point_bytes,
+      region_.WillNeed(file_.header_.data_start + ahead * point_bytes,
                        std::min(chunk_points, end - ahead) * point_bytes);
     }
-    const std::span<const double> values(Row(next), count * num_dims_);
+    const std::span<const double> values(Row(next), count * num_dims);
     MRCC_RETURN_IF_ERROR(EmitChunk(next, count, values, fn));
     next += count;
   }

@@ -7,21 +7,21 @@
 #include <sstream>
 #include <vector>
 
+#include "common/fs.h"
+
 namespace mrcc {
 namespace {
 
 constexpr char kMagic[4] = {'M', 'R', 'C', 'C'};
 constexpr uint32_t kVersion = 1;
 
+// magic + version + num_points + num_dims.
+constexpr uint64_t kHeaderBytes =
+    sizeof(kMagic) + sizeof(uint32_t) + 2 * sizeof(uint64_t);
+
 template <typename T>
 void WritePod(std::ofstream& out, const T& v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::ifstream& in, T* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(T));
-  return static_cast<bool>(in);
 }
 
 }  // namespace
@@ -110,64 +110,81 @@ Status SaveBinary(const Dataset& data, const std::string& path,
   return Status::OK();
 }
 
-Result<Dataset> LoadBinary(const std::string& path, std::vector<int>* labels) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open for reading: " + path);
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+Result<BinaryHeader> ReadBinaryHeader(int fd, const std::string& path) {
+  unsigned char header[kHeaderBytes];
+  MRCC_RETURN_IF_ERROR(ReadExactAt(fd, header, sizeof(header), 0, path));
+  if (std::memcmp(header, kMagic, sizeof(kMagic)) != 0) {
     return Status::IOError("bad magic in " + path);
   }
   uint32_t version = 0;
   uint64_t num_points = 0, num_dims = 0;
-  if (!ReadPod(in, &version) || version != kVersion) {
-    return Status::IOError("unsupported version in " + path);
+  std::memcpy(&version, header + sizeof(kMagic), sizeof(version));
+  std::memcpy(&num_points, header + sizeof(kMagic) + sizeof(version),
+              sizeof(num_points));
+  std::memcpy(&num_dims,
+              header + sizeof(kMagic) + sizeof(version) + sizeof(num_points),
+              sizeof(num_dims));
+  if (version != kVersion) {
+    return Status::IOError("unsupported version " + std::to_string(version) +
+                           " in " + path);
   }
-  if (!ReadPod(in, &num_points) || !ReadPod(in, &num_dims)) {
-    return Status::IOError("truncated header in " + path);
-  }
-  // A corrupt header can claim astronomical counts; validate them against
-  // the actual file size (overflow-safe) before allocating anything.
   if (num_points > 0 && num_dims == 0) {
-    return Status::IOError("corrupt header in " + path +
-                           ": points with zero dimensions");
+    return Status::IOError("corrupt header in " + path + ": " +
+                           std::to_string(num_points) +
+                           " points with zero dimensions");
   }
-  const uint64_t data_start = static_cast<uint64_t>(in.tellg());
-  constexpr uint64_t kMaxU64 = std::numeric_limits<uint64_t>::max();
-  if (num_dims > kMaxU64 / sizeof(double) ||
+  // The size arithmetic below must not wrap: a corrupt header with
+  // astronomical counts would otherwise pass the truncation check and
+  // send a scan off the end of the file.
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  if (num_dims > kMax / sizeof(double) ||
       (num_points > 0 &&
-       num_dims * sizeof(double) > (kMaxU64 - data_start) / num_points)) {
-    return Status::IOError("corrupt header in " + path +
-                           ": point count overflows the file size");
+       num_dims * sizeof(double) > (kMax - kHeaderBytes) / num_points)) {
+    return Status::IOError("corrupt header in " + path + ": " +
+                           std::to_string(num_points) + " points x " +
+                           std::to_string(num_dims) +
+                           " dims overflows the file size");
   }
-  in.seekg(0, std::ios::end);
-  const uint64_t file_size = static_cast<uint64_t>(in.tellg());
-  in.seekg(static_cast<std::streamoff>(data_start));
-  if (file_size < data_start + num_points * num_dims * sizeof(double)) {
-    return Status::IOError("truncated data: " + path);
+  // Reject a truncated file up front, so it fails here with its exact
+  // byte deficit instead of mid-scan.
+  Result<uint64_t> size = FileSize(fd, path);
+  if (!size.ok()) return size.status();
+  const uint64_t needed =
+      kHeaderBytes + num_points * num_dims * sizeof(double);
+  if (*size < needed) {
+    return Status::IOError(
+        "truncated file " + path + ": data ends at byte " +
+        std::to_string(*size) + " but the header promises " +
+        std::to_string(needed) + " bytes (" + std::to_string(num_points) +
+        " points x " + std::to_string(num_dims) + " dims)");
   }
-  Dataset data(num_points, num_dims);
-  for (size_t i = 0; i < num_points; ++i) {
-    for (size_t j = 0; j < num_dims; ++j) {
-      double v;
-      if (!ReadPod(in, &v)) return Status::IOError("truncated data: " + path);
-      data(i, j) = v;
-    }
+  return BinaryHeader{num_points, num_dims, kHeaderBytes};
+}
+
+Result<Dataset> LoadBinary(const std::string& path, std::vector<int>* labels) {
+  Result<UniqueFd> fd = OpenForRead(path);
+  if (!fd.ok()) return fd.status();
+  Result<BinaryHeader> header = ReadBinaryHeader(fd->get(), path);
+  if (!header.ok()) return header.status();
+  Dataset data(header->num_points, header->num_dims);
+  const uint64_t payload =
+      uint64_t{header->num_points} * header->num_dims * sizeof(double);
+  if (payload > 0) {
+    // One read straight into the dataset's row-major buffer.
+    MRCC_RETURN_IF_ERROR(ReadExactAt(fd->get(), &data(0, 0), payload,
+                                     header->data_start, path));
   }
+  uint64_t offset = header->data_start + payload;
   uint8_t has_labels = 0;
-  if (!ReadPod(in, &has_labels)) {
-    return Status::IOError("truncated label flag: " + path);
-  }
+  MRCC_RETURN_IF_ERROR(
+      ReadExactAt(fd->get(), &has_labels, sizeof(has_labels), offset, path));
   if (has_labels != 0) {
-    std::vector<int> tmp(num_points);
-    for (size_t i = 0; i < num_points; ++i) {
-      int32_t label;
-      if (!ReadPod(in, &label)) {
-        return Status::IOError("truncated labels: " + path);
-      }
-      tmp[i] = label;
-    }
-    if (labels != nullptr) *labels = std::move(tmp);
+    offset += sizeof(has_labels);
+    std::vector<int32_t> tmp(header->num_points);
+    MRCC_RETURN_IF_ERROR(ReadExactAt(fd->get(), tmp.data(),
+                                     tmp.size() * sizeof(int32_t), offset,
+                                     path));
+    if (labels != nullptr) labels->assign(tmp.begin(), tmp.end());
   }
   return data;
 }

@@ -13,16 +13,6 @@
 
 namespace mrcc {
 namespace dist {
-namespace {
-
-/// Opens the dataset with the block-read backend — every worker holds
-/// only its scan's chunk buffers, so N processes stay out-of-core.
-Result<ChunkedBinaryDataSource> OpenDataset(const std::string& path) {
-  return ChunkedBinaryDataSource::Open(path);
-}
-
-}  // namespace
-
 std::string ManifestPath(const std::string& work_dir) {
   return work_dir + "/manifest.json";
 }
@@ -35,7 +25,8 @@ Result<BuildManifest> PrepareManifest(const ShardedBuildOptions& options) {
   // Every artifact in the build lands under work_dir; create it up front
   // so a first run does not need an out-of-band mkdir.
   MRCC_RETURN_IF_ERROR(MakeDirs(options.work_dir));
-  Result<ChunkedBinaryDataSource> source = OpenDataset(options.dataset_path);
+  Result<ChunkedBinaryDataSource> source =
+      ChunkedBinaryDataSource::Open(options.dataset_path);
   MRCC_RETURN_IF_ERROR(source.status());
   MRCC_RETURN_IF_ERROR(options.params.Validate(source->NumDims()));
   Result<uint64_t> fingerprint = FingerprintDataset(options.dataset_path);
@@ -101,7 +92,8 @@ bool ShardComplete(const ShardedBuildOptions& options,
 
 Result<CountingTree> BuildShardTree(const ShardedBuildOptions& options,
                                     uint64_t begin, uint64_t end) {
-  Result<ChunkedBinaryDataSource> source = OpenDataset(options.dataset_path);
+  Result<ChunkedBinaryDataSource> source =
+      ChunkedBinaryDataSource::Open(options.dataset_path);
   MRCC_RETURN_IF_ERROR(source.status());
   if (end > source->NumPoints() || begin >= end) {
     return Status::InvalidArgument(
@@ -212,7 +204,8 @@ Result<FoldedShards> MergeShardTrees(const ShardedBuildOptions& options,
 
 Result<MrCCResult> MergeShards(const ShardedBuildOptions& options,
                                const BuildManifest& manifest) {
-  Result<ChunkedBinaryDataSource> source = OpenDataset(options.dataset_path);
+  Result<ChunkedBinaryDataSource> source =
+      ChunkedBinaryDataSource::Open(options.dataset_path);
   MRCC_RETURN_IF_ERROR(source.status());
   MRCC_RETURN_IF_ERROR(options.params.Validate(source->NumDims()));
   const int num_threads = ResolveThreadCount(options.params.num_threads);

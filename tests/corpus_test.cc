@@ -1,6 +1,8 @@
 // Fuzz-style corpus tests for the parsers that consume external bytes:
-// the binary dataset reader, the BenchRecord JSON reader and the shard
-// artifact loader (footer, checksum, ParseTree, ValidateInvariants).
+// the binary dataset readers the pipeline uses (ChunkedBinaryDataSource,
+// MmapFileDataSource, LoadBinary — all behind ReadBinaryHeader), the
+// BenchRecord JSON reader and the shard artifact loader (footer,
+// checksum, ParseTree, ValidateInvariants).
 //
 // Contract under test (DESIGN.md §11): any byte sequence either parses
 // or returns a non-OK Status. No crash, no abort, no unbounded
@@ -25,8 +27,8 @@
 #include "common/fs.h"
 #include "common/rng.h"
 #include "core/counting_tree.h"
+#include "data/data_source.h"
 #include "data/dataset_io.h"
-#include "data/dataset_reader.h"
 #include "dist/shard_io.h"
 #include "eval/bench_record.h"
 #include "test_util.h"
@@ -55,28 +57,33 @@ std::string ReadFileOrDie(const std::string& path) {
 // should materialize.
 constexpr uint64_t kScanCap = 1u << 20;
 
-/// Exercises both binary readers on `bytes`; the only acceptable
-/// outcomes are success or a clean Status.
-void DriveDatasetParsers(const std::string& bytes,
-                         const std::string& tmp_path) {
+/// Opens `bytes` (written to `path`) with every binary dataset reader
+/// and scans what opened; the only acceptable outcomes are success or a
+/// clean Status.
+void DriveDatasetParsers(const std::string& bytes, const std::string& path) {
   {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  Result<BinaryDatasetReader> reader = BinaryDatasetReader::Open(tmp_path);
-  if (reader.ok() && reader->num_dims() <= kScanCap &&
-      reader->num_points() <= kScanCap) {
-    std::vector<double> row(reader->num_dims());
-    while (reader->Next(std::span<double>(row))) {
-    }
-    // A reader that opened cleanly must scan cleanly: Open() validated
-    // the file size up front.
-    EXPECT_TRUE(reader->status().ok())
-        << reader->status().ToString();
-  }
+  // A source that opened cleanly must scan cleanly: Open() validated the
+  // file size against the header up front.
+  const auto scan = [](const DataSource& source) {
+    if (source.NumDims() > kScanCap || source.NumPoints() > kScanCap) return;
+    const Status status = source.ScanChunks(
+        0, source.NumPoints(), 64,
+        [](size_t, std::span<const double>) { return Status::OK(); });
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  };
+  const Result<ChunkedBinaryDataSource> chunked =
+      ChunkedBinaryDataSource::Open(path);
+  if (chunked.ok()) scan(*chunked);
+  const Result<MmapFileDataSource> mapped = MmapFileDataSource::Open(path);
+  EXPECT_EQ(mapped.ok(), chunked.ok()) << "the readers disagree on a header";
+  if (mapped.ok()) scan(*mapped);
   std::vector<int> labels;
-  const Result<Dataset> loaded = LoadBinary(tmp_path, &labels);
+  const Result<Dataset> loaded = LoadBinary(path, &labels);
   if (loaded.ok()) {
+    EXPECT_TRUE(chunked.ok());
     EXPECT_LE(loaded->NumPoints() * loaded->NumDims(),
               bytes.size() / sizeof(double));
   }
@@ -162,17 +169,18 @@ TEST(CorpusDatasetTest, SeedsParseAsDocumented) {
   EXPECT_EQ(valid->NumDims(), 3u);
   EXPECT_EQ(labels.size(), 5u);
 
-  Result<BinaryDatasetReader> reader =
-      BinaryDatasetReader::Open(CorpusPath("dataset/header_only.bin"));
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  EXPECT_EQ(reader->num_points(), 0u);
+  Result<ChunkedBinaryDataSource> header_only =
+      ChunkedBinaryDataSource::Open(CorpusPath("dataset/header_only.bin"));
+  ASSERT_TRUE(header_only.ok()) << header_only.status().ToString();
+  EXPECT_EQ(header_only->NumPoints(), 0u);
 
   for (const char* bad : {"truncated.bin", "bad_magic.bin",
                           "bad_version.bin", "huge_counts.bin", "empty.bin",
                           "short_header.bin"}) {
     SCOPED_TRACE(bad);
     const std::string path = CorpusPath(std::string("dataset/") + bad);
-    EXPECT_FALSE(BinaryDatasetReader::Open(path).ok());
+    EXPECT_FALSE(ChunkedBinaryDataSource::Open(path).ok());
+    EXPECT_FALSE(MmapFileDataSource::Open(path).ok());
     EXPECT_FALSE(LoadBinary(path).ok());
   }
   std::remove(tmp.c_str());

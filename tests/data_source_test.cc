@@ -15,197 +15,10 @@
 namespace mrcc {
 namespace {
 
-std::vector<std::vector<double>> Drain(DataSource::Cursor& cursor) {
-  std::vector<std::vector<double>> out;
-  std::span<const double> point;
-  while (cursor.Next(&point)) {
-    out.emplace_back(point.begin(), point.end());
-  }
-  return out;
-}
-
-TEST(MemoryDataSourceTest, ScansAllPointsInOrder) {
-  Dataset d = testing::UniformDataset(100, 4, 11);
-  MemoryDataSource source(d);
-  EXPECT_EQ(source.NumPoints(), 100u);
-  EXPECT_EQ(source.NumDims(), 4u);
-  EXPECT_EQ(source.Name(), "memory");
-
-  auto cursor = source.ScanAll();
-  ASSERT_TRUE(cursor.ok());
-  const auto points = Drain(**cursor);
-  ASSERT_EQ(points.size(), 100u);
-  for (size_t i = 0; i < points.size(); ++i) {
-    for (size_t j = 0; j < 4; ++j) {
-      EXPECT_DOUBLE_EQ(points[i][j], d(i, j)) << i << "," << j;
-    }
-  }
-  EXPECT_TRUE((*cursor)->status().ok());
-}
-
-TEST(MemoryDataSourceTest, ScanRangeIsHalfOpen) {
-  Dataset d = testing::UniformDataset(50, 3, 12);
-  MemoryDataSource source(d);
-  auto cursor = source.Scan(10, 20);
-  ASSERT_TRUE(cursor.ok());
-  const auto points = Drain(**cursor);
-  ASSERT_EQ(points.size(), 10u);
-  EXPECT_DOUBLE_EQ(points[0][0], d(10, 0));
-  EXPECT_DOUBLE_EQ(points[9][0], d(19, 0));
-}
-
-TEST(MemoryDataSourceTest, EmptyRangeAndBadRange) {
-  Dataset d = testing::UniformDataset(10, 2, 13);
-  MemoryDataSource source(d);
-  auto empty = source.Scan(5, 5);
-  ASSERT_TRUE(empty.ok());
-  std::span<const double> point;
-  EXPECT_FALSE((*empty)->Next(&point));
-
-  EXPECT_FALSE(source.Scan(5, 11).ok());  // end > NumPoints.
-  EXPECT_FALSE(source.Scan(7, 5).ok());   // begin > end.
-  EXPECT_EQ(source.Scan(5, 11).status().code(), StatusCode::kOutOfRange);
-}
-
-TEST(BinaryFileDataSourceTest, MatchesMemorySource) {
-  Dataset d = testing::UniformDataset(300, 6, 14);
-  const std::string path = ::testing::TempDir() + "mrcc_source_eq.bin";
-  ASSERT_TRUE(SaveBinary(d, path).ok());
-
-  Result<BinaryFileDataSource> file = BinaryFileDataSource::Open(path);
-  ASSERT_TRUE(file.ok());
-  EXPECT_EQ(file->NumPoints(), 300u);
-  EXPECT_EQ(file->NumDims(), 6u);
-  EXPECT_EQ(file->Name(), path);
-
-  MemoryDataSource memory(d);
-  // Whole-scan equivalence plus several sub-ranges, including the ends.
-  const std::pair<size_t, size_t> ranges[] = {
-      {0, 300}, {0, 1}, {299, 300}, {100, 200}, {42, 43}, {150, 150}};
-  for (const auto& [begin, end] : ranges) {
-    auto from_file = file->Scan(begin, end);
-    auto from_memory = memory.Scan(begin, end);
-    ASSERT_TRUE(from_file.ok() && from_memory.ok());
-    EXPECT_EQ(Drain(**from_file), Drain(**from_memory))
-        << "range [" << begin << ", " << end << ")";
-    EXPECT_TRUE((*from_file)->status().ok());
-  }
-  std::remove(path.c_str());
-}
-
-TEST(BinaryFileDataSourceTest, ConcurrentCursorsSeeTheirOwnSlices) {
-  Dataset d = testing::UniformDataset(1000, 3, 15);
-  const std::string path = ::testing::TempDir() + "mrcc_source_mt.bin";
-  ASSERT_TRUE(SaveBinary(d, path).ok());
-  Result<BinaryFileDataSource> file = BinaryFileDataSource::Open(path);
-  ASSERT_TRUE(file.ok());
-
-  // Four threads scan disjoint slices through independent cursors; every
-  // value must land at its own global index.
-  std::vector<double> first_axis(1000, -1.0);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      const size_t begin = 250 * static_cast<size_t>(t);
-      const size_t end = begin + 250;
-      auto cursor = file->Scan(begin, end);
-      ASSERT_TRUE(cursor.ok());
-      std::span<const double> point;
-      size_t i = begin;
-      while ((*cursor)->Next(&point)) first_axis[i++] = point[0];
-      EXPECT_EQ(i, end);
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  for (size_t i = 0; i < 1000; ++i) {
-    ASSERT_DOUBLE_EQ(first_axis[i], d(i, 0)) << "point " << i;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(BinaryFileDataSourceTest, MissingFileFailsOnOpen) {
-  EXPECT_FALSE(BinaryFileDataSource::Open("/nonexistent/x.bin").ok());
-}
-
-TEST(BinaryFileDataSourceTest, TruncatedFileFailsWithTheByteOffset) {
-  // Regression: a partially-written dataset used to scan as zeros past
-  // the cut. Now Open rejects it, naming where the data ran out.
-  Dataset d = testing::UniformDataset(200, 4, 18);
-  const std::string path = ::testing::TempDir() + "mrcc_truncated.bin";
-  ASSERT_TRUE(SaveBinary(d, path).ok());
-  // Cut the file mid-way through the point payload.
-  const uint64_t cut = 24 + 100 * 4 * sizeof(double) + 3;
-  ASSERT_EQ(truncate(path.c_str(), static_cast<off_t>(cut)), 0);
-
-  const Result<BinaryFileDataSource> source = BinaryFileDataSource::Open(path);
-  ASSERT_FALSE(source.ok());
-  EXPECT_EQ(source.status().code(), StatusCode::kIOError);
-  // The message names the byte where data ends and what was promised.
-  EXPECT_NE(source.status().message().find(std::to_string(cut)),
-            std::string::npos)
-      << source.status().ToString();
-  EXPECT_NE(source.status().message().find("200 points"), std::string::npos)
-      << source.status().ToString();
-  std::remove(path.c_str());
-}
-
-TEST(BinaryFileDataSourceTest, HeaderOnlyTruncationFailsOnOpen) {
-  Dataset d = testing::UniformDataset(50, 2, 19);
-  const std::string path = ::testing::TempDir() + "mrcc_header_cut.bin";
-  ASSERT_TRUE(SaveBinary(d, path).ok());
-  ASSERT_EQ(truncate(path.c_str(), 10), 0);  // Inside the header.
-  const Result<BinaryFileDataSource> source = BinaryFileDataSource::Open(path);
-  ASSERT_FALSE(source.ok());
-  EXPECT_EQ(source.status().code(), StatusCode::kIOError);
-  std::remove(path.c_str());
-}
-
-TEST(BinaryFileDataSourceTest, TransientReadErrorIsRetriedToSuccess) {
-  // One injected EAGAIN on the first read: the retry loop in common/fs
-  // absorbs it and the scan returns data identical to the clean scan.
-  Dataset d = testing::UniformDataset(120, 3, 20);
-  const std::string path = ::testing::TempDir() + "mrcc_transient.bin";
-  ASSERT_TRUE(SaveBinary(d, path).ok());
-  Result<BinaryFileDataSource> file = BinaryFileDataSource::Open(path);
-  ASSERT_TRUE(file.ok());
-
-  auto clean = file->ScanAll();
-  ASSERT_TRUE(clean.ok());
-  const auto expected = Drain(**clean);
-
-  fp::ScopedArm arm("source.read.transient=1");
-  auto retried = file->ScanAll();
-  ASSERT_TRUE(retried.ok());
-  EXPECT_EQ(Drain(**retried), expected);
-  EXPECT_TRUE((*retried)->status().ok())
-      << (*retried)->status().ToString();
-  EXPECT_GT(fp::HitCount("source.read.transient"), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(BinaryFileDataSourceTest, ExhaustedRetriesSurfaceAsIOError) {
-  Dataset d = testing::UniformDataset(60, 3, 22);
-  const std::string path = ::testing::TempDir() + "mrcc_exhausted.bin";
-  ASSERT_TRUE(SaveBinary(d, path).ok());
-  Result<BinaryFileDataSource> file = BinaryFileDataSource::Open(path);
-  ASSERT_TRUE(file.ok());
-
-  fp::ScopedArm arm("source.read.transient");  // Every attempt fails.
-  // Scan re-reads the header through the same retrying layer, so with a
-  // persistent fault the cursor never comes up — and the error names the
-  // exhausted retry budget.
-  auto cursor = file->ScanAll();
-  ASSERT_FALSE(cursor.ok());
-  EXPECT_EQ(cursor.status().code(), StatusCode::kIOError);
-  EXPECT_NE(cursor.status().message().find("retries"), std::string::npos)
-      << cursor.status().ToString();
-  std::remove(path.c_str());
-}
-
 // ---------------------------------------------------------------------
-// ScanChunks: the out-of-core delivery contract (data_source.h file
-// comment) — chunks in order, range covered exactly once, identical
-// values on every backend at every chunk size.
+// ScanChunks: the delivery contract (data_source.h file comment) —
+// chunks in order, range covered exactly once, identical values on every
+// backend at every chunk size.
 
 /// Replays a ScanChunks call into a flat vector, checking ordering and
 /// chunk-size bounds along the way.
@@ -229,20 +42,217 @@ std::vector<double> DrainChunks(const DataSource& source, size_t begin,
   return out;
 }
 
+/// Points [begin, end) of `d`, row-major.
+std::vector<double> Rows(const Dataset& d, size_t begin, size_t end) {
+  std::vector<double> out;
+  for (size_t i = begin; i < end; ++i) {
+    const std::span<const double> point = d.Point(i);
+    out.insert(out.end(), point.begin(), point.end());
+  }
+  return out;
+}
+
+const auto kIgnoreChunk = [](size_t, std::span<const double>) {
+  return Status::OK();
+};
+
+TEST(MemoryDataSourceTest, ScansAllPointsInOrder) {
+  Dataset d = testing::UniformDataset(100, 4, 11);
+  MemoryDataSource source(d);
+  EXPECT_EQ(source.NumPoints(), 100u);
+  EXPECT_EQ(source.NumDims(), 4u);
+  EXPECT_EQ(source.Name(), "memory");
+  EXPECT_EQ(DrainChunks(source, 0, 100, 13), Rows(d, 0, 100));
+}
+
+TEST(MemoryDataSourceTest, ScanRangeIsHalfOpen) {
+  Dataset d = testing::UniformDataset(50, 3, 12);
+  MemoryDataSource source(d);
+  const std::vector<double> values = DrainChunks(source, 10, 20, 4);
+  ASSERT_EQ(values.size(), 10u * 3u);
+  EXPECT_DOUBLE_EQ(values.front(), d(10, 0));
+  EXPECT_DOUBLE_EQ(values[9 * 3], d(19, 0));
+}
+
+TEST(MemoryDataSourceTest, EmptyRangeAndBadRange) {
+  Dataset d = testing::UniformDataset(10, 2, 13);
+  MemoryDataSource source(d);
+  size_t calls = 0;
+  EXPECT_TRUE(source
+                  .ScanChunks(5, 5, 4,
+                              [&](size_t, std::span<const double>) {
+                                ++calls;
+                                return Status::OK();
+                              })
+                  .ok());
+  EXPECT_EQ(calls, 0u);  // An empty range delivers no chunk.
+
+  EXPECT_EQ(source.ScanChunks(5, 11, 4, kIgnoreChunk).code(),
+            StatusCode::kOutOfRange);  // end > NumPoints.
+  EXPECT_EQ(source.ScanChunks(7, 5, 4, kIgnoreChunk).code(),
+            StatusCode::kOutOfRange);  // begin > end.
+}
+
+// The binary-file backends: ChunkedBinaryDataSource (one pread per chunk)
+// and MmapFileDataSource (in place, or the pread fallback).
+
+TEST(BinaryFileDataSourceTest, MatchesMemorySource) {
+  Dataset d = testing::UniformDataset(300, 6, 14);
+  const std::string path = ::testing::TempDir() + "mrcc_source_eq.bin";
+  ASSERT_TRUE(SaveBinary(d, path).ok());
+
+  Result<ChunkedBinaryDataSource> chunked = ChunkedBinaryDataSource::Open(path);
+  ASSERT_TRUE(chunked.ok()) << chunked.status().ToString();
+  EXPECT_EQ(chunked->NumPoints(), 300u);
+  EXPECT_EQ(chunked->NumDims(), 6u);
+  EXPECT_EQ(chunked->Name(), path);
+  Result<MmapFileDataSource> mapped = MmapFileDataSource::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ(mapped->Name(), path);
+
+  MemoryDataSource memory(d);
+  // Whole-scan equivalence plus several sub-ranges, including the ends.
+  const std::pair<size_t, size_t> ranges[] = {
+      {0, 300}, {0, 1}, {299, 300}, {100, 200}, {42, 43}, {150, 150}};
+  for (const auto& [begin, end] : ranges) {
+    SCOPED_TRACE("range [" + std::to_string(begin) + ", " +
+                 std::to_string(end) + ")");
+    const std::vector<double> want = DrainChunks(memory, begin, end, 7);
+    EXPECT_EQ(DrainChunks(*chunked, begin, end, 7), want);
+    EXPECT_EQ(DrainChunks(*mapped, begin, end, 7), want);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(BinaryFileDataSourceTest, ConcurrentCursorsSeeTheirOwnSlices) {
+  Dataset d = testing::UniformDataset(1000, 3, 15);
+  const std::string path = ::testing::TempDir() + "mrcc_source_mt.bin";
+  ASSERT_TRUE(SaveBinary(d, path).ok());
+  Result<ChunkedBinaryDataSource> chunked = ChunkedBinaryDataSource::Open(path);
+  ASSERT_TRUE(chunked.ok()) << chunked.status().ToString();
+  Result<MmapFileDataSource> mapped = MmapFileDataSource::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+
+  for (const DataSource* source :
+       {static_cast<const DataSource*>(&*chunked),
+        static_cast<const DataSource*>(&*mapped)}) {
+    // Four threads scan disjoint quarters concurrently; every value must
+    // land at its own global index.
+    std::vector<double> first_axis(1000, -1.0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        const size_t begin = 250 * static_cast<size_t>(t);
+        const size_t end = begin + 250;
+        size_t next = begin;
+        const Status status = source->ScanChunks(
+            begin, end, 17, [&](size_t first, std::span<const double> values) {
+              EXPECT_EQ(first, next);
+              for (size_t k = 0; k < values.size(); k += 3) {
+                first_axis[next++] = values[k];
+              }
+              return Status::OK();
+            });
+        EXPECT_TRUE(status.ok()) << status.ToString();
+        EXPECT_EQ(next, end);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (size_t i = 0; i < 1000; ++i) {
+      ASSERT_DOUBLE_EQ(first_axis[i], d(i, 0)) << "point " << i;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(BinaryFileDataSourceTest, MissingFileFailsOnOpen) {
+  EXPECT_FALSE(ChunkedBinaryDataSource::Open("/nonexistent/x.bin").ok());
+  EXPECT_FALSE(MmapFileDataSource::Open("/nonexistent/x.bin").ok());
+}
+
+TEST(BinaryFileDataSourceTest, TruncatedFileFailsWithTheByteOffset) {
+  // Regression: a partially-written dataset used to scan as zeros past
+  // the cut. Now every reader rejects it up front — through the one
+  // header parser — naming where the data ran out.
+  Dataset d = testing::UniformDataset(200, 4, 18);
+  const std::string path = ::testing::TempDir() + "mrcc_truncated.bin";
+  ASSERT_TRUE(SaveBinary(d, path).ok());
+  // Cut the file mid-way through the point payload.
+  const uint64_t cut = 24 + 100 * 4 * sizeof(double) + 3;
+  ASSERT_EQ(truncate(path.c_str(), static_cast<off_t>(cut)), 0);
+
+  const Status statuses[] = {ChunkedBinaryDataSource::Open(path).status(),
+                             MmapFileDataSource::Open(path).status(),
+                             LoadBinary(path).status()};
+  for (const Status& status : statuses) {
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kIOError);
+    // The message names the byte where data ends and what was promised.
+    EXPECT_NE(status.message().find(std::to_string(cut)), std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.message().find("200 points"), std::string::npos)
+        << status.ToString();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(BinaryFileDataSourceTest, HeaderOnlyTruncationFailsOnOpen) {
+  Dataset d = testing::UniformDataset(50, 2, 19);
+  const std::string path = ::testing::TempDir() + "mrcc_header_cut.bin";
+  ASSERT_TRUE(SaveBinary(d, path).ok());
+  ASSERT_EQ(truncate(path.c_str(), 10), 0);  // Inside the header.
+  EXPECT_EQ(ChunkedBinaryDataSource::Open(path).status().code(),
+            StatusCode::kIOError);
+  EXPECT_EQ(MmapFileDataSource::Open(path).status().code(),
+            StatusCode::kIOError);
+  EXPECT_EQ(LoadBinary(path).status().code(), StatusCode::kIOError);
+  std::remove(path.c_str());
+}
+
+TEST(BinaryFileDataSourceTest, TransientReadErrorIsRetriedToSuccess) {
+  // One injected EAGAIN on the first block read: the retry loop in
+  // common/fs absorbs it and the scan returns data identical to the
+  // clean scan.
+  Dataset d = testing::UniformDataset(120, 3, 20);
+  const std::string path = ::testing::TempDir() + "mrcc_transient.bin";
+  ASSERT_TRUE(SaveBinary(d, path).ok());
+  Result<ChunkedBinaryDataSource> file = ChunkedBinaryDataSource::Open(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  const std::vector<double> expected = DrainChunks(*file, 0, 120, 16);
+  ASSERT_EQ(expected, Rows(d, 0, 120));
+
+  fp::ScopedArm arm("source.read.transient=1");
+  EXPECT_EQ(DrainChunks(*file, 0, 120, 16), expected);
+  EXPECT_GT(fp::HitCount("source.read.transient"), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(BinaryFileDataSourceTest, ExhaustedRetriesSurfaceAsIOError) {
+  Dataset d = testing::UniformDataset(60, 3, 22);
+  const std::string path = ::testing::TempDir() + "mrcc_exhausted.bin";
+  ASSERT_TRUE(SaveBinary(d, path).ok());
+  Result<ChunkedBinaryDataSource> file = ChunkedBinaryDataSource::Open(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+
+  fp::ScopedArm arm("source.read.transient");  // Every attempt fails.
+  // With a persistent fault the first block read never completes, and
+  // the error names the exhausted retry budget.
+  const Status status = file->ScanChunks(0, 60, 16, kIgnoreChunk);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kIOError);
+  EXPECT_NE(status.message().find("retries"), std::string::npos)
+      << status.ToString();
+  std::remove(path.c_str());
+}
+
 TEST(ScanChunksTest, EveryBackendDeliversIdenticalChunkStreams) {
   Dataset d = testing::UniformDataset(257, 5, 23);
   const std::string path = ::testing::TempDir() + "mrcc_chunks.bin";
   ASSERT_TRUE(SaveBinary(d, path).ok());
 
   MemoryDataSource memory(d);
-  Result<BinaryFileDataSource> file = BinaryFileDataSource::Open(path);
-  ASSERT_TRUE(file.ok());
-  // 96-byte buffer: holds 2 points of 5 doubles, so every chunk request
-  // spans several block reads — the re-blocking seam.
-  Result<ChunkedBinaryDataSource> chunked =
-      ChunkedBinaryDataSource::Open(path, 96);
+  Result<ChunkedBinaryDataSource> chunked = ChunkedBinaryDataSource::Open(path);
   ASSERT_TRUE(chunked.ok());
-  EXPECT_EQ(chunked->buffer_points(), 2u);
   Result<MmapFileDataSource> mapped = MmapFileDataSource::Open(path);
   ASSERT_TRUE(mapped.ok());
   EXPECT_TRUE(mapped->using_mmap());
@@ -252,7 +262,6 @@ TEST(ScanChunksTest, EveryBackendDeliversIdenticalChunkStreams) {
   for (size_t chunk : {size_t{1}, size_t{7}, size_t{64}, size_t{4096}}) {
     SCOPED_TRACE("chunk_points=" + std::to_string(chunk));
     EXPECT_EQ(DrainChunks(memory, 0, 257, chunk), expected);
-    EXPECT_EQ(DrainChunks(*file, 0, 257, chunk), expected);
     EXPECT_EQ(DrainChunks(*chunked, 0, 257, chunk), expected);
     EXPECT_EQ(DrainChunks(*mapped, 0, 257, chunk), expected);
   }
@@ -285,35 +294,46 @@ TEST(ScanChunksTest, CallbackErrorAbortsTheScanUnchanged) {
 
 TEST(ScanChunksTest, ArgumentsAreValidated) {
   Dataset d = testing::UniformDataset(10, 2, 25);
-  MemoryDataSource source(d);
-  const auto ignore = [](size_t, std::span<const double>) {
-    return Status::OK();
-  };
-  EXPECT_EQ(source.ScanChunks(0, 11, 4, ignore).code(),
-            StatusCode::kOutOfRange);
-  EXPECT_EQ(source.ScanChunks(7, 5, 4, ignore).code(),
-            StatusCode::kOutOfRange);
-  EXPECT_EQ(source.ScanChunks(0, 10, 0, ignore).code(),
-            StatusCode::kInvalidArgument);
-  // An empty range is a no-op, not an error.
-  EXPECT_TRUE(source.ScanChunks(5, 5, 4, ignore).ok());
+  const std::string path = ::testing::TempDir() + "mrcc_chunk_args.bin";
+  ASSERT_TRUE(SaveBinary(d, path).ok());
+  MemoryDataSource memory(d);
+  Result<ChunkedBinaryDataSource> chunked = ChunkedBinaryDataSource::Open(path);
+  ASSERT_TRUE(chunked.ok());
+  Result<MmapFileDataSource> mapped = MmapFileDataSource::Open(path);
+  ASSERT_TRUE(mapped.ok());
+
+  for (const DataSource* source :
+       {static_cast<const DataSource*>(&memory),
+        static_cast<const DataSource*>(&*chunked),
+        static_cast<const DataSource*>(&*mapped)}) {
+    EXPECT_EQ(source->ScanChunks(0, 11, 4, kIgnoreChunk).code(),
+              StatusCode::kOutOfRange);
+    EXPECT_EQ(source->ScanChunks(7, 5, 4, kIgnoreChunk).code(),
+              StatusCode::kOutOfRange);
+    EXPECT_EQ(source->ScanChunks(0, 10, 0, kIgnoreChunk).code(),
+              StatusCode::kInvalidArgument);
+    // An empty range is a no-op, not an error.
+    EXPECT_TRUE(source->ScanChunks(5, 5, 4, kIgnoreChunk).ok());
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ScanChunksTest, ChunkReadFaultSurfacesFromEveryBackend) {
   Dataset d = testing::UniformDataset(30, 3, 26);
   const std::string path = ::testing::TempDir() + "mrcc_chunk_fault.bin";
   ASSERT_TRUE(SaveBinary(d, path).ok());
+  Result<ChunkedBinaryDataSource> chunked = ChunkedBinaryDataSource::Open(path);
+  ASSERT_TRUE(chunked.ok());
   Result<MmapFileDataSource> mapped = MmapFileDataSource::Open(path);
   ASSERT_TRUE(mapped.ok());
   MemoryDataSource memory(d);
 
   fp::ScopedArm arm("source.chunk.read");
-  const auto ignore = [](size_t, std::span<const double>) {
-    return Status::OK();
-  };
-  EXPECT_EQ(memory.ScanChunks(0, 30, 8, ignore).code(),
+  EXPECT_EQ(memory.ScanChunks(0, 30, 8, kIgnoreChunk).code(),
             StatusCode::kIOError);
-  EXPECT_EQ(mapped->ScanChunks(0, 30, 8, ignore).code(),
+  EXPECT_EQ(chunked->ScanChunks(0, 30, 8, kIgnoreChunk).code(),
+            StatusCode::kIOError);
+  EXPECT_EQ(mapped->ScanChunks(0, 30, 8, kIgnoreChunk).code(),
             StatusCode::kIOError);
   std::remove(path.c_str());
 }
@@ -328,10 +348,8 @@ TEST(MmapFileDataSourceTest, CursorScanMatchesMemory) {
 
   for (const auto& [begin, end] :
        {std::pair<size_t, size_t>{0, 128}, {0, 1}, {127, 128}, {30, 90}}) {
-    auto from_map = mapped->Scan(begin, end);
-    auto from_memory = memory.Scan(begin, end);
-    ASSERT_TRUE(from_map.ok() && from_memory.ok());
-    EXPECT_EQ(Drain(**from_map), Drain(**from_memory))
+    EXPECT_EQ(DrainChunks(*mapped, begin, end, 9),
+              DrainChunks(memory, begin, end, 9))
         << "range [" << begin << ", " << end << ")";
   }
   std::remove(path.c_str());
@@ -355,31 +373,9 @@ TEST(MmapFileDataSourceTest, FallbackServesTheSameBytes) {
   ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
   EXPECT_FALSE(fallback->using_mmap());
   EXPECT_EQ(DrainChunks(*fallback, 0, 90, 11), expected);
-  auto cursor = fallback->ScanAll();
-  ASSERT_TRUE(cursor.ok());
-  EXPECT_EQ(Drain(**cursor).size(), 90u);
-  std::remove(path.c_str());
-}
-
-TEST(DatasetReaderSeekTest, SeekToJumpsToPoint) {
-  Dataset d = testing::UniformDataset(64, 5, 16);
-  const std::string path = ::testing::TempDir() + "mrcc_seek.bin";
-  ASSERT_TRUE(SaveBinary(d, path).ok());
-  Result<BinaryDatasetReader> reader = BinaryDatasetReader::Open(path);
-  ASSERT_TRUE(reader.ok());
-
-  std::vector<double> point(5);
-  ASSERT_TRUE(reader->SeekTo(40).ok());
-  EXPECT_EQ(reader->position(), 40u);
-  ASSERT_TRUE(reader->Next(point));
-  EXPECT_DOUBLE_EQ(point[2], d(40, 2));
-
-  // Seeking to the end is allowed and yields no further points.
-  ASSERT_TRUE(reader->SeekTo(64).ok());
-  EXPECT_FALSE(reader->Next(point));
-  EXPECT_TRUE(reader->status().ok());
-
-  EXPECT_EQ(reader->SeekTo(65).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(DrainChunks(*fallback, 30, 60, 4),
+            std::vector<double>(expected.begin() + 30 * 3,
+                                expected.begin() + 60 * 3));
   std::remove(path.c_str());
 }
 

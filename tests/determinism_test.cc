@@ -86,7 +86,7 @@ TEST(DeterminismTest, FileSourceMatchesMemorySourceAtEveryThreadCount) {
   const LabeledDataset dataset = testing::SmallClustered(5000, 6, 2, 13);
   const std::string path = ::testing::TempDir() + "mrcc_determinism.bin";
   ASSERT_TRUE(SaveBinary(dataset.data, path).ok());
-  Result<BinaryFileDataSource> file = BinaryFileDataSource::Open(path);
+  Result<ChunkedBinaryDataSource> file = ChunkedBinaryDataSource::Open(path);
   ASSERT_TRUE(file.ok()) << file.status().ToString();
   const MemoryDataSource memory(dataset.data);
 
@@ -115,7 +115,7 @@ TEST(DeterminismTest, ThreadedRunMatchesSerialFileRun) {
   Result<MrCCResult> threaded = MrCC(params).Run(dataset.data);
   ASSERT_TRUE(threaded.ok());
 
-  Result<BinaryFileDataSource> source = BinaryFileDataSource::Open(path);
+  Result<ChunkedBinaryDataSource> source = ChunkedBinaryDataSource::Open(path);
   ASSERT_TRUE(source.ok());
   MrCCParams serial_params;  // Out-of-core entry point, serial.
   Result<MrCCResult> serial = MrCC(serial_params).Run(*source);

@@ -212,8 +212,8 @@ TEST_F(FaultInjectionTest, SingleTransientErrorIsRetriedInvisibly) {
       RunScenario(data_, bin_path_, out_prefix_, &baseline_stats).ok());
 
   fp::ScopedArm arm("source.read.transient=1");
-  Result<BinaryFileDataSource> source =
-      BinaryFileDataSource::Open(bin_path_);
+  Result<ChunkedBinaryDataSource> source =
+      ChunkedBinaryDataSource::Open(bin_path_);
   ASSERT_TRUE(source.ok());
   const Result<MrCCResult> result = MrCC().Run(*source);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -225,14 +225,18 @@ TEST_F(FaultInjectionTest, ProbabilisticReadFaultsNeverCrashThePipeline) {
   // A flaky-disk soak: 20% of reads fail transiently under a fixed seed.
   // Runs either complete (enough retries absorbed the faults) or fail
   // with a clean IOError; determinism of the trigger makes this exact.
+  // Eight-point chunks make each scan of the 6000 points draw 750 block
+  // reads.
   fp::ScopedArm arm("source.read.transient=p0.2@1234");
-  Result<BinaryFileDataSource> source =
-      BinaryFileDataSource::Open(bin_path_);
+  Result<ChunkedBinaryDataSource> source =
+      ChunkedBinaryDataSource::Open(bin_path_);
   if (!source.ok()) {
     EXPECT_EQ(source.status().code(), StatusCode::kIOError);
     return;
   }
-  const Result<MrCCResult> result = MrCC().Run(*source);
+  MrCCParams params;
+  params.chunk_points = 8;
+  const Result<MrCCResult> result = MrCC(params).Run(*source);
   if (!result.ok()) {
     EXPECT_EQ(result.status().code(), StatusCode::kIOError);
     EXPECT_NE(result.status().message().find("retries"), std::string::npos)
@@ -244,8 +248,8 @@ TEST_F(FaultInjectionTest, LenientPolicySurvivesCorruptRows) {
   // Corrupt rows + skip policy: the run completes on the clean subset
   // and reports exactly how much it dropped.
   fp::ScopedArm arm("source.read.corrupt=p0.05@7");
-  Result<BinaryFileDataSource> source =
-      BinaryFileDataSource::Open(bin_path_);
+  Result<ChunkedBinaryDataSource> source =
+      ChunkedBinaryDataSource::Open(bin_path_);
   ASSERT_TRUE(source.ok());
   MrCCParams params;
   params.bad_point_policy = BadPointPolicy::kSkip;

@@ -89,19 +89,19 @@ TEST_F(OutOfCoreTest, EveryBackendMatchesTheInMemoryBuild) {
     params.num_threads = threads;
     const std::string tag = " threads=" + std::to_string(threads);
 
-    Result<BinaryFileDataSource> file = BinaryFileDataSource::Open(bin_path_);
-    ASSERT_TRUE(file.ok()) << file.status().ToString();
-    Result<MrCCResult> r = MrCC(params).Run(*file);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    ExpectSameResult(*r, *baseline, "file" + tag);
-
-    // A tiny block buffer (64 bytes -> forced re-blocking) must not show.
     Result<ChunkedBinaryDataSource> chunked =
-        ChunkedBinaryDataSource::Open(bin_path_, 64);
+        ChunkedBinaryDataSource::Open(bin_path_);
     ASSERT_TRUE(chunked.ok()) << chunked.status().ToString();
-    r = MrCC(params).Run(*chunked);
+    Result<MrCCResult> r = MrCC(params).Run(*chunked);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ExpectSameResult(*r, *baseline, "chunked" + tag);
+
+    // Tiny blocks (one pread per two points) must not show either.
+    MrCCParams tiny = params;
+    tiny.chunk_points = 2;
+    r = MrCC(tiny).Run(*chunked);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ExpectSameResult(*r, *baseline, "chunked, 2-point blocks" + tag);
 
     Result<MmapFileDataSource> mapped = MmapFileDataSource::Open(bin_path_);
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();

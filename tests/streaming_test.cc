@@ -1,12 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/mrcc.h"
 #include "data/data_source.h"
 #include "data/dataset_io.h"
-#include "data/dataset_reader.h"
 #include "eval/quality.h"
 #include "test_util.h"
 
@@ -24,61 +25,64 @@ std::string TempBinary(const Dataset& data, const char* name) {
 // RunMrCCOnBinaryFile wrapper).
 Result<MrCCResult> RunOnFile(const std::string& path,
                              const MrCCParams& params = MrCCParams()) {
-  Result<BinaryFileDataSource> source = BinaryFileDataSource::Open(path);
+  Result<ChunkedBinaryDataSource> source = ChunkedBinaryDataSource::Open(path);
   if (!source.ok()) return source.status();
   return MrCC(params).Run(*source);
 }
 
+/// Every point of a full ScanChunks over `source`, row-major.
+std::vector<double> ScanAllValues(const DataSource& source,
+                                  size_t chunk_points) {
+  std::vector<double> values;
+  const Status status = source.ScanChunks(
+      0, source.NumPoints(), chunk_points,
+      [&](size_t first, std::span<const double> chunk) {
+        EXPECT_EQ(first * source.NumDims(), values.size());
+        values.insert(values.end(), chunk.begin(), chunk.end());
+        return Status::OK();
+      });
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return values;
+}
+
+// Reading a dataset file goes through the chunked file source: the
+// header's geometry, then every point in file order.
 TEST(DatasetReaderTest, StreamsAllPointsInOrder) {
   Dataset d = testing::UniformDataset(200, 5, 31);
   const std::string path = TempBinary(d, "order.bin");
-  Result<BinaryDatasetReader> reader = BinaryDatasetReader::Open(path);
-  ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(reader->num_points(), 200u);
-  EXPECT_EQ(reader->num_dims(), 5u);
-  std::vector<double> point(5);
-  size_t i = 0;
-  while (reader->Next(point)) {
+  Result<ChunkedBinaryDataSource> source = ChunkedBinaryDataSource::Open(path);
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  EXPECT_EQ(source->NumPoints(), 200u);
+  EXPECT_EQ(source->NumDims(), 5u);
+  const std::vector<double> values = ScanAllValues(*source, 7);
+  ASSERT_EQ(values.size(), 200u * 5u);
+  for (size_t i = 0; i < 200; ++i) {
     for (size_t j = 0; j < 5; ++j) {
-      ASSERT_DOUBLE_EQ(point[j], d(i, j)) << "point " << i;
+      ASSERT_DOUBLE_EQ(values[i * 5 + j], d(i, j)) << "point " << i;
     }
-    ++i;
   }
-  EXPECT_EQ(i, 200u);
-  EXPECT_TRUE(reader->status().ok());
   std::remove(path.c_str());
 }
 
+// MrCC scans its input twice (tree build, then labelling): a second scan
+// of the same source starts again at the first point.
 TEST(DatasetReaderTest, RewindRestartsScan) {
   Dataset d = testing::UniformDataset(50, 3, 17);
   const std::string path = TempBinary(d, "rewind.bin");
-  Result<BinaryDatasetReader> reader = BinaryDatasetReader::Open(path);
-  ASSERT_TRUE(reader.ok());
-  std::vector<double> point(3);
-  while (reader->Next(point)) {
-  }
-  ASSERT_TRUE(reader->Rewind().ok());
-  ASSERT_TRUE(reader->Next(point));
-  EXPECT_DOUBLE_EQ(point[0], d(0, 0));
+  Result<ChunkedBinaryDataSource> source = ChunkedBinaryDataSource::Open(path);
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  const std::vector<double> first = ScanAllValues(*source, 16);
+  ASSERT_EQ(first.size(), 50u * 3u);
+  EXPECT_DOUBLE_EQ(first[0], d(0, 0));
+  EXPECT_EQ(ScanAllValues(*source, 16), first);
   std::remove(path.c_str());
 }
 
 TEST(DatasetReaderTest, MissingFileIsIOError) {
-  Result<BinaryDatasetReader> reader =
-      BinaryDatasetReader::Open("/nonexistent/x.bin");
-  ASSERT_FALSE(reader.ok());
-  EXPECT_EQ(reader.status().code(), StatusCode::kIOError);
-}
-
-TEST(DatasetReaderTest, WrongSpanSizeSetsStatus) {
-  Dataset d = testing::UniformDataset(10, 4, 3);
-  const std::string path = TempBinary(d, "span.bin");
-  Result<BinaryDatasetReader> reader = BinaryDatasetReader::Open(path);
-  ASSERT_TRUE(reader.ok());
-  std::vector<double> wrong(3);
-  EXPECT_FALSE(reader->Next(wrong));
-  EXPECT_FALSE(reader->status().ok());
-  std::remove(path.c_str());
+  const Result<ChunkedBinaryDataSource> source =
+      ChunkedBinaryDataSource::Open("/nonexistent/x.bin");
+  ASSERT_FALSE(source.ok());
+  EXPECT_EQ(source.status().code(), StatusCode::kIOError);
 }
 
 TEST(StreamingTest, MatchesInMemoryRunExactly) {

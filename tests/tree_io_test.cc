@@ -29,6 +29,19 @@ TEST(TreeIoTest, SaveLoadRoundTrip) {
   std::remove(path.c_str());
 }
 
+// A sealed tree has one footprint however it was assembled: parsing its
+// bytes must not leave growth slack in the level arenas, or a loaded
+// shard over-reports to the memory budget.
+TEST(TreeIoTest, ParsedTreeReportsTheBuiltTreesMemory) {
+  LabeledDataset ds = testing::SmallClustered(5000, 14, 3, 73);
+  Result<CountingTree> tree = CountingTree::Build(ds.data, 5);
+  ASSERT_TRUE(tree.ok());
+  const Result<CountingTree> parsed =
+      ParseTree(SerializeTree(*tree), "round-trip");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->MemoryBytes(), tree->MemoryBytes());
+}
+
 TEST(TreeIoTest, LoadedTreeProducesIdenticalBetaClusters) {
   LabeledDataset ds = testing::SmallClustered(4000, 8, 3, 72);
   Result<CountingTree> tree = CountingTree::Build(ds.data, 4);

@@ -62,6 +62,11 @@ offending line):
                      only in src/core/mrcc.cc (the one cluster tail,
                      ClusterTree). A second copy of the scan loop or of
                      the tail trips it; tests and benches are exempt.
+                     Outside tests/, `public DataSource` (a DataSource
+                     backend) appears only in src/data/data_source.h, so
+                     a new backend lands beside the three existing ones
+                     and the every-backend tests in
+                     tests/data_source_test.cc.
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error. Run from
 anywhere: the repo root is derived from this script's location, or pass
@@ -486,6 +491,24 @@ def check_single_ingest(path, source, findings):
                     "(data/sanitize.h)"))
 
 
+DATA_SOURCE_BACKEND_RE = re.compile(
+    r"\bpublic\s+(?:virtual\s+)?(?:(?:::)?mrcc\s*::\s*)?DataSource\b")
+DATA_SOURCE_OWNER = "src/data/data_source.h"
+
+
+def check_data_source_backends(path, source, findings):
+    rel = path.replace(os.sep, "/")
+    if rel == DATA_SOURCE_OWNER or rel.startswith("tests/"):
+        return
+    clean = neutralized(source)
+    for m in DATA_SOURCE_BACKEND_RE.finditer(clean):
+        line = clean.count("\n", 0, m.start()) + 1
+        findings.append(Finding(
+            path, line, "single-ingest",
+            "DataSource backend outside %s — add it there, beside the "
+            "every-backend tests" % DATA_SOURCE_OWNER))
+
+
 def lint_file(path, rel, sites, spans, result_fns, findings):
     with open(path, encoding="utf-8", errors="replace") as f:
         source = f.read()
@@ -495,6 +518,7 @@ def lint_file(path, rel, sites, spans, result_fns, findings):
         check_metric_and_span_names(rel, source, raw)
         check_spans_documented(rel, source, spans, raw)
         check_single_ingest(rel, source, raw)
+    check_data_source_backends(rel, source, raw)
     check_result_value(rel, source, result_fns, raw)
     check_cell_storage(rel, source, raw)
     allow = suppressed_lines(source)
