@@ -6,9 +6,9 @@
 //     order-3 mask at O(3^d) (the ablation the paper argues about when
 //     choosing the face-only mask).
 //   - Binomial critical value: log-space tail inversion cost.
-//   - Shard-artifact load: ParseTree and ValidateInvariants over one
-//     shard-sized tree (the load cost a multi-process build pays per
-//     shard; DESIGN.md §16).
+//   - Shard artifacts: serializing one shard-sized tree, its footer
+//     checksum, and ParseTree and ValidateInvariants over it (the write
+//     and load cost a multi-process build pays per shard; DESIGN.md §16).
 //   - Window fold: nine sealed generation trees folded with a seal per
 //     source versus one seal at the end (DESIGN.md §14).
 //   - Full MrCC runs at increasing eta (end-to-end linearity).
@@ -17,11 +17,13 @@
 
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "common/check.h"
+#include "common/fs.h"
 #include "common/stats.h"
 #include "core/counting_tree.h"
 #include "core/laplacian_mask.h"
@@ -197,6 +199,7 @@ BENCHMARK(BM_LayoutLevelCountScan);
 // points, at H = 4 like the pipeline's default. Items are cells.
 
 struct ShardFixture {
+  std::optional<CountingTree> tree;
   std::string artifact;
   size_t cells = 0;
 };
@@ -216,9 +219,47 @@ const ShardFixture& ShardFor(size_t d) {
     const uint64_t n = ds.data.NumPoints();
     shard.artifact =
         dist::SerializeShardArtifact(*tree, dist::ShardMeta{0, n, n});
+    shard.tree = std::move(*tree);
   }
   return shard;
 }
+
+// What a worker does between building its tree and publishing it:
+// the tree stream, the footer and its checksum, in one buffer.
+void BM_SerializeShardArtifact(benchmark::State& state) {
+  const ShardFixture& shard = ShardFor(static_cast<size_t>(state.range(0)));
+  const uint64_t n = shard.tree->total_points();
+  for (auto _ : state) {
+    std::string bytes =
+        dist::SerializeShardArtifact(*shard.tree, dist::ShardMeta{0, n, n});
+    benchmark::DoNotOptimize(bytes.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(shard.cells));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(shard.artifact.size()));
+}
+BENCHMARK(BM_SerializeShardArtifact)
+    ->Arg(14)
+    ->Arg(30)
+    ->Unit(benchmark::kMillisecond);
+
+// The footer checksum alone, over the whole artifact: paid once by the
+// writer and once by every load.
+void BM_ShardChecksum(benchmark::State& state) {
+  const ShardFixture& shard = ShardFor(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        WordChecksum(shard.artifact.data(), shard.artifact.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(shard.artifact.size()));
+}
+BENCHMARK(BM_ShardChecksum)
+    ->Arg(14)
+    ->Arg(30)
+    ->Unit(benchmark::kMillisecond);
 
 // Footer checks, checksum, in-place ParseTree and ValidateInvariants:
 // everything ReadShardArtifact does after reading the file.

@@ -1,8 +1,10 @@
 #include "common/fs.h"
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <system_error>
 #include <thread>
 
@@ -167,6 +169,61 @@ uint64_t Fnv1a(const void* data, size_t n, uint64_t seed) {
     h ^= p[i];
     h *= 1099511628211ull;
   }
+  return h;
+}
+
+namespace {
+
+// The xxHash64 primes: odd, so multiplying by one is a bijection.
+constexpr uint64_t kPrime1 = 0x9E3779B185EBCA87ull;
+constexpr uint64_t kPrime2 = 0xC2B2AE3D27D4EB4Full;
+constexpr uint64_t kPrime3 = 0x165667B19E3779F9ull;
+
+/// One lane step: a bijection of `lane` for a fixed word and of `word`
+/// for a fixed lane.
+uint64_t LaneStep(uint64_t lane, uint64_t word) {
+  return std::rotl(lane + word * kPrime2, 31) * kPrime1;
+}
+
+uint64_t LoadWord(const unsigned char* p) {
+  uint64_t word = 0;
+  std::memcpy(&word, p, sizeof(word));
+  return word;
+}
+
+}  // namespace
+
+uint64_t WordChecksum(const void* data, size_t n) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  // Distinct seeds, so equal words in different lanes do not cancel.
+  uint64_t lane[4] = {kPrime1 + kPrime2, kPrime2, 0, 0 - kPrime1};
+  const size_t words = n / sizeof(uint64_t);
+  size_t w = 0;
+  for (; w + 4 <= words; w += 4) {
+    const unsigned char* stripe = p + w * sizeof(uint64_t);
+    lane[0] = LaneStep(lane[0], LoadWord(stripe));
+    lane[1] = LaneStep(lane[1], LoadWord(stripe + 8));
+    lane[2] = LaneStep(lane[2], LoadWord(stripe + 16));
+    lane[3] = LaneStep(lane[3], LoadWord(stripe + 24));
+  }
+  for (; w < words; ++w) {
+    lane[w % 4] = LaneStep(lane[w % 4], LoadWord(p + w * sizeof(uint64_t)));
+  }
+  // Each lane enters through its own rotation, so the combine is a
+  // bijection of any one lane with the other three fixed.
+  uint64_t h = std::rotl(lane[0], 1) + std::rotl(lane[1], 7) +
+               std::rotl(lane[2], 12) + std::rotl(lane[3], 18);
+  uint64_t tail = 0;
+  if (n % sizeof(uint64_t) != 0) {
+    std::memcpy(&tail, p + words * sizeof(uint64_t), n % sizeof(uint64_t));
+  }
+  h = LaneStep(h, tail) + static_cast<uint64_t>(n);
+  // xxHash64's avalanche: each line is invertible.
+  h ^= h >> 33;
+  h *= kPrime2;
+  h ^= h >> 29;
+  h *= kPrime3;
+  h ^= h >> 32;
   return h;
 }
 

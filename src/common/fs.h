@@ -112,11 +112,23 @@ inline constexpr int kMaxReadRetries = 3;
 inline constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ull;
 
 /// 64-bit FNV-1a over `n` bytes, continuing from `seed`. This is the
-/// checksum of the shard-artifact trailer (src/dist/shard_io.h) and the
-/// fingerprint hash of the build manifest: fast, dependency-free, and
-/// stable across platforms. Chain calls by passing the previous return
-/// value as `seed`.
+/// fingerprint hash of the build manifest: dependency-free and stable
+/// across platforms, but byte-serial (about 0.5 bytes per cycle), so use
+/// WordChecksum for multi-megabyte buffers. Chain calls by passing the
+/// previous return value as `seed`.
 uint64_t Fnv1a(const void* data, size_t n, uint64_t seed = kFnvOffsetBasis);
+
+/// 64-bit checksum of the shard-artifact footer (src/dist/shard_io.h),
+/// word-at-a-time. The buffer's whole 8-byte words (at offsets 0, 8,
+/// 16, ... from its start, in host byte order) feed four independent
+/// lanes round-robin; each lane step is lane' = rotl(lane + w * P2, 31)
+/// * P1 with odd P1 and P2. The remaining 0-7 tail bytes, zero-padded
+/// to one word, and the length `n` are folded into the lanes' combine.
+/// Every step is a bijection of the value it updates, so any change
+/// confined to one 8-byte word (or to the tail) changes the sum. This
+/// function's values are part of the artifact format: changing them
+/// needs a new kShardFormatVersion.
+uint64_t WordChecksum(const void* data, size_t n);
 
 /// Atomically replaces `path` with `contents`: writes to a temporary
 /// file in the same directory, fsyncs it, renames it over `path`, then

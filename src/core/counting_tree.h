@@ -401,7 +401,8 @@ class CountingTree {
       : num_dims_(num_dims), num_resolutions_(num_resolutions) {}
 
   // Persistence needs raw access to the arenas (tree_io.h).
-  friend std::string SerializeTree(const CountingTree& tree);
+  friend std::string SerializeTree(const CountingTree& tree,
+                                   size_t trailer_bytes);
   friend Result<CountingTree> ParseTree(std::string_view bytes,
                                         const std::string& path);
 

@@ -2,6 +2,8 @@
 
 #include <cstring>
 #include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "common/check.h"
 #include "common/fs.h"
@@ -12,9 +14,18 @@ namespace {
 constexpr char kMagic[4] = {'M', 'R', 'T', 'R'};
 constexpr uint32_t kVersion = 1;
 
-template <typename T>
-void AppendPod(const T& v, std::string* out) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(T));
+// magic, version, d, H, total_points, node_count.
+constexpr size_t kHeaderBytes = sizeof(kMagic) + 3 * sizeof(uint32_t) +
+                                2 * sizeof(uint64_t);
+
+/// On-disk bytes of one node record (level, base coordinates, cell
+/// count) and of one cell record (loc, count, child, half counts).
+constexpr uint64_t NodeBytes(uint64_t d) {
+  return sizeof(int32_t) + d * sizeof(uint64_t) + sizeof(uint64_t);
+}
+constexpr uint64_t CellBytes(uint64_t d) {
+  return sizeof(uint64_t) + sizeof(uint32_t) + sizeof(int32_t) +
+         d * sizeof(uint32_t);
 }
 
 /// Sequential cursor over serialized tree bytes. Every read names the
@@ -86,31 +97,60 @@ class TreeCursor {
 
 }  // namespace
 
-std::string SerializeTree(const CountingTree& tree) {
-  std::string out;
-  out.append(kMagic, sizeof(kMagic));
-  AppendPod(kVersion, &out);
-  AppendPod(static_cast<uint32_t>(tree.num_dims()), &out);
-  AppendPod(static_cast<uint32_t>(tree.num_resolutions()), &out);
-  AppendPod(tree.total_points(), &out);
-  AppendPod(static_cast<uint64_t>(tree.num_nodes()), &out);
-  const size_t d = tree.num_dims();
+std::string SerializeTree(const CountingTree& tree, size_t trailer_bytes) {
+  // The record sizes (NodeBytes, CellBytes) follow the element types
+  // copied below.
+  static_assert(std::is_same_v<decltype(CountingTree::Node::base_coords),
+                               std::vector<uint64_t>>);
+  static_assert(std::is_same_v<decltype(CountingTree::Arena::loc),
+                               std::vector<uint64_t>>);
+  static_assert(std::is_same_v<decltype(CountingTree::Arena::n),
+                               std::vector<uint32_t>>);
+  static_assert(std::is_same_v<decltype(CountingTree::Arena::child),
+                               std::vector<int32_t>>);
+  static_assert(std::is_same_v<decltype(CountingTree::Arena::half),
+                               std::vector<uint32_t>>);
   MRCC_DCHECK(tree.packed_);
-  for (size_t n = 0; n < tree.nodes_.size(); ++n) {
-    const CountingTree::Node& node = tree.nodes_[n];
+  const size_t d = tree.num_dims();
+  size_t cells = 0;
+  for (const CountingTree::Node& node : tree.nodes_) cells += node.count;
+  const size_t size = kHeaderBytes + tree.nodes_.size() * NodeBytes(d) +
+                      cells * CellBytes(d);
+  // Sized once, then filled field by field: one memcpy per field or
+  // per run of same-typed fields, no growth checks.
+  std::string out;
+  out.reserve(size + trailer_bytes);
+  out.resize(size);
+  char* p = out.data();
+  const auto put = [&p](const auto& v) {
+    std::memcpy(p, &v, sizeof(v));
+    p += sizeof(v);
+  };
+  const auto put_run = [&p](const auto* v, size_t count) {
+    std::memcpy(p, v, count * sizeof(*v));
+    p += count * sizeof(*v);
+  };
+  put(kMagic);
+  put(kVersion);
+  put(static_cast<uint32_t>(d));
+  put(static_cast<uint32_t>(tree.num_resolutions()));
+  put(static_cast<uint64_t>(tree.total_points()));
+  put(static_cast<uint64_t>(tree.num_nodes()));
+  for (const CountingTree::Node& node : tree.nodes_) {
     const CountingTree::Arena& arena =
         tree.arenas_[static_cast<size_t>(node.level)];
-    AppendPod(static_cast<int32_t>(node.level), &out);
-    for (uint64_t c : node.base_coords) AppendPod(c, &out);
-    AppendPod(static_cast<uint64_t>(node.count), &out);
+    put(static_cast<int32_t>(node.level));
+    put_run(node.base_coords.data(), d);
+    put(static_cast<uint64_t>(node.count));
     for (uint32_t c = 0; c < node.count; ++c) {
       const size_t i = static_cast<size_t>(node.first) + c;
-      AppendPod(arena.loc[i], &out);
-      AppendPod(arena.n[i], &out);
-      AppendPod(arena.child[i], &out);
-      for (size_t j = 0; j < d; ++j) AppendPod(arena.half[i * d + j], &out);  // lint-allow: cell-storage
+      put(arena.loc[i]);
+      put(arena.n[i]);
+      put(arena.child[i]);
+      put_run(arena.half.data() + i * d, d);  // lint-allow: cell-storage
     }
   }
+  MRCC_CHECK_EQ(static_cast<size_t>(p - out.data()), size);
   return out;
 }
 
@@ -150,10 +190,8 @@ Result<CountingTree> ParseTree(std::string_view bytes,
   // turns a corrupt or truncated stream into a clean IOError instead of
   // a multi-gigabyte resize.
   const uint64_t d = dims;
-  const uint64_t node_bytes = sizeof(int32_t) + d * sizeof(uint64_t) +
-                              sizeof(uint64_t);
-  const uint64_t cell_bytes = sizeof(uint64_t) + sizeof(uint32_t) +
-                              sizeof(int32_t) + d * sizeof(uint32_t);
+  const uint64_t node_bytes = NodeBytes(d);
+  const uint64_t cell_bytes = CellBytes(d);
   if (node_count > bytes.size() / node_bytes) {
     return in.Bad("header node_count",
                   std::to_string(node_count) + " nodes cannot fit in " +

@@ -24,6 +24,12 @@ void WritePod(std::ofstream& out, const T& v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(T));
 }
 
+template <typename T>
+void WriteArray(std::ofstream& out, const T* v, size_t count) {
+  out.write(reinterpret_cast<const char*>(v),
+            static_cast<std::streamsize>(count * sizeof(T)));
+}
+
 }  // namespace
 
 Status SaveCsv(const Dataset& data, const std::string& path,
@@ -97,14 +103,15 @@ Status SaveBinary(const Dataset& data, const std::string& path,
   WritePod(out, kVersion);
   WritePod(out, static_cast<uint64_t>(data.NumPoints()));
   WritePod(out, static_cast<uint64_t>(data.NumDims()));
-  for (size_t i = 0; i < data.NumPoints(); ++i) {
-    for (size_t j = 0; j < data.NumDims(); ++j) {
-      WritePod(out, data(i, j));
-    }
+  // The points are one row-major buffer and the labels one int32 array,
+  // each written in one call.
+  if (data.NumPoints() > 0 && data.NumDims() > 0) {
+    WriteArray(out, data.Point(0).data(), data.NumPoints() * data.NumDims());
   }
   WritePod(out, static_cast<uint8_t>(labels != nullptr ? 1 : 0));
   if (labels != nullptr) {
-    for (int label : *labels) WritePod(out, static_cast<int32_t>(label));
+    static_assert(sizeof(int) == sizeof(int32_t));
+    WriteArray(out, labels->data(), labels->size());
   }
   if (!out) return Status::IOError("write failed: " + path);
   return Status::OK();

@@ -1,7 +1,9 @@
 #include "dist/manifest.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,15 +28,33 @@ std::string Hex(uint64_t v) {
   return buf;
 }
 
-/// Parses a "0x..." hex string field (u64 values do not round-trip
-/// through JSON numbers — they are double there).
+/// Parses a "0x..." hex string field of 1-16 hex digits (u64 values do
+/// not round-trip through JSON numbers — they are double there).
 bool ParseHex(const JsonValue* v, uint64_t* out) {
   if (v == nullptr || v->kind != JsonValue::Kind::kString) return false;
   const std::string& s = v->string_value;
-  if (s.size() < 3 || s[0] != '0' || s[1] != 'x') return false;
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str() + 2, &end, 16);
-  return end != nullptr && *end == '\0';
+  if (s.size() < 3 || s.size() > 18 || s[0] != '0' || s[1] != 'x' ||
+      !std::all_of(s.begin() + 2, s.end(),
+                   [](char c) { return std::isxdigit(
+                                    static_cast<unsigned char>(c)) != 0; })) {
+    return false;
+  }
+  *out = std::strtoull(s.c_str() + 2, nullptr, 16);
+  return true;
+}
+
+/// Parses a count field: a JSON number that is a whole value in
+/// [0, 2^53], the integers a double holds exactly. Anything else —
+/// negative, fractional, huge, NaN, absent — is false, never a cast of
+/// an out-of-range double.
+bool ParseCount(const JsonValue* v, uint64_t* out) {
+  if (v == nullptr || v->kind != JsonValue::Kind::kNumber) return false;
+  const double x = v->number_value;
+  if (!(x >= 0.0 && x <= 9007199254740992.0) || x != std::floor(x)) {
+    return false;
+  }
+  *out = static_cast<uint64_t>(x);
+  return true;
 }
 
 }  // namespace
@@ -73,10 +93,11 @@ Result<BuildManifest> BuildManifest::FromJson(const std::string& json) {
   if (version == nullptr || version->kind != JsonValue::Kind::kNumber) {
     return Status::InvalidArgument("manifest lacks schema_version");
   }
-  if (static_cast<int>(version->number_value) != kSchemaVersion) {
+  if (version->number_value != kSchemaVersion) {
+    char shown[32];
+    std::snprintf(shown, sizeof(shown), "%g", version->number_value);
     return Status::InvalidArgument(
-        "unsupported manifest schema_version " +
-        std::to_string(static_cast<int>(version->number_value)) +
+        "unsupported manifest schema_version " + std::string(shown) +
         " (reader supports " + std::to_string(kSchemaVersion) + ")");
   }
 
@@ -91,11 +112,9 @@ Result<BuildManifest> BuildManifest::FromJson(const std::string& json) {
   if (!ParseHex(root.Find("params_hash"), &m.params_hash)) {
     return Status::InvalidArgument("manifest lacks a valid params_hash");
   }
-  m.num_points =
-      static_cast<uint64_t>(JsonNumberOr(root.Find("num_points"), 0.0));
-  m.num_dims =
-      static_cast<uint64_t>(JsonNumberOr(root.Find("num_dims"), 0.0));
-  if (m.num_points == 0 || m.num_dims == 0) {
+  if (!ParseCount(root.Find("num_points"), &m.num_points) ||
+      !ParseCount(root.Find("num_dims"), &m.num_dims) ||
+      m.num_points == 0 || m.num_dims == 0) {
     return Status::InvalidArgument(
         "manifest lacks num_points / num_dims");
   }
@@ -110,9 +129,12 @@ Result<BuildManifest> BuildManifest::FromJson(const std::string& json) {
       return Status::InvalidArgument("manifest shard entry is not an object");
     }
     ShardPlan shard;
-    shard.begin =
-        static_cast<uint64_t>(JsonNumberOr(element.Find("begin"), 0.0));
-    shard.end = static_cast<uint64_t>(JsonNumberOr(element.Find("end"), 0.0));
+    if (!ParseCount(element.Find("begin"), &shard.begin) ||
+        !ParseCount(element.Find("end"), &shard.end)) {
+      return Status::InvalidArgument(
+          "manifest shard " + std::to_string(m.shards.size()) +
+          " lacks a valid begin / end");
+    }
     shard.done = JsonBoolOr(element.Find("done"), false);
     m.shards.push_back(shard);
   }

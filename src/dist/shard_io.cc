@@ -17,13 +17,11 @@ namespace dist {
 namespace {
 
 constexpr char kMagic[4] = {'M', 'R', 'S', 'H'};
-constexpr size_t kFooterBytes = sizeof(kMagic) + sizeof(uint32_t) +
-                                5 * sizeof(uint64_t);
-
-template <typename T>
-void AppendPod(const T& v, std::string* out) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(T));
-}
+// points_skipped, points_clamped, then the tail every version shares:
+// magic, version, begin, end, point_count, tree length, checksum.
+constexpr size_t kTailBytes = sizeof(kMagic) + sizeof(uint32_t) +
+                              5 * sizeof(uint64_t);
+constexpr size_t kFooterBytes = 2 * sizeof(uint64_t) + kTailBytes;
 
 template <typename T>
 T ReadPod(const char* p) {
@@ -43,15 +41,22 @@ std::string Hex(uint64_t v) {
 
 std::string SerializeShardArtifact(const CountingTree& tree,
                                    const ShardMeta& meta) {
-  std::string bytes = SerializeTree(tree);
+  // The footer's room is reserved behind the tree bytes, so appending it
+  // never copies the tree stream.
+  std::string bytes = SerializeTree(tree, kFooterBytes);
   const uint64_t tree_len = bytes.size();
-  bytes.append(kMagic, sizeof(kMagic));
-  AppendPod(kShardFormatVersion, &bytes);
-  AppendPod(meta.begin, &bytes);
-  AppendPod(meta.end, &bytes);
-  AppendPod(meta.point_count, &bytes);
-  AppendPod(tree_len, &bytes);
-  AppendPod(Fnv1a(bytes.data(), bytes.size()), &bytes);
+  const auto append = [&bytes](const auto& v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  append(meta.points_skipped);
+  append(meta.points_clamped);
+  append(kMagic);
+  append(kShardFormatVersion);
+  append(meta.begin);
+  append(meta.end);
+  append(meta.point_count);
+  append(tree_len);
+  append(WordChecksum(bytes.data(), bytes.size()));
   return bytes;
 }
 
@@ -79,12 +84,13 @@ Result<ShardArtifact> ParseShardArtifact(const std::string& bytes,
         std::to_string(kFooterBytes));
   }
   const char* footer = bytes.data() + bytes.size() - kFooterBytes;
-  if (std::memcmp(footer, kMagic, sizeof(kMagic)) != 0) {
+  const char* tail = bytes.data() + bytes.size() - kTailBytes;
+  if (std::memcmp(tail, kMagic, sizeof(kMagic)) != 0) {
     return Status::IOError("bad footer magic in shard artifact " + path +
                            ": expected \"MRSH\" at byte " +
-                           std::to_string(bytes.size() - kFooterBytes));
+                           std::to_string(bytes.size() - kTailBytes));
   }
-  const uint32_t version = ReadPod<uint32_t>(footer + 4);
+  const uint32_t version = ReadPod<uint32_t>(tail + 4);
   if (version != kShardFormatVersion) {
     return Status::IOError(
         "unsupported shard artifact version " + std::to_string(version) +
@@ -92,15 +98,18 @@ Result<ShardArtifact> ParseShardArtifact(const std::string& bytes,
         std::to_string(kShardFormatVersion) + ")");
   }
   ShardMeta meta;
-  meta.begin = ReadPod<uint64_t>(footer + 8);
-  meta.end = ReadPod<uint64_t>(footer + 16);
-  meta.point_count = ReadPod<uint64_t>(footer + 24);
-  const uint64_t tree_len = ReadPod<uint64_t>(footer + 32);
-  const uint64_t stored_sum = ReadPod<uint64_t>(footer + 40);
+  meta.points_skipped = ReadPod<uint64_t>(footer);
+  meta.points_clamped = ReadPod<uint64_t>(footer + 8);
+  meta.begin = ReadPod<uint64_t>(tail + 8);
+  meta.end = ReadPod<uint64_t>(tail + 16);
+  meta.point_count = ReadPod<uint64_t>(tail + 24);
+  const uint64_t tree_len = ReadPod<uint64_t>(tail + 32);
+  const uint64_t stored_sum = ReadPod<uint64_t>(tail + 40);
 
   // Verify the checksum before trusting anything else the footer says —
   // a rotted tree_len would otherwise steer the slice below.
-  uint64_t computed = Fnv1a(bytes.data(), bytes.size() - sizeof(uint64_t));
+  uint64_t computed =
+      WordChecksum(bytes.data(), bytes.size() - sizeof(uint64_t));
   if (fp::MaybeTrue("shard.checksum")) {
     computed = ~computed;  // Simulated bit rot the trailer must catch.
   }
@@ -121,6 +130,14 @@ Result<ShardArtifact> ParseShardArtifact(const std::string& bytes,
         "inconsistent shard artifact " + path + ": partition [" +
         std::to_string(meta.begin) + ", " + std::to_string(meta.end) +
         ") does not match point count " + std::to_string(meta.point_count));
+  }
+  if (meta.points_skipped > meta.point_count ||
+      meta.points_clamped > meta.point_count - meta.points_skipped) {
+    return Status::IOError(
+        "inconsistent shard artifact " + path + ": " +
+        std::to_string(meta.points_skipped) + " skipped and " +
+        std::to_string(meta.points_clamped) + " clamped of " +
+        std::to_string(meta.point_count) + " points");
   }
   // The tree stream is parsed in place: no copy of the (multi-megabyte)
   // tree bytes is made on the way to ParseTree.

@@ -1,16 +1,21 @@
 // Checksummed shard artifacts: one Counting-tree built over a contiguous
 // point partition, published as a single file another process can trust.
 //
-// Layout: the SerializeTree byte stream (core/tree_io.h), followed by a
-// fixed 48-byte footer:
+// Layout (format version 2): the SerializeTree byte stream
+// (core/tree_io.h), followed by a fixed 64-byte footer:
 //
-//   magic "MRSH" | u32 footer version | u64 begin | u64 end
+//   u64 points_skipped | u64 points_clamped
+//   | magic "MRSH" | u32 footer version | u64 begin | u64 end
 //   | u64 point_count | u64 tree_bytes_len | u64 checksum
 //
-// where checksum is 64-bit FNV-1a (common/fs.h) over every preceding
+// where checksum is WordChecksum (common/fs.h) over every preceding
 // byte — tree stream and footer fields alike. The footer rides at the
 // *end* so a writer streams the tree bytes once and appends; the reader
-// finds it at size-48 without parsing the tree first.
+// finds it at size-64 without parsing the tree first. The last 48 bytes
+// have the same shape in every version (version 1's footer was exactly
+// them, with an FNV-1a checksum), so the reader finds the magic and the
+// version at size-48 and rejects an artifact of another version by
+// name, before checking its checksum.
 //
 // Two independent defenses reject a damaged artifact:
 //   - the checksum catches bit rot and torn tails anywhere in the file;
@@ -36,7 +41,7 @@
 namespace mrcc {
 namespace dist {
 
-inline constexpr uint32_t kShardFormatVersion = 1;
+inline constexpr uint32_t kShardFormatVersion = 2;
 
 /// Identity of one shard: which contiguous slice [begin, end) of the
 /// dataset's points it counted. point_count == end - begin always (it is
@@ -46,6 +51,12 @@ struct ShardMeta {
   uint64_t begin = 0;
   uint64_t end = 0;
   uint64_t point_count = 0;
+
+  /// The slice's points dropped / clamped by the bad-point policy while
+  /// its tree was built (ScanTally), so a merger reports what a
+  /// single-process run over the same file reports.
+  uint64_t points_skipped = 0;
+  uint64_t points_clamped = 0;
 };
 
 /// A loaded-and-verified artifact.
@@ -74,7 +85,8 @@ std::string SerializeShardArtifact(const CountingTree& tree,
     const std::string& bytes, const std::string& path);
 
 /// Loads and verifies the artifact at `path`. Failures are IOError:
-/// missing file, short file, checksum mismatch (also counted in the
+/// missing file, short file, another format version (the message names
+/// both), checksum mismatch (also counted in the
 /// `shard.checksum_failures` metric), or a tree that does not parse.
 [[nodiscard]] Result<ShardArtifact> ReadShardArtifact(
     const std::string& path);

@@ -91,7 +91,8 @@ bool ShardComplete(const ShardedBuildOptions& options,
 }
 
 Result<CountingTree> BuildShardTree(const ShardedBuildOptions& options,
-                                    uint64_t begin, uint64_t end) {
+                                    uint64_t begin, uint64_t end,
+                                    ScanTally* tally) {
   Result<ChunkedBinaryDataSource> source =
       ChunkedBinaryDataSource::Open(options.dataset_path);
   MRCC_RETURN_IF_ERROR(source.status());
@@ -104,13 +105,27 @@ Result<CountingTree> BuildShardTree(const ShardedBuildOptions& options,
   MRCC_TRACE_SPAN_N("shard.build", static_cast<int64_t>(end - begin));
   // The same range build as each in-process shard of MrCC::Run, so this
   // tree equals the slice a single-process worker would have counted.
-  // Skip/clamp counts stay in the worker: the artifact has no field for
-  // them.
-  ScanTally tally;
+  ScanTally unused;
   return BuildTreeOverRange(
       *source, begin, end, options.params,
-      ChunkPointsFor(options.params, source->NumDims(), 1), &tally);
+      ChunkPointsFor(options.params, source->NumDims(), 1),
+      tally != nullptr ? tally : &unused);
 }
+
+namespace {
+
+/// The artifact footer of partition `plan`, with its scan's counts.
+ShardMeta MetaFor(const ShardPlan& plan, const ScanTally& tally) {
+  ShardMeta meta;
+  meta.begin = plan.begin;
+  meta.end = plan.end;
+  meta.point_count = plan.end - plan.begin;
+  meta.points_skipped = tally.points_skipped;
+  meta.points_clamped = tally.points_clamped;
+  return meta;
+}
+
+}  // namespace
 
 Status BuildShard(const ShardedBuildOptions& options,
                   const BuildManifest& manifest, size_t index) {
@@ -126,27 +141,25 @@ Status BuildShard(const ShardedBuildOptions& options,
     return MarkShardDone(ManifestPath(options.work_dir), index);
   }
   const ShardPlan& plan = manifest.shards[index];
+  ScanTally tally;
   Result<CountingTree> tree =
-      BuildShardTree(options, plan.begin, plan.end);
+      BuildShardTree(options, plan.begin, plan.end, &tally);
   MRCC_RETURN_IF_ERROR(tree.status());
-  ShardMeta meta;
-  meta.begin = plan.begin;
-  meta.end = plan.end;
-  meta.point_count = plan.end - plan.begin;
-  MRCC_RETURN_IF_ERROR(WriteShardArtifact(
-      *tree, meta, ShardArtifactPath(options.work_dir, index)));
+  MRCC_RETURN_IF_ERROR(
+      WriteShardArtifact(*tree, MetaFor(plan, tally),
+                         ShardArtifactPath(options.work_dir, index)));
   // Strictly after the artifact's rename: a kill between the two lines
   // leaves a stale-false hint, which resume re-verifies away; the
   // reverse (true bit, no artifact) cannot happen.
   return MarkShardDone(ManifestPath(options.work_dir), index);
 }
 
-Result<CountingTree> LoadOrRebuildShard(const ShardedBuildOptions& options,
-                                        const BuildManifest& manifest,
-                                        size_t index) {
+Result<ShardArtifact> LoadOrRebuildShard(const ShardedBuildOptions& options,
+                                         const BuildManifest& manifest,
+                                         size_t index) {
   const ShardPlan& plan = manifest.shards[index];
   const std::string path = ShardArtifactPath(options.work_dir, index);
-  Result<CountingTree> loaded(Status::Internal("shard load not attempted"));
+  Result<ShardArtifact> loaded(Status::Internal("shard load not attempted"));
   RetryStats retry_stats;
   const Status status = RetryTransient(
       options.retry, "loading shard " + std::to_string(index),
@@ -163,7 +176,7 @@ Result<CountingTree> LoadOrRebuildShard(const ShardedBuildOptions& options,
               "), manifest plans [" + std::to_string(plan.begin) + ", " +
               std::to_string(plan.end) + ")");
         }
-        loaded = std::move(artifact->tree);
+        loaded = std::move(artifact);
         return Status::OK();
       },
       &retry_stats);
@@ -177,29 +190,35 @@ Result<CountingTree> LoadOrRebuildShard(const ShardedBuildOptions& options,
   // right here — slower, never wrong.
   MetricsRegistry::Global().counter("shard.rebuilds").Increment();
   MRCC_TRACE_SPAN_N("shard.rebuild", static_cast<int64_t>(index));
-  return BuildShardTree(options, plan.begin, plan.end);
+  ScanTally tally;
+  Result<CountingTree> tree =
+      BuildShardTree(options, plan.begin, plan.end, &tally);
+  MRCC_RETURN_IF_ERROR(tree.status());
+  return ShardArtifact{std::move(*tree), MetaFor(plan, tally)};
 }
 
 Result<FoldedShards> MergeShardTrees(const ShardedBuildOptions& options,
                                      const BuildManifest& manifest) {
-  Result<CountingTree> tree =
-      LoadOrRebuildShard(options, manifest, 0);
-  MRCC_RETURN_IF_ERROR(tree.status());
-  MergeTreeStats stats;
+  Result<ShardArtifact> first = LoadOrRebuildShard(options, manifest, 0);
+  MRCC_RETURN_IF_ERROR(first.status());
+  FoldedShards folded{std::move(first->tree), {}, first->meta.points_skipped,
+                      first->meta.points_clamped};
   for (size_t i = 1; i < manifest.shards.size(); ++i) {
-    Result<CountingTree> next = LoadOrRebuildShard(options, manifest, i);
+    Result<ShardArtifact> next = LoadOrRebuildShard(options, manifest, i);
     MRCC_RETURN_IF_ERROR(next.status());
     MRCC_RETURN_IF_ERROR(fp::Maybe("tree.merge.alloc"));
     // Left-to-right fold in partition order: the layout-preserving
     // InsertTree reproduces the serial tree exactly once sealed
     // (core/counting_tree.h). One source is resident at a time.
-    Result<MergeTreeStats> merged = tree->InsertTree(*next);
+    Result<MergeTreeStats> merged = folded.tree.InsertTree(next->tree);
     MRCC_RETURN_IF_ERROR(merged.status());
-    stats += *merged;
+    folded.merge_stats += *merged;
+    folded.points_skipped += next->meta.points_skipped;
+    folded.points_clamped += next->meta.points_clamped;
   }
-  tree->Seal();
-  PublishMergeMetrics(stats);
-  return FoldedShards{std::move(tree).value(), stats};
+  folded.tree.Seal();
+  PublishMergeMetrics(folded.merge_stats);
+  return folded;
 }
 
 Result<MrCCResult> MergeShards(const ShardedBuildOptions& options,
@@ -226,6 +245,8 @@ Result<MrCCResult> MergeShards(const ShardedBuildOptions& options,
   result.stats.tree_merge_seconds = phase.ElapsedSeconds();
   result.stats.tree_build_seconds = result.stats.tree_merge_seconds;
   result.stats.tree_merge = folded->merge_stats;
+  result.stats.points_skipped = folded->points_skipped;
+  result.stats.points_clamped = folded->points_clamped;
 
   // From here the pipeline is MrCC::Run's own tail: the merged tree
   // equals the serial tree and every phase is deterministic, so the

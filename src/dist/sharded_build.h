@@ -84,9 +84,12 @@ bool ShardComplete(const ShardedBuildOptions& options,
 
 /// Builds the Counting-tree over points [begin, end) of the dataset —
 /// the worker's core: BuildTreeOverRange over the block-read backend,
-/// the same range build each in-process shard of MrCC::Run runs.
+/// the same range build each in-process shard of MrCC::Run runs. When
+/// `tally` is non-null it receives (+=) the scan's counters, whose skip
+/// and clamp counts the artifact footer carries.
 [[nodiscard]] Result<CountingTree> BuildShardTree(
-    const ShardedBuildOptions& options, uint64_t begin, uint64_t end);
+    const ShardedBuildOptions& options, uint64_t begin, uint64_t end,
+    ScanTally* tally = nullptr);
 
 /// One worker's whole job: skip if ShardComplete (resume), else build
 /// the partition's tree, publish the artifact atomically, then flip the
@@ -97,17 +100,21 @@ bool ShardComplete(const ShardedBuildOptions& options,
 
 /// Loads shard `index`'s artifact with retry; on exhausted retries or a
 /// verification failure, rebuilds the tree in-process from the partition
-/// range (counted in the `shard.rebuilds` metric). Honors the
-/// `merge.shard_load` failpoint on every load attempt.
-[[nodiscard]] Result<CountingTree> LoadOrRebuildShard(
+/// range (counted in the `shard.rebuilds` metric), with the meta the
+/// worker would have written — skip and clamp counts included. Honors
+/// the `merge.shard_load` failpoint on every load attempt.
+[[nodiscard]] Result<ShardArtifact> LoadOrRebuildShard(
     const ShardedBuildOptions& options, const BuildManifest& manifest,
     size_t index);
 
-/// MergeShardTrees' result: the folded, serial-equivalent tree and the
-/// fold's InsertTree counters summed over every shard.
+/// MergeShardTrees' result: the folded, serial-equivalent tree, the
+/// fold's InsertTree counters summed over every shard, and the shards'
+/// bad-point counts summed likewise.
 struct FoldedShards {
   CountingTree tree;
   MergeTreeStats merge_stats;
+  uint64_t points_skipped = 0;
+  uint64_t points_clamped = 0;
 };
 
 /// The merger's tree half: loads (or rebuilds) every shard and folds

@@ -1,8 +1,9 @@
 // Fuzz-style corpus tests for the parsers that consume external bytes:
 // the binary dataset readers the pipeline uses (ChunkedBinaryDataSource,
 // MmapFileDataSource, LoadBinary — all behind ReadBinaryHeader), the
-// BenchRecord JSON reader and the shard artifact loader (footer,
-// checksum, ParseTree, ValidateInvariants).
+// BenchRecord JSON reader, the build manifest loader (LoadManifest) and
+// the shard artifact loader (footer, checksum, ParseTree,
+// ValidateInvariants).
 //
 // Contract under test (DESIGN.md §11): any byte sequence either parses
 // or returns a non-OK Status. No crash, no abort, no unbounded
@@ -29,6 +30,7 @@
 #include "core/counting_tree.h"
 #include "data/data_source.h"
 #include "data/dataset_io.h"
+#include "dist/manifest.h"
 #include "dist/shard_io.h"
 #include "eval/bench_record.h"
 #include "test_util.h"
@@ -276,6 +278,94 @@ TEST(CorpusRoundTripTest, MutatedDataThatLoadsAlsoRoundTrips) {
   std::remove(tmp2.c_str());
 }
 
+// ---- Build manifests (dist/manifest.h): the plan every mrcc-build
+// process reads back from disk.
+
+const std::vector<std::string>& ManifestSeedNames() {
+  static const auto* names = new std::vector<std::string>{
+      "valid.json",          "single_shard.json",  "wrong_version.json",
+      "bad_fingerprint.json", "gap.json",          "short_cover.json",
+      "negative_count.json", "huge_count.json",    "fractional_bound.json",
+      "truncated.json",      "empty.json",         "not_object.json"};
+  return *names;
+}
+
+/// Checks what a loaded manifest promises its readers: a non-empty,
+/// ordered, contiguous cover of [0, num_points) that survives a
+/// save-and-load unchanged.
+void ExpectUsableManifest(const dist::BuildManifest& m) {
+  ASSERT_GT(m.num_points, 0u);
+  ASSERT_GT(m.num_dims, 0u);
+  ASSERT_FALSE(m.shards.empty());
+  uint64_t expect = 0;
+  for (const dist::ShardPlan& shard : m.shards) {
+    ASSERT_EQ(shard.begin, expect);
+    ASSERT_GT(shard.end, shard.begin);
+    expect = shard.end;
+  }
+  EXPECT_EQ(expect, m.num_points);
+  const Result<dist::BuildManifest> again =
+      dist::BuildManifest::FromJson(m.ToJson());
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->ToJson(), m.ToJson());
+}
+
+TEST(CorpusManifestTest, SeedsParseAsDocumented) {
+  for (const char* good : {"valid.json", "single_shard.json"}) {
+    SCOPED_TRACE(good);
+    const Result<dist::BuildManifest> m =
+        dist::LoadManifest(CorpusPath(std::string("manifest/") + good));
+    ASSERT_TRUE(m.ok()) << m.status().ToString();
+    ExpectUsableManifest(*m);
+  }
+  const Result<dist::BuildManifest> valid =
+      dist::LoadManifest(CorpusPath("manifest/valid.json"));
+  ASSERT_TRUE(valid.ok());
+  EXPECT_EQ(valid->shards.size(), 4u);
+  EXPECT_EQ(valid->fingerprint, 0x0123456789abcdefull);
+  EXPECT_TRUE(valid->shards[2].done);
+
+  for (const std::string& name : ManifestSeedNames()) {
+    if (name == "valid.json" || name == "single_shard.json") continue;
+    SCOPED_TRACE(name);
+    const Result<dist::BuildManifest> m =
+        dist::LoadManifest(CorpusPath("manifest/" + name));
+    ASSERT_FALSE(m.ok());
+    EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument)
+        << m.status().ToString();
+  }
+}
+
+TEST(CorpusManifestTest, TenThousandMutationsNeverCrashLoadManifest) {
+  const std::vector<std::string> seeds =
+      LoadSeeds("manifest", ManifestSeedNames());
+  const std::string tmp = ::testing::TempDir() + "corpus_manifest.json";
+  Rng rng(20261019);
+  int loaded = 0;
+  for (int i = 0; i < 10000; ++i) {
+    SCOPED_TRACE("mutation iteration " + std::to_string(i));
+    const std::string mutated =
+        Mutate(seeds[rng.UniformInt(seeds.size())], rng);
+    {
+      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+      out.write(mutated.data(),
+                static_cast<std::streamsize>(mutated.size()));
+    }
+    const Result<dist::BuildManifest> m = dist::LoadManifest(tmp);
+    if (m.ok()) {
+      ++loaded;
+      ExpectUsableManifest(*m);
+    } else {
+      EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument)
+          << m.status().ToString();
+    }
+  }
+  // Some mutations (a flipped done bit, an edited path) leave a valid
+  // manifest; a loop that never loaded one would not test that path.
+  EXPECT_GT(loaded, 0);
+  std::remove(tmp.c_str());
+}
+
 // ---- Shard artifacts (dist/shard_io.h): the only state one mrcc-build
 // process hands another.
 
@@ -289,16 +379,17 @@ std::string ShardArtifactSeed() {
 }
 
 /// Rewrites the footer's tree length and checksum (the last 16 bytes of
-/// the 48-byte footer, see dist/shard_io.h) to match the bytes in front
+/// the 64-byte footer, see dist/shard_io.h) to match the bytes in front
 /// of them, so a mutated artifact passes the trailer checks and reaches
 /// ParseTree and ValidateInvariants.
 void Restamp(std::string* bytes) {
-  constexpr size_t kFooterBytes = 48;
+  constexpr size_t kFooterBytes = 64;
   if (bytes->size() < kFooterBytes) return;
   const uint64_t tree_len = bytes->size() - kFooterBytes;
   std::memcpy(bytes->data() + bytes->size() - 16, &tree_len,
               sizeof(tree_len));
-  const uint64_t sum = Fnv1a(bytes->data(), bytes->size() - sizeof(sum));
+  const uint64_t sum =
+      WordChecksum(bytes->data(), bytes->size() - sizeof(sum));
   std::memcpy(bytes->data() + bytes->size() - 8, &sum, sizeof(sum));
 }
 

@@ -15,6 +15,7 @@
 #include <deque>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -164,18 +165,23 @@ void ExpectMatches(const CountingTree& tree, const ReferenceTree& ref) {
   EXPECT_EQ(SerializeTree(tree), ref.Serialize());
 }
 
+// gtest prints a parameter that has no PrintTo as its raw bytes, and
+// gtest_discover_tests puts that print into each ctest name. Two 8-byte
+// fields leave no padding, so the names are the same in every build.
 struct Shape {
   size_t dims;
-  int resolutions;
+  size_t resolutions;
 };
+static_assert(std::has_unique_object_representations_v<Shape>);
 
 class RunBuildShapeTest : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(RunBuildShapeTest, InsertAndSealMatchesThePerPointDescent) {
   const Shape shape = GetParam();
   const Dataset data = EdgeData(600, shape.dims, 17 + shape.dims);
-  CountingTree tree = EmptyTree(shape.dims, shape.resolutions);
-  ReferenceTree ref(shape.dims, shape.resolutions);
+  const int resolutions = static_cast<int>(shape.resolutions);
+  CountingTree tree = EmptyTree(shape.dims, resolutions);
+  ReferenceTree ref(shape.dims, resolutions);
   for (size_t i = 0; i < data.NumPoints(); ++i) {
     ASSERT_TRUE(tree.Insert(data.Point(i)).ok());
     ref.Insert(data.Point(i));
@@ -191,8 +197,9 @@ TEST_P(RunBuildShapeTest, InsertAfterSealFoldsTheNextRun) {
   // the empty tree, every later one goes through the InsertTree fold.
   const Shape shape = GetParam();
   const Dataset data = EdgeData(300, shape.dims, 29 + shape.dims);
-  CountingTree tree = EmptyTree(shape.dims, shape.resolutions);
-  ReferenceTree ref(shape.dims, shape.resolutions);
+  const int resolutions = static_cast<int>(shape.resolutions);
+  CountingTree tree = EmptyTree(shape.dims, resolutions);
+  ReferenceTree ref(shape.dims, resolutions);
   size_t next = 0;
   for (size_t run : {size_t{0}, size_t{1}, size_t{0}, size_t{120}, size_t{1},
                      data.NumPoints() - 122}) {
@@ -214,7 +221,7 @@ std::string ShapeName(const ::testing::TestParamInfo<Shape>& info) {
 std::vector<Shape> Shapes() {
   std::vector<Shape> shapes;
   for (size_t dims : std::vector<size_t>{1, 2, 14, 30, 62}) {
-    for (int resolutions : {3, 4, 6}) shapes.push_back({dims, resolutions});
+    for (size_t resolutions : {3, 4, 6}) shapes.push_back({dims, resolutions});
   }
   shapes.push_back({2, 40});  // Deep: the key spans two words.
   shapes.push_back({2, 63});  // The deepest H Empty() keeps.

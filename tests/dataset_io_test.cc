@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "test_util.h"
 
@@ -115,6 +118,42 @@ TEST_F(DatasetIoTest, BinaryRoundTripWithLabels) {
   Result<Dataset> loaded = LoadBinary(path, &loaded_labels);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded_labels, labels);
+  std::remove(path.c_str());
+}
+
+TEST_F(DatasetIoTest, BinaryBytesMatchTheDocumentedLayout) {
+  // The file a small labelled dataset makes, against bytes assembled by
+  // hand from the layout: "MRCC", u32 version 1, u64 points, u64 dims,
+  // the values row-major as f64, u8 has-labels, then one i32 per point.
+  const Dataset d = testing::MakeDataset({{0.5, 0.125}, {0.25, 0.75},
+                                          {0.0, 0.9375}});
+  const std::vector<int> labels{3, kNoiseLabel, 0};
+  const std::string path = Path("layout.bin");
+  ASSERT_TRUE(SaveBinary(d, path, &labels).ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+
+  std::string expected = "MRCC";
+  const auto append = [&expected](const auto& v) {
+    expected.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  append(uint32_t{1});
+  append(uint64_t{3});
+  append(uint64_t{2});
+  for (const double v : {0.5, 0.125, 0.25, 0.75, 0.0, 0.9375}) append(v);
+  append(uint8_t{1});
+  for (const int32_t label : {3, -1, 0}) append(label);
+  EXPECT_EQ(written, expected);
+
+  // Without labels the file ends at the zero has-labels byte.
+  ASSERT_TRUE(SaveBinary(d, path).ok());
+  std::ifstream plain(path, std::ios::binary);
+  const std::string unlabelled((std::istreambuf_iterator<char>(plain)),
+                               std::istreambuf_iterator<char>());
+  expected.resize(4 + 4 + 8 + 8 + 6 * 8);
+  append(uint8_t{0});
+  EXPECT_EQ(unlabelled, expected);
   std::remove(path.c_str());
 }
 

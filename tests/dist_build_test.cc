@@ -10,8 +10,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/failpoint.h"
 #include "common/fs.h"
@@ -43,6 +45,10 @@ void ExpectSameResults(const MrCCResult& a, const MrCCResult& b) {
               b.clustering.clusters[c].relevant_axes);
   }
 }
+
+// FNV-1a of the single-process labels of the fixture's dataset
+// (SmallClustered(2500, 6, 2, 23), default parameters).
+constexpr uint64_t kPinnedLabelsHash = 0xa57dc9f2501c05ffull;
 
 class DistBuildTest : public ::testing::Test {
  protected:
@@ -167,6 +173,90 @@ TEST_F(DistBuildTest, CorruptArtifactIsRebuiltWithIdenticalResults) {
   EXPECT_GT(Metric("shard.checksum_failures"), checksum_before);
 }
 
+TEST_F(DistBuildTest, VersionOneArtifactIsRebuiltOnResume) {
+  Result<BuildManifest> manifest = PrepareManifest(options_);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  for (size_t i = 0; i < manifest->shards.size(); ++i) {
+    ASSERT_TRUE(BuildShard(options_, *manifest, i).ok());
+  }
+  // Shard 2 left behind by a build of format version 1: the same tree
+  // bytes under the old footer.
+  const std::string victim = ShardArtifactPath(dir_, 2);
+  const ShardPlan& plan = manifest->shards[2];
+  Result<CountingTree> tree = BuildShardTree(options_, plan.begin, plan.end);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  ASSERT_TRUE(WriteFileAtomic(victim, testing::VersionOneShardArtifact(
+                                          SerializeTree(*tree), plan.begin,
+                                          plan.end))
+                  .ok());
+  Result<ShardArtifact> v1 = ReadShardArtifact(victim);
+  ASSERT_FALSE(v1.ok());
+  EXPECT_EQ(v1.status().code(), StatusCode::kIOError);
+  EXPECT_NE(v1.status().message().find("version 1"), std::string::npos)
+      << v1.status().ToString();
+  EXPECT_NE(v1.status().message().find("supports 2"), std::string::npos)
+      << v1.status().ToString();
+  EXPECT_FALSE(ShardComplete(options_, *manifest, 2));
+  EXPECT_TRUE(ShardComplete(options_, *manifest, 1));
+
+  // A resumed build rebuilds that shard as a worker would (the merger's
+  // fallback is not needed) and reproduces the single-process labels.
+  const int64_t rebuilds_before = Metric("shard.rebuilds");
+  Result<MrCCResult> resumed = RunShardedBuild(options_);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_TRUE(ShardComplete(options_, *manifest, 2));
+  EXPECT_EQ(Metric("shard.rebuilds"), rebuilds_before);
+  ExpectSameResults(*baseline_, *resumed);
+  const std::vector<int>& labels = resumed->clustering.labels;
+  EXPECT_EQ(Fnv1a(labels.data(), labels.size() * sizeof(int)),
+            kPinnedLabelsHash);
+}
+
+TEST_F(DistBuildTest, ShardedBuildReportsTheBatchRunsSkipAndClampCounts) {
+  // NaN rows and out-of-range rows in every shard of the file.
+  Dataset dirty = data_;
+  const size_t d = dirty.NumDims();
+  for (size_t i = 3; i < dirty.NumPoints(); i += 97) {
+    dirty(i, i % d) = std::numeric_limits<double>::quiet_NaN();
+  }
+  for (size_t i = 50; i < dirty.NumPoints(); i += 131) {
+    dirty(i, (i + 1) % d) = i % 2 == 0 ? 1.25 : -0.5;
+  }
+  const std::string path = dir_ + "/dirty.bin";
+  ASSERT_TRUE(SaveBinary(dirty, path).ok());
+  Result<MmapFileDataSource> file = MmapFileDataSource::Open(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  for (const BadPointPolicy policy :
+       {BadPointPolicy::kSkip, BadPointPolicy::kClamp}) {
+    SCOPED_TRACE(BadPointPolicyName(policy));
+    ShardedBuildOptions options = options_;
+    options.dataset_path = path;
+    options.work_dir = dir_ + "/" + BadPointPolicyName(policy);
+    options.params.bad_point_policy = policy;
+    Result<MrCCResult> single = MrCC(options.params).Run(*file);
+    ASSERT_TRUE(single.ok()) << single.status().ToString();
+    Result<MrCCResult> sharded = RunShardedBuild(options);
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    ExpectSameResults(*single, *sharded);
+    EXPECT_GT(single->stats.points_skipped, 0u);
+    EXPECT_EQ(single->stats.points_clamped > 0,
+              policy == BadPointPolicy::kClamp);
+    EXPECT_EQ(sharded->stats.points_skipped, single->stats.points_skipped);
+    EXPECT_EQ(sharded->stats.points_clamped, single->stats.points_clamped);
+
+    // The merger's in-process rebuild of a lost shard counts the same.
+    ASSERT_EQ(std::remove(ShardArtifactPath(options.work_dir, 1).c_str()),
+              0);
+    Result<BuildManifest> manifest =
+        LoadManifest(ManifestPath(options.work_dir));
+    ASSERT_TRUE(manifest.ok());
+    Result<MrCCResult> rebuilt = MergeShards(options, *manifest);
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+    EXPECT_EQ(rebuilt->stats.points_skipped, single->stats.points_skipped);
+    EXPECT_EQ(rebuilt->stats.points_clamped, single->stats.points_clamped);
+  }
+}
+
 TEST_F(DistBuildTest, ArtifactFromWrongPartitionIsRebuilt) {
   Result<BuildManifest> manifest = PrepareManifest(options_);
   ASSERT_TRUE(manifest.ok());
@@ -199,7 +289,7 @@ TEST_F(DistBuildTest, TransientLoadFaultIsRetriedNotRebuilt) {
   // Fire on the first hit only: shard 0's first load attempt fails, the
   // retry succeeds, and no rebuild happens.
   fp::ScopedArm arm("merge.shard_load=1");
-  Result<CountingTree> tree = LoadOrRebuildShard(options_, *manifest, 0);
+  Result<ShardArtifact> tree = LoadOrRebuildShard(options_, *manifest, 0);
   ASSERT_TRUE(tree.ok()) << tree.status().ToString();
   EXPECT_EQ(Metric("shard.rebuilds"), rebuilds_before);
   EXPECT_EQ(Metric("merge.retries"), retries_before + 1);

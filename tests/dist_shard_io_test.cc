@@ -1,17 +1,25 @@
 // Suite of dist/shard_io.h: the checksummed shard-artifact format. The
 // load-bearing property is that NO damaged artifact is ever accepted —
-// proven by truncating at every byte and flipping every byte.
+// proven by truncating at every byte and flipping every byte — and that
+// an artifact of another format version is refused by name. The
+// footer's checksum, WordChecksum, has its own properties pinned below.
 
 #include "dist/shard_io.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
+#include <set>
+#include <string>
 
 #include "common/failpoint.h"
 #include "common/fs.h"
 #include "common/metrics.h"
+#include "common/rng.h"
 #include "core/tree_io.h"
 #include "test_util.h"
 
@@ -51,6 +59,38 @@ TEST_F(ShardIoTest, WriteReadRoundTrip) {
   EXPECT_EQ(loaded->meta.end, meta_.end);
   EXPECT_EQ(loaded->meta.point_count, meta_.point_count);
   EXPECT_TRUE(TreesEquivalent(*tree_, loaded->tree));
+}
+
+TEST_F(ShardIoTest, SkipAndClampCountsRoundTrip) {
+  ShardMeta meta = meta_;
+  meta.points_skipped = 7;
+  meta.points_clamped = 11;
+  Result<ShardArtifact> parsed =
+      ParseShardArtifact(SerializeShardArtifact(*tree_, meta), "x");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->meta.points_skipped, 7u);
+  EXPECT_EQ(parsed->meta.points_clamped, 11u);
+
+  // More skipped and clamped points than the partition holds cannot be.
+  meta.points_clamped = meta.point_count - meta.points_skipped + 1;
+  Result<ShardArtifact> bad =
+      ParseShardArtifact(SerializeShardArtifact(*tree_, meta), "x");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().message().find("clamped"), std::string::npos)
+      << bad.status().ToString();
+}
+
+TEST_F(ShardIoTest, VersionOneArtifactIsRejectedByName) {
+  const std::string v1 = testing::VersionOneShardArtifact(
+      SerializeTree(*tree_), meta_.begin, meta_.end);
+  Result<ShardArtifact> parsed = ParseShardArtifact(v1, "v1.tree");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kIOError);
+  EXPECT_NE(parsed.status().message().find(
+                "unsupported shard artifact version 1 in v1.tree (reader "
+                "supports 2)"),
+            std::string::npos)
+      << parsed.status().ToString();
 }
 
 TEST_F(ShardIoTest, MetaForInteriorPartitionRoundTrips) {
@@ -162,6 +202,79 @@ TEST_F(ShardIoTest, ChecksumFailpointSimulatesRot) {
   }
   // Disarmed, the same file verifies again — the bytes were never bad.
   EXPECT_TRUE(ReadShardArtifact(path_).ok());
+}
+
+// ---- WordChecksum (common/fs.h), the footer's checksum. Its values are
+// part of the artifact format.
+
+std::string RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::string bytes(n, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.UniformInt(256));
+  return bytes;
+}
+
+TEST(WordChecksumTest, EverySingleBitFlipChangesTheSum) {
+  std::string bytes = RandomBytes(4096, 1);
+  const uint64_t sum = WordChecksum(bytes.data(), bytes.size());
+  for (size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+    bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+    ASSERT_NE(WordChecksum(bytes.data(), bytes.size()), sum) << "bit " << bit;
+    bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+  }
+}
+
+TEST(WordChecksumTest, SwappingAnyTwoDistinctWordsChangesTheSum) {
+  std::string bytes = RandomBytes(4096, 2);
+  const uint64_t sum = WordChecksum(bytes.data(), bytes.size());
+  const size_t words = bytes.size() / 8;
+  for (size_t a = 0; a < words; ++a) {
+    for (size_t b = a + 1; b < words; ++b) {
+      char* wa = bytes.data() + a * 8;
+      char* wb = bytes.data() + b * 8;
+      if (std::memcmp(wa, wb, 8) == 0) continue;
+      std::swap_ranges(wa, wa + 8, wb);
+      ASSERT_NE(WordChecksum(bytes.data(), bytes.size()), sum)
+          << "words " << a << " and " << b;
+      std::swap_ranges(wa, wa + 8, wb);
+    }
+  }
+}
+
+TEST(WordChecksumTest, EveryLengthUpToSixtyFourCoversItsTail) {
+  // Lengths 0-64 cover empty input, tail-only input, whole stripes and
+  // each of the 1-3 leftover words with every tail length.
+  const std::string bytes = RandomBytes(64, 3);
+  const std::string zeros(64, '\0');
+  std::set<uint64_t> prefix_sums, zero_sums;
+  for (size_t n = 0; n <= 64; ++n) {
+    SCOPED_TRACE("length " + std::to_string(n));
+    prefix_sums.insert(WordChecksum(bytes.data(), n));
+    // Zero bytes pad the tail, so only the folded-in length tells these
+    // apart.
+    zero_sums.insert(WordChecksum(zeros.data(), n));
+    std::string copy = bytes.substr(0, n);
+    const uint64_t sum = WordChecksum(copy.data(), n);
+    for (size_t bit = 0; bit < n * 8; ++bit) {
+      copy[bit / 8] = static_cast<char>(copy[bit / 8] ^ (1 << (bit % 8)));
+      ASSERT_NE(WordChecksum(copy.data(), n), sum) << "bit " << bit;
+      copy[bit / 8] = static_cast<char>(copy[bit / 8] ^ (1 << (bit % 8)));
+    }
+  }
+  EXPECT_EQ(prefix_sums.size(), 65u);
+  EXPECT_EQ(zero_sums.size(), 65u);
+}
+
+TEST(WordChecksumTest, PinnedValueFreezesTheFormat) {
+  // 100 bytes: three full stripes, one leftover word and a 4-byte tail.
+  // Both values agree with a separate model written from the definition
+  // in common/fs.h.
+  std::string bytes(100, '\0');
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>(i * 7 + 3);
+  }
+  EXPECT_EQ(WordChecksum(bytes.data(), bytes.size()), 0x694330133f2d807aull);
+  EXPECT_EQ(WordChecksum(nullptr, 0), 0x5281910c2e425911ull);
 }
 
 }  // namespace

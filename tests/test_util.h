@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
+#include "common/fs.h"
 #include "common/rng.h"
 #include "data/dataset.h"
 #include "data/generator.h"
@@ -61,6 +63,25 @@ inline std::string UniqueTempPath(const std::string& stem) {
       ::testing::UnitTest::GetInstance()->current_test_info();
   return ::testing::TempDir() + stem + "_" + info->test_suite_name() + "_" +
          info->name() + "_" + std::to_string(::getpid());
+}
+
+/// A shard artifact as format version 1 wrote it: `tree_bytes` (a
+/// SerializeTree stream), then a 48-byte footer — magic "MRSH", u32
+/// version 1, u64 begin, end, point count and tree length, and an
+/// FNV-1a checksum over everything before it.
+inline std::string VersionOneShardArtifact(const std::string& tree_bytes,
+                                           uint64_t begin, uint64_t end) {
+  std::string bytes = tree_bytes + "MRSH";
+  const auto append = [&bytes](const auto& v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  append(uint32_t{1});
+  append(begin);
+  append(end);
+  append(end - begin);
+  append(static_cast<uint64_t>(tree_bytes.size()));
+  append(Fnv1a(bytes.data(), bytes.size()));
+  return bytes;
 }
 
 }  // namespace mrcc::testing
