@@ -1,7 +1,9 @@
 // Micro-benchmarks backing the paper's §III complexity claims and the
 // DESIGN.md ablations (google-benchmark):
 //
-//   - Counting-tree construction: O(eta * H * d) — swept in eta, d and H.
+//   - Counting-tree construction: O(eta * H * d) — swept in eta, d and H;
+//     and the batch build (BuildTree) of paper-14d's million points at
+//     1, 2 and 4 workers.
 //   - Face-only Laplacian convolution: O(d) per cell, versus the full
 //     order-3 mask at O(3^d) (the ablation the paper argues about when
 //     choosing the face-only mask).
@@ -29,6 +31,8 @@
 #include "core/laplacian_mask.h"
 #include "core/mrcc.h"
 #include "core/tree_io.h"
+#include "data/catalog.h"
+#include "data/data_source.h"
 #include "data/generator.h"
 #include "dist/shard_io.h"
 
@@ -66,6 +70,38 @@ BENCHMARK(BM_TreeBuildPoints)
     ->RangeMultiplier(4)
     ->Range(4096, 1 << 20)
     ->Unit(benchmark::kMillisecond);
+
+// The batch engine's tree build (MrCC::Run's phase 1) over paper-14d's
+// design at a million points: Arg workers scan their slices, the records
+// are partitioned by key space, sorted per range and laid out once.
+void BM_TreeBuildThreads(benchmark::State& state) {
+  static const LabeledDataset* paper = [] {
+    SyntheticConfig cfg = Base14dConfig();
+    cfg.num_points = 1'000'000;
+    Result<LabeledDataset> r = GenerateSynthetic(cfg);
+    MRCC_CHECK(r.ok());
+    return new LabeledDataset(std::move(r).value());
+  }();
+  const int threads = static_cast<int>(state.range(0));
+  const MemoryDataSource source(paper->data);
+  MrCCParams params;
+  const size_t chunk = ChunkPointsFor(params, source.NumDims(), threads);
+  for (auto _ : state) {
+    MrCCStats stats;
+    Result<CountingTree> tree =
+        BuildTree(source, params, threads, chunk, &stats);
+    MRCC_CHECK(tree.ok());
+    benchmark::DoNotOptimize(tree->total_points());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(source.NumPoints()));
+}
+BENCHMARK(BM_TreeBuildThreads)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_TreeBuildDims(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));

@@ -8,7 +8,9 @@
 #include <string>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "common/simd.h"
+#include "common/trace.h"
 
 namespace mrcc {
 namespace {
@@ -98,6 +100,11 @@ inline uint64_t Transpose8x8(uint64_t x) {
 // write cursors stay in L1/L2 while a pass streams the records.
 constexpr int kRadixBits = 11;
 
+// Most top key bits the partition pass histograms: 65536 buckets, fine
+// enough to balance T ranges on clustered data and small enough for
+// every worker to hold its own histogram.
+constexpr size_t kPartitionBits = 16;
+
 // Bits [lo, lo + width) of the little-endian integer in key[0..words),
 // width <= 64; bits past the last word read as 0.
 inline uint64_t KeyBits(const uint64_t* key, size_t words, size_t lo,
@@ -111,15 +118,78 @@ inline uint64_t KeyBits(const uint64_t* key, size_t words, size_t lo,
   return width >= 64 ? v : v & ((uint64_t{1} << width) - 1);
 }
 
-// Stable LSD radix sort of `records` (`stride` words each) by bits
-// [lo, hi) of the little-endian integer in each record's first
-// `key_words` words, kRadixBits per pass. All digit histograms come from
-// one read pass; a pass whose digit is the same for every record moves
-// nothing and is skipped.
-void RadixSortRecords(std::vector<uint64_t>& records, size_t stride,
-                      size_t key_words, size_t lo, size_t hi) {
-  const size_t count = records.size() / stride;
-  if (count < 2 || hi <= lo) return;
+// Words of one digit key: ceil(d * H / 64).
+size_t KeyWordsFor(size_t num_dims, int num_resolutions) {
+  return (num_dims * static_cast<size_t>(num_resolutions) + 63) / 64;
+}
+
+// The point checks of Insert and SliceRun::Insert.
+Status CheckPoint(std::span<const double> point, size_t num_dims) {
+  if (point.size() != num_dims) {
+    return Status::InvalidArgument("point dimensionality mismatch");
+  }
+  bool in_cube = true;
+  for (double v : point) in_cube &= (v >= 0.0) & (v < 1.0);
+  if (!in_cube) {
+    return Status::InvalidArgument(
+        "points must be normalized to [0,1)^d before insertion");
+  }
+  return Status::OK();
+}
+
+// Writes the digit key of `point` (see the file comment) into the zeroed
+// words key[0, KeyWordsFor(d, H)).
+void DigitKey(size_t d, int num_resolutions, std::span<const double> point,
+              uint64_t* key) {
+  // With g_j = floor(x_j * 2^H), the level-h digit of axis j is bit H - h
+  // of g_j, stored at key bit d * (H - h) + j: level 1 on top, the H-th
+  // digit (half-space bits of the deepest cell) at the bottom.
+  // Multiplying a finite x in [0,1) by 2^H is an exact exponent shift, so
+  // g_j holds the coordinate's first H binary digits exactly (and fits an
+  // int64_t, H <= 63).
+  const auto resolutions = static_cast<size_t>(num_resolutions);
+  const double scale = std::ldexp(1.0, num_resolutions);
+  uint64_t grid[CountingTree::kMaxDims + 7] = {};
+  for (size_t j = 0; j < d; ++j) {
+    grid[j] = static_cast<uint64_t>(static_cast<int64_t>(point[j] * scale));
+  }
+  // Transposing the d x H bit matrix 8 x 8 bits at a time: byte k of
+  // `block` holds bits [8c, 8c + 8) of g_{8m+k}; after Transpose8x8 byte
+  // t holds bit 8c + t of g_{8m}..g_{8m+7}, the level digit's 8 bits for
+  // axes 8m..8m+7. Padding axes and bits past H are zero.
+  for (size_t c = 0; 8 * c < resolutions; ++c) {
+    uint64_t rows[(CountingTree::kMaxDims + 7) / 8] = {};
+    for (size_t m = 0; 8 * m < d; ++m) {
+      uint64_t block = 0;
+      for (size_t k = 0; k < 8; ++k) {
+        block |= ((grid[8 * m + k] >> (8 * c)) & 0xff) << (8 * k);
+      }
+      rows[m] = Transpose8x8(block);
+    }
+    for (size_t t = 8 * c; t < std::min(resolutions, 8 * c + 8); ++t) {
+      uint64_t digit = 0;
+      for (size_t m = 0; 8 * m < d; ++m) {
+        digit |= ((rows[m] >> (8 * (t - 8 * c))) & 0xff) << (8 * m);
+      }
+      const size_t bit = d * t;
+      const unsigned shift = bit & 63;
+      key[bit >> 6] |= digit << shift;
+      if (shift + d > 64) key[(bit >> 6) + 1] |= digit >> (64 - shift);
+    }
+  }
+}
+
+// Stable LSD radix sort of `count` records (`stride` words each) at
+// `data` by bits [lo, hi) of the little-endian integer in each record's
+// first `key_words` words, kRadixBits per pass, moving the records back
+// and forth between `data` and `scratch` (as large). Returns the buffer
+// that holds the sorted records. All digit histograms come from one read
+// pass; a pass whose digit is the same for every record moves nothing
+// and is skipped.
+uint64_t* RadixSortRecords(uint64_t* data, uint64_t* scratch, size_t count,
+                           size_t stride, size_t key_words, size_t lo,
+                           size_t hi) {
+  if (count < 2 || hi <= lo) return data;
   constexpr size_t kBuckets = size_t{1} << kRadixBits;
   const size_t passes = (hi - lo + kRadixBits - 1) / kRadixBits;
   const auto width_of = [&](size_t pass) {
@@ -128,20 +198,17 @@ void RadixSortRecords(std::vector<uint64_t>& records, size_t stride,
   };
   std::vector<uint32_t> histograms(passes * kBuckets, 0);
   for (size_t r = 0; r < count; ++r) {
-    const uint64_t* rec = records.data() + r * stride;
+    const uint64_t* rec = data + r * stride;
     for (size_t p = 0; p < passes; ++p) {
       ++histograms[p * kBuckets +
                    KeyBits(rec, key_words, lo + p * kRadixBits, width_of(p))];
     }
   }
-  std::vector<uint64_t> scratch(records.size());
   for (size_t p = 0; p < passes; ++p) {
     uint32_t* next = histograms.data() + p * kBuckets;
     const size_t digit_lo = lo + p * kRadixBits;
     const int width = width_of(p);
-    if (next[KeyBits(records.data(), key_words, digit_lo, width)] == count) {
-      continue;
-    }
+    if (next[KeyBits(data, key_words, digit_lo, width)] == count) continue;
     uint32_t start = 0;
     for (size_t b = 0; b < kBuckets; ++b) {
       const uint32_t c = next[b];
@@ -150,11 +217,141 @@ void RadixSortRecords(std::vector<uint64_t>& records, size_t stride,
     }
     // One stable counting-sort pass: next[digit] is the bucket's next slot.
     for (size_t r = 0; r < count; ++r) {
-      const uint64_t* rec = records.data() + r * stride;
+      const uint64_t* rec = data + r * stride;
       const size_t slot = next[KeyBits(rec, key_words, digit_lo, width)]++;
-      std::copy(rec, rec + stride, scratch.data() + slot * stride);
+      std::copy(rec, rec + stride, scratch + slot * stride);
     }
-    records.swap(scratch);
+    std::swap(data, scratch);
+  }
+  return data;
+}
+
+// Runs fn(begin, end) over contiguous slices of [0, n): one per pool
+// thread, or one slice inline when `pool` is null.
+void ForSlices(ThreadPool* pool, size_t n,
+               const std::function<void(size_t, size_t)>& fn) {
+  if (pool == nullptr) {
+    if (n > 0) fn(0, n);
+    return;
+  }
+  pool->ParallelFor(n,
+                    [&fn](int, size_t begin, size_t end) { fn(begin, end); });
+}
+
+// Runs fn(i) for every i in [0, n), in ForSlices' slices.
+void ForEachIndex(ThreadPool* pool, size_t n,
+                  const std::function<void(size_t)>& fn) {
+  ForSlices(pool, n, [&fn](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) fn(i);
+  });
+}
+
+// The partition pass: moves the records of the stream's slices (slice w:
+// filled[w] records at slices[w]) into as many contiguous key ranges as
+// there are slices, written to `out` range after range, on `pool`'s
+// threads, and returns each range's record count. Ranges cut the key
+// space on its top bits — the top of the level-1 digit, at most
+// kPartitionBits of it — where the summed histogram of those bits gives
+// each range its share of the records, so a level-1 cell never straddles
+// two ranges. Within a range records stay in slice order, each slice in
+// stream order.
+std::vector<size_t> PartitionByKey(std::span<const uint64_t* const> slices,
+                                   std::span<const size_t> filled, size_t d,
+                                   int resolutions, uint64_t* out,
+                                   ThreadPool& pool) {
+  MRCC_TRACE_SPAN_N("tree.build.partition",
+                    static_cast<int64_t>(slices.size()));
+  const size_t words = KeyWordsFor(d, resolutions);
+  const size_t stride = words + 1;
+  const size_t ranges = slices.size();
+  const size_t bits = std::min(d, kPartitionBits);
+  const size_t top = d * static_cast<size_t>(resolutions) - bits;
+  const size_t buckets = size_t{1} << bits;
+  const auto bucket_of = [&](const uint64_t* record) {
+    return KeyBits(record, words, top, static_cast<int>(bits));
+  };
+  std::vector<std::vector<uint32_t>> histogram(slices.size());
+  ForEachIndex(&pool, slices.size(), [&](size_t w) {
+    histogram[w].assign(buckets, 0);
+    const uint64_t* record = slices[w];
+    for (size_t r = 0; r < filled[w]; ++r, record += stride) {
+      ++histogram[w][bucket_of(record)];
+    }
+  });
+  size_t total = 0;
+  for (size_t n : filled) total += n;
+  // Range r takes buckets until it holds its share of the records; a
+  // bucket too big for one range leaves the next ones empty.
+  std::vector<uint32_t> range_of(buckets);
+  size_t range = 0;
+  size_t seen = 0;
+  for (size_t b = 0; b < buckets; ++b) {
+    range_of[b] = static_cast<uint32_t>(range);
+    for (const std::vector<uint32_t>& h : histogram) seen += h[b];
+    while (range + 1 < ranges && seen * ranges >= (range + 1) * total) {
+      ++range;
+    }
+  }
+  // cursor[w][r]: where slice w's next record of range r goes — after the
+  // earlier ranges and after range r's records of earlier slices.
+  std::vector<std::vector<size_t>> cursor(slices.size(),
+                                          std::vector<size_t>(ranges, 0));
+  for (size_t w = 0; w < slices.size(); ++w) {
+    for (size_t b = 0; b < buckets; ++b) {
+      cursor[w][range_of[b]] += histogram[w][b];
+    }
+  }
+  histogram = {};
+  std::vector<size_t> sizes(ranges, 0);
+  size_t at = 0;
+  for (size_t r = 0; r < ranges; ++r) {
+    const size_t range_begin = at;
+    for (std::vector<size_t>& next : cursor) {
+      const size_t records = next[r];
+      next[r] = at;
+      at += records;
+    }
+    sizes[r] = at - range_begin;
+  }
+  ForEachIndex(&pool, slices.size(), [&](size_t w) {
+    std::vector<size_t>& next = cursor[w];
+    const uint64_t* record = slices[w];
+    for (size_t r = 0; r < filled[w]; ++r, record += stride) {
+      const size_t slot = next[range_of[bucket_of(record)]]++;
+      std::copy(record, record + stride, out + slot * stride);
+    }
+  });
+  return sizes;
+}
+
+// split[r]: the shallowest level at which sorted record r's cell differs
+// from record r - 1's (the highest differing digit bit), H when the two
+// share their deepest cell; record 0 opens level 1. Record r opens a new
+// cell at every level from split[r] down, so cells[h] (h < H) counts
+// level h's cells exactly.
+void SplitLevels(const uint64_t* records, size_t count, size_t d,
+                 int resolutions, uint8_t* split, size_t* cells) {
+  const size_t words = KeyWordsFor(d, resolutions);
+  const size_t stride = words + 1;
+  const uint64_t low_mask = (uint64_t{1} << d) - 1;  // The H-th digit.
+  for (size_t r = 0; r < count; ++r) {
+    int level = 1;
+    if (r > 0) {
+      level = resolutions;
+      const uint64_t* a = records + (r - 1) * stride;
+      const uint64_t* b = records + r * stride;
+      for (size_t w = words; w-- > 0;) {
+        const uint64_t diff = (a[w] ^ b[w]) & (w == 0 ? ~low_mask : ~0ull);
+        if (diff != 0) {
+          const size_t bit =
+              64 * w + 63 - static_cast<size_t>(std::countl_zero(diff));
+          level = resolutions - static_cast<int>(bit / d);
+          break;
+        }
+      }
+    }
+    split[r] = static_cast<uint8_t>(level);
+    for (int h = level; h < resolutions; ++h) ++cells[static_cast<size_t>(h)];
   }
 }
 
@@ -261,21 +458,14 @@ Result<CountingTree> CountingTree::Empty(size_t num_dims,
   CountingTree tree(num_dims, h_effective);
   tree.by_level_.resize(static_cast<size_t>(h_effective));
   tree.arenas_.resize(static_cast<size_t>(h_effective));
-  tree.NewNode(1, std::vector<uint64_t>(num_dims, 0));
+  const std::vector<uint64_t> origin(num_dims, 0);
+  tree.NewNode(1, origin.data());
   tree.Seal();
   return tree;
 }
 
 Status CountingTree::Insert(std::span<const double> point) {
-  if (point.size() != num_dims_) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
-  bool in_cube = true;
-  for (double v : point) in_cube &= (v >= 0.0) & (v < 1.0);
-  if (!in_cube) {
-    return Status::InvalidArgument(
-        "points must be normalized to [0,1)^d before insertion");
-  }
+  MRCC_RETURN_IF_ERROR(CheckPoint(point, num_dims_));
   const size_t words = KeyWords();
   if ((run_.size() + words + 1) * sizeof(uint64_t) > kMaxRunBytes) {
     FlushRun();
@@ -288,7 +478,20 @@ Status CountingTree::Insert(std::span<const double> point) {
                           kMaxRunBytes / sizeof(uint64_t)));
   }
   run_.resize(at + words + 1, 0);  // BuildRun numbers the records.
-  DigitKey(point, run_.data() + at);
+  DigitKey(num_dims_, num_resolutions_, point, run_.data() + at);
+  return Status::OK();
+}
+
+Status CountingTree::SliceRun::Insert(std::span<const double> point) {
+  MRCC_RETURN_IF_ERROR(CheckPoint(point, num_dims_));
+  // A scan inserts at most one record per point of its slice.
+  MRCC_CHECK_LT(size_, capacity_);
+  const size_t words = KeyWordsFor(num_dims_, num_resolutions_);
+  uint64_t* record = records_ + size_ * (words + 1);
+  std::fill_n(record, words, uint64_t{0});
+  DigitKey(num_dims_, num_resolutions_, point, record);
+  record[words] = position_ + size_;
+  ++size_;
   return Status::OK();
 }
 
@@ -302,65 +505,39 @@ void CountingTree::Seal() {
   DCheckInvariants(*this);
 }
 
-void CountingTree::DigitKey(std::span<const double> point,
-                            uint64_t* key) const {
-  // With g_j = floor(x_j * 2^H), the level-h digit of axis j is bit H - h
-  // of g_j, stored at key bit d * (H - h) + j: level 1 on top, the H-th
-  // digit (half-space bits of the deepest cell) at the bottom.
-  // Multiplying a finite x in [0,1) by 2^H is an exact exponent shift, so
-  // g_j holds the coordinate's first H binary digits exactly (and fits an
-  // int64_t, H <= 63).
-  const size_t d = num_dims_;
-  const auto resolutions = static_cast<size_t>(num_resolutions_);
-  const double scale = std::ldexp(1.0, num_resolutions_);
-  uint64_t grid[kMaxDims + 7] = {};
-  for (size_t j = 0; j < d; ++j) {
-    grid[j] = static_cast<uint64_t>(static_cast<int64_t>(point[j] * scale));
-  }
-  // Transposing the d x H bit matrix 8 x 8 bits at a time: byte k of
-  // `block` holds bits [8c, 8c + 8) of g_{8m+k}; after Transpose8x8 byte
-  // t holds bit 8c + t of g_{8m}..g_{8m+7}, the level digit's 8 bits for
-  // axes 8m..8m+7. Padding axes and bits past H are zero.
-  for (size_t c = 0; 8 * c < resolutions; ++c) {
-    uint64_t rows[(kMaxDims + 7) / 8] = {};
-    for (size_t m = 0; 8 * m < d; ++m) {
-      uint64_t block = 0;
-      for (size_t k = 0; k < 8; ++k) {
-        block |= ((grid[8 * m + k] >> (8 * c)) & 0xff) << (8 * k);
-      }
-      rows[m] = Transpose8x8(block);
-    }
-    for (size_t t = 8 * c; t < std::min(resolutions, 8 * c + 8); ++t) {
-      uint64_t digit = 0;
-      for (size_t m = 0; 8 * m < d; ++m) {
-        digit |= ((rows[m] >> (8 * (t - 8 * c))) & 0xff) << (8 * m);
-      }
-      const size_t bit = d * t;
-      const unsigned shift = bit & 63;
-      key[bit >> 6] |= digit << shift;
-      if (shift + d > 64) key[(bit >> 6) + 1] |= digit >> (64 - shift);
-    }
-  }
-}
-
 uint64_t CountingTree::total_points() const {
   return total_points_ + run_.size() / (KeyWords() + 1);
 }
 
 size_t CountingTree::KeyWords() const {
-  return (num_dims_ * static_cast<size_t>(num_resolutions_) + 63) / 64;
+  return KeyWordsFor(num_dims_, num_resolutions_);
 }
 
+// Every level's cells in key order. Level h's cells are [0, cells) of
+// its arrays; parent indexes level h - 1's cells; half holds d counts a
+// cell. `first` is the lowest stream position in the cell.
+struct CountingTree::KeyOrder {
+  struct Level {
+    size_t cells = 0;
+    std::unique_ptr<uint64_t[]> loc;
+    std::unique_ptr<uint32_t[]> n;
+    std::unique_ptr<uint32_t[]> first;
+    std::unique_ptr<uint32_t[]> parent;
+    std::unique_ptr<uint32_t[]> half;
+  };
+  std::vector<Level> levels;  // levels[h], 1 <= h <= H - 1.
+  uint64_t points = 0;
+  uint64_t position_bound = 0;  // Every position is below it.
+};
+
 void CountingTree::FlushRun() {
-  if (run_.empty()) return;
-  CountingTree built = BuildRun();
+  if (!run_.empty()) CountIn(BuildRun());
+}
+
+void CountingTree::CountIn(CountingTree built) {
   if (total_points_ == 0) {
-    // Nothing counted yet, so no cells: the run's tree is this tree.
-    nodes_ = std::move(built.nodes_);
-    by_level_ = std::move(built.by_level_);
-    arenas_ = std::move(built.arenas_);
-    total_points_ = built.total_points_;
-    packed_ = true;
+    // Nothing counted yet, so no cells: the built tree is this tree.
+    *this = std::move(built);
     return;
   }
   // Same d and H, sealed, built in creation order: the fold cannot fail.
@@ -369,236 +546,370 @@ void CountingTree::FlushRun() {
 }
 
 CountingTree CountingTree::BuildRun() {
-  const size_t d = num_dims_;
-  const int resolutions = num_resolutions_;
-  const int deepest = resolutions - 1;
-  const size_t words = KeyWords();
-  const size_t stride = words + 1;
+  const size_t stride = KeyWords() + 1;
   const size_t points = run_.size() / stride;
+  std::vector<uint64_t> run = std::move(run_);
+  run_ = {};
+  for (size_t r = 0; r < points; ++r) run[r * stride + stride - 1] = r;
+  auto scratch = std::make_unique_for_overwrite<uint64_t[]>(run.size());
+  const KeyRange range{run.data(), scratch.get(), points};
+  KeyOrder key_order = BuildKeyOrder(num_dims_, num_resolutions_,
+                                     std::span(&range, 1), points, nullptr);
+  run = {};
+  scratch.reset();
+  return LayOut(num_dims_, num_resolutions_, key_order, nullptr);
+}
+
+Result<CountingTree> CountingTree::BuildPartitioned(size_t num_dims,
+                                                    int num_resolutions,
+                                                    size_t num_points,
+                                                    ThreadPool& pool,
+                                                    const SliceScan& scan) {
+  Result<CountingTree> tree = Empty(num_dims, num_resolutions);
+  MRCC_RETURN_IF_ERROR(tree.status());
+  const size_t d = num_dims;
+  const int resolutions = tree->num_resolutions_;  // Clamped.
+  const size_t words = KeyWordsFor(d, resolutions);
+  const size_t stride = words + 1;
+  const auto workers = static_cast<size_t>(pool.num_threads());
+  // Each worker's slice of a round fills at most kMaxRunBytes of
+  // records, and positions within a round fit the layout's 32 bits.
+  const size_t round_points = std::min<size_t>(
+      workers * std::max<size_t>(1, kMaxRunBytes / (stride * sizeof(uint64_t))),
+      UINT32_MAX);
+  for (size_t round_begin = 0; round_begin < num_points;
+       round_begin += round_points) {
+    const size_t count = std::min(round_points, num_points - round_begin);
+
+    // 1. Scan: worker w writes its slice's records at the slice's own
+    // offset, each carrying its position in the round.
+    auto scanned = std::make_unique_for_overwrite<uint64_t[]>(count * stride);
+    std::vector<size_t> filled(workers, 0);
+    std::vector<Status> scanned_status(workers);
+    const auto slice_begin = [&](size_t w) {
+      return SliceBegin(count, static_cast<int>(workers), static_cast<int>(w));
+    };
+    pool.ParallelFor(workers, [&](int, size_t first, size_t last) {
+      for (size_t w = first; w < last; ++w) {
+        const size_t lo = slice_begin(w);
+        const size_t hi = slice_begin(w + 1);
+        if (lo == hi) continue;
+        SliceRun run(d, resolutions, scanned.get() + lo * stride, hi - lo, lo);
+        scanned_status[w] =
+            scan(static_cast<int>(w), round_begin + lo, round_begin + hi, run);
+        filled[w] = run.size_;
+      }
+    });
+    for (const Status& status : scanned_status) MRCC_RETURN_IF_ERROR(status);
+    size_t total = 0;
+    for (size_t n : filled) total += n;
+
+    // 2. Partition into one key range per worker (one range: as is).
+    auto partitioned =
+        std::make_unique_for_overwrite<uint64_t[]>(count * stride);
+    std::vector<KeyRange> ranges;
+    if (workers == 1) {
+      ranges.push_back(KeyRange{scanned.get(), partitioned.get(), total});
+    } else {
+      std::vector<const uint64_t*> slices(workers);
+      for (size_t w = 0; w < workers; ++w) {
+        slices[w] = scanned.get() + slice_begin(w) * stride;
+      }
+      size_t at = 0;
+      for (size_t size : PartitionByKey(slices, filled, d, resolutions,
+                                        partitioned.get(), pool)) {
+        ranges.push_back(KeyRange{partitioned.get() + at * stride,
+                                  scanned.get() + at * stride, size});
+        at += size;
+      }
+    }
+
+    // 3. Sort and count each range; 4. lay the levels out once.
+    KeyOrder key_order =
+        BuildKeyOrder(d, resolutions, ranges, count, &pool);
+    scanned.reset();
+    partitioned.reset();
+    tree->CountIn(LayOut(d, resolutions, key_order, &pool));
+  }
+  tree->Seal();
+  return tree;
+}
+
+CountingTree::KeyOrder CountingTree::BuildKeyOrder(
+    size_t d, int resolutions, std::span<const KeyRange> ranges,
+    uint64_t position_bound, ThreadPool* pool) {
+  MRCC_TRACE_SPAN_N("tree.build.sort", static_cast<int64_t>(ranges.size()));
+  const auto num_levels = static_cast<size_t>(resolutions);
+  const int deepest = resolutions - 1;
+  const size_t words = KeyWordsFor(d, resolutions);
+  const size_t stride = words + 1;
   const auto digit_lo = [&](int h) {  // Lowest key bit of level h's digit.
     return d * static_cast<size_t>(resolutions - h);
   };
 
-  // Sort by the digits of levels 1..H-1: then every cell of every level
-  // is one contiguous group of records, and LSD stability keeps each
-  // group in stream order.
-  std::vector<uint64_t> run = std::move(run_);
-  run_ = {};
-  for (size_t r = 0; r < points; ++r) run[r * stride + words] = r;
-  RadixSortRecords(run, stride, words, d, d * static_cast<size_t>(resolutions));
-  const auto record = [&](size_t r) { return run.data() + r * stride; };
+  // Sort each range by the digits of levels 1..H-1: then every cell of
+  // every level is one contiguous group of records, and LSD stability
+  // keeps each group in stream order. Ranges are disjoint in key space,
+  // so each range's cells follow the previous range's at every level.
+  struct SortedRange {
+    const uint64_t* records = nullptr;
+    std::unique_ptr<uint8_t[]> split;
+    std::vector<size_t> cells;
+  };
+  std::vector<SortedRange> sorted(ranges.size());
+  ForEachIndex(pool, ranges.size(), [&](size_t r) {
+    const KeyRange& range = ranges[r];
+    SortedRange& out = sorted[r];
+    out.records = RadixSortRecords(range.records, range.scratch, range.count,
+                                   stride, words, d,
+                                   d * static_cast<size_t>(resolutions));
+    out.split = std::make_unique_for_overwrite<uint8_t[]>(range.count);
+    out.cells.assign(num_levels, 0);
+    SplitLevels(out.records, range.count, d, resolutions, out.split.get(),
+                out.cells.data());
+  });
 
-  // split[r]: the shallowest level at which record r's cell differs from
-  // record r - 1's (the highest differing digit bit), H when the two
-  // share their deepest cell. Record r opens a new cell at every level
-  // from split[r] down, so these also size each level exactly.
-  std::vector<uint8_t> split(points);
-  std::vector<size_t> cells(static_cast<size_t>(resolutions), 0);
-  const uint64_t low_mask = (uint64_t{1} << d) - 1;  // The H-th digit.
-  for (size_t r = 0; r < points; ++r) {
-    int level = 1;
-    if (r > 0) {
-      level = resolutions;
-      const uint64_t* a = record(r - 1);
-      const uint64_t* b = record(r);
-      for (size_t w = words; w-- > 0;) {
-        const uint64_t diff = (a[w] ^ b[w]) & (w == 0 ? ~low_mask : ~0ull);
-        if (diff != 0) {
-          const size_t bit =
-              64 * w + 63 - static_cast<size_t>(std::countl_zero(diff));
-          level = resolutions - static_cast<int>(bit / d);
-          break;
+  KeyOrder key_order;
+  key_order.position_bound = position_bound;
+  key_order.levels.resize(num_levels);
+  // offset[r][h]: range r's first cell at level h.
+  std::vector<std::vector<size_t>> offset(ranges.size(),
+                                          std::vector<size_t>(num_levels));
+  for (int h = 1; h <= deepest; ++h) {
+    const auto hs = static_cast<size_t>(h);
+    KeyOrder::Level& lv = key_order.levels[hs];
+    for (size_t r = 0; r < ranges.size(); ++r) {
+      offset[r][hs] = lv.cells;
+      lv.cells += sorted[r].cells[hs];
+    }
+    lv.loc = std::make_unique_for_overwrite<uint64_t[]>(lv.cells);
+    lv.n = std::make_unique_for_overwrite<uint32_t[]>(lv.cells);
+    lv.first = std::make_unique_for_overwrite<uint32_t[]>(lv.cells);
+    lv.parent = std::make_unique_for_overwrite<uint32_t[]>(lv.cells);
+    lv.half = std::make_unique_for_overwrite<uint32_t[]>(lv.cells * d);
+  }
+  for (const KeyRange& range : ranges) key_order.points += range.count;
+
+  // Each range fills its own cells. Record r opens one cell at each
+  // level from split[r] down; the deepest level is counted from its
+  // records, then each upper level is summed from its children.
+  ForEachIndex(pool, ranges.size(), [&](size_t r) {
+    const SortedRange& in = sorted[r];
+    const uint64_t low_mask = (uint64_t{1} << d) - 1;  // The H-th digit.
+    std::vector<uint32_t> opened(num_levels, 0);
+    for (int h = 1; h <= deepest; ++h) {
+      opened[static_cast<size_t>(h)] =
+          static_cast<uint32_t>(offset[r][static_cast<size_t>(h)]);
+    }
+    KeyOrder::Level& leaf = key_order.levels[static_cast<size_t>(deepest)];
+    for (size_t i = 0; i < ranges[r].count; ++i) {
+      const uint64_t* rec = in.records + i * stride;
+      for (int h = in.split[i]; h <= deepest; ++h) {
+        const auto hs = static_cast<size_t>(h);
+        KeyOrder::Level& lv = key_order.levels[hs];
+        const uint32_t c = opened[hs]++;
+        lv.loc[c] = KeyBits(rec, words, digit_lo(h), static_cast<int>(d));
+        lv.parent[c] = h == 1 ? 0 : opened[hs - 1] - 1;
+        lv.n[c] = 0;
+        // Stable sorting puts a deepest cell's earliest record first.
+        lv.first[c] =
+            h == deepest ? static_cast<uint32_t>(rec[words]) : UINT32_MAX;
+        std::fill_n(lv.half.get() + size_t{c} * d, d, uint32_t{0});
+      }
+      const uint32_t c = opened[static_cast<size_t>(deepest)] - 1;
+      leaf.n[c] += 1;
+      // The point is in the lower half of its deepest cell along e_j
+      // exactly when its H-th digit j is 0.
+      const uint64_t lower = ~rec[0] & low_mask;
+      uint32_t* half = leaf.half.get() + size_t{c} * d;
+      for (size_t j = 0; j < d; ++j) {
+        half[j] += static_cast<uint32_t>((lower >> j) & 1);
+      }
+    }
+    for (int h = deepest; h >= 2; --h) {
+      const auto hs = static_cast<size_t>(h);
+      const KeyOrder::Level& lv = key_order.levels[hs];
+      KeyOrder::Level& up = key_order.levels[hs - 1];
+      for (size_t c = offset[r][hs]; c < opened[hs]; ++c) {
+        const uint32_t p = lv.parent[c];
+        const uint32_t n = lv.n[c];
+        up.n[p] += n;
+        up.first[p] = std::min(up.first[p], lv.first[c]);
+        // A child whose loc bit j is 0 lies in its parent's lower half.
+        const uint64_t lower = ~lv.loc[c];
+        uint32_t* half = up.half.get() + size_t{p} * d;
+        for (size_t j = 0; j < d; ++j) {
+          half[j] += n * static_cast<uint32_t>((lower >> j) & 1);
         }
       }
     }
-    split[r] = static_cast<uint8_t>(level);
-    for (int h = level; h <= deepest; ++h) ++cells[static_cast<size_t>(h)];
-  }
+  });
+  return key_order;
+}
 
-  // Every level's cells in key order. Record r opens one cell at each
-  // level from split[r] down; the deepest level is counted from its
-  // records, then each upper level is summed from its children.
-  struct KeyOrderLevel {
-    std::vector<uint64_t> loc;
-    std::vector<uint32_t> n;
-    std::vector<uint32_t> first;   // Lowest stream index in the cell.
-    std::vector<uint32_t> parent;  // Key-order index one level up.
-    std::vector<uint32_t> half;    // d per cell.
+CountingTree CountingTree::LayOut(size_t d, int resolutions,
+                                  KeyOrder& key_order, ThreadPool* pool) {
+  MRCC_TRACE_SPAN_N("tree.build.layout",
+                    static_cast<int64_t>(key_order.points));
+  const int deepest = resolutions - 1;
+  const auto num_levels = static_cast<size_t>(resolutions);
+  std::vector<KeyOrder::Level>& levels = key_order.levels;
+  const auto cells = [&](size_t h) { return levels[h].cells; };
+  // Per-level tasks run deepest level first: lower levels hold more
+  // cells, so contiguous task slices stay balanced across threads.
+  const auto each_level = [&](int top, const std::function<void(size_t)>& fn) {
+    ForEachIndex(pool, static_cast<size_t>(top),
+                 [&](size_t i) { fn(static_cast<size_t>(top) - i); });
   };
-  std::vector<KeyOrderLevel> levels(static_cast<size_t>(resolutions));
-  for (int h = 1; h <= deepest; ++h) {
-    KeyOrderLevel& lv = levels[static_cast<size_t>(h)];
-    const size_t count = cells[static_cast<size_t>(h)];
-    lv.loc.resize(count);
-    lv.n.resize(count);
-    lv.first.resize(count, UINT32_MAX);
-    lv.parent.resize(count);
-    lv.half.resize(count * d);
-  }
-  KeyOrderLevel& leaf = levels[static_cast<size_t>(deepest)];
-  std::vector<uint32_t> opened(static_cast<size_t>(resolutions), 0);
-  for (size_t r = 0; r < points; ++r) {
-    const uint64_t* rec = record(r);
-    for (int h = split[r]; h <= deepest; ++h) {
-      const auto hs = static_cast<size_t>(h);
-      KeyOrderLevel& lv = levels[hs];
-      const uint32_t c = opened[hs]++;
-      lv.loc[c] = KeyBits(rec, words, digit_lo(h), static_cast<int>(d));
-      lv.parent[c] = h == 1 ? 0 : opened[hs - 1] - 1;
+
+  // Creation order. The point at a cell's first stream position creates
+  // it and, above the deepest level, its child node; a point creates its
+  // new cells top-down. So the node pool is the root followed by the
+  // child nodes of the upper cells in (first, level) order; level h + 1
+  // lists its nodes by their parent cells' first positions, and a node
+  // lists its cells by their own.
+  //
+  // Per level: by_first[h][i] = first << 32 | key-order index of the
+  // level's i-th earliest cell; for an upper cell c, fanout[h][c] cells
+  // in its child node, whose slice starts at child_first[h][c].
+  std::vector<std::unique_ptr<uint64_t[]>> by_first(num_levels);
+  std::vector<std::vector<uint32_t>> fanout(num_levels);
+  std::vector<std::vector<uint32_t>> child_first(num_levels);
+  const size_t first_bits =
+      static_cast<size_t>(std::bit_width(key_order.position_bound));
+  each_level(deepest, [&](size_t h) {
+    const KeyOrder::Level& lv = levels[h];
+    auto sorted = std::make_unique_for_overwrite<uint64_t[]>(lv.cells);
+    auto scratch = std::make_unique_for_overwrite<uint64_t[]>(lv.cells);
+    for (size_t c = 0; c < lv.cells; ++c) {
+      sorted[c] = uint64_t{lv.first[c]} << 32 | c;
     }
-    const uint32_t c = opened[static_cast<size_t>(deepest)] - 1;
-    leaf.n[c] += 1;
-    // Stable sorting keeps the cell's records in stream order.
-    if (leaf.first[c] == UINT32_MAX) {
-      leaf.first[c] = static_cast<uint32_t>(rec[words]);
+    if (RadixSortRecords(sorted.get(), scratch.get(), lv.cells, 1, 1, 32,
+                         32 + first_bits) == scratch.get()) {
+      sorted = std::move(scratch);
     }
-    // The point is in the lower half of its deepest cell along e_j
-    // exactly when its H-th digit j is 0.
-    const uint64_t lower = ~rec[0] & low_mask;
-    uint32_t* half = leaf.half.data() + size_t{c} * d;
-    for (size_t j = 0; j < d; ++j) {
-      half[j] += static_cast<uint32_t>((lower >> j) & 1);
-    }
-  }
-  run = {};
-  split = {};
-  for (int h = deepest; h >= 2; --h) {
-    const KeyOrderLevel& lv = levels[static_cast<size_t>(h)];
-    KeyOrderLevel& up = levels[static_cast<size_t>(h - 1)];
-    for (size_t c = 0; c < lv.n.size(); ++c) {
-      const uint32_t p = lv.parent[c];
-      const uint32_t n = lv.n[c];
-      up.n[p] += n;
-      up.first[p] = std::min(up.first[p], lv.first[c]);
-      // A child whose loc bit j is 0 lies in its parent's lower half.
-      const uint64_t lower = ~lv.loc[c];
-      uint32_t* half = up.half.data() + size_t{p} * d;
-      for (size_t j = 0; j < d; ++j) {
-        half[j] += n * static_cast<uint32_t>((lower >> j) & 1);
+    if (h < static_cast<size_t>(deepest)) {
+      fanout[h].assign(lv.cells, 0);
+      const KeyOrder::Level& below = levels[h + 1];
+      for (size_t c = 0; c < below.cells; ++c) ++fanout[h][below.parent[c]];
+      child_first[h].resize(lv.cells);
+      uint32_t at = 0;
+      for (size_t r = 0; r < lv.cells; ++r) {
+        const auto c = static_cast<uint32_t>(sorted[r]);
+        child_first[h][c] = at;
+        at += fanout[h][c];
       }
     }
-  }
+    by_first[h] = std::move(sorted);
+  });
 
-  // Creation order. The point at a cell's first stream index creates it
-  // and, above the deepest level, its child node; a point creates its
-  // new cells top-down. So visiting every cell by (first, level) meets
-  // nodes in pool order and each node's cells in creation order. Sort
-  // (first << 6 | level, level << 32 | key-order index) records.
-  size_t total_cells = 0;
-  for (size_t count : cells) total_cells += count;
-  std::vector<uint64_t> visit;
-  visit.reserve(2 * total_cells);
-  for (int h = 1; h <= deepest; ++h) {
-    const KeyOrderLevel& lv = levels[static_cast<size_t>(h)];
-    for (size_t c = 0; c < lv.first.size(); ++c) {
-      visit.push_back(uint64_t{lv.first[c]} << 6 | static_cast<uint64_t>(h));
-      visit.push_back(static_cast<uint64_t>(h) << 32 | c);
-    }
+  // The node pool's order: merge the upper levels' lists by (first,
+  // level). node_of[h][c] is upper cell c's child node.
+  size_t num_nodes = 1;
+  for (int h = 1; h < deepest; ++h) num_nodes += cells(static_cast<size_t>(h));
+  std::vector<std::vector<uint32_t>> node_of(num_levels);
+  std::vector<size_t> next(num_levels, 0);
+  for (int h = 1; h < deepest; ++h) {
+    node_of[static_cast<size_t>(h)].resize(cells(static_cast<size_t>(h)));
   }
-  RadixSortRecords(visit, 2, 1, 0,
-                   6 + static_cast<size_t>(std::bit_width(points)));
+  for (uint32_t k = 1; k < num_nodes; ++k) {
+    size_t level = 0;
+    uint64_t earliest = UINT64_MAX;
+    for (size_t h = 1; h < static_cast<size_t>(deepest); ++h) {
+      if (next[h] == cells(h)) continue;
+      const uint64_t first = by_first[h][next[h]] >> 32;
+      if (first < earliest) {
+        earliest = first;
+        level = h;
+      }
+    }
+    node_of[level][static_cast<uint32_t>(by_first[level][next[level]++])] = k;
+  }
 
   CountingTree tree(d, resolutions);
-  tree.total_points_ = points;
-  tree.by_level_.resize(static_cast<size_t>(resolutions));
-  tree.arenas_.resize(static_cast<size_t>(resolutions));
-  size_t num_nodes = 1;
-  for (int h = 1; h < deepest; ++h) num_nodes += cells[static_cast<size_t>(h)];
+  tree.total_points_ = key_order.points;
+  tree.by_level_.resize(num_levels);
+  tree.arenas_.resize(num_levels);
   tree.nodes_.resize(num_nodes);
-  Node& root = tree.nodes_[0];
-  root.base_coords.assign(d, 0);
-  root.count = static_cast<uint32_t>(cells[1]);
+  tree.nodes_[0].count = static_cast<uint32_t>(cells(1));
   tree.by_level_[1].push_back(0);
-  for (int h = 2; h <= deepest; ++h) {
-    tree.by_level_[static_cast<size_t>(h)].reserve(
-        cells[static_cast<size_t>(h - 1)]);
-  }
-
-  // Per level: each cell's arena slot, and (above the deepest level) its
-  // child node and that node's next free slot.
-  std::vector<std::vector<uint32_t>> slot(static_cast<size_t>(resolutions));
-  std::vector<std::vector<uint32_t>> node_of(static_cast<size_t>(resolutions));
-  std::vector<std::vector<uint32_t>> next_slot(
-      static_cast<size_t>(resolutions));
-  std::vector<uint32_t> children(static_cast<size_t>(resolutions), 0);
-  for (int h = 1; h <= deepest; ++h) {
-    const size_t count = cells[static_cast<size_t>(h)];
-    slot[static_cast<size_t>(h)].resize(count);
-    if (h < deepest) {
-      node_of[static_cast<size_t>(h)].resize(count);
-      next_slot[static_cast<size_t>(h)].resize(count);
+  each_level(deepest - 1, [&](size_t h) {
+    std::vector<uint32_t>& listed = tree.by_level_[h + 1];
+    listed.resize(cells(h));
+    for (size_t r = 0; r < cells(h); ++r) {
+      const auto c = static_cast<uint32_t>(by_first[h][r]);
+      const uint32_t k = node_of[h][c];
+      listed[r] = k;
+      Node& node = tree.nodes_[k];
+      node.level = static_cast<int>(h) + 1;
+      node.first = child_first[h][c];
+      node.count = fanout[h][c];
     }
-  }
-  // Each node's cell count: its parent cell's children in key order.
-  std::vector<std::vector<uint32_t>> fanout(static_cast<size_t>(resolutions));
-  for (int h = 1; h < deepest; ++h) {
-    std::vector<uint32_t>& f = fanout[static_cast<size_t>(h)];
-    f.assign(cells[static_cast<size_t>(h)], 0);
-    for (uint32_t p : levels[static_cast<size_t>(h + 1)].parent) ++f[p];
-  }
-  uint32_t root_cells = 0;
-  uint32_t next_node = 1;
-  for (size_t v = 0; v < visit.size(); v += 2) {
-    const auto h = static_cast<int>(visit[v + 1] >> 32);
-    const auto c = static_cast<uint32_t>(visit[v + 1]);
-    const auto hs = static_cast<size_t>(h);
-    const KeyOrderLevel& lv = levels[hs];
-    uint32_t owner = 0;
-    if (h == 1) {
-      slot[1][c] = root_cells++;
-    } else {
-      const uint32_t parent = lv.parent[c];
-      owner = node_of[hs - 1][parent];
-      slot[hs][c] = next_slot[hs - 1][parent]++;
-    }
-    if (h == deepest) continue;
-    // The cell's child node: the next node of the pool. Its base is the
-    // cell's own coordinates, one level below its owner's base.
-    const uint32_t k = next_node++;
-    node_of[hs][c] = k;
-    Node& node = tree.nodes_[k];
-    node.level = h + 1;
-    node.first = children[hs + 1];
-    node.count = fanout[hs][c];
-    children[hs + 1] += node.count;
-    next_slot[hs][c] = node.first;
-    const std::vector<uint64_t>& base = tree.nodes_[owner].base_coords;
-    node.base_coords.resize(d);
-    for (size_t j = 0; j < d; ++j) {
-      node.base_coords[j] = base[j] * 2 + ((lv.loc[c] >> j) & 1);
-    }
-    tree.by_level_[hs + 1].push_back(k);
-  }
-  visit = {};
+  });
   fanout = {};
-  next_slot = {};
 
-  // Scatter each level's key-order cells to their arena slots.
-  for (int h = 1; h <= deepest; ++h) {
-    const auto hs = static_cast<size_t>(h);
-    KeyOrderLevel& lv = levels[hs];
-    const size_t count = cells[hs];
-    Arena& arena = tree.arenas_[hs];
-    arena.loc.resize(count);
-    arena.n.resize(count);
-    arena.child.resize(count);
-    arena.used.resize(count);
-    arena.owner.resize(count);
-    arena.half.resize(count * d);
-    for (size_t c = 0; c < count; ++c) {
-      const uint32_t i = slot[hs][c];
-      arena.loc[i] = lv.loc[c];
-      arena.n[i] = lv.n[c];
-      arena.child[i] =
-          h < deepest ? static_cast<int32_t>(node_of[hs][c]) : -1;
-      arena.owner[i] = h == 1 ? 0 : node_of[hs - 1][lv.parent[c]];
-      std::copy_n(lv.half.data() + c * d, d, arena.half.data() + size_t{i} * d);
-    }
-    lv = KeyOrderLevel{};
-    if (h > 1) node_of[hs - 1] = {};
-    slot[hs] = {};
+  // Base coordinates, a level at a time: a node's base is its parent
+  // cell's coordinates, one level below its owner's base.
+  tree.base_.resize(num_nodes * d);
+  std::fill_n(tree.base_.begin(), d, uint64_t{0});
+  for (size_t h = 1; h < static_cast<size_t>(deepest); ++h) {
+    const KeyOrder::Level& lv = levels[h];
+    ForSlices(pool, lv.cells, [&](size_t begin, size_t end) {
+      for (size_t c = begin; c < end; ++c) {
+        const uint32_t owner = h == 1 ? 0 : node_of[h - 1][lv.parent[c]];
+        const uint64_t* base = tree.base_.data() + size_t{owner} * d;
+        uint64_t* child = tree.base_.data() + size_t{node_of[h][c]} * d;
+        for (size_t j = 0; j < d; ++j) {
+          child[j] = base[j] * 2 + ((lv.loc[c] >> j) & 1);
+        }
+      }
+    });
   }
-  for (Node& node : tree.nodes_) tree.IndexNode(node);
+
+  // Each level's arena order: cells by owner node (its slice), then by
+  // first position — the next free slot of its owner's slice in
+  // first-position order (child_first turns into the free cursors).
+  // cell_at[h][i] is the key-order cell at arena index i.
+  std::vector<std::vector<uint32_t>> cell_at(num_levels);
+  each_level(deepest, [&](size_t h) {
+    cell_at[h].resize(cells(h));
+    for (size_t r = 0; r < cells(h); ++r) {
+      const auto c = static_cast<uint32_t>(by_first[h][r]);
+      cell_at[h][h == 1 ? r : child_first[h - 1][levels[h].parent[c]]++] = c;
+    }
+  });
+  by_first.clear();
+  child_first = {};
+
+  // Gather each level's arena from its key-order cells.
+  for (size_t h = 1; h <= static_cast<size_t>(deepest); ++h) {
+    KeyOrder::Level& lv = levels[h];
+    Arena& arena = tree.arenas_[h];
+    arena.loc.resize(lv.cells);
+    arena.n.resize(lv.cells);
+    arena.child.resize(lv.cells);
+    arena.used.resize(lv.cells, 0);
+    arena.owner.resize(lv.cells);
+    arena.half.resize(lv.cells * d);
+    const bool upper = h < static_cast<size_t>(deepest);
+    ForSlices(pool, lv.cells, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        const uint32_t c = cell_at[h][i];
+        arena.loc[i] = lv.loc[c];
+        arena.n[i] = lv.n[c];
+        arena.child[i] = upper ? static_cast<int32_t>(node_of[h][c]) : -1;
+        arena.owner[i] = h == 1 ? 0 : node_of[h - 1][lv.parent[c]];
+        std::copy_n(lv.half.get() + size_t{c} * d, d,
+                    arena.half.data() + i * d);
+      }
+    });
+    lv = KeyOrder::Level{};
+    cell_at[h] = {};
+  }
+  node_of = {};
+  ForSlices(pool, tree.nodes_.size(), [&](size_t begin, size_t end) {
+    for (size_t m = begin; m < end; ++m) tree.IndexNode(tree.nodes_[m]);
+  });
   tree.packed_ = true;
   DCheckInvariants(tree);
   return tree;
@@ -666,6 +977,8 @@ Result<MergeTreeStats> CountingTree::InsertTree(const CountingTree& other) {
   // parent_cell[s]: the destination cell (one level above source node s)
   // that s refines, recorded while merging the parent's cells.
   std::vector<uint32_t> parent_cell(other.nodes_.size(), 0);
+  // An empty destination gains a counterpart of every source node.
+  if (total_points_ == 0) base_.reserve(other.nodes_.size() * d);
   for (size_t m = 0; m < other.nodes_.size(); ++m) {
     const Node& src = other.nodes_[m];
     uint32_t dst_node = 0;
@@ -674,12 +987,12 @@ Result<MergeTreeStats> CountingTree::InsertTree(const CountingTree& other) {
       // scan reaches this node, so new destination nodes appear in source
       // creation order (not in parent-cell order). Its base coordinates
       // are the parent cell's absolute coordinates: the same in both trees.
-      std::vector<int32_t>& parent_children =
+      Packed<int32_t>& parent_children =
           arenas_[static_cast<size_t>(src.level - 1)].child;
       const uint32_t parent = parent_cell[m];
       if (parent_children[parent] < 0) {
-        parent_children[parent] =
-            static_cast<int32_t>(NewNode(src.level, src.base_coords));
+        parent_children[parent] = static_cast<int32_t>(
+            NewNode(src.level, other.BaseOf(static_cast<uint32_t>(m))));
         ++stats.nodes_created;
       }
       dst_node = static_cast<uint32_t>(parent_children[parent]);
@@ -769,12 +1082,10 @@ uint32_t CountingTree::FindOrCreateInNode(uint32_t node_idx, uint64_t loc) {
   return cell_idx;
 }
 
-uint32_t CountingTree::NewNode(int level, std::vector<uint64_t> base_coords) {
+uint32_t CountingTree::NewNode(int level, const uint64_t* base) {
   const uint32_t idx = static_cast<uint32_t>(nodes_.size());
-  Node node;
-  node.level = level;
-  node.base_coords = std::move(base_coords);
-  nodes_.push_back(std::move(node));
+  nodes_.emplace_back().level = level;
+  base_.insert(base_.end(), base, base + num_dims_);
   by_level_[static_cast<size_t>(level)].push_back(idx);
   return idx;
 }
@@ -892,11 +1203,11 @@ std::span<const uint32_t> CountingTree::LevelView::half_of(uint32_t i) const {
 
 void CountingTree::LevelView::CoordsInto(uint32_t i, uint64_t* out) const {
   const Arena& arena = tree_->arenas_[static_cast<size_t>(level_)];
-  const Node& node = tree_->nodes_[arena.owner[i]];
+  const uint64_t* base = tree_->BaseOf(arena.owner[i]);
   const uint64_t loc = arena.loc[i];
   const size_t d = tree_->num_dims_;
   for (size_t j = 0; j < d; ++j) {
-    out[j] = node.base_coords[j] * 2 + ((loc >> j) & 1);
+    out[j] = base[j] * 2 + ((loc >> j) & 1);
   }
 }
 
@@ -918,8 +1229,8 @@ bool CountingTree::LevelView::AtOffset(uint32_t a, uint32_t b,
     }
     return true;
   }
-  const uint64_t* base_a = tree_->nodes_[arena.owner[a]].base_coords.data();
-  const uint64_t* base_b = tree_->nodes_[arena.owner[b]].base_coords.data();
+  const uint64_t* base_a = tree_->BaseOf(arena.owner[a]);
+  const uint64_t* base_b = tree_->BaseOf(arena.owner[b]);
   for (size_t j = 0; j < d; ++j) {
     if (base_b[j] * 2 + ((loc_b >> j) & 1) !=
         base_a[j] * 2 + ((loc_a >> j) & 1) + offset[j]) {
@@ -1039,13 +1350,20 @@ Status CountingTree::DropDeepestLevel() {
 
   std::vector<int32_t> remap(nodes_.size(), -1);
   std::vector<Node> kept;
-  kept.reserve(nodes_.size() - by_level_[static_cast<size_t>(deepest)].size());
+  const size_t kept_nodes =
+      nodes_.size() - by_level_[static_cast<size_t>(deepest)].size();
+  kept.reserve(kept_nodes);
+  Packed<uint64_t> kept_base;
+  kept_base.reserve(kept_nodes * num_dims_);
   for (size_t i = 0; i < nodes_.size(); ++i) {
     if (nodes_[i].level >= deepest) continue;
     remap[i] = static_cast<int32_t>(kept.size());
     kept.push_back(std::move(nodes_[i]));
+    const uint64_t* base = BaseOf(static_cast<uint32_t>(i));
+    kept_base.insert(kept_base.end(), base, base + num_dims_);
   }
   nodes_ = std::move(kept);
+  base_ = std::move(kept_base);
   for (int h = 1; h < deepest; ++h) {
     Arena& arena = arenas_[static_cast<size_t>(h)];
     for (uint32_t& owner : arena.owner) {
@@ -1085,10 +1403,13 @@ Status CountingTree::ValidateInvariants() const {
     return fail("arena vector has wrong resolution count");
   }
 
+  if (base_.size() != nodes_.size() * d) {
+    return fail("base coordinates are not d words per node");
+  }
   const Node& root = nodes_[0];
   if (root.level != 1) return fail("root node is not at level 1");
-  for (uint64_t c : root.base_coords) {
-    if (c != 0) return fail("root base coordinates are not zero");
+  for (size_t j = 0; j < d; ++j) {
+    if (base_[j] != 0) return fail("root base coordinates are not zero");
   }
 
   // Arena array-size agreement, and slice partitioning: the nodes of each
@@ -1132,12 +1453,12 @@ Status CountingTree::ValidateInvariants() const {
       return fail(where() + "level " + std::to_string(node.level) +
                   " out of range");
     }
-    if (node.base_coords.size() != d) {
-      return fail(where() + "base coordinate dimensionality mismatch");
-    }
+    const uint64_t* base = BaseOf(static_cast<uint32_t>(m));
     const uint64_t max_base = uint64_t{1} << (node.level - 1);
-    for (uint64_t c : node.base_coords) {
-      if (c >= max_base) return fail(where() + "base coordinate out of range");
+    for (size_t j = 0; j < d; ++j) {
+      if (base[j] >= max_base) {
+        return fail(where() + "base coordinate out of range");
+      }
     }
     const Arena& arena = arenas_[static_cast<size_t>(node.level)];
     if (static_cast<size_t>(node.first) + node.count > arena.size()) {
@@ -1182,10 +1503,10 @@ Status CountingTree::ValidateInvariants() const {
         if (child.level != node.level + 1) {
           return fail(cell_where() + "child level is not parent level + 1");
         }
-        bool coords_match = child.base_coords.size() == d;
+        const uint64_t* child_base = BaseOf(static_cast<uint32_t>(child_idx));
+        bool coords_match = true;
         for (size_t j = 0; coords_match && j < d; ++j) {
-          coords_match =
-              child.base_coords[j] == node.base_coords[j] * 2 + ((loc >> j) & 1);
+          coords_match = child_base[j] == base[j] * 2 + ((loc >> j) & 1);
         }
         if (!coords_match) {
           return fail(cell_where() + "child base coordinates do not match");
@@ -1238,9 +1559,9 @@ Status CountingTree::ValidateInvariants() const {
 
 size_t CountingTree::MemoryBytes() const {
   size_t bytes = sizeof(*this) + nodes_.size() * sizeof(Node) +
+                 base_.size() * sizeof(uint64_t) +
                  run_.capacity() * sizeof(uint64_t);
   for (const Node& node : nodes_) {
-    bytes += node.base_coords.capacity() * sizeof(uint64_t);
     bytes += node.cell_ids.HeapBytes();
     if (node.index != nullptr) {
       bytes += sizeof(LocMap) + node.index->MemoryBytes();

@@ -24,18 +24,29 @@
 // (small nodes use a linear scan over the contiguous loc slice).
 //
 // Construction counts points by sorting them; no point walks the tree.
-// Insert() validates a point and appends one record to a pending run:
-// its digit key — the binary digits of its cell at levels 1..H-1
-// (level 1 most significant) followed by its H-th digit (the half-space
-// bits of its deepest cell), ceil(d * H / 64) words — and a word for
-// its stream index. Seal() — or Insert() when the run would pass
-// kMaxRunBytes — LSD-radix-sorts the run on the digits of levels
-// 1..H-1, counts the deepest level in one sequential pass, derives
-// every upper level from its children (n = sum of the children's n,
-// P[j] = sum of the n of the children whose loc bit j is 0), and writes
-// the packed arenas directly in the canonical order below. An empty
+// Every build is a run of digit-key records: a point's key is the binary
+// digits of its cell at levels 1..H-1 (level 1 most significant)
+// followed by its H-th digit (the half-space bits of its deepest cell),
+// ceil(d * H / 64) words, and a word holds its stream position. A run is
+// built in two halves, shared by every path:
+//   - the key-order builder LSD-radix-sorts a key range of records on
+//     the digits of levels 1..H-1, counts the deepest level in one
+//     sequential pass and derives every upper level from its children
+//     (n = sum of the children's n, P[j] = sum of the n of the children
+//     whose loc bit j is 0), giving each level's cells in key order;
+//   - the layout sorts those cells by (first stream position, level) and
+//     writes the packed arenas directly in the canonical order below.
+// Insert() appends records to a pending run; Seal() — or Insert() when
+// the run would pass kMaxRunBytes — builds it as one key range. An empty
 // tree adopts the result; otherwise the layout-preserving InsertTree
-// fold counts it in and Seal() packs once.
+// fold counts it in and Seal() packs once. BuildPartitioned() is the
+// parallel form: T workers scan T stream slices into one record buffer,
+// one MSD pass on the top bits of the level-1 digit splits the records
+// into T contiguous key ranges (a level-1 cell never straddles two), the
+// workers run the key-order builder on one range each, and the layout
+// runs once over the concatenated ranges. Records carry their stream
+// positions, so the layout recovers the serial creation order and the
+// bytes equal a serial build's; no tree is ever folded.
 //
 // The canonical (packed) order: nodes in creation order — by the first
 // stream index of their parent cell, then by level — and cells in
@@ -52,21 +63,27 @@
 // radix-sort work (b = 11-bit digits) and O(cells * d) for the levels;
 // memory O(H * eta * d) for the tree, plus a pending run of at most
 // kMaxRunBytes that Seal() sorts through a second buffer of the same
-// size.
+// size (BuildPartitioned: at most kMaxRunBytes of records per worker,
+// and the same second buffer).
 
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "data/dataset.h"
 
 namespace mrcc {
+
+class ThreadPool;
 
 /// Work counters of one CountingTree::InsertTree (or MergeTree) call.
 /// `cells_merged` — cells present in both trees whose counts were
@@ -104,7 +121,7 @@ class CountingTree {
   /// Most bytes a pending run of Insert()ed points holds: the Insert
   /// that would pass it first builds the run's tree and folds it in.
   /// Each point takes 8 * (ceil(d * H / 64) + 1) bytes, so 2^21 points
-  /// at d * H <= 64.
+  /// at d * H <= 64. BuildPartitioned holds at most this much per worker.
   static constexpr size_t kMaxRunBytes = size_t{32} << 20;
 
   /// A located cell: its level and its index in that level's arena.
@@ -175,6 +192,54 @@ class CountingTree {
   /// `data` must lie in [0,1)^d with d <= kMaxDims.
   [[nodiscard]] static Result<CountingTree> Build(const Dataset& data,
                                                   int num_resolutions);
+
+  /// One worker's share of a BuildPartitioned scan: the digit-key
+  /// records of one contiguous slice of the stream, written into the
+  /// build's record buffer at the slice's own offset.
+  class SliceRun {
+   public:
+    /// Counts the slice's next point. Validates it like Insert() (same
+    /// errors) and writes its digit key and stream position.
+    [[nodiscard]] Status Insert(std::span<const double> point);
+
+   private:
+    friend class CountingTree;
+    SliceRun(size_t num_dims, int num_resolutions, uint64_t* records,
+             size_t capacity, uint64_t first_position)
+        : num_dims_(num_dims),
+          num_resolutions_(num_resolutions),
+          records_(records),
+          capacity_(capacity),
+          position_(first_position) {}
+
+    size_t num_dims_;
+    int num_resolutions_;
+    uint64_t* records_;
+    size_t capacity_;  // Points the slice holds at most.
+    size_t size_ = 0;  // Points counted so far.
+    uint64_t position_;
+  };
+
+  /// Scans stream points [begin, end) in order into `run` (one
+  /// SliceRun::Insert per counted point; points it skips are simply not
+  /// inserted). `worker` numbers the slice, 0..T-1 in stream order; each
+  /// runs on its own pool thread.
+  using SliceScan =
+      std::function<Status(int worker, size_t begin, size_t end,
+                           SliceRun& run)>;
+
+  /// Builds the sealed tree of a `num_points`-point stream on `pool`'s
+  /// threads, partitioned by key space (see the file comment): `scan`
+  /// runs once per worker on that worker's contiguous slice, and the
+  /// result is byte-identical to Insert()ing the scanned points in
+  /// stream order and sealing, at every thread count. Streams longer
+  /// than kMaxRunBytes of records per worker are built in rounds of
+  /// that size, each round counted into the first with InsertTree. The
+  /// first failing slice's status (in slice order) fails the build.
+  /// Same d and H checks as Empty().
+  [[nodiscard]] static Result<CountingTree> BuildPartitioned(
+      size_t num_dims, int num_resolutions, size_t num_points,
+      ThreadPool& pool, const SliceScan& scan);
 
   /// A validated empty, sealed tree with d = `num_dims` and H =
   /// `num_resolutions` (checked like Build(); H beyond kMaxResolutions + 1
@@ -358,16 +423,43 @@ class CountingTree {
     uint32_t size_ = 0;
   };
 
+  /// std::allocator whose argument-less construct() default-initializes:
+  /// resize() leaves trivial elements unwritten, so an array sized on one
+  /// thread is first touched by the threads that fill it.
+  template <typename T>
+  struct DefaultInitAllocator : std::allocator<T> {
+    template <typename U>
+    struct rebind {
+      using other = DefaultInitAllocator<U>;
+    };
+    DefaultInitAllocator() = default;
+    template <typename U>
+    DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+    template <typename U>
+    void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+
+  /// A packed array: resize() does not zero new elements.
+  template <typename T>
+  using Packed = std::vector<T, DefaultInitAllocator<T>>;
+
   /// One level's packed cell storage. Parallel arrays; `half` holds d
   /// entries per cell (cell-major); `owner` is the node owning each cell
   /// (what turns an arena index back into coordinates).
   struct Arena {
-    std::vector<uint64_t> loc;
-    std::vector<uint32_t> n;
-    std::vector<int32_t> child;
-    std::vector<uint8_t> used;
-    std::vector<uint32_t> owner;
-    std::vector<uint32_t> half;
+    Packed<uint64_t> loc;
+    Packed<uint32_t> n;
+    Packed<int32_t> child;
+    Packed<uint8_t> used;
+    Packed<uint32_t> owner;
+    Packed<uint32_t> half;
 
     size_t size() const { return loc.size(); }
   };
@@ -375,14 +467,10 @@ class CountingTree {
   /// A node: the sibling cells sharing one parent cell. Packed trees
   /// address their cells as the arena slice [first, first + count);
   /// during construction (unpacked) `cell_ids` lists the arena indices
-  /// in creation order instead.
+  /// in creation order instead. Its base coordinates live in the tree's
+  /// flat base_ array.
   struct Node {
     int level = 1;
-
-    /// Absolute integer coordinates of this node's parent cell at level
-    /// `level - 1` (all zeros for the root node). A cell of this node has
-    /// coordinates base_coords[j] * 2 + bit_j(loc) at `level`.
-    std::vector<uint64_t> base_coords;
 
     /// Packed: first cell of this node's arena slice.
     uint32_t first = 0;
@@ -409,19 +497,43 @@ class CountingTree {
   /// Words of one digit key: ceil(d * H / 64).
   size_t KeyWords() const;
 
-  /// Writes the digit key of `point` (see the file comment) into the
-  /// zeroed words key[0, KeyWords()).
-  void DigitKey(std::span<const double> point, uint64_t* key) const;
+  /// Cells of every level in key order (defined in counting_tree.cc).
+  struct KeyOrder;
+
+  /// The key-order builder's input: `count` records of one key range at
+  /// `records`, and a buffer as large for their sort.
+  struct KeyRange {
+    uint64_t* records;
+    uint64_t* scratch;
+    size_t count;
+  };
+
+  /// The key-order builder: sorts each range and counts its cells, on
+  /// `pool`'s threads (one range per task; inline when null). Ranges
+  /// must be disjoint and ascending in key space, each in stream order,
+  /// and every record's position word below `position_bound`.
+  static KeyOrder BuildKeyOrder(size_t num_dims, int num_resolutions,
+                                std::span<const KeyRange> ranges,
+                                uint64_t position_bound, ThreadPool* pool);
+
+  /// The layout: the sealed tree whose cells `key_order` lists, with
+  /// nodes and cells in creation order (`pool` may be null).
+  static CountingTree LayOut(size_t num_dims, int num_resolutions,
+                             KeyOrder& key_order, ThreadPool* pool);
 
   /// Builds the sealed tree of the pending run alone — the tree an empty
   /// tree would hold after Insert()ing the run's points in order — and
   /// empties the run (freeing its memory).
   CountingTree BuildRun();
 
-  /// Counts the pending run into this tree: an empty tree adopts
-  /// BuildRun()'s tree, any other folds it in with InsertTree (and is
-  /// left unpacked). No-op when the run is empty.
+  /// Counts the pending run into this tree (CountIn of BuildRun()'s
+  /// tree). No-op when the run is empty.
   void FlushRun();
+
+  /// Counts the sealed tree of the points that follow this tree's in the
+  /// stream into it: an empty tree adopts `built`, any other folds it in
+  /// with InsertTree (and is left unpacked).
+  void CountIn(CountingTree built);
 
   /// Arena index of the cell with position `loc` in `node`, or -1.
   int64_t FindInNode(const Node& node, uint64_t loc) const;
@@ -430,8 +542,14 @@ class CountingTree {
   /// node; returns its arena index.
   uint32_t FindOrCreateInNode(uint32_t node_idx, uint64_t loc);
 
-  /// Creates an empty node at `level` under the given parent cell.
-  uint32_t NewNode(int level, std::vector<uint64_t> base_coords);
+  /// Creates an empty node at `level` under the parent cell with
+  /// absolute coordinates base[0, d).
+  uint32_t NewNode(int level, const uint64_t* base);
+
+  /// Base coordinates of node `node`: d words.
+  const uint64_t* BaseOf(uint32_t node) const {
+    return base_.data() + size_t{node} * num_dims_;
+  }
 
   /// Permutes every level arena into canonical enumeration order (nodes
   /// in creation order, cells in creation order within their node),
@@ -454,6 +572,10 @@ class CountingTree {
   uint64_t total_points_ = 0;
   bool packed_ = false;
   std::vector<Node> nodes_;                      // nodes_[0] is the root.
+  // Absolute integer coordinates of each node's parent cell at level
+  // `level - 1`, d words per node (all zeros for the root). A cell of
+  // node m has coordinates base_[m * d + j] * 2 + bit_j(loc).
+  Packed<uint64_t> base_;
   std::vector<std::vector<uint32_t>> by_level_;  // level -> node indices.
   std::vector<Arena> arenas_;                    // arenas_[h], h >= 1.
   // Pending run: KeyWords() + 1 words per Insert()ed point — its digit

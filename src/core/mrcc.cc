@@ -21,10 +21,11 @@
 namespace mrcc {
 namespace {
 
-/// Shards below this size are not worth a thread: slicing a tiny dataset
-/// into per-thread partial trees costs more in merge work than the scan
-/// saves, and the thread count never changes the result anyway.
-constexpr size_t kMinPointsPerShard = 2048;
+/// Slices below this size are not worth a thread: a worker's fixed
+/// costs (its wake-up, its share of the partition pass, its range's
+/// sort histograms) outweigh what it saves on a tiny input, and the
+/// thread count never changes the result anyway.
+constexpr size_t kMinPointsPerWorker = 2048;
 
 /// Chunk buffers live per scan: the read-ahead ring holds up to
 /// read_ahead_chunks of them, and a synchronous scan (depth 0) holds one.
@@ -50,23 +51,78 @@ void PublishScanMetrics(const MrCCStats& stats) {
   }
 }
 
-/// Builds the Counting-tree over `source`, sharded across `num_threads`
-/// workers. Each worker counts one contiguous point slice into a private
-/// partial tree; the partial trees are then folded left-to-right with the
-/// layout-preserving InsertTree and sealed once, which reproduces — node
-/// for node, cell for cell — the tree a serial scan of the whole source
-/// would have built.
-/// Counts are additive, so the merge is exact, and the layout preservation
-/// makes every downstream stage bit-identical to the serial run.
-Result<CountingTree> BuildTreeSharded(const DataSource& source,
-                                      const MrCCParams& params,
-                                      int num_threads, size_t chunk_points,
-                                      MrCCStats* stats) {
+/// Counts points [begin, end) of `source` into a sealed tree with
+/// CountingTree::BuildPartitioned on `pool`'s workers: each worker scans
+/// one contiguous slice through a read-ahead scanner and IngestPoint,
+/// tallying into tallies[worker] and timing its scan into
+/// scan_seconds[worker] (both sized to the pool). Honors the
+/// `tree.build.alloc` failpoint, and `tree.merge.alloc` for the shared
+/// record buffers of a multi-worker build.
+Result<CountingTree> BuildTreeOnPool(const DataSource& source, size_t begin,
+                                     size_t end, const MrCCParams& params,
+                                     size_t chunk_points, ThreadPool& pool,
+                                     std::vector<ScanTally>* tallies,
+                                     std::vector<double>* scan_seconds) {
+  // tree.build.alloc stands in for the tree's allocations failing under
+  // memory pressure; tree.merge.alloc for the buffers the workers share.
+  MRCC_RETURN_IF_ERROR(fp::Maybe("tree.build.alloc"));
+  if (pool.num_threads() > 1) {
+    MRCC_RETURN_IF_ERROR(fp::Maybe("tree.merge.alloc"));
+  }
+  const size_t num_dims = source.NumDims();
+  const BadPointPolicy policy = params.bad_point_policy;
+  return CountingTree::BuildPartitioned(
+      num_dims, params.num_resolutions, end - begin, pool,
+      [&](int worker, size_t first_point, size_t last_point,
+          CountingTree::SliceRun& run) -> Status {
+        MRCC_TRACE_SPAN_N("tree.build.shard",
+                          static_cast<int64_t>(last_point - first_point));
+        Timer timer;
+        ScanTally& tally = (*tallies)[static_cast<size_t>(worker)];
+        std::vector<double> scratch;
+        // Chunks arrive in order and cover the slice exactly once, so the
+        // tree is bit-identical to a point-at-a-time scan at every chunk
+        // size. The scanner keeps up to read_ahead_chunks chunks in
+        // flight behind the inserts; depth 0 is the plain synchronous
+        // scan.
+        const ReadAheadScanner scanner(source, params.read_ahead_chunks);
+        const Status scanned = scanner.ScanChunks(
+            begin + first_point, begin + last_point, chunk_points,
+            [&](size_t first, std::span<const double> values) -> Status {
+              const size_t count = values.size() / num_dims;
+              for (size_t j = 0; j < count; ++j) {
+                std::span<const double> point =
+                    values.subspan(j * num_dims, num_dims);
+                const PointAction action =
+                    IngestPoint(&point, policy, &scratch);
+                if (action == PointAction::kReject) {
+                  return BadPointError(first + j, source.Name());
+                }
+                if (action == PointAction::kSkip) {
+                  ++tally.points_skipped;
+                  continue;
+                }
+                if (action == PointAction::kClamp) ++tally.points_clamped;
+                MRCC_RETURN_IF_ERROR(run.Insert(point));
+              }
+              return Status::OK();
+            },
+            &tally.prefetch);
+        (*scan_seconds)[static_cast<size_t>(worker)] += timer.ElapsedSeconds();
+        return scanned;
+      });
+}
+
+}  // namespace
+
+Result<CountingTree> BuildTree(const DataSource& source,
+                               const MrCCParams& params, int num_threads,
+                               size_t chunk_points, MrCCStats* stats) {
   const size_t n = source.NumPoints();
   const size_t num_dims = source.NumDims();
-  const int want_shards = std::max(
+  const int want_workers = std::max(
       1, std::min<int>(num_threads,
-                       static_cast<int>(n / kMinPointsPerShard)));
+                       static_cast<int>(n / kMinPointsPerWorker)));
   stats->tree_merge_seconds = 0.0;
 
   if (n == 0) {
@@ -75,43 +131,25 @@ Result<CountingTree> BuildTreeSharded(const DataSource& source,
   }
 
   // The pool may come up short of workers (thread-limit pressure, the
-  // `pool.spawn` failpoint); size everything by what it actually got —
-  // an unexecuted shard slot would otherwise poison the fold below.
-  ThreadPool pool(want_shards);
-  const int shards = pool.num_threads();
-  if (shards < want_shards) {
+  // `pool.spawn` failpoint); the build slices by what it actually got.
+  ThreadPool pool(want_workers);
+  const int workers = pool.num_threads();
+  if (workers < want_workers) {
     stats->degraded = true;
     stats->degradation_reasons.push_back(
-        "thread pool spawned " + std::to_string(shards) + " of " +
-        std::to_string(want_shards) +
+        "thread pool spawned " + std::to_string(workers) + " of " +
+        std::to_string(want_workers) +
         " tree-build workers; continuing with fewer (results unchanged)");
   }
-  stats->tree_build_threads = shards;
+  stats->tree_build_threads = workers;
 
-  std::vector<Result<CountingTree>> partial;
-  partial.reserve(static_cast<size_t>(shards));
-  for (int t = 0; t < shards; ++t) {
-    partial.emplace_back(Status::Internal("shard not executed"));
-  }
-  // Wall seconds each worker spent scanning its slice: the imbalance
-  // diagnostic. Slices are equal by construction, so a skewed profile
-  // points at data distribution (hot tree regions) or the machine.
-  std::vector<double> shard_seconds(static_cast<size_t>(shards), 0.0);
-  // Each worker's scan counters; reduced in slice order below so the
-  // totals are deterministic like everything else.
-  std::vector<ScanTally> tallies(static_cast<size_t>(shards));
-  pool.ParallelFor(n, [&](int t, size_t begin, size_t end) {
-    MRCC_TRACE_SPAN_N("tree.build.shard",
-                      static_cast<int64_t>(end - begin));
-    Timer shard_timer;
-    const size_t st = static_cast<size_t>(t);
-    partial[st] = BuildTreeOverRange(source, begin, end, params,
-                                     chunk_points, &tallies[st]);
-    shard_seconds[st] = shard_timer.ElapsedSeconds();
-  });
-  for (const Result<CountingTree>& shard : partial) {
-    if (!shard.ok()) return shard.status();
-  }
+  // Each worker's scan counters and scan seconds; reduced in slice order
+  // below so the totals are deterministic like everything else.
+  std::vector<ScanTally> tallies(static_cast<size_t>(workers));
+  std::vector<double> scan_seconds(static_cast<size_t>(workers), 0.0);
+  Result<CountingTree> tree = BuildTreeOnPool(
+      source, 0, n, params, chunk_points, pool, &tallies, &scan_seconds);
+  if (!tree.ok()) return tree.status();
   for (const ScanTally& tally : tallies) {
     stats->points_skipped += tally.points_skipped;
     stats->points_clamped += tally.points_clamped;
@@ -120,53 +158,35 @@ Result<CountingTree> BuildTreeSharded(const DataSource& source,
     stats->prefetch_queue_full_waits += tally.prefetch.queue_full_waits;
   }
 
-  // Worst-case raw points resident at once: every shard holding all of
+  // Worst-case raw points resident at once: every worker holding all of
   // its scan's chunk buffers (the read-ahead ring, or one buffer for a
   // synchronous scan). Zero-copy backends (memory, mmap) stay below it.
   const size_t buffers = BuffersPerScan(params);
   stats->resident_point_bound =
-      static_cast<size_t>(shards) *
+      static_cast<size_t>(workers) *
       std::min(buffers * chunk_points,
-               (n + static_cast<size_t>(shards) - 1) /
-                   static_cast<size_t>(shards));
+               (n + static_cast<size_t>(workers) - 1) /
+                   static_cast<size_t>(workers));
   PublishScanMetrics(*stats);
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  if (shards > 1) {
+  if (workers > 1) {
+    // The imbalance diagnostic: slices are equal by construction, so a
+    // skewed scan profile points at data (costly rows) or the machine.
     double sum = 0.0;
     double slowest = 0.0;
-    for (double s : shard_seconds) {
+    for (double s : scan_seconds) {
       sum += s;
       slowest = std::max(slowest, s);
     }
-    const double mean = sum / static_cast<double>(shards);
+    const double mean = sum / static_cast<double>(workers);
     stats->shard_imbalance = mean > 0.0 ? slowest / mean : 0.0;
-    for (double s : shard_seconds) {
+    MetricsRegistry& metrics = MetricsRegistry::Global();
+    for (double s : scan_seconds) {
       metrics.histogram("tree.shard_micros").Record(
           static_cast<int64_t>(s * 1e6));
     }
   }
-
-  Timer merge_timer;
-  MRCC_TRACE_SPAN_N("tree.merge", shards);
-  MergeTreeStats merge_stats;
-  CountingTree tree = std::move(*partial[0]);
-  for (size_t t = 1; t < partial.size(); ++t) {
-    // tree.merge.alloc stands in for the fold's cell-pool growth failing.
-    MRCC_RETURN_IF_ERROR(fp::Maybe("tree.merge.alloc"));
-    Result<MergeTreeStats> merged = tree.InsertTree(*partial[t]);
-    if (!merged.ok()) return merged.status();
-    merge_stats += *merged;
-  }
-  tree.Seal();
-  if (shards > 1) {
-    stats->tree_merge_seconds = merge_timer.ElapsedSeconds();
-    stats->tree_merge = merge_stats;
-    PublishMergeMetrics(merge_stats);
-  }
   return tree;
 }
-
-}  // namespace
 
 size_t ChunkPointsFor(const MrCCParams& params, size_t num_dims, int shards) {
   if (params.chunk_points > 0) return params.chunk_points;
@@ -195,44 +215,16 @@ Result<CountingTree> BuildTreeOverRange(const DataSource& source,
                                         const MrCCParams& params,
                                         size_t chunk_points,
                                         ScanTally* tally) {
-  // tree.build.alloc stands in for the node-pool allocation failing
-  // under memory pressure.
-  MRCC_RETURN_IF_ERROR(fp::Maybe("tree.build.alloc"));
-  const size_t num_dims = source.NumDims();
-  const BadPointPolicy policy = params.bad_point_policy;
-  Result<CountingTree> built =
-      CountingTree::Empty(num_dims, params.num_resolutions);
-  MRCC_RETURN_IF_ERROR(built.status());
-  CountingTree& tree = *built;
-  std::vector<double> scratch;
-  // Chunks arrive in order and cover [begin, end) exactly once, so this
-  // fold is bit-identical to a point-at-a-time scan at every chunk size.
-  // The scanner keeps up to read_ahead_chunks chunks in flight behind the
-  // inserts; depth 0 is the plain synchronous scan.
-  const ReadAheadScanner scanner(source, params.read_ahead_chunks);
-  MRCC_RETURN_IF_ERROR(scanner.ScanChunks(
-      begin, end, chunk_points,
-      [&](size_t first, std::span<const double> values) -> Status {
-        const size_t count = values.size() / num_dims;
-        for (size_t j = 0; j < count; ++j) {
-          std::span<const double> point =
-              values.subspan(j * num_dims, num_dims);
-          const PointAction action = IngestPoint(&point, policy, &scratch);
-          if (action == PointAction::kReject) {
-            return BadPointError(first + j, source.Name());
-          }
-          if (action == PointAction::kSkip) {
-            ++tally->points_skipped;
-            continue;
-          }
-          if (action == PointAction::kClamp) ++tally->points_clamped;
-          MRCC_RETURN_IF_ERROR(tree.Insert(point));
-        }
-        return Status::OK();
-      },
-      &tally->prefetch));
-  tree.Seal();
-  return built;
+  ThreadPool serial(1);
+  std::vector<ScanTally> tallies(1);
+  std::vector<double> scan_seconds(1, 0.0);
+  Result<CountingTree> tree = BuildTreeOnPool(
+      source, begin, end, params, chunk_points, serial, &tallies,
+      &scan_seconds);
+  tally->points_skipped += tallies[0].points_skipped;
+  tally->points_clamped += tallies[0].points_clamped;
+  tally->prefetch += tallies[0].prefetch;
+  return tree;
 }
 
 Status ClusterTree(CountingTree& tree, const MrCCParams& params,
@@ -403,9 +395,10 @@ Result<MrCCResult> MrCC::Run(const DataSource& source) const {
   Timer total;
   BudgetTracker tracker(params_.budget);
 
-  // Phase 1: single-scan Counting-tree construction, sharded by points.
-  // Shards consume the source in bounded chunks, so raw-point memory
-  // stays at shards × chunk regardless of dataset size (DESIGN.md §14).
+  // Phase 1: single-scan Counting-tree construction, sliced by points and
+  // partitioned by key space. Workers consume the source in bounded
+  // chunks, so raw-point memory stays at workers × chunk regardless of
+  // dataset size (DESIGN.md §14).
   const size_t chunk_points =
       ChunkPointsFor(params_, source.NumDims(), num_threads);
   result.stats.chunk_points = chunk_points;
@@ -414,8 +407,8 @@ Result<MrCCResult> MrCC::Run(const DataSource& source) const {
   Result<CountingTree> tree(Status::Internal("tree build not run"));
   {
     MRCC_TRACE_SPAN("tree.build");
-    tree = BuildTreeSharded(source, params_, num_threads, chunk_points,
-                            &result.stats);
+    tree = BuildTree(source, params_, num_threads, chunk_points,
+                     &result.stats);
   }
   if (!tree.ok()) return tree.status();
   result.stats.tree_build_seconds = phase.ElapsedSeconds();

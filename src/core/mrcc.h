@@ -119,8 +119,10 @@ struct MrCCParams {
 struct MrCCStats {
   double tree_build_seconds = 0.0;
 
-  /// Portion of tree_build_seconds spent merging the per-shard partial
-  /// trees (0 for a serial build).
+  /// Seconds spent folding sub-trees into the run's tree: the window
+  /// snapshot's fold (core/streaming_mrcc.h) and the shard merger's
+  /// (dist/sharded_build.h). Always 0 for the batch build (BuildTree),
+  /// which partitions by key space and folds nothing.
   double tree_merge_seconds = 0.0;
 
   double beta_search_seconds = 0.0;
@@ -154,17 +156,18 @@ struct MrCCStats {
   /// returned them.
   BetaSearchStats beta_search;
 
-  /// The InsertTree fold's counters summed across the sharded build's
-  /// merges (all zero for a serial build). cells_merged counts cells
-  /// present in more than one shard tree — high values relative to the
-  /// tree size mean the shards cover the same regions, the expected
-  /// regime — and bound the merge's extra work.
+  /// The InsertTree fold's counters summed over the engine's folds: the
+  /// window snapshot folds its generations, the shard merger its
+  /// artifacts. cells_merged counts cells present in more than one folded
+  /// tree — high values relative to the tree size mean the sources cover
+  /// the same regions, the expected regime — and bound the fold's extra
+  /// work. All zero for the batch build (BuildTree), which folds nothing.
   MergeTreeStats tree_merge;
 
-  /// Slowest shard scan divided by the mean shard scan during the tree
-  /// build (1 = perfectly balanced, 0 = serial build). Shards own equal
-  /// point slices, so imbalance measures data skew and scheduling, not
-  /// slicing.
+  /// Slowest worker scan divided by the mean worker scan during the
+  /// tree build (1 = perfectly balanced, 0 = one worker). Workers scan
+  /// equal point slices, so imbalance measures data skew and
+  /// scheduling, not slicing.
   double shard_imbalance = 0.0;
 
   // ---- Graceful degradation and input hygiene (DESIGN.md §11).
@@ -272,6 +275,24 @@ class MrCC : public SubspaceClusterer {
 /// Never zero. The chunk size never changes results, only memory.
 size_t ChunkPointsFor(const MrCCParams& params, size_t num_dims, int shards);
 
+/// The batch engine's tree (MrCC::Run's phase 1): counts every point of
+/// `source` on up to `num_threads` workers — fewer for small inputs, or
+/// when the pool spawns fewer (then stats->degraded) — with
+/// CountingTree::BuildPartitioned: each worker scans one contiguous slice
+/// in `chunk_points`-point chunks through a read-ahead scanner and
+/// IngestPoint, and the records are sorted by key-space partition and
+/// laid out once. The tree's bytes equal the serial build's at every
+/// worker count; nothing is folded. Fills stats' tree-build threads,
+/// skip/clamp counts, scan telemetry and shard_imbalance, and sets
+/// tree_merge_seconds to 0. Emits one `tree.build.shard` span per worker
+/// scan. Honors `tree.build.alloc`, and `tree.merge.alloc` (the shared
+/// record buffers) when more than one worker runs.
+[[nodiscard]] Result<CountingTree> BuildTree(const DataSource& source,
+                                             const MrCCParams& params,
+                                             int num_threads,
+                                             size_t chunk_points,
+                                             MrCCStats* stats);
+
 /// Counters of one BuildTreeOverRange scan. Callers that run several
 /// scans sum them in slice order, so the totals are deterministic.
 struct ScanTally {
@@ -285,7 +306,8 @@ struct ScanTally {
 };
 
 /// Counts points [begin, end) of `source` into a sealed tree with
-/// params.num_resolutions levels, streaming `chunk_points`-point chunks
+/// params.num_resolutions levels on the calling thread — BuildTree's
+/// scan and build, one worker — streaming `chunk_points`-point chunks
 /// through a read-ahead scanner of params.read_ahead_chunks depth and
 /// each point through IngestPoint under params.bad_point_policy. The
 /// tree equals the slice a serial scan would have counted, at every

@@ -73,10 +73,19 @@ class TreeCursor {
   /// Rejects a value that parsed but cannot be right, pointing at the
   /// offset where the offending field starts.
   Status Bad(const char* section, const std::string& why) const {
-    return Status::IOError("bad " + std::string(section) + " in " + path_ +
-                           " at byte " + std::to_string(field_start_) + ": " +
-                           why);
+    return BadAt(section, field_start_, why);
   }
+
+  /// Bad() for a field at `offset`, read without the cursor.
+  Status BadAt(const char* section, size_t offset,
+               const std::string& why) const {
+    return Status::IOError("bad " + std::string(section) + " in " + path_ +
+                           " at byte " + std::to_string(offset) + ": " + why);
+  }
+
+  /// The unread bytes.
+  const char* here() const { return bytes_.data() + pos_; }
+  size_t remaining() const { return bytes_.size() - pos_; }
 
   /// Advances past `n` bytes; false (and no move) when fewer remain.
   bool Skip(uint64_t n) {
@@ -100,16 +109,18 @@ class TreeCursor {
 std::string SerializeTree(const CountingTree& tree, size_t trailer_bytes) {
   // The record sizes (NodeBytes, CellBytes) follow the element types
   // copied below.
-  static_assert(std::is_same_v<decltype(CountingTree::Node::base_coords),
-                               std::vector<uint64_t>>);
-  static_assert(std::is_same_v<decltype(CountingTree::Arena::loc),
-                               std::vector<uint64_t>>);
-  static_assert(std::is_same_v<decltype(CountingTree::Arena::n),
-                               std::vector<uint32_t>>);
-  static_assert(std::is_same_v<decltype(CountingTree::Arena::child),
-                               std::vector<int32_t>>);
-  static_assert(std::is_same_v<decltype(CountingTree::Arena::half),
-                               std::vector<uint32_t>>);
+  static_assert(std::is_same_v<decltype(CountingTree::base_)::value_type,
+                               uint64_t>);
+  static_assert(std::is_same_v<decltype(CountingTree::Arena::loc)::value_type,
+                               uint64_t>);
+  static_assert(std::is_same_v<decltype(CountingTree::Arena::n)::value_type,
+                               uint32_t>);
+  static_assert(
+      std::is_same_v<decltype(CountingTree::Arena::child)::value_type,
+                     int32_t>);
+  static_assert(
+      std::is_same_v<decltype(CountingTree::Arena::half)::value_type,
+                     uint32_t>);
   MRCC_DCHECK(tree.packed_);
   const size_t d = tree.num_dims();
   size_t cells = 0;
@@ -136,11 +147,12 @@ std::string SerializeTree(const CountingTree& tree, size_t trailer_bytes) {
   put(static_cast<uint32_t>(tree.num_resolutions()));
   put(static_cast<uint64_t>(tree.total_points()));
   put(static_cast<uint64_t>(tree.num_nodes()));
-  for (const CountingTree::Node& node : tree.nodes_) {
+  for (size_t m = 0; m < tree.nodes_.size(); ++m) {
+    const CountingTree::Node& node = tree.nodes_[m];
     const CountingTree::Arena& arena =
         tree.arenas_[static_cast<size_t>(node.level)];
     put(static_cast<int32_t>(node.level));
-    put_run(node.base_coords.data(), d);
+    put_run(tree.BaseOf(static_cast<uint32_t>(m)), d);
     put(static_cast<uint64_t>(node.count));
     for (uint32_t c = 0; c < node.count; ++c) {
       const size_t i = static_cast<size_t>(node.first) + c;
@@ -232,6 +244,7 @@ Result<CountingTree> ParseTree(std::string_view bytes,
     arena.half.reserve(level_cells[h] * d);
   }
   tree.nodes_.resize(node_count);
+  tree.base_.resize(node_count * d);
   // Nodes are on disk in pool (creation) order and cells in per-node
   // creation order, so appending each record to its level arena directly
   // reproduces the canonical packed layout — no separate Pack() pass.
@@ -245,9 +258,8 @@ Result<CountingTree> ParseTree(std::string_view bytes,
                                       std::to_string(resolutions) + ")");
     }
     node.level = level;
-    node.base_coords.resize(dims);
     MRCC_RETURN_IF_ERROR(in.ReadArray("node base coordinate",
-                                      node.base_coords.data(), dims));
+                                      tree.base_.data() + n * d, dims));
     uint64_t cell_count = 0;
     MRCC_RETURN_IF_ERROR(in.Read("node cell_count", &cell_count));
     if (cell_count > bytes.size() / cell_bytes) {
@@ -256,29 +268,52 @@ Result<CountingTree> ParseTree(std::string_view bytes,
                         std::to_string(bytes.size()) + " bytes");
     }
     CountingTree::Arena& arena = tree.arenas_[static_cast<size_t>(level)];
-    node.first = static_cast<uint32_t>(arena.size());
+    const size_t at = arena.size();
+    node.first = static_cast<uint32_t>(at);
     node.count = static_cast<uint32_t>(cell_count);
-    for (uint64_t c = 0; c < cell_count; ++c) {
-      uint64_t loc = 0;
-      uint32_t count = 0;
-      int32_t child = -1;
-      MRCC_RETURN_IF_ERROR(in.Read("cell loc", &loc));
-      MRCC_RETURN_IF_ERROR(in.Read("cell count", &count));
-      MRCC_RETURN_IF_ERROR(in.Read("cell child pointer", &child));
+    const auto check_child = [&](int32_t child, size_t offset) {
       if (child >= 0 && static_cast<uint64_t>(child) >= node_count) {
-        return in.Bad("cell child pointer",
-                      "child " + std::to_string(child) + " >= node count " +
-                          std::to_string(node_count));
+        return in.BadAt("cell child pointer", offset,
+                        "child " + std::to_string(child) +
+                            " >= node count " + std::to_string(node_count));
       }
-      arena.loc.push_back(loc);
-      arena.n.push_back(count);
-      arena.child.push_back(child);
-      arena.used.push_back(0);
-      arena.owner.push_back(static_cast<uint32_t>(n));
-      const size_t half_base = arena.half.size();
-      arena.half.resize(half_base + dims);
-      MRCC_RETURN_IF_ERROR(in.ReadArray(
-          "cell half count", arena.half.data() + half_base, dims));  // lint-allow: cell-storage
+      return Status::OK();
+    };
+    const size_t count = static_cast<size_t>(cell_count);
+    arena.loc.resize(at + count);
+    arena.n.resize(at + count);
+    arena.child.resize(at + count);
+    arena.used.resize(at + count, 0);
+    arena.owner.resize(at + count, static_cast<uint32_t>(n));
+    arena.half.resize((at + count) * d);
+    if (cell_count * cell_bytes <= in.remaining()) {
+      // The node's cell records all fit: one bounds check, then each
+      // field is copied straight out of the stream (a cell record is
+      // u64 loc at +0, u32 n at +8, i32 child at +12, d u32 half at +16).
+      const char* p = in.here();
+      for (size_t c = 0; c < count; ++c, p += cell_bytes) {
+        const size_t i = at + c;
+        std::memcpy(&arena.loc[i], p, sizeof(uint64_t));
+        std::memcpy(&arena.n[i], p + 8, sizeof(uint32_t));
+        std::memcpy(&arena.child[i], p + 12, sizeof(int32_t));
+        MRCC_RETURN_IF_ERROR(check_child(
+            arena.child[i], static_cast<size_t>(p + 12 - bytes.data())));
+        std::memcpy(arena.half.data() + i * d, p + 16, d * sizeof(uint32_t));
+      }
+      MRCC_CHECK(in.Skip(cell_count * cell_bytes));
+    } else {
+      // A short stream: read field by field, so the error names exactly
+      // the field that runs past the end.
+      for (size_t c = 0; c < count; ++c) {
+        const size_t i = at + c;
+        MRCC_RETURN_IF_ERROR(in.Read("cell loc", &arena.loc[i]));
+        MRCC_RETURN_IF_ERROR(in.Read("cell count", &arena.n[i]));
+        MRCC_RETURN_IF_ERROR(in.Read("cell child pointer", &arena.child[i]));
+        MRCC_RETURN_IF_ERROR(
+            check_child(arena.child[i], in.pos() - sizeof(int32_t)));
+        MRCC_RETURN_IF_ERROR(
+            in.ReadArray("cell half count", arena.half.data() + i * d, dims));
+      }
     }
     tree.IndexNode(node);
     tree.by_level_[static_cast<size_t>(level)].push_back(

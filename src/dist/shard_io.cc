@@ -75,8 +75,13 @@ Status WriteShardArtifact(const CountingTree& tree, const ShardMeta& meta,
   return WriteFileAtomic(path, bytes);
 }
 
-Result<ShardArtifact> ParseShardArtifact(const std::string& bytes,
-                                         const std::string& path) {
+namespace {
+
+/// Checks artifact bytes up to the embedded tree: the footer's shape and
+/// version, the checksum over everything before it, and the footer's
+/// own consistency. Returns the footer's meta.
+Result<ShardMeta> VerifyShardArtifact(std::string_view bytes,
+                                      const std::string& path) {
   if (bytes.size() < kFooterBytes) {
     return Status::IOError(
         "truncated shard artifact " + path + ": " +
@@ -139,18 +144,34 @@ Result<ShardArtifact> ParseShardArtifact(const std::string& bytes,
         std::to_string(meta.points_clamped) + " clamped of " +
         std::to_string(meta.point_count) + " points");
   }
+  return meta;
+}
+
+}  // namespace
+
+Result<ShardArtifact> ParseShardArtifact(const std::string& bytes,
+                                         const std::string& path) {
+  Result<ShardMeta> meta = VerifyShardArtifact(bytes, path);
+  MRCC_RETURN_IF_ERROR(meta.status());
+  const size_t tree_len = bytes.size() - kFooterBytes;
   // The tree stream is parsed in place: no copy of the (multi-megabyte)
   // tree bytes is made on the way to ParseTree.
   Result<CountingTree> tree =
       ParseTree(std::string_view(bytes).substr(0, tree_len), path);
   MRCC_RETURN_IF_ERROR(tree.status());
-  return ShardArtifact{std::move(*tree), meta};
+  return ShardArtifact{std::move(*tree), *meta};
 }
 
 Result<ShardArtifact> ReadShardArtifact(const std::string& path) {
   Result<std::string> bytes = ReadFileToString(path);
   MRCC_RETURN_IF_ERROR(bytes.status());
   return ParseShardArtifact(*bytes, path);
+}
+
+Result<ShardMeta> ReadShardMeta(const std::string& path) {
+  Result<std::string> bytes = ReadFileToString(path);
+  MRCC_RETURN_IF_ERROR(bytes.status());
+  return VerifyShardArtifact(*bytes, path);
 }
 
 }  // namespace dist

@@ -91,5 +91,12 @@ std::string SerializeShardArtifact(const CountingTree& tree,
 [[nodiscard]] Result<ShardArtifact> ReadShardArtifact(
     const std::string& path);
 
+/// ReadShardArtifact without the tree: reads the file, checks the footer
+/// (magic, version, partition, counts) and the checksum, and returns the
+/// footer's meta with the same errors. The embedded tree is not parsed,
+/// so bytes that checksum correctly but encode a corrupt tree pass here
+/// and fail ReadShardArtifact.
+[[nodiscard]] Result<ShardMeta> ReadShardMeta(const std::string& path);
+
 }  // namespace dist
 }  // namespace mrcc

@@ -83,11 +83,12 @@ Result<BuildManifest> PrepareManifest(const ShardedBuildOptions& options) {
 
 bool ShardComplete(const ShardedBuildOptions& options,
                    const BuildManifest& manifest, size_t index) {
-  Result<ShardArtifact> artifact =
-      ReadShardArtifact(ShardArtifactPath(options.work_dir, index));
-  return artifact.ok() &&
-         artifact->meta.begin == manifest.shards[index].begin &&
-         artifact->meta.end == manifest.shards[index].end;
+  // Footer and checksum only: the merger parses the tree when it loads
+  // the artifact, and rebuilds the shard if that parse fails.
+  Result<ShardMeta> meta =
+      ReadShardMeta(ShardArtifactPath(options.work_dir, index));
+  return meta.ok() && meta->begin == manifest.shards[index].begin &&
+         meta->end == manifest.shards[index].end;
 }
 
 Result<CountingTree> BuildShardTree(const ShardedBuildOptions& options,
@@ -103,8 +104,8 @@ Result<CountingTree> BuildShardTree(const ShardedBuildOptions& options,
         std::to_string(source->NumPoints()) + " points");
   }
   MRCC_TRACE_SPAN_N("shard.build", static_cast<int64_t>(end - begin));
-  // The same range build as each in-process shard of MrCC::Run, so this
-  // tree equals the slice a single-process worker would have counted.
+  // MrCC::Run's scan and build on one worker, so this tree equals the
+  // tree a single-process run counts over the same slice.
   ScanTally unused;
   return BuildTreeOverRange(
       *source, begin, end, options.params,

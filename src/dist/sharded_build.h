@@ -76,15 +76,18 @@ std::string ShardArtifactPath(const std::string& work_dir, size_t index);
 [[nodiscard]] Result<BuildManifest> PrepareManifest(
     const ShardedBuildOptions& options);
 
-/// True when shard `index`'s artifact exists, verifies, and covers
-/// exactly the planned partition — the authoritative completion check
-/// (the manifest's done bit is only a hint).
+/// True when shard `index`'s artifact exists, its footer and checksum
+/// verify (ReadShardMeta), and it covers exactly the planned partition —
+/// the authoritative completion check (the manifest's done bit is only a
+/// hint). The tree is not parsed here: a resume would otherwise parse
+/// every artifact twice. One whose checksum holds but whose tree does
+/// not parse fails the merger's load, which retries and then rebuilds it.
 bool ShardComplete(const ShardedBuildOptions& options,
                    const BuildManifest& manifest, size_t index);
 
 /// Builds the Counting-tree over points [begin, end) of the dataset —
 /// the worker's core: BuildTreeOverRange over the block-read backend,
-/// the same range build each in-process shard of MrCC::Run runs. When
+/// MrCC::Run's scan and build on one worker. When
 /// `tally` is non-null it receives (+=) the scan's counters, whose skip
 /// and clamp counts the artifact footer carries.
 [[nodiscard]] Result<CountingTree> BuildShardTree(

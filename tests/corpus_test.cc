@@ -378,21 +378,6 @@ std::string ShardArtifactSeed() {
   return dist::SerializeShardArtifact(*tree, dist::ShardMeta{0, n, n});
 }
 
-/// Rewrites the footer's tree length and checksum (the last 16 bytes of
-/// the 64-byte footer, see dist/shard_io.h) to match the bytes in front
-/// of them, so a mutated artifact passes the trailer checks and reaches
-/// ParseTree and ValidateInvariants.
-void Restamp(std::string* bytes) {
-  constexpr size_t kFooterBytes = 64;
-  if (bytes->size() < kFooterBytes) return;
-  const uint64_t tree_len = bytes->size() - kFooterBytes;
-  std::memcpy(bytes->data() + bytes->size() - 16, &tree_len,
-              sizeof(tree_len));
-  const uint64_t sum =
-      WordChecksum(bytes->data(), bytes->size() - sizeof(sum));
-  std::memcpy(bytes->data() + bytes->size() - 8, &sum, sizeof(sum));
-}
-
 /// Outcome tally of a mutation loop over the artifact loader. A rejection
 /// must be a clean IOError; which layer rejected is read off the message
 /// (the footer checks name the "shard artifact", ParseTree and the
@@ -431,7 +416,7 @@ TEST(CorpusShardArtifactTest, SeedLoadsAndRestampIsIdentity) {
   EXPECT_EQ(loaded->meta.point_count, 400u);
   // Restamp writes exactly the footer the writer wrote.
   std::string restamped = seed;
-  Restamp(&restamped);
+  testing::RestampShardArtifact(&restamped);
   EXPECT_EQ(restamped, seed);
 }
 
@@ -456,7 +441,7 @@ TEST(CorpusShardArtifactTest, RestampedMutationsReachTreeParserAndValidator) {
   for (int i = 0; i < 10000; ++i) {
     SCOPED_TRACE("mutation iteration " + std::to_string(i));
     std::string bytes = Mutate(seed, rng);
-    Restamp(&bytes);
+    testing::RestampShardArtifact(&bytes);
     tally.Add(dist::ParseShardArtifact(bytes, "restamped"));
   }
   // With the trailer re-stamped the damage gets past the checksum, so

@@ -2,10 +2,8 @@
 // pending run, and Seal sorts the run and writes the packed tree, folding
 // it in with InsertTree when the tree already holds points. The contract
 // is byte identity with a point-at-a-time construction, so every case
-// here compares SerializeTree bytes against a naive reference builder:
-// one descent per point from the root, creating each missing cell and its
-// child node on the way down, with nodes and cells kept in creation
-// order. The reference lives only in this file.
+// here compares SerializeTree bytes against a naive reference builder
+// (reference_tree.h).
 
 #include <gtest/gtest.h>
 
@@ -19,110 +17,17 @@
 #include <utility>
 #include <vector>
 
+#include "common/memory.h"
+#include "common/parallel.h"
 #include "core/counting_tree.h"
 #include "core/tree_io.h"
+#include "reference_tree.h"
 #include "test_util.h"
 
 namespace mrcc {
 namespace {
 
-/// Point-at-a-time Counting-tree in creation order, serialized in the
-/// SaveTree format.
-class ReferenceTree {
- public:
-  ReferenceTree(size_t dims, int resolutions)
-      : d_(dims),
-        resolutions_(std::min(resolutions, CountingTree::kMaxResolutions + 1)) {
-    nodes_.push_back(Node{1, std::vector<uint64_t>(dims, 0), {}});
-  }
-
-  void Insert(std::span<const double> point) {
-    const int deepest = resolutions_ - 1;
-    // grid[j] holds the first H binary digits of coordinate j; the
-    // level-h digit is bit H - h.
-    std::vector<uint64_t> grid(d_);
-    for (size_t j = 0; j < d_; ++j) {
-      grid[j] = static_cast<uint64_t>(point[j] * std::ldexp(1.0, resolutions_));
-    }
-    const auto digit = [&](size_t j, int h) {
-      return (grid[j] >> (resolutions_ - h)) & 1;
-    };
-    const auto cells_of = [this](size_t node) -> std::vector<Cell>& {
-      return nodes_[node].cells;
-    };
-    size_t node = 0;
-    for (int h = 1; h <= deepest; ++h) {
-      uint64_t loc = 0;
-      for (size_t j = 0; j < d_; ++j) loc |= digit(j, h) << j;
-      std::vector<Cell>& cells = cells_of(node);
-      size_t c = 0;
-      while (c < cells.size() && cells[c].loc != loc) ++c;
-      if (c == cells.size()) {
-        cells.push_back(Cell{loc, 0, -1, std::vector<uint32_t>(d_, 0)});
-      }
-      cells[c].n += 1;
-      for (size_t j = 0; j < d_; ++j) {
-        if (digit(j, h + 1) == 0) cells[c].lower[j] += 1;
-      }
-      if (h == deepest) break;
-      if (cells[c].child < 0) {
-        std::vector<uint64_t> base(d_);
-        for (size_t j = 0; j < d_; ++j) {
-          base[j] = nodes_[node].base[j] * 2 + ((loc >> j) & 1);
-        }
-        cells[c].child = static_cast<int32_t>(nodes_.size());
-        // push_back may move `cells`; write the child first.
-        nodes_.push_back(Node{h + 1, std::move(base), {}});
-      }
-      node = static_cast<size_t>(cells_of(node)[c].child);
-    }
-    ++total_;
-  }
-
-  std::string Serialize() const {
-    std::string out = "MRTR";
-    Append(uint32_t{1}, &out);
-    Append(static_cast<uint32_t>(d_), &out);
-    Append(static_cast<uint32_t>(resolutions_), &out);
-    Append(total_, &out);
-    Append(static_cast<uint64_t>(nodes_.size()), &out);
-    for (const Node& node : nodes_) {
-      Append(static_cast<int32_t>(node.level), &out);
-      for (uint64_t b : node.base) Append(b, &out);
-      Append(static_cast<uint64_t>(node.cells.size()), &out);
-      for (const Cell& cell : node.cells) {
-        Append(cell.loc, &out);
-        Append(cell.n, &out);
-        Append(cell.child, &out);
-        for (uint32_t p : cell.lower) Append(p, &out);
-      }
-    }
-    return out;
-  }
-
- private:
-  struct Cell {
-    uint64_t loc;
-    uint32_t n;
-    int32_t child;
-    std::vector<uint32_t> lower;  // Half-space counts P[j].
-  };
-  struct Node {
-    int level;
-    std::vector<uint64_t> base;
-    std::vector<Cell> cells;
-  };
-
-  template <typename T>
-  static void Append(T v, std::string* out) {
-    out->append(reinterpret_cast<const char*>(&v), sizeof(T));
-  }
-
-  size_t d_;
-  int resolutions_;
-  uint64_t total_ = 0;
-  std::vector<Node> nodes_;
-};
+using testing::ReferenceTree;
 
 CountingTree EmptyTree(size_t dims, int resolutions) {
   Result<CountingTree> tree = CountingTree::Empty(dims, resolutions);
@@ -294,6 +199,52 @@ TEST(RunBuildTest, RunSplitByTheByteCapStillMatches) {
   EXPECT_EQ(tree.total_points(), total);
   tree.Seal();
   ExpectMatches(tree, ref);
+}
+
+TEST(RunBuildTest, PartitionedBuildPastTheRunCapPerWorkerStillMatches) {
+  // d = 1, H = 3: 16 bytes a point, so each of two workers fills
+  // kMaxRunBytes after 2^21 points. A stream of 1.25 rounds of that is
+  // built as one full round and a quarter round counted into it, and the
+  // records in flight never pass 2 * kMaxRunBytes a worker (the record
+  // buffer and its sort buffer) — building it in one round would need
+  // 1.25 times that.
+  constexpr size_t kDims = 1;
+  constexpr int kResolutions = 3;
+  constexpr size_t kWorkers = 2;
+  const size_t round =
+      kWorkers * CountingTree::kMaxRunBytes /
+      RunBytesPerPoint(kDims, kResolutions);
+  const size_t total = round + round / 4;
+  Rng rng(7);
+  Dataset data(total, kDims);
+  for (size_t i = 0; i < total; ++i) {
+    data(i, 0) = i % 5 == 0 ? rng.UniformDouble()
+                            : 0.6 + 0.1 * rng.UniformDouble();
+  }
+  ReferenceTree ref(kDims, kResolutions);
+  for (size_t i = 0; i < total; ++i) ref.Insert(data.Point(i));
+
+  ThreadPool pool(kWorkers);
+  ASSERT_EQ(pool.num_threads(), static_cast<int>(kWorkers));
+  std::vector<size_t> slices;
+  const MemoryUsageScope memory;
+  Result<CountingTree> tree = CountingTree::BuildPartitioned(
+      kDims, kResolutions, total, pool,
+      [&](int worker, size_t begin, size_t end, CountingTree::SliceRun& run) {
+        if (worker == 0) slices.push_back(end - begin);
+        for (size_t i = begin; i < end; ++i) {
+          MRCC_RETURN_IF_ERROR(run.Insert(data.Point(i)));
+        }
+        return Status::OK();
+      });
+  const int64_t peak = memory.PeakDeltaBytes();
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  EXPECT_EQ(slices, (std::vector<size_t>{round / kWorkers, round / 8}));
+  EXPECT_LE(peak, static_cast<int64_t>(2 * kWorkers *
+                                       CountingTree::kMaxRunBytes +
+                                       (size_t{16} << 20)));
+  EXPECT_EQ(tree->total_points(), total);
+  ExpectMatches(*tree, ref);
 }
 
 TEST(RunBuildTest, InsertTreeBetweenRunsKeepsStreamOrder) {

@@ -212,6 +212,40 @@ TEST_F(DistBuildTest, VersionOneArtifactIsRebuiltOnResume) {
             kPinnedLabelsHash);
 }
 
+TEST_F(DistBuildTest, RestampedCorruptTreePassesResumeAndIsRebuiltByMerger) {
+  // Shard 1's tree bytes are damaged and its footer re-stamped, so the
+  // checksum holds over the damage. The completion check reads only the
+  // footer and the checksum, so resume counts the shard done; the
+  // merger's load parses the tree, fails, retries and rebuilds it.
+  Result<BuildManifest> manifest = PrepareManifest(options_);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  for (size_t i = 0; i < manifest->shards.size(); ++i) {
+    ASSERT_TRUE(BuildShard(options_, *manifest, i).ok());
+  }
+  const std::string victim = ShardArtifactPath(dir_, 1);
+  Result<std::string> bytes = ReadFileToString(victim);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  (*bytes)[0] = 'X';  // The tree stream's "MRTR" magic.
+  testing::RestampShardArtifact(&*bytes);
+  ASSERT_TRUE(WriteFileAtomic(victim, *bytes).ok());
+
+  EXPECT_TRUE(ShardComplete(options_, *manifest, 1));
+  const Result<ShardArtifact> loaded = ReadShardArtifact(victim);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  EXPECT_NE(loaded.status().message().find("magic"), std::string::npos)
+      << loaded.status().ToString();
+
+  const int64_t rebuilds_before = Metric("shard.rebuilds");
+  Result<MrCCResult> resumed = RunShardedBuild(options_);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(Metric("shard.rebuilds"), rebuilds_before + 1);
+  ExpectSameResults(*baseline_, *resumed);
+  const std::vector<int>& labels = resumed->clustering.labels;
+  EXPECT_EQ(Fnv1a(labels.data(), labels.size() * sizeof(int)),
+            kPinnedLabelsHash);
+}
+
 TEST_F(DistBuildTest, ShardedBuildReportsTheBatchRunsSkipAndClampCounts) {
   // NaN rows and out-of-range rows in every shard of the file.
   Dataset dirty = data_;
@@ -378,24 +412,25 @@ TEST_F(DistBuildTest, BuildShardTreeRejectsBadRange) {
 }
 
 TEST_F(DistBuildTest, EveryTreeFoldPublishesBothMergeCounters) {
-  // The three engines that fold trees — the sharded batch build, the
-  // window snapshot and the shard merger — each add their fold's
-  // MergeTreeStats to both registry counters, nothing more or less.
+  // The two engines that fold trees — the window snapshot and the shard
+  // merger — each add their fold's MergeTreeStats to both registry
+  // counters, nothing more or less. The batch build partitions by key
+  // space and folds nothing: its counters stay zero and publish nothing.
   const auto run = [this](const auto& engine) {
     const int64_t conflict = Metric("tree.merge.conflict_cells");
     const int64_t created = Metric("tree.merge.cells_created");
     const MergeTreeStats stats = engine();
-    EXPECT_GT(stats.cells_created, 0u);
     EXPECT_EQ(Metric("tree.merge.conflict_cells") - conflict,
               static_cast<int64_t>(stats.cells_merged));
     EXPECT_EQ(Metric("tree.merge.cells_created") - created,
               static_cast<int64_t>(stats.cells_created));
+    return stats;
   };
 
   const Dataset big = testing::SmallClustered(5000, 6, 2, 29).data;
   {
-    SCOPED_TRACE("MrCC::Run, two build shards");
-    run([&big] {
+    SCOPED_TRACE("MrCC::Run, two build workers");
+    const MergeTreeStats batch = run([&big] {
       MrCCParams params;
       params.num_threads = 2;
       Result<MrCCResult> result = MrCC(params).Run(big);
@@ -404,12 +439,16 @@ TEST_F(DistBuildTest, EveryTreeFoldPublishesBothMergeCounters) {
         return MergeTreeStats{};
       }
       EXPECT_EQ(result->stats.tree_build_threads, 2);
+      EXPECT_EQ(result->stats.tree_merge_seconds, 0.0);
       return result->stats.tree_merge;
     });
+    EXPECT_EQ(batch.cells_merged, 0u);
+    EXPECT_EQ(batch.cells_created, 0u);
+    EXPECT_EQ(batch.nodes_created, 0u);
   }
   {
     SCOPED_TRACE("StreamingMrCC snapshot");
-    run([this] {
+    const MergeTreeStats window = run([this] {
       MrCCParams params;
       params.window.points = 2000;
       params.window.generations = 4;
@@ -429,10 +468,11 @@ TEST_F(DistBuildTest, EveryTreeFoldPublishesBothMergeCounters) {
       }
       return result->stats.tree_merge;
     });
+    EXPECT_GT(window.cells_created, 0u);
   }
   {
     SCOPED_TRACE("dist::RunShardedBuild, four shard artifacts");
-    run([this] {
+    const MergeTreeStats merger = run([this] {
       Result<MrCCResult> result = RunShardedBuild(options_);
       if (!result.ok()) {
         ADD_FAILURE() << result.status().ToString();
@@ -440,6 +480,7 @@ TEST_F(DistBuildTest, EveryTreeFoldPublishesBothMergeCounters) {
       }
       return result->stats.tree_merge;
     });
+    EXPECT_GT(merger.cells_created, 0u);
   }
 }
 

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -82,6 +83,21 @@ inline std::string VersionOneShardArtifact(const std::string& tree_bytes,
   append(static_cast<uint64_t>(tree_bytes.size()));
   append(Fnv1a(bytes.data(), bytes.size()));
   return bytes;
+}
+
+/// Re-stamps a shard artifact's tree length and checksum (the last 16
+/// bytes of the 64-byte footer, see dist/shard_io.h) to match the bytes
+/// in front of them, so a mutated artifact passes the footer and
+/// checksum checks and reaches ParseTree and ValidateInvariants.
+inline void RestampShardArtifact(std::string* bytes) {
+  constexpr size_t kFooterBytes = 64;
+  if (bytes->size() < kFooterBytes) return;
+  const uint64_t tree_len = bytes->size() - kFooterBytes;
+  std::memcpy(bytes->data() + bytes->size() - 16, &tree_len,
+              sizeof(tree_len));
+  const uint64_t sum =
+      WordChecksum(bytes->data(), bytes->size() - sizeof(sum));
+  std::memcpy(bytes->data() + bytes->size() - 8, &sum, sizeof(sum));
 }
 
 }  // namespace mrcc::testing

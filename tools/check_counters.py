@@ -9,9 +9,11 @@ Reads every traced record the smoke run wrote (DIR/<workload>.json,
 default .bench_build/smoke) and compares the machine-independent work
 counters and the labels hash, exactly, against the committed baseline
 (default bench/baselines/smoke_counters.json), which is keyed by
-workload and then by the record's thread count. The sharded tree fold
-merges one shard per thread, so tree.merge_cells_* depend on it; every
-other field is the same at any thread count.
+workload and then by the record's thread count. Every field is the
+same at any thread count: tree.merge_cells_* count the folds of the
+window snapshots (stream-window) and of the shard merger
+(sharded-4proc), and the batch workloads' partitioned build folds
+nothing.
 
 Exits 1 when a field differs, when a record's (workload, threads) has no
 baseline entry, or when a baseline workload has no record; prints every
