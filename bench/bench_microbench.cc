@@ -12,7 +12,8 @@
 //     checksum, and ParseTree and ValidateInvariants over it (the write
 //     and load cost a multi-process build pays per shard; DESIGN.md §16).
 //   - Window fold: nine sealed generation trees folded with a seal per
-//     source versus one seal at the end (DESIGN.md §14).
+//     source versus one seal at the end (DESIGN.md §14); and the
+//     merger's fold of four shard trees of paper-14d (DESIGN.md §16).
 //   - Full MrCC runs at increasing eta (end-to-end linearity).
 
 #include <benchmark/benchmark.h>
@@ -390,6 +391,64 @@ void BM_FoldGenerations(benchmark::State& state) {
                           static_cast<int64_t>(f.cells));
 }
 BENCHMARK(BM_FoldGenerations)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// ---- Artifact fold (DESIGN.md §16): the merger's fold of paper-14d's
+// four shard trees — the quarters of one million 14-d points at H = 4 —
+// as MergeShardTrees runs it: the first tree adopted, the other three
+// counted in with InsertTree, one Seal. Each iteration adopts a fresh
+// parse of the first artifact (untimed). Items are source cells.
+
+struct ArtifactFoldFixture {
+  std::string first;  // The first shard's tree bytes.
+  std::vector<CountingTree> rest;
+  size_t cells = 0;
+};
+
+const ArtifactFoldFixture& ArtifactFold() {
+  static const ArtifactFoldFixture fixture = [] {
+    constexpr size_t kShards = 4;
+    constexpr size_t kShardPoints = 250000;
+    const LabeledDataset ds = MakeData(kShards * kShardPoints, 14);
+    ArtifactFoldFixture f;
+    for (size_t s = 0; s < kShards; ++s) {
+      Dataset slice(0, ds.data.NumDims());
+      for (size_t i = s * kShardPoints; i < (s + 1) * kShardPoints; ++i) {
+        slice.AppendPoint(ds.data.Point(i));
+      }
+      Result<CountingTree> tree = CountingTree::Build(slice, 4);
+      MRCC_CHECK(tree.ok());
+      for (int h = 1; h < tree->num_resolutions(); ++h) {
+        f.cells += tree->NumCellsAtLevel(h);
+      }
+      if (s == 0) {
+        f.first = SerializeTree(*tree);
+      } else {
+        f.rest.push_back(std::move(*tree));
+      }
+    }
+    return f;
+  }();
+  return fixture;
+}
+
+void BM_FoldShardArtifacts(benchmark::State& state) {
+  const ArtifactFoldFixture& f = ArtifactFold();
+  for (auto _ : state) {
+    state.PauseTiming();
+    Result<CountingTree> folded = ParseTree(f.first, "bench");
+    MRCC_CHECK(folded.ok());
+    state.ResumeTiming();
+    for (const CountingTree& shard : f.rest) {
+      Result<MergeTreeStats> fold = folded->InsertTree(shard);
+      MRCC_CHECK(fold.ok());
+    }
+    folded->Seal();
+    benchmark::DoNotOptimize(folded->total_points());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(f.cells));
+}
+BENCHMARK(BM_FoldShardArtifacts)->Unit(benchmark::kMillisecond);
 
 void BM_BinomialCriticalValue(benchmark::State& state) {
   const int64_t n = state.range(0);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 #include <string>
 
@@ -409,38 +408,6 @@ size_t CountingTree::LocMap::MemoryBytes() const {
 }
 
 // ---------------------------------------------------------------------------
-// CellIds: a node's cell list, stored in place up to kInline ids.
-
-uint32_t CountingTree::CellIds::HeapCapacity(uint32_t size) {
-  return std::bit_ceil(std::max<uint32_t>(size, 8));
-}
-
-void CountingTree::CellIds::push_back(uint32_t id) {
-  if (size_ < kInline) {
-    inline_[size_++] = id;
-    return;
-  }
-  if (!heap_ || size_ == HeapCapacity(size_)) {
-    // Moving to the heap, or the heap block is full: double it.
-    auto grown =
-        std::make_unique_for_overwrite<uint32_t[]>(HeapCapacity(size_ + 1));
-    std::copy(begin(), end(), grown.get());
-    heap_ = std::move(grown);
-  }
-  heap_[size_++] = id;
-}
-
-void CountingTree::CellIds::AssignIota(uint32_t first, uint32_t count) {
-  heap_.reset();
-  if (count > kInline) {
-    heap_ = std::make_unique_for_overwrite<uint32_t[]>(HeapCapacity(count));
-  }
-  uint32_t* ids = heap_ ? heap_.get() : inline_;
-  std::iota(ids, ids + count, first);
-  size_ = count;
-}
-
-// ---------------------------------------------------------------------------
 // Construction.
 
 Result<CountingTree> CountingTree::Empty(size_t num_dims,
@@ -455,13 +422,9 @@ Result<CountingTree> CountingTree::Empty(size_t num_dims,
   // Clamp to the deepest meaningful resolution (see kMaxResolutions): the
   // paper likewise allows truncating the tree to fit resources.
   const int h_effective = std::min(num_resolutions, kMaxResolutions + 1);
-  CountingTree tree(num_dims, h_effective);
-  tree.by_level_.resize(static_cast<size_t>(h_effective));
-  tree.arenas_.resize(static_cast<size_t>(h_effective));
-  const std::vector<uint64_t> origin(num_dims, 0);
-  tree.NewNode(1, origin.data());
-  tree.Seal();
-  return tree;
+  KeyOrder none;
+  none.levels.resize(static_cast<size_t>(h_effective));
+  return LayOut(num_dims, h_effective, none, nullptr);
 }
 
 Status CountingTree::Insert(std::span<const double> point) {
@@ -477,7 +440,7 @@ Status CountingTree::Insert(std::span<const double> point) {
     run_.reserve(std::min(std::max(2 * run_.capacity(), 64 * (words + 1)),
                           kMaxRunBytes / sizeof(uint64_t)));
   }
-  run_.resize(at + words + 1, 0);  // BuildRun numbers the records.
+  run_.resize(at + words + 1, 0);  // FlushRun numbers the records.
   DigitKey(num_dims_, num_resolutions_, point, run_.data() + at);
   return Status::OK();
 }
@@ -496,13 +459,14 @@ Status CountingTree::SliceRun::Insert(std::span<const double> point) {
 }
 
 void CountingTree::Seal() {
-  if (sealed()) return;
+  if (!sealed()) LayOutPending(nullptr);
+}
+
+void CountingTree::LayOutPending(ThreadPool* pool) {
   FlushRun();
-  if (!packed_) Pack();
-  // A search may have marked cells before the inserts; new cells start
-  // unused, so clear everything for the next search.
-  ResetUsedFlags();
-  DCheckInvariants(*this);
+  if (pending_ == nullptr) return;
+  // The layout writes every cell afresh, used flags clear.
+  *this = LayOut(num_dims_, num_resolutions_, *pending_, pool);
 }
 
 uint64_t CountingTree::total_points() const {
@@ -513,39 +477,26 @@ size_t CountingTree::KeyWords() const {
   return KeyWordsFor(num_dims_, num_resolutions_);
 }
 
-// Every level's cells in key order. Level h's cells are [0, cells) of
-// its arrays; parent indexes level h - 1's cells; half holds d counts a
-// cell. `first` is the lowest stream position in the cell.
-struct CountingTree::KeyOrder {
-  struct Level {
-    size_t cells = 0;
-    std::unique_ptr<uint64_t[]> loc;
-    std::unique_ptr<uint32_t[]> n;
-    std::unique_ptr<uint32_t[]> first;
-    std::unique_ptr<uint32_t[]> parent;
-    std::unique_ptr<uint32_t[]> half;
-  };
-  std::vector<Level> levels;  // levels[h], 1 <= h <= H - 1.
-  uint64_t points = 0;
-  uint64_t position_bound = 0;  // Every position is below it.
-};
+CountingTree::KeyOrder::Level CountingTree::KeyOrder::Level::Allocate(
+    size_t cells, size_t d) {
+  Level lv;
+  lv.cells = cells;
+  lv.loc = std::make_unique_for_overwrite<uint64_t[]>(cells);
+  lv.n = std::make_unique_for_overwrite<uint32_t[]>(cells);
+  lv.first = std::make_unique_for_overwrite<uint32_t[]>(cells);
+  lv.parent = std::make_unique_for_overwrite<uint32_t[]>(cells);
+  lv.half = std::make_unique_for_overwrite<uint32_t[]>(cells * d);
+  return lv;
+}
+
+size_t CountingTree::KeyOrder::MemoryBytes(size_t d) const {
+  size_t cells = 0;
+  for (const Level& lv : levels) cells += lv.cells;
+  return cells * (sizeof(uint64_t) + (3 + d) * sizeof(uint32_t));
+}
 
 void CountingTree::FlushRun() {
-  if (!run_.empty()) CountIn(BuildRun());
-}
-
-void CountingTree::CountIn(CountingTree built) {
-  if (total_points_ == 0) {
-    // Nothing counted yet, so no cells: the built tree is this tree.
-    *this = std::move(built);
-    return;
-  }
-  // Same d and H, sealed, built in creation order: the fold cannot fail.
-  const Result<MergeTreeStats> folded = InsertTree(built);
-  MRCC_CHECK(folded.ok());
-}
-
-CountingTree CountingTree::BuildRun() {
+  if (run_.empty()) return;
   const size_t stride = KeyWords() + 1;
   const size_t points = run_.size() / stride;
   std::vector<uint64_t> run = std::move(run_);
@@ -557,7 +508,7 @@ CountingTree CountingTree::BuildRun() {
                                      std::span(&range, 1), points, nullptr);
   run = {};
   scratch.reset();
-  return LayOut(num_dims_, num_resolutions_, key_order, nullptr);
+  MergePending(key_order);
 }
 
 Result<CountingTree> CountingTree::BuildPartitioned(size_t num_dims,
@@ -624,14 +575,15 @@ Result<CountingTree> CountingTree::BuildPartitioned(size_t num_dims,
       }
     }
 
-    // 3. Sort and count each range; 4. lay the levels out once.
+    // 3. Sort and count each range, merging the round in.
     KeyOrder key_order =
         BuildKeyOrder(d, resolutions, ranges, count, &pool);
     scanned.reset();
     partitioned.reset();
-    tree->CountIn(LayOut(d, resolutions, key_order, &pool));
+    tree->MergePending(key_order);
   }
-  tree->Seal();
+  // 4. Lay the levels out once.
+  tree->LayOutPending(&pool);
   return tree;
 }
 
@@ -677,16 +629,12 @@ CountingTree::KeyOrder CountingTree::BuildKeyOrder(
                                           std::vector<size_t>(num_levels));
   for (int h = 1; h <= deepest; ++h) {
     const auto hs = static_cast<size_t>(h);
-    KeyOrder::Level& lv = key_order.levels[hs];
+    size_t cells = 0;
     for (size_t r = 0; r < ranges.size(); ++r) {
-      offset[r][hs] = lv.cells;
-      lv.cells += sorted[r].cells[hs];
+      offset[r][hs] = cells;
+      cells += sorted[r].cells[hs];
     }
-    lv.loc = std::make_unique_for_overwrite<uint64_t[]>(lv.cells);
-    lv.n = std::make_unique_for_overwrite<uint32_t[]>(lv.cells);
-    lv.first = std::make_unique_for_overwrite<uint32_t[]>(lv.cells);
-    lv.parent = std::make_unique_for_overwrite<uint32_t[]>(lv.cells);
-    lv.half = std::make_unique_for_overwrite<uint32_t[]>(lv.cells * d);
+    key_order.levels[hs] = KeyOrder::Level::Allocate(cells, d);
   }
   for (const KeyRange& range : ranges) key_order.points += range.count;
 
@@ -869,19 +817,20 @@ CountingTree CountingTree::LayOut(size_t d, int resolutions,
   // Each level's arena order: cells by owner node (its slice), then by
   // first position — the next free slot of its owner's slice in
   // first-position order (child_first turns into the free cursors).
-  // cell_at[h][i] is the key-order cell at arena index i.
-  std::vector<std::vector<uint32_t>> cell_at(num_levels);
+  // slot[h][c] is key-order cell c's arena index.
+  std::vector<std::vector<uint32_t>> slot(num_levels);
   each_level(deepest, [&](size_t h) {
-    cell_at[h].resize(cells(h));
+    slot[h].resize(cells(h));
     for (size_t r = 0; r < cells(h); ++r) {
       const auto c = static_cast<uint32_t>(by_first[h][r]);
-      cell_at[h][h == 1 ? r : child_first[h - 1][levels[h].parent[c]]++] = c;
+      slot[h][c] = h == 1 ? static_cast<uint32_t>(r)
+                          : child_first[h - 1][levels[h].parent[c]]++;
     }
   });
   by_first.clear();
   child_first = {};
 
-  // Gather each level's arena from its key-order cells.
+  // Write each level's arena from its key-order cells, read in order.
   for (size_t h = 1; h <= static_cast<size_t>(deepest); ++h) {
     KeyOrder::Level& lv = levels[h];
     Arena& arena = tree.arenas_[h];
@@ -893,24 +842,23 @@ CountingTree CountingTree::LayOut(size_t d, int resolutions,
     arena.half.resize(lv.cells * d);
     const bool upper = h < static_cast<size_t>(deepest);
     ForSlices(pool, lv.cells, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        const uint32_t c = cell_at[h][i];
+      for (size_t c = begin; c < end; ++c) {
+        const uint32_t i = slot[h][c];
         arena.loc[i] = lv.loc[c];
         arena.n[i] = lv.n[c];
         arena.child[i] = upper ? static_cast<int32_t>(node_of[h][c]) : -1;
         arena.owner[i] = h == 1 ? 0 : node_of[h - 1][lv.parent[c]];
-        std::copy_n(lv.half.get() + size_t{c} * d, d,
-                    arena.half.data() + i * d);
+        std::copy_n(lv.half.get() + c * d, d,
+                    arena.half.data() + size_t{i} * d);
       }
     });
     lv = KeyOrder::Level{};
-    cell_at[h] = {};
+    slot[h] = {};
   }
   node_of = {};
   ForSlices(pool, tree.nodes_.size(), [&](size_t begin, size_t end) {
     for (size_t m = begin; m < end; ++m) tree.IndexNode(tree.nodes_[m]);
   });
-  tree.packed_ = true;
   DCheckInvariants(tree);
   return tree;
 }
@@ -925,17 +873,17 @@ Result<MergeTreeStats> CountingTree::InsertTree(const CountingTree& other) {
   if (num_resolutions_ != other.num_resolutions_) {
     return Status::InvalidArgument("tree resolution mismatch");
   }
-  // The walk below reads `other` through its packed slices; an unsealed
-  // source's slices are stale and would be misread.
+  // The source's key order is read from its arenas; an unsealed source's
+  // cells are not all there.
   if (!other.sealed()) {
     return Status::InvalidArgument(
         "source tree is not sealed: call Seal() before inserting it");
   }
-  // The walk reaches each source node through its parent cell, so every
-  // node must come after its parent in the pool. Built and folded trees
-  // always are in that order, but a tree parsed from crafted bytes need
-  // not be: check up front, so such a source is rejected before the
-  // destination changes.
+  // Ranks stand in for first positions only when the source's node pool
+  // is in creation order, every node after its parent. Built and folded
+  // trees always are, but a tree parsed from crafted bytes need not be:
+  // check up front, so such a source is rejected before the destination
+  // changes.
   {
     std::vector<uint8_t> reached(other.nodes_.size(), 0);
     reached[0] = 1;
@@ -956,72 +904,151 @@ Result<MergeTreeStats> CountingTree::InsertTree(const CountingTree& other) {
       }
     }
   }
-
-  // Layout-preserving merge: iterate `other`'s node pool in index order —
-  // which is creation order, i.e. the order in which `other`'s point
-  // stream first touched each region — and only create a missing
-  // destination node at the moment its source counterpart is reached.
-  // Because a cell and its child node are created by the same point
-  // (the first one landing in the cell), this reproduces exactly the node
-  // and cell ordering a serial build over the concatenated point streams
-  // would have produced; Seal() then restores the canonical arena layout
-  // of that serial build. Pack only normalizes layout — it keeps the node
-  // pool and each node's cell creation order — so sealing once after N
-  // InsertTree calls gives the same bytes as sealing after each. Callers
-  // therefore cannot tell a folded tree from a serial build: the trees
-  // are identical, not merely equivalent.
-  MergeTreeStats stats;
-  const size_t d = num_dims_;
   FlushRun();  // This tree's own pending points come first in the stream.
-  if (packed_) Unpack();
-  // parent_cell[s]: the destination cell (one level above source node s)
-  // that s refines, recorded while merging the parent's cells.
-  std::vector<uint32_t> parent_cell(other.nodes_.size(), 0);
-  // An empty destination gains a counterpart of every source node.
-  if (total_points_ == 0) base_.reserve(other.nodes_.size() * d);
-  for (size_t m = 0; m < other.nodes_.size(); ++m) {
-    const Node& src = other.nodes_[m];
-    uint32_t dst_node = 0;
-    if (m != 0) {
-      // Create the destination counterpart only now, when the source pool
-      // scan reaches this node, so new destination nodes appear in source
-      // creation order (not in parent-cell order). Its base coordinates
-      // are the parent cell's absolute coordinates: the same in both trees.
-      Packed<int32_t>& parent_children =
-          arenas_[static_cast<size_t>(src.level - 1)].child;
-      const uint32_t parent = parent_cell[m];
-      if (parent_children[parent] < 0) {
-        parent_children[parent] = static_cast<int32_t>(
-            NewNode(src.level, other.BaseOf(static_cast<uint32_t>(m))));
-        ++stats.nodes_created;
-      }
-      dst_node = static_cast<uint32_t>(parent_children[parent]);
+  KeyOrder source = other.RankedKeyOrder();
+  return MergePending(source);
+}
+
+CountingTree::KeyOrder CountingTree::RankedKeyOrder() const {
+  const size_t d = num_dims_;
+  const size_t deepest = static_cast<size_t>(num_resolutions_ - 1);
+  KeyOrder key_order;
+  key_order.levels.resize(deepest + 1);
+  key_order.points = total_points_;
+  key_order.position_bound =
+      std::max<uint64_t>(nodes_.size(), arenas_[deepest].size());
+  // Level h's cells are its nodes' cells, the nodes in their parent
+  // cells' key order (the root for h = 1), each node's cells by loc.
+  // arena_of[c]: the arena index of key-order cell c of the level above.
+  std::vector<uint32_t> arena_of;
+  for (size_t h = 1; h <= deepest; ++h) {
+    const Arena& arena = arenas_[h];
+    KeyOrder::Level& lv = key_order.levels[h];
+    lv = KeyOrder::Level::Allocate(arena.size(), d);
+    std::vector<uint32_t> at(arena.size());
+    const size_t parents = h == 1 ? 1 : arena_of.size();
+    size_t c = 0;
+    for (size_t p = 0; p < parents; ++p) {
+      const Node& node =
+          nodes_[h == 1 ? 0
+                        : static_cast<size_t>(
+                              arenas_[h - 1].child[arena_of[p]])];
+      uint32_t* cells = at.data() + c;
+      std::iota(cells, cells + node.count, node.first);
+      std::sort(cells, cells + node.count, [&arena](uint32_t x, uint32_t y) {
+        return arena.loc[x] < arena.loc[y];
+      });
+      std::fill_n(lv.parent.get() + c, node.count, static_cast<uint32_t>(p));
+      c += node.count;
     }
-    const Arena& src_arena = other.arenas_[static_cast<size_t>(src.level)];
-    Arena& dst_arena = arenas_[static_cast<size_t>(src.level)];
-    for (uint32_t c = 0; c < src.count; ++c) {
-      const size_t si = static_cast<size_t>(src.first) + c;
-      const uint32_t dst_cells_before = nodes_[dst_node].count;
-      const uint32_t dst_idx = FindOrCreateInNode(dst_node, src_arena.loc[si]);
-      // An unchanged cell count means the cell existed in both trees —
-      // a genuine merge (count addition) rather than an append.
-      if (nodes_[dst_node].count == dst_cells_before) {
-        ++stats.cells_merged;
-      } else {
-        ++stats.cells_created;
-      }
-      dst_arena.n[dst_idx] += src_arena.n[si];
-      for (size_t j = 0; j < d; ++j) {
-        dst_arena.half[static_cast<size_t>(dst_idx) * d + j] +=
-            src_arena.half[si * d + j];
-      }
-      const int32_t src_child = src_arena.child[si];
-      if (src_child >= 0) {
-        parent_cell[static_cast<size_t>(src_child)] = dst_idx;
-      }
+    MRCC_DCHECK_EQ(c, arena.size());
+    for (c = 0; c < lv.cells; ++c) {
+      const uint32_t i = at[c];
+      lv.loc[c] = arena.loc[i];
+      lv.n[c] = arena.n[i];
+      // A node's pool index follows its parent cell's creation; a
+      // deepest cell's arena index its creation within its node.
+      lv.first[c] = h == deepest ? i : static_cast<uint32_t>(arena.child[i]);
+      std::copy_n(arena.half.data() + size_t{i} * d, d,
+                  lv.half.get() + c * d);
     }
+    arena_of = std::move(at);
   }
-  total_points_ += other.total_points_;
+  return key_order;
+}
+
+CountingTree::KeyOrder& CountingTree::Pending() {
+  if (pending_ == nullptr) {
+    pending_ = std::make_unique<KeyOrder>(RankedKeyOrder());
+    nodes_ = std::vector<Node>();
+    base_ = Packed<uint64_t>();
+    by_level_ = std::vector<std::vector<uint32_t>>();
+    arenas_ = std::vector<Arena>();
+  }
+  return *pending_;
+}
+
+MergeTreeStats CountingTree::MergePending(KeyOrder& source) {
+  KeyOrder& into = Pending();
+  const size_t d = num_dims_;
+  const size_t deepest = static_cast<size_t>(num_resolutions_ - 1);
+  MergeTreeStats stats;
+  total_points_ += source.points;
+  if (into.points == 0) {  // Nothing to merge with: adopt the source.
+    for (size_t h = 1; h <= deepest; ++h) {
+      stats.cells_created += source.levels[h].cells;
+      if (h < deepest) stats.nodes_created += source.levels[h].cells;
+    }
+    into = std::move(source);
+    return stats;
+  }
+  // The source's ranks follow every pending one. The layout sorts ranks
+  // as 32-bit words, so their bound must fit one: check it rather than
+  // let a rank wrap.
+  const uint64_t offset = into.position_bound;
+  MRCC_CHECK_LE(offset + source.position_bound, uint64_t{UINT32_MAX});
+  const auto shift = static_cast<uint32_t>(offset);
+  // a_to / b_to: the merged index of each pending / source cell of the
+  // level above (both trees' root for level 1).
+  std::vector<uint32_t> a_to(1, 0), b_to(1, 0);
+  for (size_t h = 1; h <= deepest; ++h) {
+    const KeyOrder::Level a = std::move(into.levels[h]);
+    const KeyOrder::Level b = std::move(source.levels[h]);
+    std::vector<uint32_t> a_up = std::move(a_to), b_up = std::move(b_to);
+    a_to.resize(a.cells);
+    b_to.resize(b.cells);
+    // Both sides are sorted by (parent, loc), and the merged parents
+    // keep each side's parent order, so one merge pass orders the level.
+    size_t i = 0, j = 0, k = 0;
+    while (i < a.cells && j < b.cells) {
+      const uint32_t pa = a_up[a.parent[i]];
+      const uint32_t pb = b_up[b.parent[j]];
+      if (pa != pb ? pa < pb : a.loc[i] < b.loc[j]) {
+        a_to[i++] = static_cast<uint32_t>(k++);
+      } else if (pa != pb || a.loc[i] != b.loc[j]) {
+        b_to[j++] = static_cast<uint32_t>(k++);
+      } else {
+        a_to[i++] = b_to[j++] = static_cast<uint32_t>(k++);
+      }
+    }
+    while (i < a.cells) a_to[i++] = static_cast<uint32_t>(k++);
+    while (j < b.cells) b_to[j++] = static_cast<uint32_t>(k++);
+
+    // Then the merged cells in order. A cell both sides hold keeps the
+    // pending rank, which is the lower.
+    KeyOrder::Level out = KeyOrder::Level::Allocate(k, d);
+    i = 0;
+    j = 0;
+    for (size_t o = 0; o < k; ++o) {
+      uint32_t* half = out.half.get() + o * d;
+      if (i < a.cells && a_to[i] == o) {
+        out.loc[o] = a.loc[i];
+        out.n[o] = a.n[i];
+        out.first[o] = a.first[i];
+        out.parent[o] = a_up[a.parent[i]];
+        std::copy_n(a.half.get() + i * d, d, half);
+        ++i;
+        if (j == b.cells || b_to[j] != o) continue;
+        out.n[o] += b.n[j];
+        const uint32_t* add = b.half.get() + j * d;
+        for (size_t x = 0; x < d; ++x) half[x] += add[x];
+      } else {
+        out.loc[o] = b.loc[j];
+        out.n[o] = b.n[j];
+        out.first[o] = b.first[j] + shift;
+        out.parent[o] = b_up[b.parent[j]];
+        std::copy_n(b.half.get() + j * d, d, half);
+      }
+      ++j;
+    }
+    const size_t created = k - a.cells;
+    stats.cells_created += created;
+    stats.cells_merged += b.cells - created;
+    if (h < deepest) stats.nodes_created += created;
+    into.levels[h] = std::move(out);
+  }
+  into.points += source.points;
+  into.position_bound = offset + source.position_bound;
   return stats;
 }
 
@@ -1042,100 +1069,12 @@ Result<CountingTree> CountingTree::Build(const Dataset& data,
 
 int64_t CountingTree::FindInNode(const Node& node, uint64_t loc) const {
   if (node.index != nullptr) return node.index->Find(loc);
+  // A small node's locs are one contiguous slice — a vector compare-scan
+  // beats any hash below kIndexThreshold entries.
   const Arena& arena = arenas_[static_cast<size_t>(node.level)];
-  if (packed_) {
-    // Packed small node: its locs are one contiguous slice — a vector
-    // compare-scan beats any hash below kIndexThreshold entries.
-    const int64_t off =
-        simd::FindU64(arena.loc.data() + node.first, node.count, loc);
-    return off < 0 ? -1 : static_cast<int64_t>(node.first) + off;
-  }
-  for (uint32_t id : node.cell_ids) {
-    if (arena.loc[id] == loc) return static_cast<int64_t>(id);
-  }
-  return -1;
-}
-
-uint32_t CountingTree::FindOrCreateInNode(uint32_t node_idx, uint64_t loc) {
-  Node& node = nodes_[node_idx];
-  const int64_t existing = FindInNode(node, loc);
-  if (existing >= 0) return static_cast<uint32_t>(existing);
-
-  Arena& arena = arenas_[static_cast<size_t>(node.level)];
-  const uint32_t cell_idx = static_cast<uint32_t>(arena.size());
-  arena.loc.push_back(loc);
-  arena.n.push_back(0);
-  arena.child.push_back(-1);
-  arena.used.push_back(0);
-  arena.owner.push_back(node_idx);
-  arena.half.resize(arena.half.size() + num_dims_, 0);
-  node.cell_ids.push_back(cell_idx);
-  node.count += 1;
-  if (node.index != nullptr) {
-    node.index->Insert(loc, cell_idx);
-  } else if (node.count > kIndexThreshold) {
-    // The node outgrew linear search: build the loc index now.
-    node.index = std::make_unique<LocMap>();
-    node.index->Reserve(node.count * 2);
-    for (uint32_t id : node.cell_ids) node.index->Insert(arena.loc[id], id);
-  }
-  return cell_idx;
-}
-
-uint32_t CountingTree::NewNode(int level, const uint64_t* base) {
-  const uint32_t idx = static_cast<uint32_t>(nodes_.size());
-  nodes_.emplace_back().level = level;
-  base_.insert(base_.end(), base, base + num_dims_);
-  by_level_[static_cast<size_t>(level)].push_back(idx);
-  return idx;
-}
-
-// ---------------------------------------------------------------------------
-// Pack / Unpack: the canonical-order lifecycle (see the header comment).
-
-void CountingTree::Pack() {
-  const size_t d = num_dims_;
-  std::vector<uint32_t> order;  // order[new index] = old arena index.
-  for (int h = 1; h < num_resolutions_; ++h) {
-    Arena& arena = arenas_[static_cast<size_t>(h)];
-    const size_t n_cells = arena.size();
-    order.clear();
-    order.reserve(n_cells);
-    for (uint32_t node_idx : by_level_[static_cast<size_t>(h)]) {
-      Node& node = nodes_[node_idx];
-      node.first = static_cast<uint32_t>(order.size());
-      for (uint32_t id : node.cell_ids) order.push_back(id);
-    }
-    MRCC_DCHECK_EQ(order.size(), n_cells);
-
-    Arena packed;
-    packed.loc.resize(n_cells);
-    packed.n.resize(n_cells);
-    packed.child.resize(n_cells);
-    packed.used.resize(n_cells);
-    packed.owner.resize(n_cells);
-    packed.half.resize(n_cells * d);
-    for (size_t i = 0; i < n_cells; ++i) {
-      const uint32_t src = order[i];
-      packed.loc[i] = arena.loc[src];
-      packed.n[i] = arena.n[src];
-      packed.child[i] = arena.child[src];
-      packed.used[i] = arena.used[src];
-      packed.owner[i] = arena.owner[src];
-      std::memcpy(&packed.half[i * d], &arena.half[static_cast<size_t>(src) * d],
-                  d * sizeof(uint32_t));
-    }
-    arena = std::move(packed);
-
-    // Slices are assigned; drop the per-node id lists and rebuild the loc
-    // maps (arena indices changed under them).
-    for (uint32_t node_idx : by_level_[static_cast<size_t>(h)]) {
-      Node& node = nodes_[node_idx];
-      node.cell_ids.Clear();
-      IndexNode(node);
-    }
-  }
-  packed_ = true;
+  const int64_t off =
+      simd::FindU64(arena.loc.data() + node.first, node.count, loc);
+  return off < 0 ? -1 : static_cast<int64_t>(node.first) + off;
 }
 
 void CountingTree::IndexNode(Node& node) const {
@@ -1149,14 +1088,6 @@ void CountingTree::IndexNode(Node& node) const {
   for (uint32_t i = 0; i < node.count; ++i) {
     node.index->Insert(arena.loc[node.first + i], node.first + i);
   }
-}
-
-void CountingTree::Unpack() {
-  for (Node& node : nodes_) {
-    node.cell_ids.AssignIota(node.first, node.count);
-    // Arena indices are unchanged, so any loc index stays valid.
-  }
-  packed_ = false;
 }
 
 // ---------------------------------------------------------------------------
@@ -1395,7 +1326,7 @@ Status CountingTree::ValidateInvariants() const {
   if (d == 0 || d > kMaxDims) return fail("dimensionality out of range");
   if (num_resolutions_ < 3) return fail("fewer than 3 resolutions");
   if (nodes_.empty()) return fail("no root node");
-  if (!packed_) return fail("tree is not packed");
+  if (pending_ != nullptr) return fail("tree is not laid out");
   if (by_level_.size() != static_cast<size_t>(num_resolutions_)) {
     return fail("by-level index has wrong resolution count");
   }
@@ -1493,6 +1424,9 @@ Status CountingTree::ValidateInvariants() const {
         }
       }
       const int32_t child_node = arena.child[i];
+      if (child_node < 0 && node.level + 1 < num_resolutions_) {
+        return fail(cell_where() + "no child node above the deepest level");
+      }
       if (child_node >= 0) {
         const auto child_idx = static_cast<size_t>(child_node);
         if (child_idx >= nodes_.size()) {
@@ -1561,8 +1495,8 @@ size_t CountingTree::MemoryBytes() const {
   size_t bytes = sizeof(*this) + nodes_.size() * sizeof(Node) +
                  base_.size() * sizeof(uint64_t) +
                  run_.capacity() * sizeof(uint64_t);
+  if (pending_ != nullptr) bytes += pending_->MemoryBytes(num_dims_);
   for (const Node& node : nodes_) {
-    bytes += node.cell_ids.HeapBytes();
     if (node.index != nullptr) {
       bytes += sizeof(LocMap) + node.index->MemoryBytes();
     }

@@ -27,26 +27,31 @@
 // Every build is a run of digit-key records: a point's key is the binary
 // digits of its cell at levels 1..H-1 (level 1 most significant)
 // followed by its H-th digit (the half-space bits of its deepest cell),
-// ceil(d * H / 64) words, and a word holds its stream position. A run is
-// built in two halves, shared by every path:
-//   - the key-order builder LSD-radix-sorts a key range of records on
-//     the digits of levels 1..H-1, counts the deepest level in one
-//     sequential pass and derives every upper level from its children
-//     (n = sum of the children's n, P[j] = sum of the n of the children
-//     whose loc bit j is 0), giving each level's cells in key order;
-//   - the layout sorts those cells by (first stream position, level) and
-//     writes the packed arenas directly in the canonical order below.
+// ceil(d * H / 64) words, and a word holds its stream position. Every
+// tree is assembled in two halves:
+//   - a key order: each level's cells sorted by (parent, loc), each with
+//     its counts and a rank that orders cells as their first stream
+//     positions do. The key-order builder gets it from a run: it
+//     LSD-radix-sorts a key range of records on the digits of levels
+//     1..H-1, counts the deepest level in one sequential pass and derives
+//     every upper level from its children (n = sum of the children's n,
+//     P[j] = sum of the n of the children whose loc bit j is 0). A sealed
+//     tree gives its own in one walk (see InsertTree), and a fold merges
+//     two key orders level by level, adding the counts of equal cells;
+//   - the layout sorts those cells by (rank, level) and writes the packed
+//     arenas directly in the canonical order below. It is the only code
+//     that writes a tree's arenas (ParseTree reads them from disk).
 // Insert() appends records to a pending run; Seal() — or Insert() when
-// the run would pass kMaxRunBytes — builds it as one key range. An empty
-// tree adopts the result; otherwise the layout-preserving InsertTree
-// fold counts it in and Seal() packs once. BuildPartitioned() is the
-// parallel form: T workers scan T stream slices into one record buffer,
-// one MSD pass on the top bits of the level-1 digit splits the records
-// into T contiguous key ranges (a level-1 cell never straddles two), the
-// workers run the key-order builder on one range each, and the layout
-// runs once over the concatenated ranges. Records carry their stream
-// positions, so the layout recovers the serial creation order and the
-// bytes equal a serial build's; no tree is ever folded.
+// the run would pass kMaxRunBytes — builds the run's key order and merges
+// it into the tree's pending key order; InsertTree() merges a sealed
+// tree's the same way, and Seal() lays the pending key order out once.
+// BuildPartitioned() is the parallel form: T workers scan T stream slices
+// into one record buffer, one MSD pass on the top bits of the level-1
+// digit splits the records into T contiguous key ranges (a level-1 cell
+// never straddles two), the workers run the key-order builder on one
+// range each, and the layout runs once over the concatenated ranges.
+// Records carry their stream positions, so the layout recovers the serial
+// creation order and the bytes equal a serial build's.
 //
 // The canonical (packed) order: nodes in creation order — by the first
 // stream index of their parent cell, then by level — and cells in
@@ -61,7 +66,8 @@
 //
 // Cost: O(eta * d * H) key work plus O(eta * ceil(d * (H - 1) / b))
 // radix-sort work (b = 11-bit digits) and O(cells * d) for the levels;
-// memory O(H * eta * d) for the tree, plus a pending run of at most
+// a fold is O(cells * d) for the merge and the layout. Memory O(H * eta *
+// d) for the tree or its pending key order, plus a pending run of at most
 // kMaxRunBytes that Seal() sorts through a second buffer of the same
 // size (BuildPartitioned: at most kMaxRunBytes of records per worker,
 // and the same second buffer).
@@ -86,11 +92,11 @@ namespace mrcc {
 class ThreadPool;
 
 /// Work counters of one CountingTree::InsertTree (or MergeTree) call.
-/// `cells_merged` — cells present in both trees whose counts were
-/// combined (the merge "conflicts" a sharded build pays for);
-/// `cells_created` / `nodes_created` — structure that existed only in
-/// the source tree and was appended to the destination. A fold sums them
-/// with +=.
+/// `cells_merged` — source cells already in the destination, whose
+/// counts were added (the merge "conflicts" a sharded build pays for);
+/// `cells_created` — source cells new to the destination;
+/// `nodes_created` — the created cells above the deepest level (each
+/// opens a child node). A fold sums them with +=.
 struct MergeTreeStats {
   uint64_t cells_merged = 0;
   uint64_t cells_created = 0;
@@ -119,13 +125,14 @@ class CountingTree {
   static constexpr size_t kIndexThreshold = 16;
 
   /// Most bytes a pending run of Insert()ed points holds: the Insert
-  /// that would pass it first builds the run's tree and folds it in.
+  /// that would pass it first merges the run's key order into the
+  /// pending one.
   /// Each point takes 8 * (ceil(d * H / 64) + 1) bytes, so 2^21 points
   /// at d * H <= 64. BuildPartitioned holds at most this much per worker.
   static constexpr size_t kMaxRunBytes = size_t{32} << 20;
 
   /// A located cell: its level and its index in that level's arena.
-  /// Indices are stable between structural mutations (pack order only
+  /// Indices are stable between structural mutations (the layout only
   /// changes when the tree itself does).
   struct CellRef {
     int level = 0;
@@ -234,8 +241,9 @@ class CountingTree {
   /// result is byte-identical to Insert()ing the scanned points in
   /// stream order and sealing, at every thread count. Streams longer
   /// than kMaxRunBytes of records per worker are built in rounds of
-  /// that size, each round counted into the first with InsertTree. The
-  /// first failing slice's status (in slice order) fails the build.
+  /// that size, each round's key order merged into the previous rounds'
+  /// and the whole laid out once. The first failing slice's status (in
+  /// slice order) fails the build.
   /// Same d and H checks as Empty().
   [[nodiscard]] static Result<CountingTree> BuildPartitioned(
       size_t num_dims, int num_resolutions, size_t num_points,
@@ -253,32 +261,36 @@ class CountingTree {
   /// the next Seal(); call it before any read access (Level, FindCell,
   /// the β-search). A sealed tree that received inserts is cell-for-cell
   /// identical to one built from the concatenation of the original
-  /// stream and the inserted points — the canonical pack order depends
-  /// only on cell creation order, which appending preserves. Points must
-  /// lie in [0,1)^d.
+  /// stream and the inserted points — the canonical order depends only
+  /// on cell creation order, which appending preserves. Points must lie
+  /// in [0,1)^d.
   [[nodiscard]] Status Insert(std::span<const double> point);
 
   /// Counts every point of the sealed tree `other` into this one, as if
   /// `other`'s point stream had been Insert()ed: after Seal() this tree
   /// is byte-identical to the one built over the concatenation of both
   /// streams (a pending run of this tree is counted in first, so stream
-  /// order holds). Like Insert, it leaves the tree unsealed — call Seal()
-  /// before any read — so folding N trees costs one Unpack and one Pack,
-  /// not N. Requires equal dimensionality and resolution count, a sealed
-  /// `other` and `&other != this`: a violation returns InvalidArgument
-  /// (a source whose node pool is not in creation order, Internal)
-  /// before this tree is touched. `other` is never modified. Returns
-  /// this call's work counters.
+  /// order holds). It merges `other`'s key order into this tree's
+  /// pending one, ranking each cell of `other` past every rank already
+  /// pending: an upper cell by its child node's pool index, a deepest
+  /// cell by its arena index — in a sealed tree both follow creation
+  /// order wherever the layout compares them. Like Insert, it leaves the
+  /// tree unsealed — call Seal() before any read — so folding N trees
+  /// lays the result out once, not N times. Requires equal
+  /// dimensionality and resolution count, a sealed `other` and `&other
+  /// != this`: a violation returns InvalidArgument (a source whose node
+  /// pool is not in creation order, Internal) before this tree is
+  /// touched. `other` is never modified. Returns this call's work
+  /// counters.
   [[nodiscard]] Result<MergeTreeStats> InsertTree(const CountingTree& other);
 
-  /// Counts the pending run in (a sorted-run build, then adoption by an
-  /// empty tree or an InsertTree fold), packs the tree back into
-  /// canonical (readable) order and clears the β-search's used flags.
-  /// No-op on a sealed tree.
+  /// Merges the pending run's key order into the pending one and lays
+  /// that out in canonical (readable) order, with every β-search used
+  /// flag clear. No-op on a sealed tree.
   void Seal();
 
   /// False while Insert() / InsertTree() changes await a Seal().
-  bool sealed() const { return packed_ && run_.empty(); }
+  bool sealed() const { return pending_ == nullptr && run_.empty(); }
 
   /// Number of resolutions H (the root counts as resolution 0).
   int num_resolutions() const { return num_resolutions_; }
@@ -344,9 +356,10 @@ class CountingTree {
 
   /// Full structural walk of every invariant the core relies on: packed
   /// arena consistency, d-bit loc codes, half-space counts P[j] <= n,
-  /// child levels/base coordinates, child count sums equal to the parent
-  /// cell count, single-parent linkage, by-level index consistency and
-  /// the total-point count. O(cells * d) time and no allocation per
+  /// a child node under every cell above the deepest level, child
+  /// levels/base coordinates, child count sums equal to the parent cell
+  /// count, single-parent linkage, by-level index consistency and the
+  /// total-point count. O(cells * d) time and no allocation per
   /// node or cell when the tree is valid. Returns OK or Internal naming
   /// the first violated invariant. Seal() (and so Build and MergeTree)
   /// runs it in debug builds; ParseTree (LoadTree, every shard-artifact
@@ -354,9 +367,10 @@ class CountingTree {
   [[nodiscard]] Status ValidateInvariants() const;
 
   /// Approximate heap footprint of the tree in bytes, the pending run
-  /// included (by capacity, like the arenas). The node pool and
-  /// the per-level node lists count by size, not capacity, so a sealed
-  /// tree reports the same footprint however it was assembled (one scan,
+  /// (by capacity, like the arenas) and the pending key order included.
+  /// The node pool and the per-level node lists count by size, not
+  /// capacity, so a sealed tree reports the same footprint however it
+  /// was assembled (one scan,
   /// a sharded fold, a window fold, loaded shard artifacts) — memory-
   /// budget decisions never depend on the engine or the thread count.
   size_t MemoryBytes() const;
@@ -384,43 +398,6 @@ class CountingTree {
     std::vector<uint64_t> keys_;
     std::vector<uint32_t> vals_;
     size_t size_ = 0;
-  };
-
-  /// An unpacked node's arena cell indices, in creation order. Most
-  /// nodes hold one to three cells, so up to kInline ids live in the
-  /// node itself and only larger nodes allocate: building, unpacking,
-  /// folding and packing a tree then cost no allocation per small node.
-  class CellIds {
-   public:
-    const uint32_t* begin() const { return heap_ ? heap_.get() : inline_; }
-    const uint32_t* end() const { return begin() + size_; }
-    bool empty() const { return size_ == 0; }
-
-    void push_back(uint32_t id);
-
-    /// Replaces the contents with first, first + 1, ..., first + count - 1.
-    void AssignIota(uint32_t first, uint32_t count);
-
-    /// Empties the list and frees its heap storage.
-    void Clear() {
-      heap_.reset();
-      size_ = 0;
-    }
-
-    /// Heap bytes held (0 while the ids fit in place).
-    size_t HeapBytes() const {
-      return heap_ ? HeapCapacity(size_) * sizeof(uint32_t) : 0;
-    }
-
-   private:
-    static constexpr uint32_t kInline = 3;
-
-    /// Heap capacity for `size` ids: the next power of two, at least 8.
-    static uint32_t HeapCapacity(uint32_t size);
-
-    std::unique_ptr<uint32_t[]> heap_;
-    uint32_t inline_[kInline] = {};
-    uint32_t size_ = 0;
   };
 
   /// std::allocator whose argument-less construct() default-initializes:
@@ -464,25 +441,46 @@ class CountingTree {
     size_t size() const { return loc.size(); }
   };
 
-  /// A node: the sibling cells sharing one parent cell. Packed trees
-  /// address their cells as the arena slice [first, first + count);
-  /// during construction (unpacked) `cell_ids` lists the arena indices
-  /// in creation order instead. Its base coordinates live in the tree's
-  /// flat base_ array.
+  /// A node: the sibling cells sharing one parent cell, the arena slice
+  /// [first, first + count) of its level. Its base coordinates live in
+  /// the tree's flat base_ array.
   struct Node {
     int level = 1;
 
-    /// Packed: first cell of this node's arena slice.
+    /// First cell of this node's arena slice.
     uint32_t first = 0;
 
-    /// Number of cells in this node (valid in both modes).
+    /// Number of cells in this node.
     uint32_t count = 0;
-
-    /// Unpacked only: arena indices of this node's cells, creation order.
-    CellIds cell_ids;
 
     /// loc -> arena cell; built once the node outgrows linear scan.
     std::unique_ptr<LocMap> index;
+  };
+
+  /// Every level's cells in key order: level h's cells are [0, cells) of
+  /// its arrays, sorted by (parent, loc); parent indexes level h - 1's
+  /// cells; half holds d counts a cell. `first` ranks a cell: its lowest
+  /// stream position in a run's key order, a rank below position_bound
+  /// that orders cells as their first positions do wherever LayOut
+  /// compares them in any other (see InsertTree).
+  struct KeyOrder {
+    struct Level {
+      size_t cells = 0;
+      std::unique_ptr<uint64_t[]> loc;
+      std::unique_ptr<uint32_t[]> n;
+      std::unique_ptr<uint32_t[]> first;
+      std::unique_ptr<uint32_t[]> parent;
+      std::unique_ptr<uint32_t[]> half;
+
+      /// A level of `cells` cells of `d` half counts, unwritten.
+      static Level Allocate(size_t cells, size_t d);
+    };
+    std::vector<Level> levels;  // levels[h], 1 <= h <= H - 1.
+    uint64_t points = 0;
+    uint64_t position_bound = 0;  // Every rank is below it.
+
+    /// Heap bytes of the levels' arrays.
+    size_t MemoryBytes(size_t d) const;
   };
 
   CountingTree(size_t num_dims, int num_resolutions)
@@ -496,9 +494,6 @@ class CountingTree {
 
   /// Words of one digit key: ceil(d * H / 64).
   size_t KeyWords() const;
-
-  /// Cells of every level in key order (defined in counting_tree.cc).
-  struct KeyOrder;
 
   /// The key-order builder's input: `count` records of one key range at
   /// `records`, and a buffer as large for their sort.
@@ -517,60 +512,49 @@ class CountingTree {
                                 uint64_t position_bound, ThreadPool* pool);
 
   /// The layout: the sealed tree whose cells `key_order` lists, with
-  /// nodes and cells in creation order (`pool` may be null).
+  /// nodes and cells in creation order (`pool` may be null). Frees each
+  /// key-order level once it has been gathered.
   static CountingTree LayOut(size_t num_dims, int num_resolutions,
                              KeyOrder& key_order, ThreadPool* pool);
 
-  /// Builds the sealed tree of the pending run alone — the tree an empty
-  /// tree would hold after Insert()ing the run's points in order — and
-  /// empties the run (freeing its memory).
-  CountingTree BuildRun();
+  /// This sealed tree's key order, ranked as InsertTree describes, with
+  /// rank bound max(nodes, deepest cells).
+  KeyOrder RankedKeyOrder() const;
 
-  /// Counts the pending run into this tree (CountIn of BuildRun()'s
-  /// tree). No-op when the run is empty.
+  /// The pending key order: a sealed tree first turns its cells into one
+  /// (and frees its arenas).
+  KeyOrder& Pending();
+
+  /// Merges `source`, the key order of the points that follow this
+  /// tree's in the stream, into the pending one, level by level, ranking
+  /// its cells past every pending rank and freeing each of its levels
+  /// once merged. Returns the fold's work counters.
+  MergeTreeStats MergePending(KeyOrder& source);
+
+  /// Merges the pending run's key order (positions ranked by the run's
+  /// own order) into the pending one and empties the run, freeing its
+  /// memory. No-op when the run is empty.
   void FlushRun();
 
-  /// Counts the sealed tree of the points that follow this tree's in the
-  /// stream into it: an empty tree adopts `built`, any other folds it in
-  /// with InsertTree (and is left unpacked).
-  void CountIn(CountingTree built);
+  /// Flushes the run and lays the pending key order out on `pool`'s
+  /// threads (inline when null).
+  void LayOutPending(ThreadPool* pool);
 
   /// Arena index of the cell with position `loc` in `node`, or -1.
   int64_t FindInNode(const Node& node, uint64_t loc) const;
-
-  /// Finds or creates the cell with position `loc` in the (unpacked)
-  /// node; returns its arena index.
-  uint32_t FindOrCreateInNode(uint32_t node_idx, uint64_t loc);
-
-  /// Creates an empty node at `level` under the parent cell with
-  /// absolute coordinates base[0, d).
-  uint32_t NewNode(int level, const uint64_t* base);
 
   /// Base coordinates of node `node`: d words.
   const uint64_t* BaseOf(uint32_t node) const {
     return base_.data() + size_t{node} * num_dims_;
   }
 
-  /// Permutes every level arena into canonical enumeration order (nodes
-  /// in creation order, cells in creation order within their node),
-  /// assigns the node slices and rebuilds the per-node loc maps. After
-  /// this the tree is readable; see the file comment for why the order
-  /// is bit-identity-critical.
-  void Pack();
-
-  /// Gives a packed node past kIndexThreshold cells its loc -> cell map
-  /// over its slice, and drops the map of a smaller node.
+  /// Gives a node past kIndexThreshold cells its loc -> cell map over
+  /// its slice, and drops the map of a smaller node.
   void IndexNode(Node& node) const;
-
-  /// Re-materializes per-node cell_id lists from the packed slices so
-  /// the tree accepts insertions again. Packed trees only: on an
-  /// unpacked tree the slices are stale and would corrupt cell_ids.
-  void Unpack();
 
   size_t num_dims_;
   int num_resolutions_;
-  uint64_t total_points_ = 0;
-  bool packed_ = false;
+  uint64_t total_points_ = 0;  // The pending run's points excluded.
   std::vector<Node> nodes_;                      // nodes_[0] is the root.
   // Absolute integer coordinates of each node's parent cell at level
   // `level - 1`, d words per node (all zeros for the root). A cell of
@@ -579,9 +563,12 @@ class CountingTree {
   std::vector<std::vector<uint32_t>> by_level_;  // level -> node indices.
   std::vector<Arena> arenas_;                    // arenas_[h], h >= 1.
   // Pending run: KeyWords() + 1 words per Insert()ed point — its digit
-  // key (little-endian words), then a word BuildRun sets to its index in
+  // key (little-endian words), then a word FlushRun sets to its index in
   // the run.
   std::vector<uint64_t> run_;
+  // Non-null while the tree's cells await a layout: they live here, and
+  // nodes_, base_, by_level_ and arenas_ are empty.
+  std::unique_ptr<KeyOrder> pending_;
 };
 
 /// Mutation hooks for tests that corrupt a tree on purpose (invariant

@@ -105,11 +105,11 @@ Result<MrCCResult> StreamingMrCC::Run(const DataSource* label_source) {
   // Assemble the window tree: fold the generations oldest-to-newest,
   // the filling generation last — creation order equals stream order,
   // so the fold reproduces a batch build over the retained points
-  // exactly. Every source is counted in with InsertTree and the result
-  // sealed once: one pack of the window tree instead of one per
-  // generation. Always fold into a scratch tree: the budget drops in the
-  // cluster tail must never mutate the live generations (the next
-  // snapshot starts from full H).
+  // exactly. Every source's key order is merged in with InsertTree and
+  // the result sealed once: one layout of the window tree instead of
+  // one per generation. Always fold into a scratch tree: the budget
+  // drops in the cluster tail must never mutate the live generations
+  // (the next snapshot starts from full H).
   Timer phase;
   current_->Seal();  // Re-opens automatically on the next Push.
   Result<CountingTree> merged =

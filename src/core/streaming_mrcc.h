@@ -5,9 +5,10 @@
 // chunk at a time, the tree keeps up incrementally, and clusters are
 // re-derived on demand — without rescanning (or even retaining) the raw
 // points. The tree makes this cheap: counts are additive, so appending a
-// point is one root-to-leaf insertion, and the layout-preserving
-// InsertTree fold (core/counting_tree.h) makes a tree assembled from
-// sub-trees bit-identical to one built from the concatenated stream.
+// point is one more record in the tree's pending run, and the InsertTree
+// fold (core/counting_tree.h) — a merge of the sub-trees' key orders,
+// laid out once — makes a tree assembled from sub-trees bit-identical
+// to one built from the concatenated stream.
 //
 // Two modes, selected by MrCCParams::window:
 //   - Unwindowed (window.points == 0): every pushed point stays counted.
@@ -20,8 +21,8 @@
 //     the child-sum-equals-parent invariant exact; see DESIGN.md §14.)
 //
 // Snapshot() re-runs the β-search over the current window: the
-// generation trees are folded (newest-to-oldest order preserved) into
-// one tree equal, cell for cell, to a batch build over exactly the
+// generation trees are folded oldest to newest, the filling one last,
+// into one tree equal, cell for cell, to a batch build over exactly the
 // retained points, then searched. No raw points are kept, so a plain
 // Snapshot() returns empty labels; pass a DataSource holding the points
 // to label them against the window's clusters.

@@ -121,7 +121,7 @@ std::string SerializeTree(const CountingTree& tree, size_t trailer_bytes) {
   static_assert(
       std::is_same_v<decltype(CountingTree::Arena::half)::value_type,
                      uint32_t>);
-  MRCC_DCHECK(tree.packed_);
+  MRCC_DCHECK(tree.pending_ == nullptr);
   const size_t d = tree.num_dims();
   size_t cells = 0;
   for (const CountingTree::Node& node : tree.nodes_) cells += node.count;
@@ -247,7 +247,7 @@ Result<CountingTree> ParseTree(std::string_view bytes,
   tree.base_.resize(node_count * d);
   // Nodes are on disk in pool (creation) order and cells in per-node
   // creation order, so appending each record to its level arena directly
-  // reproduces the canonical packed layout — no separate Pack() pass.
+  // reproduces the canonical layout.
   for (uint64_t n = 0; n < node_count; ++n) {
     CountingTree::Node& node = tree.nodes_[n];
     int32_t level = 0;
@@ -325,7 +325,6 @@ Result<CountingTree> ParseTree(std::string_view bytes,
         std::to_string(in.size() - in.pos()) + " bytes past the last node" +
         " (tree ends at byte " + std::to_string(in.pos()) + ")");
   }
-  tree.packed_ = true;
   // Field-level reads above only prove the bytes parse; a well-formed
   // stream can still encode a structurally corrupt tree (half counts
   // exceeding the cell count, child sums that do not add up, duplicate
@@ -347,7 +346,8 @@ Result<MergeTreeStats> MergeTree(CountingTree* tree,
                                  const CountingTree& other) {
   Result<MergeTreeStats> stats = tree->InsertTree(other);
   // InsertTree fails before touching the tree, so on error this only
-  // seals a destination that arrived unsealed.
+  // seals a destination that arrived unsealed; on success it lays the
+  // whole tree out again.
   tree->Seal();
   return stats;
 }

@@ -65,8 +65,8 @@ std::string SerializeTree(const CountingTree& tree, size_t trailer_bytes = 0);
 /// with InvalidArgument) and not `tree` itself. On error `tree` keeps its
 /// counts and is left sealed. `other` is left untouched. Returns this
 /// merge's work counters. A fold of several trees should call InsertTree
-/// per source and Seal() once instead: every MergeTree call unpacks and
-/// repacks the whole destination.
+/// per source and Seal() once instead: every MergeTree call turns the
+/// whole destination into a key order and lays it out again.
 [[nodiscard]] Result<MergeTreeStats> MergeTree(CountingTree* tree,
                                                const CountingTree& other);
 

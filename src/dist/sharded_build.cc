@@ -208,9 +208,10 @@ Result<FoldedShards> MergeShardTrees(const ShardedBuildOptions& options,
     Result<ShardArtifact> next = LoadOrRebuildShard(options, manifest, i);
     MRCC_RETURN_IF_ERROR(next.status());
     MRCC_RETURN_IF_ERROR(fp::Maybe("tree.merge.alloc"));
-    // Left-to-right fold in partition order: the layout-preserving
-    // InsertTree reproduces the serial tree exactly once sealed
-    // (core/counting_tree.h). One source is resident at a time.
+    // Left-to-right fold in partition order: InsertTree merges this
+    // artifact's key order, ranked after the earlier artifacts', and the
+    // one Seal below lays out exactly the serial tree
+    // (core/counting_tree.h). One parsed artifact is resident at a time.
     Result<MergeTreeStats> merged = folded.tree.InsertTree(next->tree);
     MRCC_RETURN_IF_ERROR(merged.status());
     folded.merge_stats += *merged;

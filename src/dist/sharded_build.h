@@ -5,15 +5,15 @@
 // into a Counting-tree with the pipeline's shared range build
 // (BuildTreeOverRange, core/mrcc.h) and publishes it as a checksummed
 // artifact (dist/shard_io.h); a merger then folds the shard trees
-// left-to-right with the layout-preserving CountingTree::InsertTree,
-// seals the result once and runs the pipeline's shared cluster tail
-// (ClusterTree: budget drops, β-search, cluster merge, labeling) once
-// over it.
+// left-to-right with CountingTree::InsertTree, which merges each
+// artifact's key order into the folded one, seals the result once (one
+// layout) and runs the pipeline's shared cluster tail (ClusterTree:
+// budget drops, β-search, cluster merge, labeling) once over it.
 //
-// Why this is bit-identical to a single-process run: InsertTree's
-// left-to-right fold over ordered contiguous partitions reproduces the
-// serial build's tree node-for-node and cell-for-cell
-// (core/counting_tree.h),
+// Why this is bit-identical to a single-process run: the left-to-right
+// fold over ordered contiguous partitions ranks every artifact's cells
+// after the earlier artifacts', so the one layout reproduces the serial
+// build's tree node-for-node and cell-for-cell (core/counting_tree.h),
 // and every downstream stage is deterministic at any thread count — so
 // labels, clusters, and even the serialized tree bytes match the
 // single-process golden hashes exactly (tests/golden_regression_test.cc).
@@ -111,7 +111,7 @@ bool ShardComplete(const ShardedBuildOptions& options,
     size_t index);
 
 /// MergeShardTrees' result: the folded, serial-equivalent tree, the
-/// fold's InsertTree counters summed over every shard, and the shards'
+/// InsertTree counters summed over every folded shard, and the shards'
 /// bad-point counts summed likewise.
 struct FoldedShards {
   CountingTree tree;

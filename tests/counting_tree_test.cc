@@ -451,6 +451,15 @@ TEST_F(InvariantMessageTest, DanglingChild) {
             "pointer");
 }
 
+TEST_F(InvariantMessageTest, ChildlessCellAboveTheDeepestLevel) {
+  // Every point reaches the deepest level, so a cell above it without a
+  // child node is corrupt; a fold's key order could not rank it.
+  CountingTree::TestPeer::Child(*tree_, CellRef{1, 2}) = -1;
+  EXPECT_EQ(Message(),
+            "tree invariant violated: node 0: cell 2: no child node above "
+            "the deepest level");
+}
+
 // ---- LevelView: the sanctioned bulk read API over the SoA arenas.
 
 TEST(LevelViewTest, SpansAgreeWithSingleCellAccessors) {

@@ -4,13 +4,18 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/beta_cluster_finder.h"
+#include "reference_tree.h"
 #include "test_util.h"
 
 namespace mrcc {
@@ -420,59 +425,139 @@ TEST(TreeMergeTest, SourceOutOfCreationOrderIsRejectedUntouched) {
   EXPECT_EQ(SerializeTree(*a), before);
 }
 
+/// Every cell a point lies in, as {level, coordinates...}: level h's
+/// coordinate on axis j is floor(x_j * 2^h).
+using CellSet = std::set<std::vector<uint64_t>>;
+
+void AddCells(std::span<const double> point, int resolutions,
+              CellSet* cells) {
+  for (int h = 1; h < resolutions; ++h) {
+    std::vector<uint64_t> cell = {static_cast<uint64_t>(h)};
+    for (double x : point) {
+      cell.push_back(static_cast<uint64_t>(std::ldexp(x, h)));
+    }
+    cells->insert(std::move(cell));
+  }
+}
+
+/// The counters a fold of `source`'s cells into a tree holding `present`
+/// reports: shared cells merge, the rest are created, and each created
+/// cell above the deepest level opens a node.
+MergeTreeStats ExpectedFold(const CellSet& present, const CellSet& source,
+                            int resolutions) {
+  MergeTreeStats stats;
+  for (const std::vector<uint64_t>& cell : source) {
+    if (present.count(cell) != 0) {
+      ++stats.cells_merged;
+    } else {
+      ++stats.cells_created;
+      if (cell[0] + 1 < static_cast<uint64_t>(resolutions)) {
+        ++stats.nodes_created;
+      }
+    }
+  }
+  return stats;
+}
+
 TEST(TreeFoldTest, OneSealAfterManyInsertTreesEqualsMergeFoldAndBuild) {
-  // k sealed trees over consecutive slices (empty and one-point slices
-  // included), folded into an empty tree two ways: InsertTree per source
-  // plus one Seal, and MergeTree (a Seal) per source. Both must give the
-  // bytes of a single Build over the concatenation.
-  const Dataset data = testing::SmallClustered(1000, 5, 2, 91).data;
-  const int resolutions = 5;
-  Result<CountingTree> whole = CountingTree::Build(data, resolutions);
-  ASSERT_TRUE(whole.ok());
-  const std::string golden = SerializeTree(*whole);
-
-  const std::vector<std::vector<size_t>> layouts = {
-      {1000},
-      {1, 999},
-      {0, 999, 1},
-      {0, 1, 300, 0, 250, 1, 200, 148, 100},
+  // A stream cut into consecutive segments, counted into one destination
+  // in order: a sealed tree over a segment goes in with InsertTree (empty
+  // and one-point trees included), a run segment is Insert()ed, so the
+  // destination holds a pending run when the next tree arrives. The
+  // destination starts empty or as a sealed non-empty tree. Two
+  // destinations take the same segments: one seals once at the end, the
+  // other folds every tree with MergeTree (a Seal per source). Both must
+  // give the bytes of the point-at-a-time reference over the whole
+  // stream, and every call must report the counters of its source's
+  // cells against the cells already counted.
+  enum Kind { kSealed, kTree, kRun };
+  struct Segment {
+    Kind kind;
+    size_t points;
   };
-  for (const std::vector<size_t>& sizes : layouts) {
-    SCOPED_TRACE("k = " + std::to_string(sizes.size()));
-    std::vector<CountingTree> sources;
-    size_t begin = 0;
-    for (size_t size : sizes) {
-      Result<CountingTree> t =
-          CountingTree::Build(Slice(data, begin, begin + size), resolutions);
-      ASSERT_TRUE(t.ok());
-      sources.push_back(std::move(*t));
-      begin += size;
-    }
-    ASSERT_EQ(begin, data.NumPoints());
+  const std::vector<std::vector<Segment>> layouts = {
+      {{kTree, 1}, {kTree, 0}, {kRun, 30}, {kTree, 250}, {kTree, 1},
+       {kRun, 1}, {kTree, 117}},
+      {{kSealed, 120}, {kTree, 0}, {kRun, 50}, {kTree, 1}, {kTree, 90},
+       {kRun, 1}, {kTree, 0}, {kTree, 138}},
+  };
+  for (size_t d : {1, 2, 14, 30}) {
+    for (int resolutions : {3, 4, 6}) {
+      SCOPED_TRACE("d = " + std::to_string(d) +
+                   ", H = " + std::to_string(resolutions));
+      // Tight blobs make cells shared across segments; a uniform
+      // background creates cells in every segment.
+      Rng rng(1000 * d + static_cast<uint64_t>(resolutions));
+      Dataset data(400, d);
+      for (size_t i = 0; i < data.NumPoints(); ++i) {
+        const double centre = i % 3 == 0 ? 0.3 : 0.65;
+        for (size_t j = 0; j < d; ++j) {
+          data(i, j) = i % 4 == 3 ? rng.UniformDouble()
+                                  : centre + 0.1 * rng.UniformDouble();
+        }
+      }
+      testing::ReferenceTree reference(d, resolutions);
+      for (size_t i = 0; i < data.NumPoints(); ++i) {
+        reference.Insert(data.Point(i));
+      }
+      const std::string golden = reference.Serialize();
 
-    const Dataset empty = Slice(data, 0, 0);
-    Result<CountingTree> folded = CountingTree::Build(empty, resolutions);
-    Result<CountingTree> merged = CountingTree::Build(empty, resolutions);
-    ASSERT_TRUE(folded.ok() && merged.ok());
-    MergeTreeStats fold_stats, merge_stats;
-    for (const CountingTree& source : sources) {
-      Result<MergeTreeStats> s = folded->InsertTree(source);
-      ASSERT_TRUE(s.ok()) << s.status().ToString();
-      EXPECT_FALSE(folded->sealed());
-      fold_stats += *s;
-      Result<MergeTreeStats> m = MergeTree(&*merged, source);
-      ASSERT_TRUE(m.ok()) << m.status().ToString();
-      EXPECT_TRUE(merged->sealed());
-      merge_stats += *m;
+      for (const std::vector<Segment>& layout : layouts) {
+        SCOPED_TRACE("starts " + std::string(layout[0].kind == kSealed
+                                                 ? "sealed"
+                                                 : "empty"));
+        Result<CountingTree> folded = CountingTree::Empty(d, resolutions);
+        Result<CountingTree> merged = CountingTree::Empty(d, resolutions);
+        ASSERT_TRUE(folded.ok() && merged.ok());
+        CellSet present;
+        size_t begin = 0;
+        for (const Segment& segment : layout) {
+          const Dataset slice = Slice(data, begin, begin + segment.points);
+          begin += segment.points;
+          CellSet cells;
+          for (size_t i = 0; i < slice.NumPoints(); ++i) {
+            AddCells(slice.Point(i), resolutions, &cells);
+          }
+          if (segment.kind == kSealed) {
+            Result<CountingTree> a = CountingTree::Build(slice, resolutions);
+            Result<CountingTree> b = CountingTree::Build(slice, resolutions);
+            ASSERT_TRUE(a.ok() && b.ok());
+            folded = std::move(a);
+            merged = std::move(b);
+          } else if (segment.kind == kRun) {
+            for (size_t i = 0; i < slice.NumPoints(); ++i) {
+              ASSERT_TRUE(folded->Insert(slice.Point(i)).ok());
+              ASSERT_TRUE(merged->Insert(slice.Point(i)).ok());
+            }
+          } else {
+            Result<CountingTree> source =
+                CountingTree::Build(slice, resolutions);
+            ASSERT_TRUE(source.ok());
+            const MergeTreeStats want =
+                ExpectedFold(present, cells, resolutions);
+            Result<MergeTreeStats> s = folded->InsertTree(*source);
+            ASSERT_TRUE(s.ok()) << s.status().ToString();
+            EXPECT_FALSE(folded->sealed());
+            Result<MergeTreeStats> m = MergeTree(&*merged, *source);
+            ASSERT_TRUE(m.ok()) << m.status().ToString();
+            EXPECT_TRUE(merged->sealed());
+            for (const MergeTreeStats& got : {*s, *m}) {
+              EXPECT_EQ(got.cells_merged, want.cells_merged);
+              EXPECT_EQ(got.cells_created, want.cells_created);
+              EXPECT_EQ(got.nodes_created, want.nodes_created);
+            }
+          }
+          present.insert(cells.begin(), cells.end());
+        }
+        ASSERT_EQ(begin, data.NumPoints());
+        folded->Seal();
+        merged->Seal();
+        EXPECT_TRUE(folded->ValidateInvariants().ok());
+        EXPECT_EQ(folded->total_points(), data.NumPoints());
+        EXPECT_EQ(SerializeTree(*folded), golden);
+        EXPECT_EQ(SerializeTree(*merged), golden);
+      }
     }
-    folded->Seal();
-    EXPECT_TRUE(folded->ValidateInvariants().ok());
-    EXPECT_EQ(folded->total_points(), data.NumPoints());
-    EXPECT_EQ(SerializeTree(*folded), golden);
-    EXPECT_EQ(SerializeTree(*merged), golden);
-    EXPECT_EQ(fold_stats.cells_merged, merge_stats.cells_merged);
-    EXPECT_EQ(fold_stats.cells_created, merge_stats.cells_created);
-    EXPECT_EQ(fold_stats.nodes_created, merge_stats.nodes_created);
   }
 }
 

@@ -64,12 +64,12 @@ offending line):
                      the tail trips it; tests and benches are exempt.
                      Likewise a `.InsertTree(` / `->InsertTree(` call (a
                      tree fold) appears in src/ only in
-                     src/core/counting_tree.cc (the sealed-run fold),
                      src/core/streaming_mrcc.cc (the window snapshot),
                      src/dist/sharded_build.cc (the artifact merger) and
                      src/core/tree_io.cc (MergeTree), so no fold creeps
                      back into the batch build, which partitions by key
-                     space instead.
+                     space instead, or into the tree itself, whose run
+                     flushes and build rounds merge key orders.
                      Outside tests/, `public DataSource` (a DataSource
                      backend) appears only in src/data/data_source.h, so
                      a new backend lands beside the three existing ones
@@ -474,11 +474,11 @@ SINGLE_OWNER_RULES = (
      ("src/core/mrcc.cc",), "DropDeepestLevel()",
      "the cluster tail ClusterTree (core/mrcc.h)"),
     (re.compile(r"(?:\.|->)\s*InsertTree\s*\("),
-     ("src/core/counting_tree.cc", "src/core/streaming_mrcc.cc",
-      "src/dist/sharded_build.cc", "src/core/tree_io.cc"),
+     ("src/core/streaming_mrcc.cc", "src/dist/sharded_build.cc",
+      "src/core/tree_io.cc"),
      "InsertTree(",
-     "the partitioned batch build (BuildTree, core/mrcc.h) or one of "
-     "the existing folds"),
+     "the partitioned batch build (BuildTree, core/mrcc.h), a key-order "
+     "merge inside CountingTree, or one of the existing folds"),
 )
 
 
