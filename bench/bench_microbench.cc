@@ -175,26 +175,6 @@ void BM_LayoutFaceConvolveLevel(benchmark::State& state) {
 }
 BENCHMARK(BM_LayoutFaceConvolveLevel)->Arg(8)->Arg(14)->Arg(30);
 
-// Same probes through the tree's root-to-level descent, the path the
-// batched form replaced: O(level * d) per probe instead of O(d).
-void BM_LayoutFindCellDescent(benchmark::State& state) {
-  const size_t d = static_cast<size_t>(state.range(0));
-  const LabeledDataset ds = MakeData(20000, d);
-  auto tree = CountingTree::Build(ds.data, 4);
-  const CountingTree::LevelView level = tree->Level(3);
-  std::vector<uint64_t> coords(d);
-  CountingTree::CellRef ref;
-  for (auto _ : state) {
-    for (uint32_t i = 0; i < level.num_cells(); ++i) {
-      level.CoordsInto(i, coords.data());
-      benchmark::DoNotOptimize(tree->FindCell(3, coords, &ref));
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(level.num_cells()));
-}
-BENCHMARK(BM_LayoutFindCellDescent)->Arg(8)->Arg(14);
-
 // Sorted-key point lookups alone: binary search plus exact coordinate
 // compare, what the binomial test and box growth pay per probe.
 void BM_LayoutLevelKeysFind(benchmark::State& state) {

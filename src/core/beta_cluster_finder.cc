@@ -41,14 +41,16 @@ namespace {
 
 // The β-cluster search engine. Convolution responses are static per cell
 // (point counts never change), so each level is convolved exactly once and
-// cached; sweeps then only rescan eligibility (usedCell, box overlap).
+// cached; sweeps then only rescan eligibility, which the search keeps to
+// itself: the tree is read-only.
 // Cells are addressed by their packed arena index throughout — the level
 // arena *is* the enumeration, so the caches are plain parallel arrays and
 // every lookup (face neighbor, parent, growth probe) is a search of the
 // level's sorted keys instead of an O(level * d) root descent.
 class BetaClusterFinder {
  public:
-  BetaClusterFinder(CountingTree& tree, const BetaFinderOptions& options)
+  BetaClusterFinder(const CountingTree& tree,
+                    const BetaFinderOptions& options)
       : tree_(tree),
         d_(tree.num_dims()),
         options_(options),
@@ -75,11 +77,11 @@ class BetaClusterFinder {
         MRCC_RETURN_IF_ERROR(EnsureLevel(h));
         const int64_t best = SelectBestCell(h, betas);
         if (best < 0) continue;  // No eligible cell at this level.
-        tree_.SetUsed(
-            CountingTree::CellRef{h, static_cast<uint32_t>(best)}, true);
+        const auto cell = static_cast<uint32_t>(best);
+        // The paper's usedCell: a tested cell is never a candidate again.
+        levels_[static_cast<size_t>(h)].blocked[cell] = 1;
         BetaCluster beta;
-        Result<bool> accepted =
-            TestAndDescribe(h, static_cast<uint32_t>(best), &beta);
+        Result<bool> accepted = TestAndDescribe(h, cell, &beta);
         if (!accepted.ok()) return accepted.status();
         if (*accepted) {
           betas.push_back(std::move(beta));
@@ -94,7 +96,9 @@ class BetaClusterFinder {
   struct LevelData {
     bool ready = false;  // Convolution responses cached?
     std::vector<int64_t> conv;  // One response per cell (arena order).
-    std::vector<uint8_t> blocked;  // 1: overlaps a found β (for good).
+    // 1: tested already (the paper's usedCell) or overlaps a found β.
+    // Both marks hold for the rest of the search.
+    std::vector<uint8_t> blocked;
     std::unique_ptr<LevelKeys> keys;  // Sorted cell keys, built lazily.
   };
 
@@ -131,7 +135,8 @@ class BetaClusterFinder {
   }
 
   // Index of the eligible cell with the largest convolution response at
-  // level h, or -1 when every cell is used or overlaps a found β-cluster.
+  // level h, or -1 when every cell is blocked: tested already, or
+  // overlapping a found β-cluster.
   // Each worker scans one contiguous slice; the slice winners are reduced
   // on the calling thread in slice order with ties broken by the lowest
   // cell index — exactly the cell the serial first-max scan would pick, so
@@ -141,7 +146,6 @@ class BetaClusterFinder {
     LevelData& level = levels_[static_cast<size_t>(h)];
     uint8_t* blocked = level.blocked.data();
     const CountingTree::LevelView view = tree_.Level(h);
-    const uint8_t* used = view.used().data();
     const int64_t* conv = level.conv.data();
     const double width = std::ldexp(1.0, -h);  // Cell side 1/2^h.
     const int num_threads = pool_.num_threads();
@@ -166,7 +170,7 @@ class BetaClusterFinder {
               continue;
             }
             for (size_t i = b; i < b_end; ++i) {
-              if (used[i] || blocked[i]) continue;
+              if (blocked[i]) continue;
               if (conv[i] <= best_val && best >= 0) continue;
               view.CoordsInto(static_cast<uint32_t>(i), coords);
               if (SharesSpaceWithAny(coords, width, betas)) {
@@ -340,7 +344,7 @@ class BetaClusterFinder {
     return true;
   }
 
-  CountingTree& tree_;
+  const CountingTree& tree_;
   const size_t d_;
   const BetaFinderOptions options_;
   ThreadPool pool_;
@@ -350,7 +354,7 @@ class BetaClusterFinder {
 
 }  // namespace
 
-Result<BetaSearchResult> RunBetaSearch(CountingTree& tree,
+Result<BetaSearchResult> RunBetaSearch(const CountingTree& tree,
                                        const BetaFinderOptions& options,
                                        BudgetTracker* budget) {
   // The argmax breaks ties by the canonical cell order only a sealed
@@ -382,7 +386,7 @@ Result<BetaSearchResult> RunBetaSearch(CountingTree& tree,
   return BetaSearchResult{std::move(betas).value(), finder.stats()};
 }
 
-std::vector<BetaCluster> FindBetaClusters(CountingTree& tree,
+std::vector<BetaCluster> FindBetaClusters(const CountingTree& tree,
                                           const BetaFinderOptions& options) {
   Result<BetaSearchResult> result =
       RunBetaSearch(tree, options, /*budget=*/nullptr);

@@ -8,6 +8,10 @@
 // cut by MDL into relevant/irrelevant, the bounds are grown by populated
 // face neighbors, and the sweep restarts from level 2. The search ends
 // after a full sweep with no statistically significant candidate.
+//
+// The tree holds counts only. Eligibility is the search's own state: one
+// `blocked` byte per cell of each level, set for a cell once it has been
+// tested (the paper's usedCell) or once it overlaps a found β-cluster.
 
 #pragma once
 
@@ -100,8 +104,9 @@ struct BetaSearchResult {
   BetaSearchStats stats;
 };
 
-/// Runs Algorithm 2 over `tree`. Consumes the tree's usedCell flags (call
-/// tree.ResetUsedFlags() to reuse the tree). Deterministic.
+/// Runs Algorithm 2 over `tree`. The search keeps the paper's usedCell
+/// flags itself and only reads the tree, so searching one tree again
+/// gives the same result. Deterministic.
 ///
 /// When `budget` is non-null its deadline is checked at every level
 /// boundary; on expiry the search returns the β-clusters found so far
@@ -110,15 +115,15 @@ struct BetaSearchResult {
 /// failpoint (a failed level-cache allocation), or Internal for a tree
 /// whose cells lack a parent cell. An unsealed `tree` (Insert or
 /// InsertTree since its last Seal) is InvalidArgument.
-[[nodiscard]] Result<BetaSearchResult> RunBetaSearch(CountingTree& tree,
-                                       const BetaFinderOptions& options,
-                                       BudgetTracker* budget = nullptr);
+[[nodiscard]] Result<BetaSearchResult> RunBetaSearch(
+    const CountingTree& tree, const BetaFinderOptions& options,
+    BudgetTracker* budget = nullptr);
 
 /// Value-returning convenience wrapper over RunBetaSearch with no budget.
 /// Without a budget and without armed failpoints the search cannot fail,
 /// so this keeps the original ergonomic signature for callers that own
 /// their tree (tests, tools); the pipeline goes through RunBetaSearch.
-std::vector<BetaCluster> FindBetaClusters(CountingTree& tree,
+std::vector<BetaCluster> FindBetaClusters(const CountingTree& tree,
                                           const BetaFinderOptions& options);
 
 }  // namespace mrcc

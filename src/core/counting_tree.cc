@@ -14,8 +14,8 @@
 namespace mrcc {
 namespace {
 
-// Debug-build hook shared by Seal and DropDeepestLevel: a structural
-// violation at these points is a construction or merge bug, so abort with
+// Debug-build hook of LayOut (so of every Seal and DropDeepestLevel): a
+// structural violation there is a construction or merge bug, so abort with
 // the invariant's message rather than return a Status the caller would
 // have to treat as an input error.
 void DCheckInvariants(const CountingTree& tree) {
@@ -31,7 +31,7 @@ void DCheckInvariants(const CountingTree& tree) {
 }
 
 // splitmix64 finalizer — strong enough to spread consecutive loc codes
-// over the power-of-two table.
+// over SiblingLocSet's power-of-two table.
 inline uint64_t HashLoc(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -357,57 +357,6 @@ void SplitLevels(const uint64_t* records, size_t count, size_t d,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// LocMap: flat open-addressing loc -> cell table (linear probing).
-
-void CountingTree::LocMap::Reserve(size_t entries) {
-  size_t cap = 16;
-  while (cap < entries * 2) cap <<= 1;
-  if (cap <= keys_.size()) return;
-  std::vector<uint64_t> old_keys = std::move(keys_);
-  std::vector<uint32_t> old_vals = std::move(vals_);
-  keys_.assign(cap, kEmpty);
-  vals_.assign(cap, 0);
-  size_ = 0;
-  for (size_t i = 0; i < old_keys.size(); ++i) {
-    if (old_keys[i] != kEmpty) Insert(old_keys[i], old_vals[i]);
-  }
-}
-
-void CountingTree::LocMap::Grow() { Reserve(keys_.empty() ? 8 : size_ + 1); }
-
-void CountingTree::LocMap::Insert(uint64_t loc, uint32_t cell) {
-  if ((size_ + 1) * 2 > keys_.size()) Grow();
-  const size_t mask = keys_.size() - 1;
-  size_t idx = HashLoc(loc) & mask;
-  while (keys_[idx] != kEmpty) {
-    if (keys_[idx] == loc) {
-      vals_[idx] = cell;
-      return;
-    }
-    idx = (idx + 1) & mask;
-  }
-  keys_[idx] = loc;
-  vals_[idx] = cell;
-  ++size_;
-}
-
-int64_t CountingTree::LocMap::Find(uint64_t loc) const {
-  if (keys_.empty()) return -1;
-  const size_t mask = keys_.size() - 1;
-  size_t idx = HashLoc(loc) & mask;
-  while (keys_[idx] != kEmpty) {
-    if (keys_[idx] == loc) return static_cast<int64_t>(vals_[idx]);
-    idx = (idx + 1) & mask;
-  }
-  return -1;
-}
-
-size_t CountingTree::LocMap::MemoryBytes() const {
-  return keys_.capacity() * sizeof(uint64_t) +
-         vals_.capacity() * sizeof(uint32_t);
-}
-
-// ---------------------------------------------------------------------------
 // Construction.
 
 Result<CountingTree> CountingTree::Empty(size_t num_dims,
@@ -465,7 +414,6 @@ void CountingTree::Seal() {
 void CountingTree::LayOutPending(ThreadPool* pool) {
   FlushRun();
   if (pending_ == nullptr) return;
-  // The layout writes every cell afresh, used flags clear.
   *this = LayOut(num_dims_, num_resolutions_, *pending_, pool);
 }
 
@@ -776,19 +724,13 @@ CountingTree CountingTree::LayOut(size_t d, int resolutions,
 
   CountingTree tree(d, resolutions);
   tree.total_points_ = key_order.points;
-  tree.by_level_.resize(num_levels);
   tree.arenas_.resize(num_levels);
   tree.nodes_.resize(num_nodes);
   tree.nodes_[0].count = static_cast<uint32_t>(cells(1));
-  tree.by_level_[1].push_back(0);
   each_level(deepest - 1, [&](size_t h) {
-    std::vector<uint32_t>& listed = tree.by_level_[h + 1];
-    listed.resize(cells(h));
     for (size_t r = 0; r < cells(h); ++r) {
       const auto c = static_cast<uint32_t>(by_first[h][r]);
-      const uint32_t k = node_of[h][c];
-      listed[r] = k;
-      Node& node = tree.nodes_[k];
+      Node& node = tree.nodes_[node_of[h][c]];
       node.level = static_cast<int>(h) + 1;
       node.first = child_first[h][c];
       node.count = fanout[h][c];
@@ -837,7 +779,6 @@ CountingTree CountingTree::LayOut(size_t d, int resolutions,
     arena.loc.resize(lv.cells);
     arena.n.resize(lv.cells);
     arena.child.resize(lv.cells);
-    arena.used.resize(lv.cells, 0);
     arena.owner.resize(lv.cells);
     arena.half.resize(lv.cells * d);
     const bool upper = h < static_cast<size_t>(deepest);
@@ -856,9 +797,6 @@ CountingTree CountingTree::LayOut(size_t d, int resolutions,
     slot[h] = {};
   }
   node_of = {};
-  ForSlices(pool, tree.nodes_.size(), [&](size_t begin, size_t end) {
-    for (size_t m = begin; m < end; ++m) tree.IndexNode(tree.nodes_[m]);
-  });
   DCheckInvariants(tree);
   return tree;
 }
@@ -962,7 +900,6 @@ CountingTree::KeyOrder& CountingTree::Pending() {
     pending_ = std::make_unique<KeyOrder>(RankedKeyOrder());
     nodes_ = std::vector<Node>();
     base_ = Packed<uint64_t>();
-    by_level_ = std::vector<std::vector<uint32_t>>();
     arenas_ = std::vector<Arena>();
   }
   return *pending_;
@@ -1068,26 +1005,10 @@ Result<CountingTree> CountingTree::Build(const Dataset& data,
 }
 
 int64_t CountingTree::FindInNode(const Node& node, uint64_t loc) const {
-  if (node.index != nullptr) return node.index->Find(loc);
-  // A small node's locs are one contiguous slice — a vector compare-scan
-  // beats any hash below kIndexThreshold entries.
   const Arena& arena = arenas_[static_cast<size_t>(node.level)];
   const int64_t off =
       simd::FindU64(arena.loc.data() + node.first, node.count, loc);
   return off < 0 ? -1 : static_cast<int64_t>(node.first) + off;
-}
-
-void CountingTree::IndexNode(Node& node) const {
-  if (node.count <= kIndexThreshold) {
-    node.index.reset();
-    return;
-  }
-  const Arena& arena = arenas_[static_cast<size_t>(node.level)];
-  node.index = std::make_unique<LocMap>();
-  node.index->Reserve(node.count * 2);
-  for (uint32_t i = 0; i < node.count; ++i) {
-    node.index->Insert(arena.loc[node.first + i], node.first + i);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1116,10 +1037,6 @@ std::span<const uint32_t> CountingTree::LevelView::counts() const {
 
 std::span<const int32_t> CountingTree::LevelView::children() const {
   return tree_->arenas_[static_cast<size_t>(level_)].child;
-}
-
-std::span<const uint8_t> CountingTree::LevelView::used() const {
-  return tree_->arenas_[static_cast<size_t>(level_)].used;
 }
 
 std::span<const uint32_t> CountingTree::LevelView::half() const {
@@ -1189,14 +1106,6 @@ int32_t CountingTree::Child(CellRef ref) const {
   return arenas_[static_cast<size_t>(ref.level)].child[ref.index];
 }
 
-bool CountingTree::Used(CellRef ref) const {
-  return arenas_[static_cast<size_t>(ref.level)].used[ref.index] != 0;
-}
-
-void CountingTree::SetUsed(CellRef ref, bool used) {
-  arenas_[static_cast<size_t>(ref.level)].used[ref.index] = used ? 1 : 0;
-}
-
 uint32_t CountingTree::HalfCount(CellRef ref, size_t axis) const {
   MRCC_DCHECK_LT(axis, num_dims_);
   return arenas_[static_cast<size_t>(ref.level)]
@@ -1256,65 +1165,26 @@ uint32_t CountingTree::FaceNeighborCount(int level,
   return FaceNeighbor(level, coords, axis, dir, &ref) ? Count(ref) : 0;
 }
 
-void CountingTree::ResetUsedFlags() {
-  for (Arena& arena : arenas_) {
-    std::fill(arena.used.begin(), arena.used.end(), uint8_t{0});
-  }
-}
-
 Status CountingTree::DropDeepestLevel() {
-  const int deepest = num_resolutions_ - 1;
-  if (deepest <= 2) {
+  // Checked before the tree changes: an unsealed tree's cells are not all
+  // in its arenas, and its pending run holds keys of the current H.
+  if (!sealed()) {
+    return Status::InvalidArgument(
+        "cannot drop a level of an unsealed tree: call Seal() first");
+  }
+  if (num_resolutions_ <= 3) {
     return Status::InvalidArgument(
         "cannot drop below the paper's minimum of H = 3 resolutions");
   }
-  MRCC_DCHECK(sealed());
-  // Unlink the dropped level from its parent cells, then drop its arena
-  // and compact the node pool. Compaction preserves relative order and
-  // the surviving arenas are untouched, so the result has exactly the
-  // layout a build with the smaller H would have produced — which keeps
-  // every downstream stage bit-identical to that build.
-  std::fill(arenas_[static_cast<size_t>(deepest - 1)].child.begin(),
-            arenas_[static_cast<size_t>(deepest - 1)].child.end(),
-            int32_t{-1});
+  // The levels above the deepest are, cell for cell, the tree of the same
+  // stream at H - 1, and its ranked key order reads only them. So the
+  // deepest level is freed first, never held next to the key order; the
+  // new deepest level's cells are ranked by arena index, as any deepest
+  // level's are (see InsertTree), and the layout writes the H - 1 bytes.
   arenas_.pop_back();
-
-  std::vector<int32_t> remap(nodes_.size(), -1);
-  std::vector<Node> kept;
-  const size_t kept_nodes =
-      nodes_.size() - by_level_[static_cast<size_t>(deepest)].size();
-  kept.reserve(kept_nodes);
-  Packed<uint64_t> kept_base;
-  kept_base.reserve(kept_nodes * num_dims_);
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].level >= deepest) continue;
-    remap[i] = static_cast<int32_t>(kept.size());
-    kept.push_back(std::move(nodes_[i]));
-    const uint64_t* base = BaseOf(static_cast<uint32_t>(i));
-    kept_base.insert(kept_base.end(), base, base + num_dims_);
-  }
-  nodes_ = std::move(kept);
-  base_ = std::move(kept_base);
-  for (int h = 1; h < deepest; ++h) {
-    Arena& arena = arenas_[static_cast<size_t>(h)];
-    for (uint32_t& owner : arena.owner) {
-      owner = static_cast<uint32_t>(remap[owner]);
-    }
-    for (int32_t& child : arena.child) {
-      if (child >= 0) {
-        child = remap[static_cast<size_t>(child)];
-        MRCC_DCHECK_GE(child, 0);
-      }
-    }
-  }
-  by_level_.pop_back();
-  for (std::vector<uint32_t>& level : by_level_) {
-    for (uint32_t& idx : level) {
-      idx = static_cast<uint32_t>(remap[idx]);
-    }
-  }
   --num_resolutions_;
-  DCheckInvariants(*this);
+  Pending();
+  LayOutPending(nullptr);
   return Status::OK();
 }
 
@@ -1327,9 +1197,6 @@ Status CountingTree::ValidateInvariants() const {
   if (num_resolutions_ < 3) return fail("fewer than 3 resolutions");
   if (nodes_.empty()) return fail("no root node");
   if (pending_ != nullptr) return fail("tree is not laid out");
-  if (by_level_.size() != static_cast<size_t>(num_resolutions_)) {
-    return fail("by-level index has wrong resolution count");
-  }
   if (arenas_.size() != static_cast<size_t>(num_resolutions_)) {
     return fail("arena vector has wrong resolution count");
   }
@@ -1343,38 +1210,27 @@ Status CountingTree::ValidateInvariants() const {
     if (base_[j] != 0) return fail("root base coordinates are not zero");
   }
 
-  // Arena array-size agreement, and slice partitioning: the nodes of each
-  // level must tile its arena contiguously, in by-level order — that is
-  // the canonical enumeration order everything downstream relies on.
+  // Arena array-size agreement. Message prefixes are built on the failure
+  // path only: this walk runs on every tree load, and the passing case
+  // must not allocate per level, node or cell.
+  const auto level_where = [](int h) {
+    return "level " + std::to_string(h) + ": ";
+  };
   for (int h = 1; h < num_resolutions_; ++h) {
     const Arena& arena = arenas_[static_cast<size_t>(h)];
-    // Message prefixes are built on the failure path only: this walk runs
-    // on every tree load, and the passing case must not allocate per
-    // level, node or cell.
-    const auto where = [h] { return "level " + std::to_string(h) + ": "; };
     const size_t n_cells = arena.loc.size();
     if (arena.n.size() != n_cells || arena.child.size() != n_cells ||
-        arena.used.size() != n_cells || arena.owner.size() != n_cells ||
-        arena.half.size() != n_cells * d) {
-      return fail(where() + "arena arrays disagree on cell count");
-    }
-    size_t running = 0;
-    for (uint32_t node_idx : by_level_[static_cast<size_t>(h)]) {
-      const Node& node = nodes_[node_idx];
-      if (node.first != running) {
-        return fail(where() + "node " + std::to_string(node_idx) +
-                    " slice does not start where the previous slice ended");
-      }
-      running += node.count;
-    }
-    if (running != n_cells) {
-      return fail(where() + "node slices cover " + std::to_string(running) +
-                  " cells, arena holds " + std::to_string(n_cells));
+        arena.owner.size() != n_cells || arena.half.size() != n_cells * d) {
+      return fail(level_where(h) + "arena arrays disagree on cell count");
     }
   }
 
   // parent_refs[m]: number of cells pointing at node m as their child.
+  // tiled[h]: cells of level h the nodes before m cover. A level's nodes,
+  // in pool order, must tile its arena contiguously — that is the
+  // canonical enumeration order everything downstream relies on.
   std::vector<uint32_t> parent_refs(nodes_.size(), 0);
+  std::vector<size_t> tiled(static_cast<size_t>(num_resolutions_), 0);
   uint64_t root_points = 0;
   SiblingLocSet locs;
   for (size_t m = 0; m < nodes_.size(); ++m) {
@@ -1392,7 +1248,13 @@ Status CountingTree::ValidateInvariants() const {
       }
     }
     const Arena& arena = arenas_[static_cast<size_t>(node.level)];
-    if (static_cast<size_t>(node.first) + node.count > arena.size()) {
+    size_t& cursor = tiled[static_cast<size_t>(node.level)];
+    if (node.first != cursor) {
+      return fail(where() + "slice does not start where the level's " +
+                  "previous slice ended");
+    }
+    cursor += node.count;
+    if (cursor > arena.size()) {
       return fail(where() + "cell slice exceeds the level arena");
     }
     locs.Reset(node.count);
@@ -1465,29 +1327,19 @@ Status CountingTree::ValidateInvariants() const {
                   std::to_string(parent_refs[m]) + " parent cells");
     }
   }
+  for (int h = 1; h < num_resolutions_; ++h) {
+    const size_t cells = arenas_[static_cast<size_t>(h)].size();
+    if (tiled[static_cast<size_t>(h)] != cells) {
+      return fail(level_where(h) + "node slices cover " +
+                  std::to_string(tiled[static_cast<size_t>(h)]) +
+                  " cells, arena holds " + std::to_string(cells));
+    }
+  }
   if (root_points != total_points_) {
     return fail("root counts sum to " + std::to_string(root_points) +
                 ", total_points is " + std::to_string(total_points_));
   }
 
-  // Every node must be registered exactly once, at its own level.
-  std::vector<uint32_t> level_refs(nodes_.size(), 0);
-  for (size_t h = 0; h < by_level_.size(); ++h) {
-    for (uint32_t idx : by_level_[h]) {
-      if (idx >= nodes_.size()) return fail("by-level index out of range");
-      if (nodes_[idx].level != static_cast<int>(h)) {
-        return fail("node " + std::to_string(idx) +
-                    " registered at the wrong level");
-      }
-      level_refs[idx] += 1;
-    }
-  }
-  for (size_t m = 0; m < nodes_.size(); ++m) {
-    if (level_refs[m] != 1) {
-      return fail("node " + std::to_string(m) + " appears " +
-                  std::to_string(level_refs[m]) + " times in by-level index");
-    }
-  }
   return Status::OK();
 }
 
@@ -1496,21 +1348,12 @@ size_t CountingTree::MemoryBytes() const {
                  base_.size() * sizeof(uint64_t) +
                  run_.capacity() * sizeof(uint64_t);
   if (pending_ != nullptr) bytes += pending_->MemoryBytes(num_dims_);
-  for (const Node& node : nodes_) {
-    if (node.index != nullptr) {
-      bytes += sizeof(LocMap) + node.index->MemoryBytes();
-    }
-  }
   for (const Arena& arena : arenas_) {
     bytes += arena.loc.capacity() * sizeof(uint64_t);
     bytes += arena.n.capacity() * sizeof(uint32_t);
     bytes += arena.child.capacity() * sizeof(int32_t);
-    bytes += arena.used.capacity() * sizeof(uint8_t);
     bytes += arena.owner.capacity() * sizeof(uint32_t);
     bytes += arena.half.capacity() * sizeof(uint32_t);
-  }
-  for (const auto& level : by_level_) {
-    bytes += level.size() * sizeof(uint32_t);
   }
   return bytes;
 }

@@ -9,19 +9,22 @@
 //   - n:     the number of points in its space,
 //   - P[j]:  the half-space count — points in the lower half of the cell
 //            along axis e_j,
-//   - used:  the usedCell flag consumed by the β-cluster search,
 //   - child: the node refining this cell at level h+1 (if any).
+// The paper's cell also carries the β-search's usedCell flag; here the
+// tree holds counts only, and the search keeps its own per-level flags
+// (beta_cluster_finder.h), so a search never writes the tree.
 //
 // Storage is structure-of-arrays, level-contiguous: every level owns one
-// arena of packed parallel arrays (loc[], n[], child[], used[], the
-// owning node per cell, and d half-space counts per cell), so the hot
-// loops — the Laplacian convolution, the argmax sweep, serialization —
-// stream each attribute sequentially instead of chasing per-node
-// pointers. A node (the paper's linked list of sibling cells sharing one
-// parent cell) is reduced to a slice [first, first + count) of its
-// level's arena plus the parent cell's absolute coordinates; nodes with
-// many cells additionally carry a flat open-addressing loc -> cell map
-// (small nodes use a linear scan over the contiguous loc slice).
+// arena of packed parallel arrays (loc[], n[], child[], the owning node
+// per cell, and d half-space counts per cell), so the hot loops — the
+// Laplacian convolution, the argmax sweep, serialization — stream each
+// attribute sequentially instead of chasing per-node pointers. A node
+// (the paper's linked list of sibling cells sharing one parent cell) is
+// reduced to a slice [first, first + count) of its level's arena plus
+// the parent cell's absolute coordinates; a level's nodes, in pool
+// order, tile its arena. Lookups by coordinates go through the search's
+// sorted level keys (level_keys.h); FindCell's root descent scans each
+// node's contiguous loc slice.
 //
 // Construction counts points by sorting them; no point walks the tree.
 // Every build is a run of digit-key records: a point's key is the binary
@@ -39,8 +42,10 @@
 //     tree gives its own in one walk (see InsertTree), and a fold merges
 //     two key orders level by level, adding the counts of equal cells;
 //   - the layout sorts those cells by (rank, level) and writes the packed
-//     arenas directly in the canonical order below. It is the only code
-//     that writes a tree's arenas (ParseTree reads them from disk).
+//     arenas directly in the canonical order below. It writes every
+//     tree's arenas except a parsed one's (ParseTree reads them from
+//     disk); DropDeepestLevel lays out the tree's own key order without
+//     its deepest level.
 // Insert() appends records to a pending run; Seal() — or Insert() when
 // the run would pass kMaxRunBytes — builds the run's key order and merges
 // it into the tree's pending key order; InsertTree() merges a sealed
@@ -121,9 +126,6 @@ class CountingTree {
   /// Maximum dataset dimensionality (loc packs one bit per axis).
   static constexpr size_t kMaxDims = 62;
 
-  /// Node size at which a loc -> cell hash map replaces linear search.
-  static constexpr size_t kIndexThreshold = 16;
-
   /// Most bytes a pending run of Insert()ed points holds: the Insert
   /// that would pass it first merges the run's key order into the
   /// pending one.
@@ -158,9 +160,6 @@ class CountingTree {
 
     /// Index of the node refining each cell at level + 1, or -1.
     std::span<const int32_t> children() const;
-
-    /// usedCell flags (0 / 1), owned by the β-search.
-    std::span<const uint8_t> used() const;
 
     /// Half-space counts, cell-major: d consecutive entries per cell,
     /// half()[i * d + j] = points of cell i in its lower half along e_j.
@@ -285,8 +284,7 @@ class CountingTree {
   [[nodiscard]] Result<MergeTreeStats> InsertTree(const CountingTree& other);
 
   /// Merges the pending run's key order into the pending one and lays
-  /// that out in canonical (readable) order, with every β-search used
-  /// flag clear. No-op on a sealed tree.
+  /// that out in canonical (readable) order. No-op on a sealed tree.
   void Seal();
 
   /// False while Insert() / InsertTree() changes await a Seal().
@@ -315,8 +313,6 @@ class CountingTree {
   uint32_t Count(CellRef ref) const;
   uint64_t Loc(CellRef ref) const;
   int32_t Child(CellRef ref) const;
-  bool Used(CellRef ref) const;
-  void SetUsed(CellRef ref, bool used);
 
   /// Half-space count P[axis] of the referenced cell.
   uint32_t HalfCount(CellRef ref, size_t axis) const;
@@ -325,8 +321,9 @@ class CountingTree {
   std::vector<uint64_t> CellCoords(CellRef ref) const;
 
   /// Locates the cell at `coords` on `level`. Returns true and fills `ref`
-  /// when that region holds points. Walks down from the root: O(level)
-  /// lookups.
+  /// when that region holds points. Walks down from the root, scanning
+  /// one node's loc slice per level. The reference lookup of tests and
+  /// TreesEquivalent; the engine looks cells up through LevelKeys.
   bool FindCell(int level, const std::vector<uint64_t>& coords,
                 CellRef* ref) const;
 
@@ -342,24 +339,24 @@ class CountingTree {
   uint32_t FaceNeighborCount(int level, const std::vector<uint64_t>& coords,
                              size_t axis, int dir) const;
 
-  /// Clears every usedCell flag (lets one tree serve several runs).
-  void ResetUsedFlags();
-
   /// Removes the deepest materialized level (H := H - 1) and frees its
   /// nodes — the graceful-degradation lever under memory pressure: the
   /// paper's H trades resolution for resources, and counts at the
-  /// remaining levels are untouched, so the result equals a tree built
-  /// with the smaller H from the start (cell for cell — the surviving
-  /// arenas and the node pool keep their order). Fails when H is already
-  /// the minimum 3.
+  /// remaining levels are untouched. The tree frees its deepest level,
+  /// turns the rest into its ranked key order (see InsertTree) and is laid
+  /// out again, so it is byte-identical to a tree built with the smaller H
+  /// from the start. Freeing the deepest level (the one with the most
+  /// cells) first keeps the drop's transient heap near the tree's own.
+  /// Returns InvalidArgument, leaving the tree as it is, when H is already
+  /// the minimum 3 or the tree is unsealed.
   [[nodiscard]] Status DropDeepestLevel();
 
   /// Full structural walk of every invariant the core relies on: packed
   /// arena consistency, d-bit loc codes, half-space counts P[j] <= n,
   /// a child node under every cell above the deepest level, child
   /// levels/base coordinates, child count sums equal to the parent cell
-  /// count, single-parent linkage, by-level index consistency and the
-  /// total-point count. O(cells * d) time and no allocation per
+  /// count, single-parent linkage, each level's nodes tiling its arena in
+  /// pool order and the total-point count. O(cells * d) time and no allocation per
   /// node or cell when the tree is valid. Returns OK or Internal naming
   /// the first violated invariant. Seal() (and so Build and MergeTree)
   /// runs it in debug builds; ParseTree (LoadTree, every shard-artifact
@@ -368,10 +365,9 @@ class CountingTree {
 
   /// Approximate heap footprint of the tree in bytes, the pending run
   /// (by capacity, like the arenas) and the pending key order included.
-  /// The node pool and the per-level node lists count by size, not
-  /// capacity, so a sealed tree reports the same footprint however it
-  /// was assembled (one scan,
-  /// a sharded fold, a window fold, loaded shard artifacts) — memory-
+  /// The node pool counts by size, not capacity, so a sealed tree
+  /// reports the same footprint however it was assembled (one scan, a
+  /// sharded fold, a window fold, loaded shard artifacts) — memory-
   /// budget decisions never depend on the engine or the thread count.
   size_t MemoryBytes() const;
 
@@ -380,26 +376,6 @@ class CountingTree {
   struct TestPeer;
 
  private:
-  /// Flat open-addressing loc -> cell map (power-of-two capacity, linear
-  /// probing). loc always fits in kMaxDims = 62 bits, so ~0 is a free
-  /// empty-slot sentinel. Replaces the former per-node unordered_map:
-  /// one contiguous allocation, no per-entry heap nodes.
-  class LocMap {
-   public:
-    void Reserve(size_t entries);
-    void Insert(uint64_t loc, uint32_t cell);
-    int64_t Find(uint64_t loc) const;
-    size_t MemoryBytes() const;
-
-   private:
-    static constexpr uint64_t kEmpty = ~uint64_t{0};
-    void Grow();
-
-    std::vector<uint64_t> keys_;
-    std::vector<uint32_t> vals_;
-    size_t size_ = 0;
-  };
-
   /// std::allocator whose argument-less construct() default-initializes:
   /// resize() leaves trivial elements unwritten, so an array sized on one
   /// thread is first touched by the threads that fill it.
@@ -434,7 +410,6 @@ class CountingTree {
     Packed<uint64_t> loc;
     Packed<uint32_t> n;
     Packed<int32_t> child;
-    Packed<uint8_t> used;
     Packed<uint32_t> owner;
     Packed<uint32_t> half;
 
@@ -452,9 +427,6 @@ class CountingTree {
 
     /// Number of cells in this node.
     uint32_t count = 0;
-
-    /// loc -> arena cell; built once the node outgrows linear scan.
-    std::unique_ptr<LocMap> index;
   };
 
   /// Every level's cells in key order: level h's cells are [0, cells) of
@@ -540,7 +512,8 @@ class CountingTree {
   /// threads (inline when null).
   void LayOutPending(ThreadPool* pool);
 
-  /// Arena index of the cell with position `loc` in `node`, or -1.
+  /// Arena index of the cell with position `loc` in `node`, or -1: a
+  /// vector compare-scan of the node's loc slice.
   int64_t FindInNode(const Node& node, uint64_t loc) const;
 
   /// Base coordinates of node `node`: d words.
@@ -548,26 +521,21 @@ class CountingTree {
     return base_.data() + size_t{node} * num_dims_;
   }
 
-  /// Gives a node past kIndexThreshold cells its loc -> cell map over
-  /// its slice, and drops the map of a smaller node.
-  void IndexNode(Node& node) const;
-
   size_t num_dims_;
   int num_resolutions_;
   uint64_t total_points_ = 0;  // The pending run's points excluded.
-  std::vector<Node> nodes_;                      // nodes_[0] is the root.
+  std::vector<Node> nodes_;    // nodes_[0] is the root.
   // Absolute integer coordinates of each node's parent cell at level
   // `level - 1`, d words per node (all zeros for the root). A cell of
   // node m has coordinates base_[m * d + j] * 2 + bit_j(loc).
   Packed<uint64_t> base_;
-  std::vector<std::vector<uint32_t>> by_level_;  // level -> node indices.
-  std::vector<Arena> arenas_;                    // arenas_[h], h >= 1.
+  std::vector<Arena> arenas_;  // arenas_[h], h >= 1.
   // Pending run: KeyWords() + 1 words per Insert()ed point — its digit
   // key (little-endian words), then a word FlushRun sets to its index in
   // the run.
   std::vector<uint64_t> run_;
   // Non-null while the tree's cells await a layout: they live here, and
-  // nodes_, base_, by_level_ and arenas_ are empty.
+  // nodes_, base_ and arenas_ are empty.
   std::unique_ptr<KeyOrder> pending_;
 };
 
@@ -590,9 +558,6 @@ struct CountingTree::TestPeer {
   static uint32_t& Half(CountingTree& tree, CellRef ref, size_t axis) {
     return tree.arenas_[static_cast<size_t>(ref.level)]
         .half[ref.index * tree.num_dims_ + axis];
-  }
-  static void SetUsedRaw(CountingTree& tree, CellRef ref, uint8_t value) {
-    tree.arenas_[static_cast<size_t>(ref.level)].used[ref.index] = value;
   }
 };
 

@@ -232,14 +232,12 @@ Result<CountingTree> ParseTree(std::string_view bytes,
 
   CountingTree tree(dims, static_cast<int>(resolutions));
   tree.total_points_ = total_points;
-  tree.by_level_.resize(resolutions);
   tree.arenas_.resize(resolutions);
   for (size_t h = 0; h < resolutions; ++h) {
     CountingTree::Arena& arena = tree.arenas_[h];
     arena.loc.reserve(level_cells[h]);
     arena.n.reserve(level_cells[h]);
     arena.child.reserve(level_cells[h]);
-    arena.used.reserve(level_cells[h]);
     arena.owner.reserve(level_cells[h]);
     arena.half.reserve(level_cells[h] * d);
   }
@@ -247,7 +245,8 @@ Result<CountingTree> ParseTree(std::string_view bytes,
   tree.base_.resize(node_count * d);
   // Nodes are on disk in pool (creation) order and cells in per-node
   // creation order, so appending each record to its level arena directly
-  // reproduces the canonical layout.
+  // reproduces the canonical layout, each level's nodes tiling its arena
+  // in pool order.
   for (uint64_t n = 0; n < node_count; ++n) {
     CountingTree::Node& node = tree.nodes_[n];
     int32_t level = 0;
@@ -283,7 +282,6 @@ Result<CountingTree> ParseTree(std::string_view bytes,
     arena.loc.resize(at + count);
     arena.n.resize(at + count);
     arena.child.resize(at + count);
-    arena.used.resize(at + count, 0);
     arena.owner.resize(at + count, static_cast<uint32_t>(n));
     arena.half.resize((at + count) * d);
     if (cell_count * cell_bytes <= in.remaining()) {
@@ -315,9 +313,6 @@ Result<CountingTree> ParseTree(std::string_view bytes,
             in.ReadArray("cell half count", arena.half.data() + i * d, dims));
       }
     }
-    tree.IndexNode(node);
-    tree.by_level_[static_cast<size_t>(level)].push_back(
-        static_cast<uint32_t>(n));
   }
   if (in.pos() != in.size()) {
     return Status::IOError(

@@ -26,13 +26,14 @@
 
 namespace mrcc {
 
-/// Serializes `tree` into the binary layout above (usedCell flags are not
-/// persisted — they are search state, not data). The returned bytes are
-/// what SaveTree writes and what a shard artifact embeds ahead of its
-/// checksum trailer (src/dist/shard_io.h). The stream's exact size is
-/// computed first and the bytes copied into one buffer of that size;
-/// `trailer_bytes` more are reserved behind it, so a caller can append
-/// that many without the multi-megabyte stream being copied again.
+/// Serializes `tree` into the binary layout above (the tree holds counts
+/// only; the paper's usedCell flags are the β-search's own state). The
+/// returned bytes are what SaveTree writes and what a shard artifact
+/// embeds ahead of its checksum trailer (src/dist/shard_io.h). The
+/// stream's exact size is computed first and the bytes copied into one
+/// buffer of that size; `trailer_bytes` more are reserved behind it, so a
+/// caller can append that many without the multi-megabyte stream being
+/// copied again.
 std::string SerializeTree(const CountingTree& tree, size_t trailer_bytes = 0);
 
 /// Parses a tree from bytes produced by SerializeTree. `path` appears in

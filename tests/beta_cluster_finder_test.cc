@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/tree_io.h"
 #include "test_util.h"
 
 namespace mrcc {
@@ -114,18 +115,28 @@ TEST(BetaFinderTest, DeterministicAcrossRuns) {
   }
 }
 
-TEST(BetaFinderTest, TreeReusableAfterResetUsedFlags) {
+// The search keeps its eligibility flags to itself: the tree's bytes and
+// footprint are the same after a search, and searching it again finds
+// the same β-clusters.
+TEST(BetaFinderTest, SearchLeavesTheTreeUntouched) {
   Dataset d = BlobDataset(800, 200, 4, {1, 2}, 0.4, 9);
   Result<CountingTree> tree = CountingTree::Build(d, 4);
   ASSERT_TRUE(tree.ok());
+  const std::string bytes = SerializeTree(*tree);
+  const size_t memory = tree->MemoryBytes();
   BetaFinderOptions options;
   const auto first = FindBetaClusters(*tree, options);
-  tree->ResetUsedFlags();
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(SerializeTree(*tree), bytes);
+  EXPECT_EQ(tree->MemoryBytes(), memory);
   const auto second = FindBetaClusters(*tree, options);
   ASSERT_EQ(first.size(), second.size());
   for (size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].lower, second[i].lower);
     EXPECT_EQ(first[i].upper, second[i].upper);
+    EXPECT_EQ(first[i].relevant, second[i].relevant);
+    EXPECT_EQ(first[i].level, second[i].level);
+    EXPECT_EQ(first[i].center_count, second[i].center_count);
   }
 }
 

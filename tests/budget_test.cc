@@ -8,6 +8,7 @@
 #include "common/failpoint.h"
 #include "core/counting_tree.h"
 #include "core/mrcc.h"
+#include "core/tree_io.h"
 #include "test_util.h"
 
 namespace mrcc {
@@ -54,34 +55,89 @@ TEST_F(BudgetTest, FailpointsForceBothPressurePaths) {
   }
 }
 
-TEST_F(BudgetTest, DropDeepestLevelMatchesSmallerHBuild) {
-  const Dataset d = testing::SmallClustered(4000, 6, 2, 17).data;
-  Result<CountingTree> deep = CountingTree::Build(d, 5);
-  ASSERT_TRUE(deep.ok());
-  ASSERT_TRUE(deep->DropDeepestLevel().ok());
-  ASSERT_TRUE(deep->ValidateInvariants().ok());
+/// Points [begin, end) of `data` as their own dataset.
+Dataset Slice(const Dataset& data, size_t begin, size_t end) {
+  Dataset out(0, data.NumDims());
+  for (size_t i = begin; i < end; ++i) out.AppendPoint(data.Point(i));
+  return out;
+}
 
-  Result<CountingTree> shallow = CountingTree::Build(d, 4);
-  ASSERT_TRUE(shallow.ok());
-  // The drop is exact: the compaction preserves node creation order, so
-  // the degraded tree matches a tree built with the smaller H node for
-  // node — which makes the whole downstream search identical too.
-  EXPECT_EQ(deep->num_resolutions(), shallow->num_resolutions());
-  EXPECT_EQ(deep->num_nodes(), shallow->num_nodes());
-  EXPECT_EQ(deep->total_points(), shallow->total_points());
-  for (int h = 1; h < 4; ++h) {
-    EXPECT_EQ(deep->NumCellsAtLevel(h), shallow->NumCellsAtLevel(h)) << h;
+// Every drop is exact: the tree is byte-identical to one built with the
+// smaller H from the start, whether it was built, folded from three
+// InsertTree sources or parsed — so the whole downstream search is too.
+TEST_F(BudgetTest, DropDeepestLevelMatchesSmallerHBuild) {
+  constexpr int kDeepest = 6;
+  for (const size_t dims : {size_t{1}, size_t{2}, size_t{14}, size_t{30}}) {
+    SCOPED_TRACE("d = " + std::to_string(dims));
+    const Dataset d = testing::SmallClustered(1500, dims, 2, 17).data;
+    const size_t n = d.NumPoints();
+    std::vector<std::string> fresh(kDeepest);  // fresh[H]: built at H.
+    for (int h = 3; h < kDeepest; ++h) {
+      Result<CountingTree> tree = CountingTree::Build(d, h);
+      ASSERT_TRUE(tree.ok());
+      fresh[static_cast<size_t>(h)] = SerializeTree(*tree);
+    }
+
+    std::vector<CountingTree> trees;
+    Result<CountingTree> built = CountingTree::Build(d, kDeepest);
+    ASSERT_TRUE(built.ok());
+    Result<CountingTree> folded = CountingTree::Empty(dims, kDeepest);
+    ASSERT_TRUE(folded.ok());
+    for (size_t part = 0; part < 3; ++part) {
+      Result<CountingTree> source = CountingTree::Build(
+          Slice(d, part * n / 3, (part + 1) * n / 3), kDeepest);
+      ASSERT_TRUE(source.ok());
+      ASSERT_TRUE(folded->InsertTree(*source).ok());
+    }
+    folded->Seal();
+    Result<CountingTree> parsed = ParseTree(SerializeTree(*built), "built");
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    trees.push_back(std::move(built).value());
+    trees.push_back(std::move(folded).value());
+    trees.push_back(std::move(parsed).value());
+
+    for (size_t t = 0; t < trees.size(); ++t) {
+      SCOPED_TRACE("tree " + std::to_string(t) + " (built, folded, parsed)");
+      CountingTree& tree = trees[t];
+      for (int h = kDeepest - 1; h >= 3; --h) {
+        ASSERT_TRUE(tree.DropDeepestLevel().ok());
+        ASSERT_TRUE(tree.ValidateInvariants().ok());
+        EXPECT_EQ(tree.num_resolutions(), h);
+        EXPECT_EQ(tree.total_points(), n);
+        EXPECT_TRUE(SerializeTree(tree) == fresh[static_cast<size_t>(h)])
+            << "H = " << h;
+      }
+    }
   }
-  const BetaFinderOptions options;
-  const std::vector<BetaCluster> from_deep = FindBetaClusters(*deep, options);
-  const std::vector<BetaCluster> from_shallow =
-      FindBetaClusters(*shallow, options);
-  ASSERT_EQ(from_deep.size(), from_shallow.size());
-  for (size_t b = 0; b < from_deep.size(); ++b) {
-    EXPECT_EQ(from_deep[b].lower, from_shallow[b].lower);
-    EXPECT_EQ(from_deep[b].upper, from_shallow[b].upper);
-    EXPECT_EQ(from_deep[b].level, from_shallow[b].level);
+}
+
+// An unsealed tree's cells are not all in its arenas (after InsertTree)
+// and its pending run keys points at the current H (after Insert): the
+// drop refuses both before touching the tree.
+TEST_F(BudgetTest, DropRefusesAnUnsealedTree) {
+  const Dataset d = testing::UniformDataset(600, 3, 5);
+  Result<CountingTree> whole = CountingTree::Build(d, 5);
+  ASSERT_TRUE(whole.ok());
+  const std::string expected = SerializeTree(*whole);
+
+  Result<CountingTree> folded = CountingTree::Empty(3, 5);
+  ASSERT_TRUE(folded.ok());
+  ASSERT_TRUE(folded->InsertTree(*whole).ok());
+  EXPECT_EQ(folded->DropDeepestLevel().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(folded->num_resolutions(), 5);
+  folded->Seal();
+  EXPECT_TRUE(SerializeTree(*folded) == expected);
+
+  Result<CountingTree> inserted = CountingTree::Build(Slice(d, 0, 300), 5);
+  ASSERT_TRUE(inserted.ok());
+  for (size_t i = 300; i < d.NumPoints(); ++i) {
+    ASSERT_TRUE(inserted->Insert(d.Point(i)).ok());
   }
+  EXPECT_EQ(inserted->DropDeepestLevel().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(inserted->num_resolutions(), 5);
+  inserted->Seal();
+  EXPECT_TRUE(SerializeTree(*inserted) == expected);
 }
 
 TEST_F(BudgetTest, DropRefusesBelowMinimumResolutions) {

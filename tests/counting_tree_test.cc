@@ -138,18 +138,6 @@ TEST(CountingTreeTest, FaceNeighborsInHandCraftedExample) {
   EXPECT_EQ(tree->FaceNeighborCount(1, {0, 0}, 1, +1), 0u);
 }
 
-TEST(CountingTreeTest, ResetUsedFlags) {
-  Dataset d = testing::UniformDataset(50, 2, 5);
-  Result<CountingTree> tree = CountingTree::Build(d, 4);
-  ASSERT_TRUE(tree.ok());
-  tree->SetUsed(CellRef{1, 0}, true);
-  EXPECT_TRUE(tree->Used(CellRef{1, 0}));
-  tree->ResetUsedFlags();
-  for (int h = 1; h < tree->num_resolutions(); ++h) {
-    for (uint8_t u : tree->Level(h).used()) EXPECT_EQ(u, 0);
-  }
-}
-
 TEST(CountingTreeTest, MemoryGrowsWithData) {
   Dataset small = testing::UniformDataset(100, 4, 1);
   Dataset large = testing::UniformDataset(10000, 4, 1);
@@ -179,7 +167,6 @@ TEST_P(CountingTreeParam, StructuralInvariants) {
     EXPECT_EQ(level.counts().size(), cells);
     EXPECT_EQ(level.locs().size(), cells);
     EXPECT_EQ(level.children().size(), cells);
-    EXPECT_EQ(level.used().size(), cells);
     EXPECT_EQ(level.half().size(), cells * dims);
 
     uint64_t level_total = 0;
@@ -296,25 +283,46 @@ TEST(CountingTreeTest, ZeroIsInFirstCell) {
   EXPECT_EQ(CountAt(*tree, 3, {0, 0}), 1);
 }
 
-// The loc index kicks in above kIndexThreshold cells per node; lookups
-// must behave identically on either side of the switch.
-TEST(CountingTreeTest, DenseNodeIndexSwitchIsTransparent) {
-  // 1-d data spread over all 32 level-5 leaves forces the root's
-  // descendants through the threshold.
+// FindCell scans each node's loc slice on its way down; nodes of 64
+// cells (a d = 6 node holds at most 2^6) must find every present cell
+// and none of the absent ones.
+TEST(CountingTreeTest, FindCellScansNodesOfSixtyFourCells) {
+  // One point at the centre of every cell of the 4^6 grid: the root and
+  // every level-1 cell's node hold 64 cells, each level-2 cell one point.
+  constexpr size_t kDims = 6;
+  constexpr uint64_t kSide = 4;
+  constexpr uint64_t kPoints = 4096;  // kSide^kDims.
   std::vector<std::vector<double>> points;
-  for (int i = 0; i < 64; ++i) {
-    points.push_back({(i + 0.5) / 64.0});
-  }
-  Dataset d = testing::MakeDataset(points);
-  Result<CountingTree> tree = CountingTree::Build(d, 7);
-  ASSERT_TRUE(tree.ok());
-  for (int h = 1; h < 7; ++h) {
-    const uint64_t cells = uint64_t{1} << std::min(h, 6);
-    for (uint64_t c = 0; c < cells; ++c) {
-      const int64_t expected =
-          static_cast<int64_t>(64 >> std::min(h, 6));
-      EXPECT_EQ(CountAt(*tree, h, {c}), expected) << "h=" << h << " c=" << c;
+  for (uint64_t p = 0; p < kPoints; ++p) {
+    std::vector<double> point(kDims);
+    for (size_t j = 0; j < kDims; ++j) {
+      const uint64_t digit = (p >> (2 * j)) % kSide;
+      point[j] = (static_cast<double>(digit) + 0.5) / kSide;
     }
+    points.push_back(point);
+  }
+  Result<CountingTree> tree =
+      CountingTree::Build(testing::MakeDataset(points), 4);
+  ASSERT_TRUE(tree.ok());
+  ASSERT_EQ(tree->NumCellsAtLevel(1), 64u);
+  ASSERT_EQ(tree->NumCellsAtLevel(2), kPoints);
+  std::vector<uint64_t> coords(kDims);
+  for (uint64_t c = 0; c < 64; ++c) {
+    for (size_t j = 0; j < kDims; ++j) coords[j] = (c >> j) & 1;
+    EXPECT_EQ(CountAt(*tree, 1, coords), 64) << "level-1 cell " << c;
+  }
+  // A level-2 cell (x_j) holds the point at ((x_j + 0.5) / 4), whose
+  // level-3 cell is (2 x_j + 1): every (2 x_j) cell is absent.
+  std::vector<uint64_t> odd(kDims), even(kDims);
+  for (uint64_t p = 0; p < kPoints; ++p) {
+    for (size_t j = 0; j < kDims; ++j) {
+      coords[j] = (p >> (2 * j)) % kSide;
+      odd[j] = 2 * coords[j] + 1;
+      even[j] = 2 * coords[j];
+    }
+    EXPECT_EQ(CountAt(*tree, 2, coords), 1) << "level-2 cell " << p;
+    EXPECT_EQ(CountAt(*tree, 3, odd), 1) << "level-3 cell " << p;
+    EXPECT_EQ(CountAt(*tree, 3, even), -1) << "level-3 cell " << p;
   }
 }
 
@@ -475,7 +483,6 @@ TEST(LevelViewTest, SpansAgreeWithSingleCellAccessors) {
       EXPECT_EQ(level.counts()[i], tree->Count(ref));
       EXPECT_EQ(level.locs()[i], tree->Loc(ref));
       EXPECT_EQ(level.children()[i], tree->Child(ref));
-      EXPECT_EQ(level.used()[i] != 0, tree->Used(ref));
       for (size_t j = 0; j < 3; ++j) {
         EXPECT_EQ(level.half_of(i)[j], tree->HalfCount(ref, j));
       }
@@ -494,18 +501,6 @@ TEST(LevelViewTest, CoordsIntoMatchesCoords) {
     level.CoordsInto(i, scratch.data());
     EXPECT_EQ(scratch, level.Coords(i));
   }
-}
-
-TEST(LevelViewTest, UsedSpanReflectsSetUsed) {
-  Dataset d = testing::UniformDataset(100, 2, 23);
-  Result<CountingTree> tree = CountingTree::Build(d, 4);
-  ASSERT_TRUE(tree.ok());
-  const CountingTree::LevelView level = tree->Level(1);
-  ASSERT_GT(level.num_cells(), 0u);
-  tree->SetUsed(level.ref(0), true);
-  EXPECT_NE(level.used()[0], 0);
-  tree->SetUsed(level.ref(0), false);
-  EXPECT_EQ(level.used()[0], 0);
 }
 
 }  // namespace
