@@ -6,14 +6,15 @@
 //     1, 2 and 4 workers.
 //   - Face-only Laplacian convolution: O(d) per cell, versus the full
 //     order-3 mask at O(3^d) (the ablation the paper argues about when
-//     choosing the face-only mask).
+//     choosing the face-only mask), both through the engine's level
+//     convolution.
 //   - Binomial critical value: log-space tail inversion cost.
 //   - Shard artifacts: serializing one shard-sized tree, its footer
 //     checksum, and ParseTree and ValidateInvariants over it (the write
 //     and load cost a multi-process build pays per shard; DESIGN.md §16).
-//   - Window fold: nine sealed generation trees folded with a seal per
-//     source versus one seal at the end (DESIGN.md §14); and the
-//     merger's fold of four shard trees of paper-14d (DESIGN.md §16).
+//   - Window fold: a snapshot's fold of nine flushed generations, one
+//     k-way merge and one layout on 1 or 2 threads (DESIGN.md §14); and
+//     the merger's fold of four shard trees of paper-14d (DESIGN.md §16).
 //   - Full MrCC runs at increasing eta (end-to-end linearity).
 
 #include <benchmark/benchmark.h>
@@ -126,31 +127,29 @@ BENCHMARK(BM_TreeBuildResolutions)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 
 // Ablation: face-only mask is O(d) per cell; the full order-3 mask is
 // O(3^d). The paper picks the face-only variant for exactly this reason.
-void BM_FaceMaskConvolve(benchmark::State& state) {
+// Both run as the β-search runs them: one level's sorted keys and one
+// merge-join per positive mask offset (LaplacianConvolveLevel), one
+// thread. Arguments: d, then 0 (face) or 1 (full). Items are cells.
+void BM_MaskConvolveLevel(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));
+  const bool full_mask = state.range(1) == 1;
   const LabeledDataset ds = MakeData(5000, d);
   auto tree = CountingTree::Build(ds.data, 4);
   const CountingTree::LevelView level = tree->Level(2);
-  const auto coords = level.Coords(0);
+  ThreadPool pool(1);
+  std::vector<int64_t> conv(level.num_cells());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        FaceLaplacianConvolve(*tree, 2, coords, level.counts()[0]));
+    const LevelKeys keys(level);
+    LaplacianConvolveLevel(keys, full_mask, pool, conv.data());
+    benchmark::DoNotOptimize(conv.data());
+    benchmark::ClobberMemory();
   }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(level.num_cells()));
 }
-BENCHMARK(BM_FaceMaskConvolve)->DenseRange(2, 12, 2);
-
-void BM_FullMaskConvolve(benchmark::State& state) {
-  const size_t d = static_cast<size_t>(state.range(0));
-  const LabeledDataset ds = MakeData(5000, d);
-  auto tree = CountingTree::Build(ds.data, 4);
-  const CountingTree::LevelView level = tree->Level(2);
-  const auto coords = level.Coords(0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        FullLaplacianConvolve(*tree, 2, coords, level.counts()[0]));
-  }
-}
-BENCHMARK(BM_FullMaskConvolve)->DenseRange(2, 12, 2);
+BENCHMARK(BM_MaskConvolveLevel)
+    ->ArgNames({"d", "full"})
+    ->ArgsProduct({{2, 4, 6, 8}, {0, 1}});
 
 // ---- Data layout (DESIGN.md §12): SoA arena sweeps versus the pointer
 // walks they replaced, and the per-level sorted keys the convolution
@@ -316,12 +315,12 @@ BENCHMARK(BM_ValidateInvariants)
     ->Arg(30)
     ->Unit(benchmark::kMillisecond);
 
-// ---- Window fold (DESIGN.md §14): a sliding-window snapshot folds its
-// sealed generation trees into an empty tree. Nine 16,384-point
-// generations of the bench's 14-d design at H = 4, as in mrcc_bench's
-// stream-window workload. Arg(0) seals after every source (MergeTree),
-// Arg(1) counts every source in with InsertTree and seals once. Items
-// are source cells.
+// ---- Window fold (DESIGN.md §14): what a sliding-window snapshot runs.
+// Nine 16,384-point generations of the bench's 14-d design at H = 4, as
+// in mrcc_bench's stream-window workload, each Insert()ed and flushed
+// (a key order, never laid out); one CountingTree::Fold merges them and
+// lays the window out on a pool of `threads` threads. Items are source
+// cells.
 
 struct GenerationFixture {
   std::vector<CountingTree> generations;
@@ -335,15 +334,19 @@ const GenerationFixture& Generations() {
     const LabeledDataset ds = MakeData(kGenerations * kGenerationPoints, 14);
     GenerationFixture f;
     for (size_t g = 0; g < kGenerations; ++g) {
-      Dataset slice(0, ds.data.NumDims());
+      Result<CountingTree> tree = CountingTree::Empty(14, 4);
+      MRCC_CHECK(tree.ok());
       for (size_t i = g * kGenerationPoints; i < (g + 1) * kGenerationPoints;
            ++i) {
-        slice.AppendPoint(ds.data.Point(i));
+        MRCC_CHECK(tree->Insert(ds.data.Point(i)).ok());
       }
-      Result<CountingTree> tree = CountingTree::Build(slice, 4);
-      MRCC_CHECK(tree.ok());
-      for (int h = 1; h < tree->num_resolutions(); ++h) {
-        f.cells += tree->NumCellsAtLevel(h);
+      tree->Flush();
+      // The generation's own cells: the fold of it alone.
+      const CountingTree* part[] = {&*tree};
+      Result<CountingTree> alone = CountingTree::Fold(part, nullptr, nullptr);
+      MRCC_CHECK(alone.ok());
+      for (int h = 1; h < alone->num_resolutions(); ++h) {
+        f.cells += alone->NumCellsAtLevel(h);
       }
       f.generations.push_back(std::move(*tree));
     }
@@ -354,23 +357,25 @@ const GenerationFixture& Generations() {
 
 void BM_FoldGenerations(benchmark::State& state) {
   const GenerationFixture& f = Generations();
-  const bool seal_once = state.range(0) == 1;
+  ThreadPool pool(static_cast<int>(state.range(0)));
+  std::vector<const CountingTree*> parts;
+  for (const CountingTree& generation : f.generations) {
+    parts.push_back(&generation);
+  }
   for (auto _ : state) {
-    Result<CountingTree> window = CountingTree::Empty(14, 4);
+    MergeTreeStats stats;
+    Result<CountingTree> window = CountingTree::Fold(parts, &pool, &stats);
     MRCC_CHECK(window.ok());
-    for (const CountingTree& generation : f.generations) {
-      Result<MergeTreeStats> fold = seal_once
-                                        ? window->InsertTree(generation)
-                                        : MergeTree(&*window, generation);
-      MRCC_CHECK(fold.ok());
-    }
-    window->Seal();
     benchmark::DoNotOptimize(window->total_points());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(f.cells));
 }
-BENCHMARK(BM_FoldGenerations)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FoldGenerations)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 // ---- Artifact fold (DESIGN.md §16): the merger's fold of paper-14d's
 // four shard trees — the quarters of one million 14-d points at H = 4 —

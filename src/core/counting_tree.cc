@@ -1,6 +1,7 @@
 #include "core/counting_tree.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <numeric>
@@ -245,6 +246,46 @@ void ForEachIndex(ThreadPool* pool, size_t n,
   });
 }
 
+// How far ahead the layout's scatter loops prefetch the rows they write:
+// far enough to cover a cache miss, near enough to stay in the cache.
+constexpr size_t kPrefetchAhead = 16;
+
+// Prefetches, for writing, the bytes [p, p + bytes).
+template <typename T>
+inline void PrefetchForWrite(T* p, size_t bytes) {
+  const auto* first = reinterpret_cast<const char*>(p);
+  __builtin_prefetch(first, 1);
+  if (bytes > 1) __builtin_prefetch(first + bytes - 1, 1);
+}
+
+// kNibbleMask[v][x]: all ones when bit x of v is set, else zero.
+constexpr auto kNibbleMask = [] {
+  std::array<std::array<uint32_t, 4>, 16> mask{};
+  for (size_t v = 0; v < 16; ++v) {
+    for (size_t x = 0; x < 4; ++x) mask[v][x] = (v >> x) & 1 ? ~0u : 0u;
+  }
+  return mask;
+}();
+
+// Adds n to sums[j] for every j < d whose bit j of `bits` is set, four
+// bits a step: `sums` holds d entries rounded up to a multiple of 4.
+inline void AddWhereSet(uint64_t bits, uint32_t n, size_t d, uint32_t* sums) {
+  for (size_t j = 0; j < d; j += 4) {
+    const std::array<uint32_t, 4>& mask = kNibbleMask[(bits >> j) & 15];
+    for (size_t x = 0; x < 4; ++x) sums[j + x] += n & mask[x];
+  }
+}
+
+// Writes to `out` the sum of the d-count rows [first, last), at least
+// one (a merged cell's rows of CountingTree::HalfRows).
+inline void SumRows(const uint32_t* const* first, const uint32_t* const* last,
+                    size_t d, uint32_t* out) {
+  std::copy_n(*first, d, out);
+  while (++first < last) {
+    for (size_t x = 0; x < d; ++x) out[x] += (*first)[x];
+  }
+}
+
 // The partition pass: moves the records of the stream's slices (slice w:
 // filled[w] records at slices[w]) into as many contiguous key ranges as
 // there are slices, written to `out` range after range, on `pool`'s
@@ -380,7 +421,7 @@ Status CountingTree::Insert(std::span<const double> point) {
   MRCC_RETURN_IF_ERROR(CheckPoint(point, num_dims_));
   const size_t words = KeyWords();
   if ((run_.size() + words + 1) * sizeof(uint64_t) > kMaxRunBytes) {
-    FlushRun();
+    Flush();
   }
   const size_t at = run_.size();
   if (at + words + 1 > run_.capacity()) {
@@ -389,7 +430,7 @@ Status CountingTree::Insert(std::span<const double> point) {
     run_.reserve(std::min(std::max(2 * run_.capacity(), 64 * (words + 1)),
                           kMaxRunBytes / sizeof(uint64_t)));
   }
-  run_.resize(at + words + 1, 0);  // FlushRun numbers the records.
+  run_.resize(at + words + 1, 0);  // Flush numbers the records.
   DigitKey(num_dims_, num_resolutions_, point, run_.data() + at);
   return Status::OK();
 }
@@ -412,7 +453,7 @@ void CountingTree::Seal() {
 }
 
 void CountingTree::LayOutPending(ThreadPool* pool) {
-  FlushRun();
+  Flush();
   if (pending_ == nullptr) return;
   *this = LayOut(num_dims_, num_resolutions_, *pending_, pool);
 }
@@ -433,17 +474,20 @@ CountingTree::KeyOrder::Level CountingTree::KeyOrder::Level::Allocate(
   lv.n = std::make_unique_for_overwrite<uint32_t[]>(cells);
   lv.first = std::make_unique_for_overwrite<uint32_t[]>(cells);
   lv.parent = std::make_unique_for_overwrite<uint32_t[]>(cells);
-  lv.half = std::make_unique_for_overwrite<uint32_t[]>(cells * d);
+  if (d > 0) lv.half = std::make_unique_for_overwrite<uint32_t[]>(cells * d);
   return lv;
 }
 
 size_t CountingTree::KeyOrder::MemoryBytes(size_t d) const {
-  size_t cells = 0;
-  for (const Level& lv : levels) cells += lv.cells;
-  return cells * (sizeof(uint64_t) + (3 + d) * sizeof(uint32_t));
+  size_t bytes = 0;
+  for (const Level& lv : levels) {
+    bytes += lv.cells * (sizeof(uint64_t) + 3 * sizeof(uint32_t));
+    if (lv.half != nullptr) bytes += lv.cells * d * sizeof(uint32_t);
+  }
+  return bytes;
 }
 
-void CountingTree::FlushRun() {
+void CountingTree::Flush() {
   if (run_.empty()) return;
   const size_t stride = KeyWords() + 1;
   const size_t points = run_.size() / stride;
@@ -582,13 +626,15 @@ CountingTree::KeyOrder CountingTree::BuildKeyOrder(
       offset[r][hs] = cells;
       cells += sorted[r].cells[hs];
     }
-    key_order.levels[hs] = KeyOrder::Level::Allocate(cells, d);
+    key_order.levels[hs] =
+        KeyOrder::Level::Allocate(cells, h == deepest ? d : 0);
   }
   for (const KeyRange& range : ranges) key_order.points += range.count;
 
   // Each range fills its own cells. Record r opens one cell at each
   // level from split[r] down; the deepest level is counted from its
-  // records, then each upper level is summed from its children.
+  // records, then each upper level's n and first are taken from its
+  // children (LayOut sums their half counts).
   ForEachIndex(pool, ranges.size(), [&](size_t r) {
     const SortedRange& in = sorted[r];
     const uint64_t low_mask = (uint64_t{1} << d) - 1;  // The H-th digit.
@@ -610,7 +656,9 @@ CountingTree::KeyOrder CountingTree::BuildKeyOrder(
         // Stable sorting puts a deepest cell's earliest record first.
         lv.first[c] =
             h == deepest ? static_cast<uint32_t>(rec[words]) : UINT32_MAX;
-        std::fill_n(lv.half.get() + size_t{c} * d, d, uint32_t{0});
+        if (h == deepest) {
+          std::fill_n(lv.half.get() + size_t{c} * d, d, uint32_t{0});
+        }
       }
       const uint32_t c = opened[static_cast<size_t>(deepest)] - 1;
       leaf.n[c] += 1;
@@ -628,15 +676,8 @@ CountingTree::KeyOrder CountingTree::BuildKeyOrder(
       KeyOrder::Level& up = key_order.levels[hs - 1];
       for (size_t c = offset[r][hs]; c < opened[hs]; ++c) {
         const uint32_t p = lv.parent[c];
-        const uint32_t n = lv.n[c];
-        up.n[p] += n;
+        up.n[p] += lv.n[c];
         up.first[p] = std::min(up.first[p], lv.first[c]);
-        // A child whose loc bit j is 0 lies in its parent's lower half.
-        const uint64_t lower = ~lv.loc[c];
-        uint32_t* half = up.half.get() + size_t{p} * d;
-        for (size_t j = 0; j < d; ++j) {
-          half[j] += n * static_cast<uint32_t>((lower >> j) & 1);
-        }
       }
     }
   });
@@ -644,7 +685,8 @@ CountingTree::KeyOrder CountingTree::BuildKeyOrder(
 }
 
 CountingTree CountingTree::LayOut(size_t d, int resolutions,
-                                  KeyOrder& key_order, ThreadPool* pool) {
+                                  KeyOrder& key_order, ThreadPool* pool,
+                                  const HalfRows* deepest_half) {
   MRCC_TRACE_SPAN_N("tree.build.layout",
                     static_cast<int64_t>(key_order.points));
   const int deepest = resolutions - 1;
@@ -746,6 +788,15 @@ CountingTree CountingTree::LayOut(size_t d, int resolutions,
     const KeyOrder::Level& lv = levels[h];
     ForSlices(pool, lv.cells, [&](size_t begin, size_t end) {
       for (size_t c = begin; c < end; ++c) {
+        if (c + kPrefetchAhead < end) {
+          const size_t ahead = c + kPrefetchAhead;
+          PrefetchForWrite(tree.base_.data() + size_t{node_of[h][ahead]} * d,
+                           d * sizeof(uint64_t));
+          if (h > 1) {
+            __builtin_prefetch(tree.base_.data() +
+                               size_t{node_of[h - 1][lv.parent[ahead]]} * d);
+          }
+        }
         const uint32_t owner = h == 1 ? 0 : node_of[h - 1][lv.parent[c]];
         const uint64_t* base = tree.base_.data() + size_t{owner} * d;
         uint64_t* child = tree.base_.data() + size_t{node_of[h][c]} * d;
@@ -772,8 +823,13 @@ CountingTree CountingTree::LayOut(size_t d, int resolutions,
   by_first.clear();
   child_first = {};
 
-  // Write each level's arena from its key-order cells, read in order.
-  for (size_t h = 1; h <= static_cast<size_t>(deepest); ++h) {
+  // Write each level's arena from its key-order cells, read in order,
+  // top-down. An upper cell's half counts are summed from its children
+  // (a child whose loc bit j is 0 lies in its parent's lower half along
+  // e_j); the deepest level's are copied, or summed from a fold's
+  // sources. Each key-order level is freed once written: only its own
+  // write and its parents' read it.
+  for (size_t h = 1; h < num_levels; ++h) {
     KeyOrder::Level& lv = levels[h];
     Arena& arena = tree.arenas_[h];
     arena.loc.resize(lv.cells);
@@ -782,15 +838,52 @@ CountingTree CountingTree::LayOut(size_t d, int resolutions,
     arena.owner.resize(lv.cells);
     arena.half.resize(lv.cells * d);
     const bool upper = h < static_cast<size_t>(deepest);
+    const KeyOrder::Level& below = levels[upper ? h + 1 : h];
     ForSlices(pool, lv.cells, [&](size_t begin, size_t end) {
+      // The level below is sorted by parent: the children of cells
+      // [begin, end) start at the first child of cell `begin`.
+      size_t child =
+          upper ? static_cast<size_t>(
+                      std::lower_bound(below.parent.get(),
+                                       below.parent.get() + below.cells,
+                                       begin) -
+                      below.parent.get())
+                : 0;
       for (size_t c = begin; c < end; ++c) {
+        if (c + kPrefetchAhead < end) {
+          const uint32_t ahead = slot[h][c + kPrefetchAhead];
+          PrefetchForWrite(arena.half.data() + size_t{ahead} * d,
+                           d * sizeof(uint32_t));
+          PrefetchForWrite(arena.loc.data() + ahead, sizeof(uint64_t));
+          PrefetchForWrite(arena.n.data() + ahead, sizeof(uint32_t));
+          PrefetchForWrite(arena.child.data() + ahead, sizeof(int32_t));
+          PrefetchForWrite(arena.owner.data() + ahead, sizeof(uint32_t));
+          if (!upper && lv.half == nullptr) {  // The cell's first row.
+            __builtin_prefetch(
+                deepest_half->rows[deepest_half->at[c + kPrefetchAhead]]);
+          }
+        }
         const uint32_t i = slot[h][c];
         arena.loc[i] = lv.loc[c];
         arena.n[i] = lv.n[c];
         arena.child[i] = upper ? static_cast<int32_t>(node_of[h][c]) : -1;
         arena.owner[i] = h == 1 ? 0 : node_of[h - 1][lv.parent[c]];
-        std::copy_n(lv.half.get() + c * d, d,
-                    arena.half.data() + size_t{i} * d);
+        uint32_t* half = arena.half.data() + size_t{i} * d;
+        if (!upper) {
+          if (lv.half != nullptr) {
+            std::copy_n(lv.half.get() + c * d, d, half);
+          } else {
+            const uint32_t* const* rows = deepest_half->rows.data();
+            SumRows(rows + deepest_half->at[c],
+                    rows + deepest_half->at[c + 1], d, half);
+          }
+          continue;
+        }
+        uint32_t sums[kMaxDims + 3] = {};
+        for (; child < below.cells && below.parent[child] == c; ++child) {
+          AddWhereSet(~below.loc[child], below.n[child], d, sums);
+        }
+        std::copy_n(sums, d, half);
       }
     });
     lv = KeyOrder::Level{};
@@ -817,34 +910,35 @@ Result<MergeTreeStats> CountingTree::InsertTree(const CountingTree& other) {
     return Status::InvalidArgument(
         "source tree is not sealed: call Seal() before inserting it");
   }
-  // Ranks stand in for first positions only when the source's node pool
-  // is in creation order, every node after its parent. Built and folded
-  // trees always are, but a tree parsed from crafted bytes need not be:
-  // check up front, so such a source is rejected before the destination
-  // changes.
-  {
-    std::vector<uint8_t> reached(other.nodes_.size(), 0);
-    reached[0] = 1;
-    for (size_t m = 0; m < other.nodes_.size(); ++m) {
-      if (reached[m] == 0) {
-        return Status::Internal("merge source tree is not in creation order");
-      }
-      const Node& src = other.nodes_[m];
-      const int32_t* child =
-          other.arenas_[static_cast<size_t>(src.level)].child.data() +
-          src.first;
-      for (uint32_t c = 0; c < src.count; ++c) {
-        if (child[c] < 0) continue;
-        if (static_cast<size_t>(child[c]) >= reached.size()) {
-          return Status::Internal("merge source tree has a dangling child");
-        }
-        reached[static_cast<size_t>(child[c])] = 1;
-      }
-    }
-  }
-  FlushRun();  // This tree's own pending points come first in the stream.
+  MRCC_RETURN_IF_ERROR(other.CheckCreationOrder());
+  Flush();  // This tree's own pending points come first in the stream.
   KeyOrder source = other.RankedKeyOrder();
   return MergePending(source);
+}
+
+Status CountingTree::CheckCreationOrder() const {
+  // Ranks stand in for first positions only when the node pool is in
+  // creation order, every node after its parent. Built and folded trees
+  // always are, but a tree parsed from crafted bytes need not be: callers
+  // check up front, so such a source is rejected before anything changes.
+  std::vector<uint8_t> reached(nodes_.size(), 0);
+  reached[0] = 1;
+  for (size_t m = 0; m < nodes_.size(); ++m) {
+    if (reached[m] == 0) {
+      return Status::Internal("merge source tree is not in creation order");
+    }
+    const Node& src = nodes_[m];
+    const int32_t* child =
+        arenas_[static_cast<size_t>(src.level)].child.data() + src.first;
+    for (uint32_t c = 0; c < src.count; ++c) {
+      if (child[c] < 0) continue;
+      if (static_cast<size_t>(child[c]) >= reached.size()) {
+        return Status::Internal("merge source tree has a dangling child");
+      }
+      reached[static_cast<size_t>(child[c])] = 1;
+    }
+  }
+  return Status::OK();
 }
 
 CountingTree::KeyOrder CountingTree::RankedKeyOrder() const {
@@ -862,7 +956,7 @@ CountingTree::KeyOrder CountingTree::RankedKeyOrder() const {
   for (size_t h = 1; h <= deepest; ++h) {
     const Arena& arena = arenas_[h];
     KeyOrder::Level& lv = key_order.levels[h];
-    lv = KeyOrder::Level::Allocate(arena.size(), d);
+    lv = KeyOrder::Level::Allocate(arena.size(), h == deepest ? d : 0);
     std::vector<uint32_t> at(arena.size());
     const size_t parents = h == 1 ? 1 : arena_of.size();
     size_t c = 0;
@@ -887,8 +981,10 @@ CountingTree::KeyOrder CountingTree::RankedKeyOrder() const {
       // A node's pool index follows its parent cell's creation; a
       // deepest cell's arena index its creation within its node.
       lv.first[c] = h == deepest ? i : static_cast<uint32_t>(arena.child[i]);
-      std::copy_n(arena.half.data() + size_t{i} * d, d,
-                  lv.half.get() + c * d);
+      if (h == deepest) {
+        std::copy_n(arena.half.data() + size_t{i} * d, d,
+                    lv.half.get() + c * d);
+      }
     }
     arena_of = std::move(at);
   }
@@ -905,13 +1001,285 @@ CountingTree::KeyOrder& CountingTree::Pending() {
   return *pending_;
 }
 
+// The k-way merge of the key orders of consecutive stream segments,
+// oldest first. Every source's level is sorted by (parent, loc) and the
+// merged parents keep each source's parent order, so the merged level is
+// sorted by (merged parent, loc). A source's cells of one parent form a
+// run; the runs are bucketed by merged parent, and each bucket's runs are
+// merged by loc — below the top levels a parent is held by few sources
+// and has few children, so the merge never scans every source per cell.
+// Source s's ranks are offset by the summed position bounds of the
+// sources before it, so a cell several sources hold keeps the earliest
+// one's rank, the lowest.
+//
+// The key space is cut at level-1 locs into one part per pool thread
+// (at quantiles of the largest source's level-1 counts). At every level
+// a part's cells are one range of each source and one range of the
+// merged level, so the parts merge independently: the constructor finds
+// each source cell's merged index within its part, every level, one part
+// per thread, and Level(h) writes merged level h, each part at its
+// offset.
+class CountingTree::KeyOrderMerge {
+ public:
+  KeyOrderMerge(std::span<const KeyOrder* const> sources, size_t d,
+                ThreadPool* pool);
+
+  /// Merged level h. It reads the sources' level h only, which may be
+  /// freed afterwards, and holds no half counts: half_rows() lists the
+  /// deepest level's.
+  KeyOrder::Level Level(size_t h);
+
+  /// Each merged deepest cell's source rows.
+  const HalfRows& half_rows() const { return half_rows_; }
+
+  /// The counters of InsertTree()ing every source in order into an
+  /// empty tree.
+  const MergeTreeStats& stats() const { return stats_; }
+
+ private:
+  /// Source s's cells of part t at level h: [Begin(h, s, t),
+  /// Begin(h, s, t + 1)).
+  size_t& Begin(size_t h, size_t s, size_t t) {
+    return begin_[h][s * (parts_ + 1) + t];
+  }
+
+  /// Finds each source cell's merged index within part t at every level,
+  /// and the source rows of the part's deepest merged cells.
+  void MergePart(size_t t);
+
+  std::vector<const KeyOrder*> sources_;
+  size_t d_;
+  size_t deepest_;
+  ThreadPool* pool_;
+  size_t parts_;
+  std::vector<uint32_t> offset_;  // Each source's rank offset.
+  std::vector<std::vector<size_t>> begin_;
+  // to_[h][s][j]: the merged index of source s's level-h cell j within
+  // its part.
+  std::vector<std::vector<std::vector<uint32_t>>> to_;
+  // Part t's merged level-h cells are [out_begin_[h][t],
+  // out_begin_[h][t + 1]).
+  std::vector<std::vector<size_t>> out_begin_;
+  // Part t's deepest merged cells' first rows, then its row count.
+  std::vector<std::vector<uint32_t>> part_at_;
+  HalfRows half_rows_;
+  MergeTreeStats stats_;
+};
+
+CountingTree::KeyOrderMerge::KeyOrderMerge(
+    std::span<const KeyOrder* const> sources, size_t d, ThreadPool* pool)
+    : sources_(sources.begin(), sources.end()),
+      d_(d),
+      deepest_(sources[0]->levels.size() - 1),
+      pool_(pool),
+      parts_(pool != nullptr ? static_cast<size_t>(pool->num_threads()) : 1),
+      offset_(sources.size()),
+      begin_(deepest_ + 1,
+             std::vector<size_t>(sources.size() * (parts_ + 1), 0)),
+      to_(deepest_ + 1, std::vector<std::vector<uint32_t>>(sources.size())),
+      out_begin_(deepest_ + 1, std::vector<size_t>(parts_ + 1, 0)),
+      part_at_(parts_) {
+  const size_t k = sources_.size();
+  // The layout sorts ranks as 32-bit words, so their bound must fit one:
+  // check it rather than let a rank wrap.
+  uint64_t bound = 0;
+  size_t largest = 0;
+  for (size_t s = 0; s < k; ++s) {
+    offset_[s] = static_cast<uint32_t>(bound);
+    bound += sources_[s]->position_bound;
+    MRCC_CHECK_LE(bound, uint64_t{UINT32_MAX});
+    if (sources_[s]->points > sources_[largest]->points) largest = s;
+  }
+
+  // Part t holds the level-1 locs in [cut[t], cut[t + 1]): cut where the
+  // largest source's level-1 counts pass each 1/parts of its points.
+  std::vector<uint64_t> cut(parts_ + 1, UINT64_MAX);
+  cut[0] = 0;
+  {
+    const KeyOrder::Level& top = sources_[largest]->levels[1];
+    uint64_t seen = 0;
+    size_t t = 1;
+    for (size_t c = 0; c < top.cells && t < parts_; ++c) {
+      while (t < parts_ &&
+             seen * parts_ >= t * sources_[largest]->points) {
+        cut[t++] = top.loc[c];
+      }
+      seen += top.n[c];
+    }
+  }
+  // Each part's range of every source level: level 1 by loc, each level
+  // below as the children of the range above (cells sorted by parent).
+  for (size_t s = 0; s < k; ++s) {
+    for (size_t h = 1; h <= deepest_; ++h) {
+      const KeyOrder::Level& lv = sources_[s]->levels[h];
+      for (size_t t = 0; t <= parts_; ++t) {
+        Begin(h, s, t) =
+            h == 1 ? static_cast<size_t>(
+                         std::lower_bound(lv.loc.get(), lv.loc.get() + lv.cells,
+                                          cut[t]) -
+                         lv.loc.get())
+                   : static_cast<size_t>(
+                         std::lower_bound(lv.parent.get(),
+                                          lv.parent.get() + lv.cells,
+                                          Begin(h - 1, s, t)) -
+                         lv.parent.get());
+      }
+      to_[h][s].resize(lv.cells);
+    }
+  }
+  size_t rows = 0;
+  for (size_t s = 0; s < k; ++s) rows += sources_[s]->levels[deepest_].cells;
+  half_rows_.rows.resize(rows);
+
+  ForEachIndex(pool_, parts_, [this](size_t t) { MergePart(t); });
+
+  for (size_t h = 1; h <= deepest_; ++h) {
+    for (size_t t = 0; t < parts_; ++t) {
+      out_begin_[h][t + 1] += out_begin_[h][t];
+    }
+    size_t source_cells = 0;
+    for (size_t s = 0; s < k; ++s) source_cells += sources_[s]->levels[h].cells;
+    const size_t merged = out_begin_[h][parts_];
+    stats_.cells_created += merged;
+    stats_.cells_merged += source_cells - merged;
+    if (h < deepest_) stats_.nodes_created += merged;
+  }
+  half_rows_.at.resize(out_begin_[deepest_][parts_] + 1);
+  for (size_t t = 0; t < parts_; ++t) {
+    std::copy(part_at_[t].begin(), part_at_[t].end(),
+              half_rows_.at.begin() +
+                  static_cast<std::ptrdiff_t>(out_begin_[deepest_][t]));
+  }
+  half_rows_.at.back() = static_cast<uint32_t>(rows);
+  part_at_ = {};
+}
+
+void CountingTree::KeyOrderMerge::MergePart(size_t t) {
+  constexpr uint64_t kNoLoc = UINT64_MAX;  // Above every d-bit loc.
+  const size_t k = sources_.size();
+  struct Run {
+    uint32_t source;
+    uint32_t at;  // The run's next unmerged cell.
+    uint32_t end;
+  };
+  std::vector<uint32_t> bucket;
+  std::vector<Run> runs;
+  std::vector<const uint64_t*> locs(k);
+  std::vector<const uint32_t*> halves(k);
+  std::vector<uint32_t*> tos(k);
+  // The part's deepest rows follow every earlier part's.
+  size_t row = 0;
+  for (size_t s = 0; s < k; ++s) row += Begin(deepest_, s, t);
+  size_t parents = 1;  // The part's merged cells of the level above.
+  for (size_t h = 1; h <= deepest_; ++h) {
+    const bool deepest = h == deepest_;
+    // Bucket every source's runs by merged parent (a counting sort;
+    // within a bucket the runs keep source order).
+    const auto each_run = [&](size_t s, const auto& fn) {
+      const KeyOrder::Level& lv = sources_[s]->levels[h];
+      const size_t stop = Begin(h, s, t + 1);
+      for (size_t at = Begin(h, s, t), end = 0; at < stop; at = end) {
+        end = at + 1;
+        while (end < stop && lv.parent[end] == lv.parent[at]) ++end;
+        fn(h == 1 ? 0 : to_[h - 1][s][lv.parent[at]],
+           static_cast<uint32_t>(at), static_cast<uint32_t>(end));
+      }
+    };
+    bucket.assign(parents + 1, 0);
+    for (size_t s = 0; s < k; ++s) {
+      each_run(s, [&](uint32_t p, uint32_t, uint32_t) { ++bucket[p + 1]; });
+    }
+    for (size_t p = 0; p < parents; ++p) bucket[p + 1] += bucket[p];
+    runs.resize(bucket[parents]);
+    for (size_t s = 0; s < k; ++s) {
+      each_run(s, [&](uint32_t p, uint32_t at, uint32_t end) {
+        runs[bucket[p]++] = Run{static_cast<uint32_t>(s), at, end};
+      });
+    }
+    // bucket[p] now ends bucket p: bucket p is [bucket[p - 1], bucket[p]).
+
+    // Each source cell's merged index, a merged parent's bucket at a time;
+    // at the deepest level also each merged cell's source rows, in order.
+    for (size_t s = 0; s < k; ++s) {
+      locs[s] = sources_[s]->levels[h].loc.get();
+      halves[s] = sources_[s]->levels[h].half.get();
+      tos[s] = to_[h][s].data();
+    }
+    std::vector<uint32_t>& at = part_at_[t];
+    uint32_t merged = 0;
+    // Source cell `r.at` goes to merged cell `merged`.
+    const auto take = [&](Run& r) {
+      if (deepest) half_rows_.rows[row++] = halves[r.source] + r.at * d_;
+      tos[r.source][r.at++] = merged;
+    };
+    // Merged cell `merged` starts: its source rows start at `row`.
+    const auto start_cell = [&] {
+      if (deepest) at.push_back(static_cast<uint32_t>(row));
+    };
+    for (size_t p = 0; p < parents; ++p) {
+      Run* const first = runs.data() + (p == 0 ? 0 : bucket[p - 1]);
+      Run* const last = runs.data() + bucket[p];
+      if (last - first == 1) {
+        while (first->at < first->end) {
+          start_cell();
+          take(*first);
+          ++merged;
+        }
+        continue;
+      }
+      for (;;) {
+        uint64_t loc = kNoLoc;
+        for (const Run* r = first; r < last; ++r) {
+          if (r->at < r->end) loc = std::min(loc, locs[r->source][r->at]);
+        }
+        if (loc == kNoLoc) break;
+        start_cell();
+        for (Run* r = first; r < last; ++r) {
+          if (r->at < r->end && locs[r->source][r->at] == loc) take(*r);
+        }
+        ++merged;
+      }
+    }
+    out_begin_[h][t + 1] = merged;
+    parents = merged;
+  }
+}
+
+CountingTree::KeyOrder::Level CountingTree::KeyOrderMerge::Level(size_t h) {
+  // The merged cells. Sources go oldest first, so the first source to
+  // reach a cell gives it its earliest, lowest rank; counts add.
+  KeyOrder::Level out = KeyOrder::Level::Allocate(out_begin_[h][parts_], 0);
+  ForEachIndex(pool_, parts_, [&](size_t t) {
+    const size_t base = out_begin_[h][t];
+    const size_t parent_base = h == 1 ? 0 : out_begin_[h - 1][t];
+    const size_t end = out_begin_[h][t + 1];
+    std::fill(out.n.get() + base, out.n.get() + end, uint32_t{0});
+    std::fill(out.first.get() + base, out.first.get() + end, UINT32_MAX);
+    for (size_t s = 0; s < sources_.size(); ++s) {
+      const KeyOrder::Level& lv = sources_[s]->levels[h];
+      const uint32_t* to = to_[h][s].data();
+      const uint32_t* parent_to = h == 1 ? nullptr : to_[h - 1][s].data();
+      const uint32_t offset = offset_[s];
+      for (size_t j = Begin(h, s, t); j < Begin(h, s, t + 1); ++j) {
+        const size_t o = base + to[j];
+        out.loc[o] = lv.loc[j];
+        out.parent[o] = h == 1 ? 0
+                               : static_cast<uint32_t>(
+                                     parent_base + parent_to[lv.parent[j]]);
+        out.first[o] = std::min(out.first[o], lv.first[j] + offset);
+        out.n[o] += lv.n[j];
+      }
+    }
+  });
+  return out;
+}
+
 MergeTreeStats CountingTree::MergePending(KeyOrder& source) {
   KeyOrder& into = Pending();
-  const size_t d = num_dims_;
   const size_t deepest = static_cast<size_t>(num_resolutions_ - 1);
-  MergeTreeStats stats;
   total_points_ += source.points;
   if (into.points == 0) {  // Nothing to merge with: adopt the source.
+    MergeTreeStats stats;
     for (size_t h = 1; h <= deepest; ++h) {
       stats.cells_created += source.levels[h].cells;
       if (h < deepest) stats.nodes_created += source.levels[h].cells;
@@ -919,74 +1287,84 @@ MergeTreeStats CountingTree::MergePending(KeyOrder& source) {
     into = std::move(source);
     return stats;
   }
-  // The source's ranks follow every pending one. The layout sorts ranks
-  // as 32-bit words, so their bound must fit one: check it rather than
-  // let a rank wrap.
-  const uint64_t offset = into.position_bound;
-  MRCC_CHECK_LE(offset + source.position_bound, uint64_t{UINT32_MAX});
-  const auto shift = static_cast<uint32_t>(offset);
-  // a_to / b_to: the merged index of each pending / source cell of the
-  // level above (both trees' root for level 1).
-  std::vector<uint32_t> a_to(1, 0), b_to(1, 0);
+  // The pending cells are counted already: only the source's are merged
+  // or created.
+  uint64_t pending_cells = 0;
+  uint64_t pending_nodes = 0;
+  const KeyOrder* sources[] = {&into, &source};
+  KeyOrderMerge merge(sources, num_dims_, nullptr);
   for (size_t h = 1; h <= deepest; ++h) {
-    const KeyOrder::Level a = std::move(into.levels[h]);
-    const KeyOrder::Level b = std::move(source.levels[h]);
-    std::vector<uint32_t> a_up = std::move(a_to), b_up = std::move(b_to);
-    a_to.resize(a.cells);
-    b_to.resize(b.cells);
-    // Both sides are sorted by (parent, loc), and the merged parents
-    // keep each side's parent order, so one merge pass orders the level.
-    size_t i = 0, j = 0, k = 0;
-    while (i < a.cells && j < b.cells) {
-      const uint32_t pa = a_up[a.parent[i]];
-      const uint32_t pb = b_up[b.parent[j]];
-      if (pa != pb ? pa < pb : a.loc[i] < b.loc[j]) {
-        a_to[i++] = static_cast<uint32_t>(k++);
-      } else if (pa != pb || a.loc[i] != b.loc[j]) {
-        b_to[j++] = static_cast<uint32_t>(k++);
-      } else {
-        a_to[i++] = b_to[j++] = static_cast<uint32_t>(k++);
+    pending_cells += into.levels[h].cells;
+    if (h < deepest) pending_nodes += into.levels[h].cells;
+    KeyOrder::Level out = merge.Level(h);
+    if (h == deepest) {  // Sum the half counts while both sides are here.
+      const size_t d = num_dims_;
+      out.half = std::make_unique_for_overwrite<uint32_t[]>(out.cells * d);
+      const HalfRows& half = merge.half_rows();
+      for (size_t c = 0; c < out.cells; ++c) {
+        const uint32_t* const* rows = half.rows.data();
+        SumRows(rows + half.at[c], rows + half.at[c + 1], d,
+                out.half.get() + c * d);
       }
     }
-    while (i < a.cells) a_to[i++] = static_cast<uint32_t>(k++);
-    while (j < b.cells) b_to[j++] = static_cast<uint32_t>(k++);
-
-    // Then the merged cells in order. A cell both sides hold keeps the
-    // pending rank, which is the lower.
-    KeyOrder::Level out = KeyOrder::Level::Allocate(k, d);
-    i = 0;
-    j = 0;
-    for (size_t o = 0; o < k; ++o) {
-      uint32_t* half = out.half.get() + o * d;
-      if (i < a.cells && a_to[i] == o) {
-        out.loc[o] = a.loc[i];
-        out.n[o] = a.n[i];
-        out.first[o] = a.first[i];
-        out.parent[o] = a_up[a.parent[i]];
-        std::copy_n(a.half.get() + i * d, d, half);
-        ++i;
-        if (j == b.cells || b_to[j] != o) continue;
-        out.n[o] += b.n[j];
-        const uint32_t* add = b.half.get() + j * d;
-        for (size_t x = 0; x < d; ++x) half[x] += add[x];
-      } else {
-        out.loc[o] = b.loc[j];
-        out.n[o] = b.n[j];
-        out.first[o] = b.first[j] + shift;
-        out.parent[o] = b_up[b.parent[j]];
-        std::copy_n(b.half.get() + j * d, d, half);
-      }
-      ++j;
-    }
-    const size_t created = k - a.cells;
-    stats.cells_created += created;
-    stats.cells_merged += b.cells - created;
-    if (h < deepest) stats.nodes_created += created;
     into.levels[h] = std::move(out);
+    source.levels[h] = KeyOrder::Level{};
   }
+  MergeTreeStats stats = merge.stats();
+  stats.cells_created -= pending_cells;
+  stats.nodes_created -= pending_nodes;
   into.points += source.points;
-  into.position_bound = offset + source.position_bound;
+  into.position_bound += source.position_bound;
   return stats;
+}
+
+Result<CountingTree> CountingTree::Fold(
+    std::span<const CountingTree* const> parts, ThreadPool* pool,
+    MergeTreeStats* stats) {
+  if (parts.empty()) return Status::InvalidArgument("no trees to fold");
+  const size_t d = parts[0]->num_dims_;
+  const int resolutions = parts[0]->num_resolutions_;
+  for (const CountingTree* part : parts) {
+    if (part->num_dims_ != d) {
+      return Status::InvalidArgument("tree dimensionality mismatch");
+    }
+    if (part->num_resolutions_ != resolutions) {
+      return Status::InvalidArgument("tree resolution mismatch");
+    }
+    if (!part->run_.empty()) {
+      return Status::InvalidArgument(
+          "fold part has a pending run: call Flush() before folding it");
+    }
+    if (part->pending_ == nullptr) {
+      MRCC_RETURN_IF_ERROR(part->CheckCreationOrder());
+    }
+  }
+  // A flushed part's key order is read where it lies; a sealed part's is
+  // ranked from its arenas.
+  std::vector<KeyOrder> ranked;
+  ranked.reserve(parts.size());
+  std::vector<const KeyOrder*> sources;
+  KeyOrder window;
+  window.levels.resize(static_cast<size_t>(resolutions));
+  for (const CountingTree* part : parts) {
+    if (part->pending_ == nullptr) ranked.push_back(part->RankedKeyOrder());
+    sources.push_back(part->pending_ != nullptr ? part->pending_.get()
+                                                : &ranked.back());
+    window.points += sources.back()->points;
+    window.position_bound += sources.back()->position_bound;
+  }
+  if (window.position_bound > UINT32_MAX) {
+    return Status::InvalidArgument(
+        "fold parts' summed rank bounds pass 2^32 - 1");
+  }
+  KeyOrderMerge merge(sources, d, pool);
+  for (size_t h = 1; h < window.levels.size(); ++h) {
+    window.levels[h] = merge.Level(h);
+  }
+  CountingTree tree =
+      LayOut(d, resolutions, window, pool, &merge.half_rows());
+  if (stats != nullptr) *stats = merge.stats();
+  return tree;
 }
 
 Result<CountingTree> CountingTree::Build(const Dataset& data,

@@ -33,23 +33,31 @@
 // ceil(d * H / 64) words, and a word holds its stream position. Every
 // tree is assembled in two halves:
 //   - a key order: each level's cells sorted by (parent, loc), each with
-//     its counts and a rank that orders cells as their first stream
-//     positions do. The key-order builder gets it from a run: it
-//     LSD-radix-sorts a key range of records on the digits of levels
-//     1..H-1, counts the deepest level in one sequential pass and derives
-//     every upper level from its children (n = sum of the children's n,
-//     P[j] = sum of the n of the children whose loc bit j is 0). A sealed
-//     tree gives its own in one walk (see InsertTree), and a fold merges
-//     two key orders level by level, adding the counts of equal cells;
+//     its count n and a rank that orders cells as their first stream
+//     positions do; only the deepest level carries half-space counts.
+//     The key-order builder gets it from a run: it LSD-radix-sorts a key
+//     range of records on the digits of levels 1..H-1, counts the deepest
+//     level in one sequential pass and derives every upper level's n and
+//     rank from its children. A sealed tree gives its own in one walk
+//     (see InsertTree), and a fold merges k key orders level by level in
+//     one pass, adding the counts of equal cells (KeyOrderMerge in the
+//     .cc; two sources for InsertTree and run flushes);
 //   - the layout sorts those cells by (rank, level) and writes the packed
-//     arenas directly in the canonical order below. It writes every
-//     tree's arenas except a parsed one's (ParseTree reads them from
-//     disk); DropDeepestLevel lays out the tree's own key order without
-//     its deepest level.
-// Insert() appends records to a pending run; Seal() — or Insert() when
+//     arenas directly in the canonical order below, summing each upper
+//     cell's half-space counts from its children (P[j] = sum of the n of
+//     the children whose loc bit j is 0). It writes every tree's arenas
+//     except a parsed one's (ParseTree reads them from disk);
+//     DropDeepestLevel lays out the tree's own key order without its
+//     deepest level.
+// Insert() appends records to a pending run; Flush() — or Insert() when
 // the run would pass kMaxRunBytes — builds the run's key order and merges
 // it into the tree's pending key order; InsertTree() merges a sealed
-// tree's the same way, and Seal() lays the pending key order out once.
+// tree's the same way, and Seal() flushes and lays the pending key order
+// out once. Fold() folds many trees at once — sealed, or flushed and
+// never laid out, as a sliding window keeps its generations — in one
+// k-way merge read from where their key orders lie, and one layout whose
+// deepest half-space counts are summed from the sources straight into
+// the arena.
 // BuildPartitioned() is the parallel form: T workers scan T stream slices
 // into one record buffer, one MSD pass on the top bits of the level-1
 // digit splits the records into T contiguous key ranges (a level-1 cell
@@ -71,11 +79,12 @@
 //
 // Cost: O(eta * d * H) key work plus O(eta * ceil(d * (H - 1) / b))
 // radix-sort work (b = 11-bit digits) and O(cells * d) for the levels;
-// a fold is O(cells * d) for the merge and the layout. Memory O(H * eta *
-// d) for the tree or its pending key order, plus a pending run of at most
-// kMaxRunBytes that Seal() sorts through a second buffer of the same
-// size (BuildPartitioned: at most kMaxRunBytes of records per worker,
-// and the same second buffer).
+// a fold is O(source cells) for the merge (plus d per deepest source
+// cell) and O(cells * d) for the layout; Fold cuts both across its
+// pool's threads. Memory O(H * eta * d) for the tree or its pending key
+// order, plus a pending run of at most kMaxRunBytes that Flush() sorts
+// through a second buffer of the same size (BuildPartitioned: at most
+// kMaxRunBytes of records per worker, and the same second buffer).
 
 #pragma once
 
@@ -270,24 +279,54 @@ class CountingTree {
   /// is byte-identical to the one built over the concatenation of both
   /// streams (a pending run of this tree is counted in first, so stream
   /// order holds). It merges `other`'s key order into this tree's
-  /// pending one, ranking each cell of `other` past every rank already
-  /// pending: an upper cell by its child node's pool index, a deepest
-  /// cell by its arena index — in a sealed tree both follow creation
-  /// order wherever the layout compares them. Like Insert, it leaves the
-  /// tree unsealed — call Seal() before any read — so folding N trees
-  /// lays the result out once, not N times. Requires equal
-  /// dimensionality and resolution count, a sealed `other` and `&other
-  /// != this`: a violation returns InvalidArgument (a source whose node
-  /// pool is not in creation order, Internal) before this tree is
-  /// touched. `other` is never modified. Returns this call's work
-  /// counters.
+  /// pending one (the two-source merge of Fold), ranking each cell of
+  /// `other` past every rank already pending: an upper cell by its child
+  /// node's pool index, a deepest cell by its arena index — in a sealed
+  /// tree both follow creation order wherever the layout compares them.
+  /// Like Insert, it leaves the tree unsealed — call Seal() before any
+  /// read — so folding N trees one at a time lays the result out once,
+  /// not N times. Requires equal dimensionality and resolution count, a
+  /// sealed `other` and `&other != this`: a violation returns
+  /// InvalidArgument (a source whose node pool is not in creation order,
+  /// Internal) before this tree is touched. `other` is never modified.
+  /// Returns this call's work counters.
   [[nodiscard]] Result<MergeTreeStats> InsertTree(const CountingTree& other);
 
   /// Merges the pending run's key order into the pending one and lays
   /// that out in canonical (readable) order. No-op on a sealed tree.
   void Seal();
 
-  /// False while Insert() / InsertTree() changes await a Seal().
+  /// Merges the pending run's key order into the pending one without
+  /// laying it out: the tree stays unsealed, its cells held as a key
+  /// order (a run's cells ranked by their first stream positions), ready
+  /// to be a Fold() part. Frees the run. No-op when the run is empty (a
+  /// sealed tree stays sealed).
+  void Flush();
+
+  /// Folds `parts`, the trees of consecutive segments of one stream
+  /// given oldest first, into the sealed tree built over their
+  /// concatenation: byte-identical to InsertTree()ing every part in
+  /// order into an empty tree and sealing once. Each part is sealed or
+  /// flushed (unsealed with an empty run, see Flush()); a flushed part's
+  /// key order is read where it lies, a sealed part's is ranked as
+  /// InsertTree describes, and no part is modified. One k-way merge
+  /// keyed on (merged parent, loc) builds the window's key order: part
+  /// s's ranks are offset by the summed rank bounds of the parts before
+  /// it, and a cell several parts hold keeps the earliest one's rank.
+  /// The layout then runs once on `pool`'s threads (inline when null),
+  /// summing the deepest level's half counts from the parts straight
+  /// into its arena. `*stats` (when non-null) receives the counters the
+  /// InsertTree fold would sum. Errors, before the merge:
+  /// InvalidArgument for no parts, a dimensionality or resolution
+  /// mismatch, a part with a pending run, or summed rank bounds past
+  /// 2^32 - 1; Internal for a sealed part whose node pool is not in
+  /// creation order. No part is changed either way.
+  [[nodiscard]] static Result<CountingTree> Fold(
+      std::span<const CountingTree* const> parts, ThreadPool* pool,
+      MergeTreeStats* stats);
+
+  /// False while Insert() / InsertTree() / Flush() changes await a
+  /// Seal().
   bool sealed() const { return pending_ == nullptr && run_.empty(); }
 
   /// Number of resolutions H (the root counts as resolution 0).
@@ -431,10 +470,12 @@ class CountingTree {
 
   /// Every level's cells in key order: level h's cells are [0, cells) of
   /// its arrays, sorted by (parent, loc); parent indexes level h - 1's
-  /// cells; half holds d counts a cell. `first` ranks a cell: its lowest
-  /// stream position in a run's key order, a rank below position_bound
-  /// that orders cells as their first positions do wherever LayOut
-  /// compares them in any other (see InsertTree).
+  /// cells. Only the deepest level holds half counts (d a cell): an
+  /// upper cell's are the sums over its children, which LayOut adds up.
+  /// `first` ranks a cell: its lowest stream position in a run's key
+  /// order, a rank below position_bound that orders cells as their first
+  /// positions do wherever LayOut compares them in any other (see
+  /// InsertTree).
   struct KeyOrder {
     struct Level {
       size_t cells = 0;
@@ -442,9 +483,10 @@ class CountingTree {
       std::unique_ptr<uint32_t[]> n;
       std::unique_ptr<uint32_t[]> first;
       std::unique_ptr<uint32_t[]> parent;
-      std::unique_ptr<uint32_t[]> half;
+      std::unique_ptr<uint32_t[]> half;  // Null above the deepest level.
 
-      /// A level of `cells` cells of `d` half counts, unwritten.
+      /// A level of `cells` cells, unwritten, with `d` half counts a
+      /// cell (no half array when d is 0).
       static Level Allocate(size_t cells, size_t d);
     };
     std::vector<Level> levels;  // levels[h], 1 <= h <= H - 1.
@@ -454,6 +496,18 @@ class CountingTree {
     /// Heap bytes of the levels' arrays.
     size_t MemoryBytes(size_t d) const;
   };
+
+  /// A merge's deepest-level half counts, left in its sources: merged
+  /// cell c's are the sum of the d-count rows at rows[at[c]], ...,
+  /// rows[at[c + 1] - 1] (at least one).
+  struct HalfRows {
+    std::vector<uint32_t> at;
+    std::vector<const uint32_t*> rows;
+  };
+
+  /// The k-way key-order merge behind Fold and MergePending (defined in
+  /// counting_tree.cc).
+  class KeyOrderMerge;
 
   CountingTree(size_t num_dims, int num_resolutions)
       : num_dims_(num_dims), num_resolutions_(num_resolutions) {}
@@ -484,10 +538,13 @@ class CountingTree {
                                 uint64_t position_bound, ThreadPool* pool);
 
   /// The layout: the sealed tree whose cells `key_order` lists, with
-  /// nodes and cells in creation order (`pool` may be null). Frees each
-  /// key-order level once it has been gathered.
+  /// nodes and cells in creation order (`pool` may be null). Sums every
+  /// upper cell's half counts from its children, and the deepest
+  /// level's from `deepest_half` when that level holds none. Frees the
+  /// key order.
   static CountingTree LayOut(size_t num_dims, int num_resolutions,
-                             KeyOrder& key_order, ThreadPool* pool);
+                             KeyOrder& key_order, ThreadPool* pool,
+                             const HalfRows* deepest_half = nullptr);
 
   /// This sealed tree's key order, ranked as InsertTree describes, with
   /// rank bound max(nodes, deepest cells).
@@ -498,19 +555,20 @@ class CountingTree {
   KeyOrder& Pending();
 
   /// Merges `source`, the key order of the points that follow this
-  /// tree's in the stream, into the pending one, level by level, ranking
-  /// its cells past every pending rank and freeing each of its levels
-  /// once merged. Returns the fold's work counters.
+  /// tree's in the stream, into the pending one: the two-source call of
+  /// the k-way merge, ranking its cells past every pending rank and
+  /// freeing each level of both once merged. Returns the fold's work
+  /// counters.
   MergeTreeStats MergePending(KeyOrder& source);
-
-  /// Merges the pending run's key order (positions ranked by the run's
-  /// own order) into the pending one and empties the run, freeing its
-  /// memory. No-op when the run is empty.
-  void FlushRun();
 
   /// Flushes the run and lays the pending key order out on `pool`'s
   /// threads (inline when null).
   void LayOutPending(ThreadPool* pool);
+
+  /// InsertTree's check of a sealed source: its node pool is in creation
+  /// order (every node after its parent), so its ranks stand in for
+  /// first positions. Internal otherwise.
+  Status CheckCreationOrder() const;
 
   /// Arena index of the cell with position `loc` in `node`, or -1: a
   /// vector compare-scan of the node's loc slice.
@@ -531,7 +589,7 @@ class CountingTree {
   Packed<uint64_t> base_;
   std::vector<Arena> arenas_;  // arenas_[h], h >= 1.
   // Pending run: KeyWords() + 1 words per Insert()ed point — its digit
-  // key (little-endian words), then a word FlushRun sets to its index in
+  // key (little-endian words), then a word Flush sets to its index in
   // the run.
   std::vector<uint64_t> run_;
   // Non-null while the tree's cells await a layout: they live here, and

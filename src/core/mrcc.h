@@ -134,7 +134,9 @@ struct MrCCStats {
   int num_threads = 1;
 
   /// Threads actually used per stage (each stage caps the budget by the
-  /// work available: shards by points, labeling by slice size).
+  /// work available: shards by points, labeling by slice size). A window
+  /// snapshot's tree build is its fold, merged and laid out on a pool of
+  /// the run's threads.
   int tree_build_threads = 1;
   int beta_search_threads = 1;
   int labeling_threads = 1;
@@ -156,9 +158,11 @@ struct MrCCStats {
   /// returned them.
   BetaSearchStats beta_search;
 
-  /// The InsertTree fold's counters summed over the engine's folds: the
-  /// window snapshot folds its generations, the shard merger its
-  /// artifacts. cells_merged counts cells present in more than one folded
+  /// The fold counters summed over the engine's folds: the window
+  /// snapshot's k-way CountingTree::Fold of its generations and the shard
+  /// merger's pairwise InsertTree fold of its artifacts, which count
+  /// alike (a k-way fold reports what InsertTree()ing its parts in order
+  /// would). cells_merged counts cells present in more than one folded
   /// tree — high values relative to the tree size mean the sources cover
   /// the same regions, the expected regime — and bound the fold's extra
   /// work. All zero for the batch build (BuildTree), which folds nothing.
@@ -319,8 +323,8 @@ struct ScanTally {
 
 /// Publishes one tree fold's work counters — `tree.merge.conflict_cells`
 /// (cells_merged) and `tree.merge.cells_created` — to the global metrics
-/// registry. Every engine that folds trees (the sharded batch build, the
-/// window snapshot, the shard merger) reports through this one call.
+/// registry. Every engine that folds trees (the window snapshot, the
+/// shard merger) reports through this one call.
 void PublishMergeMetrics(const MergeTreeStats& stats);
 
 /// The pipeline's tail over a sealed tree, shared by every engine:

@@ -70,7 +70,9 @@ Status StreamingMrCC::PushChunk(std::span<const double> values) {
 }
 
 Status StreamingMrCC::SealGeneration() {
-  current_->Seal();
+  // A generation stays a flushed key order: it is never laid out on its
+  // own, only folded into the window at each snapshot.
+  current_->Flush();
   generations_.push_back(std::move(*current_));
   current_.reset();
   Result<CountingTree> fresh =
@@ -102,38 +104,32 @@ Result<MrCCResult> StreamingMrCC::Run(const DataSource* label_source) {
   result.stats.points_skipped = points_skipped_;
   result.stats.points_clamped = points_clamped_;
 
-  // Assemble the window tree: fold the generations oldest-to-newest,
-  // the filling generation last — creation order equals stream order,
-  // so the fold reproduces a batch build over the retained points
-  // exactly. Every source's key order is merged in with InsertTree and
-  // the result sealed once: one layout of the window tree instead of
-  // one per generation. Always fold into a scratch tree: the budget
-  // drops in the cluster tail must never mutate the live generations
-  // (the next snapshot starts from full H).
+  // Assemble the window tree: fold the generations oldest to newest, the
+  // filling one (flushed, not sealed) last — creation order equals
+  // stream order, so the fold reproduces a batch build over the retained
+  // points exactly. One k-way merge of the generations' key orders and
+  // one layout on the run's threads. The fold reads the generations and
+  // writes a fresh tree: the budget drops in the cluster tail must never
+  // mutate the live generations (the next snapshot starts from full H).
   Timer phase;
-  current_->Seal();  // Re-opens automatically on the next Push.
-  Result<CountingTree> merged =
-      CountingTree::Empty(num_dims_, params_.num_resolutions);
-  if (!merged.ok()) return merged.status();
-  MergeTreeStats merge_stats;
-  {
-    MRCC_TRACE_SPAN_N("tree.merge",
-                      static_cast<int64_t>(generations_.size() + 1));
-    for (const CountingTree& generation : generations_) {
-      Result<MergeTreeStats> fold = merged->InsertTree(generation);
-      if (!fold.ok()) return fold.status();
-      merge_stats += *fold;
-    }
-    Result<MergeTreeStats> fold = merged->InsertTree(*current_);
-    if (!fold.ok()) return fold.status();
-    merge_stats += *fold;
-    merged->Seal();
+  current_->Flush();
+  std::vector<const CountingTree*> parts;
+  for (const CountingTree& generation : generations_) {
+    parts.push_back(&generation);
   }
+  parts.push_back(&*current_);
+  MergeTreeStats merge_stats;
+  Result<CountingTree> merged = [&] {
+    MRCC_TRACE_SPAN_N("tree.merge", static_cast<int64_t>(parts.size()));
+    ThreadPool pool(num_threads);  // Joined once the window is laid out.
+    result.stats.tree_build_threads = pool.num_threads();
+    return CountingTree::Fold(parts, &pool, &merge_stats);
+  }();
+  if (!merged.ok()) return merged.status();
   PublishMergeMetrics(merge_stats);
   result.stats.tree_merge = merge_stats;
   result.stats.tree_build_seconds = phase.ElapsedSeconds();
   result.stats.tree_merge_seconds = result.stats.tree_build_seconds;
-  result.stats.tree_build_threads = 1;
 
   // β-search over the folded window, identical to the batch pipeline.
   MRCC_RETURN_IF_ERROR(ClusterTree(

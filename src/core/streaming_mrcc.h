@@ -5,27 +5,33 @@
 // chunk at a time, the tree keeps up incrementally, and clusters are
 // re-derived on demand — without rescanning (or even retaining) the raw
 // points. The tree makes this cheap: counts are additive, so appending a
-// point is one more record in the tree's pending run, and the InsertTree
-// fold (core/counting_tree.h) — a merge of the sub-trees' key orders,
-// laid out once — makes a tree assembled from sub-trees bit-identical
-// to one built from the concatenated stream.
+// point is one more record in the tree's pending run, and
+// CountingTree::Fold (core/counting_tree.h) — one k-way merge of the
+// sub-trees' key orders, laid out once — makes a tree assembled from
+// sub-trees bit-identical to one built from the concatenated stream.
 //
 // Two modes, selected by MrCCParams::window:
 //   - Unwindowed (window.points == 0): every pushed point stays counted.
 //     One live tree absorbs pushes via CountingTree::Insert.
 //   - Sliding window: the stream is cut into generations of
-//     window.points / window.generations points, each a sealed sub-tree.
-//     When retained points exceed the window, the oldest generation is
-//     evicted — count decay at generation granularity, O(1) per point
-//     amortized. (Per-cell count halving was rejected: it cannot keep
-//     the child-sum-equals-parent invariant exact; see DESIGN.md §14.)
+//     window.points / window.generations points. A completed generation
+//     is flushed, not sealed: it stays the key order its run produced
+//     (each cell with its first stream position in the generation) and
+//     is never laid out on its own. When retained points exceed the
+//     window, the oldest generation is evicted — count decay at
+//     generation granularity, O(1) per point amortized. (Per-cell count
+//     halving was rejected: it cannot keep the child-sum-equals-parent
+//     invariant exact; see DESIGN.md §14.)
 //
-// Snapshot() re-runs the β-search over the current window: the
-// generation trees are folded oldest to newest, the filling one last,
-// into one tree equal, cell for cell, to a batch build over exactly the
-// retained points, then searched. No raw points are kept, so a plain
-// Snapshot() returns empty labels; pass a DataSource holding the points
-// to label them against the window's clusters.
+// Snapshot() re-runs the β-search over the current window: it flushes
+// the filling generation's run into that generation's key order, folds
+// every generation oldest to newest, the filling one last, in one k-way
+// merge read from where the generations lie, and lays the window out
+// once on a pool of the run's threads — a tree equal, cell for cell, to
+// a batch build over exactly the retained points — then searches it. No
+// raw points are kept, so a plain Snapshot() returns empty labels; pass
+// a DataSource holding the points to label them against the window's
+// clusters.
 
 #pragma once
 
@@ -78,7 +84,8 @@ class StreamingMrCC {
   /// Points clamped into [0,1) by the kClamp bad-point policy.
   uint64_t points_clamped() const { return points_clamped_; }
 
-  /// Sealed generations currently retained (excludes the one filling).
+  /// Completed generations currently retained (excludes the one
+  /// filling); each is held flushed, as a key order.
   size_t generations_sealed() const { return generations_.size(); }
 
   /// Re-runs the full β-cluster pipeline over the current window.
@@ -97,7 +104,7 @@ class StreamingMrCC {
  private:
   StreamingMrCC(const MrCCParams& params, size_t num_dims);
 
-  /// Seals the filling generation into the retained deque and evicts
+  /// Flushes the filling generation into the retained deque and evicts
   /// generations that fell out of the window.
   [[nodiscard]] Status SealGeneration();
 
@@ -113,7 +120,7 @@ class StreamingMrCC {
   std::optional<CountingTree> current_;
   uint64_t current_points_ = 0;
 
-  /// Sealed generations, oldest first.
+  /// Completed generations, oldest first, each flushed (a key order).
   std::deque<CountingTree> generations_;
 
   uint64_t points_seen_ = 0;

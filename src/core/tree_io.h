@@ -65,9 +65,12 @@ std::string SerializeTree(const CountingTree& tree, size_t trailer_bytes = 0);
 /// sealed (a tree that took Insert()s since its last Seal() is rejected
 /// with InvalidArgument) and not `tree` itself. On error `tree` keeps its
 /// counts and is left sealed. `other` is left untouched. Returns this
-/// merge's work counters. A fold of several trees should call InsertTree
-/// per source and Seal() once instead: every MergeTree call turns the
-/// whole destination into a key order and lays it out again.
+/// merge's work counters. A fold of several trees should not call it per
+/// source — every MergeTree call turns the whole destination into a key
+/// order and lays it out again — but CountingTree::Fold once over all of
+/// them (one k-way merge, one layout; what a window snapshot runs), or
+/// InsertTree per source and Seal() once when the sources must arrive one
+/// at a time (what the shard merger runs, holding one parsed artifact).
 [[nodiscard]] Result<MergeTreeStats> MergeTree(CountingTree* tree,
                                                const CountingTree& other);
 

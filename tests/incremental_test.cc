@@ -314,6 +314,77 @@ TEST_F(StreamingMrCCTest, SnapshotsAreRepeatableAndNonDestructive) {
   ASSERT_TRUE(third.ok()) << third.status().ToString();
 }
 
+TEST_F(StreamingMrCCTest,
+       SnapshotAfterEveryPushEqualsBatchOverRetainedPoints) {
+  // Generations of 1 and of 3 points, and the unwindowed mode, with a
+  // snapshot on 3 threads after every push — so also after the push that
+  // seals a generation and evicts one, and after the push right after it.
+  // Each snapshot must find the β-clusters and labels of MrCC::Run over
+  // exactly the retained points, and a second snapshot at the same
+  // position must repeat the first: a snapshot changes nothing the next
+  // one reads.
+  const Dataset& data = dataset_.data;
+  struct Shape {
+    size_t window;  // 0: unwindowed.
+    size_t generations;
+    size_t stream;
+  };
+  const Shape shapes[] = {{40, 40, 90}, {120, 40, 240}, {0, 1, 140}};
+  const auto same = [](const MrCCResult& a, const MrCCResult& b) {
+    EXPECT_EQ(a.clustering.labels, b.clustering.labels);
+    ASSERT_EQ(a.beta_clusters.size(), b.beta_clusters.size());
+    for (size_t i = 0; i < a.beta_clusters.size(); ++i) {
+      EXPECT_EQ(a.beta_clusters[i].lower, b.beta_clusters[i].lower);
+      EXPECT_EQ(a.beta_clusters[i].upper, b.beta_clusters[i].upper);
+      EXPECT_EQ(a.beta_clusters[i].relevant, b.beta_clusters[i].relevant);
+      EXPECT_EQ(a.beta_clusters[i].level, b.beta_clusters[i].level);
+    }
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE("window " + std::to_string(shape.window) + " of " +
+                 std::to_string(shape.generations) + " generations");
+    MrCCParams params;
+    params.window.points = shape.window;
+    params.window.generations = shape.generations;
+    params.num_threads = 3;  // The fold merges and lays out on 3 threads.
+    Result<StreamingMrCC> engine =
+        StreamingMrCC::Create(params, data.NumDims());
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    const Result<MrCCResult> empty = engine->Snapshot();  // Nothing pushed.
+    ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+    EXPECT_TRUE(empty->beta_clusters.empty());
+    size_t pushes_after_eviction = 0;
+    bool evicted_last = false;
+    bool found_clusters = false;
+    for (size_t i = 0; i < shape.stream; ++i) {
+      SCOPED_TRACE("after push " + std::to_string(i));
+      const uint64_t evicted = engine->points_evicted();
+      ASSERT_TRUE(engine->Push(data.Point(i)).ok());
+      if (evicted_last) ++pushes_after_eviction;
+      evicted_last = engine->points_evicted() > evicted;
+      const uint64_t retained = engine->points_retained();
+      ASSERT_EQ(retained + engine->points_evicted(), i + 1);
+      Dataset window(0, data.NumDims());
+      for (size_t j = i + 1 - retained; j <= i; ++j) {
+        window.AppendPoint(data.Point(j));
+      }
+      const MemoryDataSource source(window);
+      const Result<MrCCResult> first = engine->Snapshot(source);
+      ASSERT_TRUE(first.ok()) << first.status().ToString();
+      const Result<MrCCResult> second = engine->Snapshot(source);
+      ASSERT_TRUE(second.ok()) << second.status().ToString();
+      const Result<MrCCResult> batch = MrCC(MrCCParams{}).Run(window);
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+      same(*first, *batch);
+      same(*second, *first);
+      EXPECT_EQ(first->stats.tree_build_threads, 3);
+      found_clusters |= !batch->beta_clusters.empty();
+    }
+    EXPECT_EQ(pushes_after_eviction > 0, shape.window > 0);
+    EXPECT_TRUE(found_clusters);
+  }
+}
+
 TEST_F(StreamingMrCCTest, PushHonorsTheBadPointPolicy) {
   MrCCParams params;
   Result<StreamingMrCC> reject = StreamingMrCC::Create(params, 3);

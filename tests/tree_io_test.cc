@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/beta_cluster_finder.h"
 #include "reference_tree.h"
@@ -423,6 +424,13 @@ TEST(TreeMergeTest, SourceOutOfCreationOrderIsRejectedUntouched) {
             "merge source tree is not in creation order");
   ASSERT_TRUE(a->sealed());
   EXPECT_EQ(SerializeTree(*a), before);
+  // The k-way fold ranks a sealed part the same way, so it checks too.
+  const CountingTree* parts[] = {&*a, &*reordered};
+  const Result<CountingTree> folded =
+      CountingTree::Fold(parts, nullptr, nullptr);
+  ASSERT_FALSE(folded.ok());
+  EXPECT_EQ(folded.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(SerializeTree(*a), before);
 }
 
 /// Every cell a point lies in, as {level, coordinates...}: level h's
@@ -559,6 +567,137 @@ TEST(TreeFoldTest, OneSealAfterManyInsertTreesEqualsMergeFoldAndBuild) {
       }
     }
   }
+}
+
+TEST(TreeFoldTest, KWayFoldOfFlushedAndSealedPartsEqualsBuild) {
+  // A stream cut into 1-12 consecutive parts, folded by one
+  // CountingTree::Fold: a part is flushed (Insert()s then Flush(), some
+  // flushed several times) or sealed (Build), and parts may be empty or
+  // hold one point. The fold, at 1, 2 and 3 threads, must give the bytes
+  // of CountingTree::Build over the whole stream and of the
+  // point-at-a-time reference, and the counters of the InsertTree fold
+  // of the same parts.
+  enum Kind { kFlushed, kFlushedTwice, kSealed };
+  struct Part {
+    Kind kind;
+    size_t points;
+  };
+  const std::vector<std::vector<Part>> layouts = {
+      {{kFlushed, 400}},
+      {{kSealed, 400}},
+      {{kFlushed, 0}, {kSealed, 1}, {kFlushedTwice, 399}},
+      {{kSealed, 150}, {kFlushed, 150}, {kFlushedTwice, 100}},
+      {{kFlushed, 1}, {kFlushed, 0}, {kSealed, 33}, {kFlushedTwice, 60},
+       {kFlushed, 1}, {kSealed, 0}, {kFlushed, 90}, {kSealed, 45},
+       {kFlushedTwice, 2}, {kFlushed, 67}, {kSealed, 1}, {kFlushed, 100}},
+  };
+  ThreadPool two(2);
+  ThreadPool three(3);
+  for (size_t d : {1, 2, 14, 30}) {
+    for (int resolutions : {3, 4, 6}) {
+      SCOPED_TRACE("d = " + std::to_string(d) +
+                   ", H = " + std::to_string(resolutions));
+      // Tight blobs make cells shared across parts; a uniform background
+      // creates cells in every part.
+      Rng rng(2000 * d + static_cast<uint64_t>(resolutions));
+      Dataset data(400, d);
+      for (size_t i = 0; i < data.NumPoints(); ++i) {
+        const double centre = i % 3 == 0 ? 0.3 : 0.65;
+        for (size_t j = 0; j < d; ++j) {
+          data(i, j) = i % 4 == 3 ? rng.UniformDouble()
+                                  : centre + 0.1 * rng.UniformDouble();
+        }
+      }
+      testing::ReferenceTree reference(d, resolutions);
+      for (size_t i = 0; i < data.NumPoints(); ++i) {
+        reference.Insert(data.Point(i));
+      }
+      const std::string golden = reference.Serialize();
+      Result<CountingTree> built = CountingTree::Build(data, resolutions);
+      ASSERT_TRUE(built.ok());
+      ASSERT_EQ(SerializeTree(*built), golden);
+
+      for (size_t l = 0; l < layouts.size(); ++l) {
+        SCOPED_TRACE("layout " + std::to_string(l));
+        std::vector<CountingTree> parts;
+        Result<CountingTree> inserted = CountingTree::Empty(d, resolutions);
+        ASSERT_TRUE(inserted.ok());
+        MergeTreeStats want;
+        size_t begin = 0;
+        for (const Part& part : layouts[l]) {
+          const Dataset slice = Slice(data, begin, begin + part.points);
+          begin += part.points;
+          Result<CountingTree> sealed = CountingTree::Build(slice, resolutions);
+          ASSERT_TRUE(sealed.ok());
+          Result<MergeTreeStats> s = inserted->InsertTree(*sealed);
+          ASSERT_TRUE(s.ok()) << s.status().ToString();
+          want += *s;
+          if (part.kind == kSealed) {
+            parts.push_back(std::move(*sealed));
+            continue;
+          }
+          Result<CountingTree> flushed = CountingTree::Empty(d, resolutions);
+          ASSERT_TRUE(flushed.ok());
+          for (size_t i = 0; i < slice.NumPoints(); ++i) {
+            ASSERT_TRUE(flushed->Insert(slice.Point(i)).ok());
+            if (part.kind == kFlushedTwice && i == slice.NumPoints() / 2) {
+              flushed->Flush();
+            }
+          }
+          flushed->Flush();
+          EXPECT_EQ(flushed->sealed(), slice.NumPoints() == 0);
+          parts.push_back(std::move(*flushed));
+        }
+        ASSERT_EQ(begin, data.NumPoints());
+        inserted->Seal();
+        ASSERT_EQ(SerializeTree(*inserted), golden);
+
+        std::vector<const CountingTree*> sources;
+        for (const CountingTree& part : parts) sources.push_back(&part);
+        for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &two,
+                                 &three}) {
+          SCOPED_TRACE(pool == nullptr ? 1 : pool->num_threads());
+          MergeTreeStats got;
+          Result<CountingTree> folded = CountingTree::Fold(sources, pool, &got);
+          ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+          EXPECT_TRUE(folded->ValidateInvariants().ok());
+          EXPECT_EQ(folded->total_points(), data.NumPoints());
+          EXPECT_EQ(SerializeTree(*folded), golden);
+          EXPECT_EQ(got.cells_merged, want.cells_merged);
+          EXPECT_EQ(got.cells_created, want.cells_created);
+          EXPECT_EQ(got.nodes_created, want.nodes_created);
+        }
+      }
+    }
+  }
+}
+
+TEST(TreeFoldTest, FoldRejectsBadPartsUntouched) {
+  Dataset data = testing::UniformDataset(50, 3, 8);
+  Result<CountingTree> a = CountingTree::Build(data, 4);
+  Result<CountingTree> other_h = CountingTree::Build(data, 5);
+  Result<CountingTree> running = CountingTree::Empty(3, 4);
+  ASSERT_TRUE(a.ok() && other_h.ok() && running.ok());
+  ASSERT_TRUE(running->Insert(data.Point(0)).ok());
+  const std::string before = SerializeTree(*a);
+  EXPECT_EQ(CountingTree::Fold({}, nullptr, nullptr).status().code(),
+            StatusCode::kInvalidArgument);
+  const CountingTree* mismatched[] = {&*a, &*other_h};
+  EXPECT_EQ(CountingTree::Fold(mismatched, nullptr, nullptr).status().code(),
+            StatusCode::kInvalidArgument);
+  // A part with a pending run must be flushed first.
+  const CountingTree* unflushed[] = {&*a, &*running};
+  EXPECT_EQ(CountingTree::Fold(unflushed, nullptr, nullptr).status().code(),
+            StatusCode::kInvalidArgument);
+  running->Flush();
+  MergeTreeStats stats;
+  Result<CountingTree> folded =
+      CountingTree::Fold(unflushed, nullptr, &stats);
+  ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+  EXPECT_EQ(folded->total_points(), 51u);
+  EXPECT_EQ(SerializeTree(*a), before);
+  EXPECT_FALSE(running->sealed());
+  EXPECT_EQ(running->total_points(), 1u);
 }
 
 TEST(TreeMergeTest, EquivalenceDetectsDifferences) {

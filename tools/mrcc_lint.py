@@ -63,13 +63,16 @@ offending line):
                      ClusterTree). A second copy of the scan loop or of
                      the tail trips it; tests and benches are exempt.
                      Likewise a `.InsertTree(` / `->InsertTree(` call (a
-                     tree fold) appears in src/ only in
-                     src/core/streaming_mrcc.cc (the window snapshot),
+                     pairwise tree fold) appears in src/ only in
                      src/dist/sharded_build.cc (the artifact merger) and
                      src/core/tree_io.cc (MergeTree), so no fold creeps
                      back into the batch build, which partitions by key
                      space instead, or into the tree itself, whose run
-                     flushes and build rounds merge key orders.
+                     flushes and build rounds merge key orders; and a
+                     `CountingTree::Fold(` call (the k-way fold) appears
+                     only in src/core/streaming_mrcc.cc (the window
+                     snapshot). Fold's own definition, `Result<
+                     CountingTree> CountingTree::Fold(`, is not a call.
                      Outside tests/, `public DataSource` (a DataSource
                      backend) appears only in src/data/data_source.h, so
                      a new backend lands beside the three existing ones
@@ -474,11 +477,16 @@ SINGLE_OWNER_RULES = (
      ("src/core/mrcc.cc",), "DropDeepestLevel()",
      "the cluster tail ClusterTree (core/mrcc.h)"),
     (re.compile(r"(?:\.|->)\s*InsertTree\s*\("),
-     ("src/core/streaming_mrcc.cc", "src/dist/sharded_build.cc",
-      "src/core/tree_io.cc"),
+     ("src/dist/sharded_build.cc", "src/core/tree_io.cc"),
      "InsertTree(",
      "the partitioned batch build (BuildTree, core/mrcc.h), a key-order "
      "merge inside CountingTree, or one of the existing folds"),
+    # A call, not the definition after its return type `Result<...>`.
+    (re.compile(r"(?<!>)(?<!>\s)\bCountingTree\s*::\s*Fold\s*\("),
+     ("src/core/streaming_mrcc.cc",),
+     "CountingTree::Fold(",
+     "the window snapshot (StreamingMrCC, core/streaming_mrcc.h), the one "
+     "k-way fold"),
 )
 
 
