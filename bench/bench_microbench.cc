@@ -379,13 +379,13 @@ BENCHMARK(BM_FoldGenerations)
 
 // ---- Artifact fold (DESIGN.md §16): the merger's fold of paper-14d's
 // four shard trees — the quarters of one million 14-d points at H = 4 —
-// as MergeShardTrees runs it: the first tree adopted, the other three
-// counted in with InsertTree, one Seal. Each iteration adopts a fresh
-// parse of the first artifact (untimed). Items are source cells.
+// as MergeShardTrees runs it: each artifact's tree bytes parsed and
+// flushed into its key order, then one Fold on a pool of T threads.
+// The parses are not timed (the loads' own cost, BM_ParseShardArtifact's
+// share); the flushes and the fold are. Items are source cells.
 
 struct ArtifactFoldFixture {
-  std::string first;  // The first shard's tree bytes.
-  std::vector<CountingTree> rest;
+  std::vector<std::string> artifacts;  // Each shard's tree bytes.
   size_t cells = 0;
 };
 
@@ -405,11 +405,7 @@ const ArtifactFoldFixture& ArtifactFold() {
       for (int h = 1; h < tree->num_resolutions(); ++h) {
         f.cells += tree->NumCellsAtLevel(h);
       }
-      if (s == 0) {
-        f.first = SerializeTree(*tree);
-      } else {
-        f.rest.push_back(std::move(*tree));
-      }
+      f.artifacts.push_back(SerializeTree(*tree));
     }
     return f;
   }();
@@ -418,22 +414,31 @@ const ArtifactFoldFixture& ArtifactFold() {
 
 void BM_FoldShardArtifacts(benchmark::State& state) {
   const ArtifactFoldFixture& f = ArtifactFold();
+  ThreadPool pool(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    state.PauseTiming();
-    Result<CountingTree> folded = ParseTree(f.first, "bench");
-    MRCC_CHECK(folded.ok());
-    state.ResumeTiming();
-    for (const CountingTree& shard : f.rest) {
-      Result<MergeTreeStats> fold = folded->InsertTree(shard);
-      MRCC_CHECK(fold.ok());
+    std::vector<CountingTree> shards;
+    for (const std::string& bytes : f.artifacts) {
+      state.PauseTiming();
+      Result<CountingTree> shard = ParseTree(bytes, "bench");
+      MRCC_CHECK(shard.ok());
+      state.ResumeTiming();
+      shard->Flush();
+      shards.push_back(std::move(*shard));
     }
-    folded->Seal();
+    std::vector<const CountingTree*> parts;
+    for (const CountingTree& shard : shards) parts.push_back(&shard);
+    Result<CountingTree> folded = CountingTree::Fold(parts, &pool, nullptr);
+    MRCC_CHECK(folded.ok());
     benchmark::DoNotOptimize(folded->total_points());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(f.cells));
 }
-BENCHMARK(BM_FoldShardArtifacts)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FoldShardArtifacts)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_BinomialCriticalValue(benchmark::State& state) {
   const int64_t n = state.range(0);

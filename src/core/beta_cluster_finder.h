@@ -114,7 +114,7 @@ struct BetaSearchResult {
 /// non-OK status only signals a real failure: the `beta.search.alloc`
 /// failpoint (a failed level-cache allocation), or Internal for a tree
 /// whose cells lack a parent cell. An unsealed `tree` (Insert or
-/// InsertTree since its last Seal) is InvalidArgument.
+/// Flush since its last Seal) is InvalidArgument.
 [[nodiscard]] Result<BetaSearchResult> RunBetaSearch(
     const CountingTree& tree, const BetaFinderOptions& options,
     BudgetTracker* budget = nullptr);

@@ -454,7 +454,6 @@ void CountingTree::Seal() {
 
 void CountingTree::LayOutPending(ThreadPool* pool) {
   Flush();
-  if (pending_ == nullptr) return;
   *this = LayOut(num_dims_, num_resolutions_, *pending_, pool);
 }
 
@@ -488,6 +487,7 @@ size_t CountingTree::KeyOrder::MemoryBytes(size_t d) const {
 }
 
 void CountingTree::Flush() {
+  Pending();  // A sealed tree's cells become its ranked key order.
   if (run_.empty()) return;
   const size_t stride = KeyWords() + 1;
   const size_t points = run_.size() / stride;
@@ -894,53 +894,6 @@ CountingTree CountingTree::LayOut(size_t d, int resolutions,
   return tree;
 }
 
-Result<MergeTreeStats> CountingTree::InsertTree(const CountingTree& other) {
-  if (&other == this) {
-    return Status::InvalidArgument("cannot insert a tree into itself");
-  }
-  if (num_dims_ != other.num_dims_) {
-    return Status::InvalidArgument("tree dimensionality mismatch");
-  }
-  if (num_resolutions_ != other.num_resolutions_) {
-    return Status::InvalidArgument("tree resolution mismatch");
-  }
-  // The source's key order is read from its arenas; an unsealed source's
-  // cells are not all there.
-  if (!other.sealed()) {
-    return Status::InvalidArgument(
-        "source tree is not sealed: call Seal() before inserting it");
-  }
-  MRCC_RETURN_IF_ERROR(other.CheckCreationOrder());
-  Flush();  // This tree's own pending points come first in the stream.
-  KeyOrder source = other.RankedKeyOrder();
-  return MergePending(source);
-}
-
-Status CountingTree::CheckCreationOrder() const {
-  // Ranks stand in for first positions only when the node pool is in
-  // creation order, every node after its parent. Built and folded trees
-  // always are, but a tree parsed from crafted bytes need not be: callers
-  // check up front, so such a source is rejected before anything changes.
-  std::vector<uint8_t> reached(nodes_.size(), 0);
-  reached[0] = 1;
-  for (size_t m = 0; m < nodes_.size(); ++m) {
-    if (reached[m] == 0) {
-      return Status::Internal("merge source tree is not in creation order");
-    }
-    const Node& src = nodes_[m];
-    const int32_t* child =
-        arenas_[static_cast<size_t>(src.level)].child.data() + src.first;
-    for (uint32_t c = 0; c < src.count; ++c) {
-      if (child[c] < 0) continue;
-      if (static_cast<size_t>(child[c]) >= reached.size()) {
-        return Status::Internal("merge source tree has a dangling child");
-      }
-      reached[static_cast<size_t>(child[c])] = 1;
-    }
-  }
-  return Status::OK();
-}
-
 CountingTree::KeyOrder CountingTree::RankedKeyOrder() const {
   const size_t d = num_dims_;
   const size_t deepest = static_cast<size_t>(num_resolutions_ - 1);
@@ -1032,8 +985,8 @@ class CountingTree::KeyOrderMerge {
   /// Each merged deepest cell's source rows.
   const HalfRows& half_rows() const { return half_rows_; }
 
-  /// The counters of InsertTree()ing every source in order into an
-  /// empty tree.
+  /// The fold's counters: each merged cell counts as created (an upper
+  /// one also opens a node), every other source cell as merged.
   const MergeTreeStats& stats() const { return stats_; }
 
  private:
@@ -1335,9 +1288,6 @@ Result<CountingTree> CountingTree::Fold(
       return Status::InvalidArgument(
           "fold part has a pending run: call Flush() before folding it");
     }
-    if (part->pending_ == nullptr) {
-      MRCC_RETURN_IF_ERROR(part->CheckCreationOrder());
-    }
   }
   // A flushed part's key order is read where it lies; a sealed part's is
   // ranked from its arenas.
@@ -1558,10 +1508,10 @@ Status CountingTree::DropDeepestLevel() {
   // stream at H - 1, and its ranked key order reads only them. So the
   // deepest level is freed first, never held next to the key order; the
   // new deepest level's cells are ranked by arena index, as any deepest
-  // level's are (see InsertTree), and the layout writes the H - 1 bytes.
+  // level's are (see RankedKeyOrder), and the layout writes the H - 1
+  // bytes.
   arenas_.pop_back();
   --num_resolutions_;
-  Pending();
   LayOutPending(nullptr);
   return Status::OK();
 }
@@ -1673,6 +1623,13 @@ Status CountingTree::ValidateInvariants() const {
           return fail(cell_where() + "dangling child pointer");
         }
         if (child_idx == 0) return fail(cell_where() + "root used as child");
+        // Creation order: a cell's child node is created after the cell,
+        // so after the cell's own node. RankedKeyOrder relies on it.
+        if (child_idx <= m) {
+          return fail(cell_where() + "child node " +
+                      std::to_string(child_idx) +
+                      " is not after its parent's node");
+        }
         const Node& child = nodes_[child_idx];
         if (child.level != node.level + 1) {
           return fail(cell_where() + "child level is not parent level + 1");

@@ -39,9 +39,9 @@
 //     range of records on the digits of levels 1..H-1, counts the deepest
 //     level in one sequential pass and derives every upper level's n and
 //     rank from its children. A sealed tree gives its own in one walk
-//     (see InsertTree), and a fold merges k key orders level by level in
+//     (RankedKeyOrder), and a fold merges k key orders level by level in
 //     one pass, adding the counts of equal cells (KeyOrderMerge in the
-//     .cc; two sources for InsertTree and run flushes);
+//     .cc; two sources for run flushes);
 //   - the layout sorts those cells by (rank, level) and writes the packed
 //     arenas directly in the canonical order below, summing each upper
 //     cell's half-space counts from its children (P[j] = sum of the n of
@@ -51,11 +51,12 @@
 //     deepest level.
 // Insert() appends records to a pending run; Flush() — or Insert() when
 // the run would pass kMaxRunBytes — builds the run's key order and merges
-// it into the tree's pending key order; InsertTree() merges a sealed
-// tree's the same way, and Seal() flushes and lays the pending key order
-// out once. Fold() folds many trees at once — sealed, or flushed and
-// never laid out, as a sliding window keeps its generations — in one
-// k-way merge read from where their key orders lie, and one layout whose
+// it into the tree's pending key order (a sealed tree's cells become that
+// key order first), and Seal() flushes and lays the pending key order out
+// once. Fold() is the one way to fold trees: the trees of consecutive
+// stream segments — flushed, as a sliding window keeps its generations
+// and the shard merger its loaded artifacts, or sealed — in one k-way
+// merge read from where their key orders lie, and one layout whose
 // deepest half-space counts are summed from the sources straight into
 // the arena.
 // BuildPartitioned() is the parallel form: T workers scan T stream slices
@@ -70,7 +71,10 @@
 // stream index of their parent cell, then by level — and cells in
 // creation order within their node, i.e. by their first stream index.
 // It is the order a point-at-a-time scan creates them in, so any split
-// of a stream into runs, sealed trees and folds gives the same bytes.
+// of a stream into runs, sealed trees and folds gives the same bytes. So
+// every node comes after its parent cell's node: ValidateInvariants
+// checks it, and a sealed tree's ranks stand in for first positions
+// only because of it.
 // That order is load-bearing: the β-search argmax breaks ties by the
 // lowest cell index in exactly this enumeration, so it is what keeps
 // results bit-identical across serial, sharded and reloaded builds.
@@ -105,12 +109,14 @@ namespace mrcc {
 
 class ThreadPool;
 
-/// Work counters of one CountingTree::InsertTree (or MergeTree) call.
-/// `cells_merged` — source cells already in the destination, whose
+/// Work counters of one tree fold (CountingTree::Fold, MergeTree), as if
+/// the parts were counted one after another into an empty tree:
+/// `cells_merged` — part cells an earlier part already holds, whose
 /// counts were added (the merge "conflicts" a sharded build pays for);
-/// `cells_created` — source cells new to the destination;
-/// `nodes_created` — the created cells above the deepest level (each
-/// opens a child node). A fold sums them with +=.
+/// `cells_created` — part cells new to the fold (all of the first
+/// part's); `nodes_created` — the created cells above the deepest level
+/// (each opens a child node). MergeTree counts against its destination,
+/// whose own cells are not created. Sums of folds add with +=.
 struct MergeTreeStats {
   uint64_t cells_merged = 0;
   uint64_t cells_created = 0;
@@ -260,7 +266,7 @@ class CountingTree {
   /// A validated empty, sealed tree with d = `num_dims` and H =
   /// `num_resolutions` (checked like Build(); H beyond kMaxResolutions + 1
   /// is clamped) — the start of every incremental construction: feed it
-  /// through Insert() / InsertTree() and Seal().
+  /// through Insert() and Seal().
   [[nodiscard]] static Result<CountingTree> Empty(size_t num_dims,
                                                   int num_resolutions);
 
@@ -274,59 +280,41 @@ class CountingTree {
   /// in [0,1)^d.
   [[nodiscard]] Status Insert(std::span<const double> point);
 
-  /// Counts every point of the sealed tree `other` into this one, as if
-  /// `other`'s point stream had been Insert()ed: after Seal() this tree
-  /// is byte-identical to the one built over the concatenation of both
-  /// streams (a pending run of this tree is counted in first, so stream
-  /// order holds). It merges `other`'s key order into this tree's
-  /// pending one (the two-source merge of Fold), ranking each cell of
-  /// `other` past every rank already pending: an upper cell by its child
-  /// node's pool index, a deepest cell by its arena index — in a sealed
-  /// tree both follow creation order wherever the layout compares them.
-  /// Like Insert, it leaves the tree unsealed — call Seal() before any
-  /// read — so folding N trees one at a time lays the result out once,
-  /// not N times. Requires equal dimensionality and resolution count, a
-  /// sealed `other` and `&other != this`: a violation returns
-  /// InvalidArgument (a source whose node pool is not in creation order,
-  /// Internal) before this tree is touched. `other` is never modified.
-  /// Returns this call's work counters.
-  [[nodiscard]] Result<MergeTreeStats> InsertTree(const CountingTree& other);
-
   /// Merges the pending run's key order into the pending one and lays
   /// that out in canonical (readable) order. No-op on a sealed tree.
   void Seal();
 
-  /// Merges the pending run's key order into the pending one without
-  /// laying it out: the tree stays unsealed, its cells held as a key
-  /// order (a run's cells ranked by their first stream positions), ready
-  /// to be a Fold() part. Frees the run. No-op when the run is empty (a
-  /// sealed tree stays sealed).
+  /// Leaves the tree a key order, never laid out: a sealed tree's cells
+  /// become its ranked key order (see RankedKeyOrder) and its arenas are
+  /// freed, then the pending run's key order (its cells ranked by their
+  /// first stream positions) is merged in and the run freed. The tree is
+  /// unsealed afterwards, ready to be a Fold() part; Seal() lays it out
+  /// again, byte-identical to the tree it was.
   void Flush();
 
   /// Folds `parts`, the trees of consecutive segments of one stream
   /// given oldest first, into the sealed tree built over their
-  /// concatenation: byte-identical to InsertTree()ing every part in
-  /// order into an empty tree and sealing once. Each part is sealed or
-  /// flushed (unsealed with an empty run, see Flush()); a flushed part's
-  /// key order is read where it lies, a sealed part's is ranked as
-  /// InsertTree describes, and no part is modified. One k-way merge
-  /// keyed on (merged parent, loc) builds the window's key order: part
-  /// s's ranks are offset by the summed rank bounds of the parts before
-  /// it, and a cell several parts hold keeps the earliest one's rank.
-  /// The layout then runs once on `pool`'s threads (inline when null),
+  /// concatenation: byte-identical to Insert()ing every part's points in
+  /// order into an empty tree and sealing once. Each part is flushed
+  /// (see Flush()) or sealed; a flushed part's key order is read where
+  /// it lies, a sealed part's is ranked from its arenas (RankedKeyOrder,
+  /// a copy as large as its cells; flush a part first where memory
+  /// counts), and no part is modified. One k-way merge keyed on (merged
+  /// parent, loc) builds the result's key order: part s's ranks are
+  /// offset by the summed rank bounds of the parts before it, and a cell
+  /// several parts hold keeps the earliest one's rank. The merge and the
+  /// layout run on `pool`'s threads (inline when null), the layout
   /// summing the deepest level's half counts from the parts straight
-  /// into its arena. `*stats` (when non-null) receives the counters the
-  /// InsertTree fold would sum. Errors, before the merge:
+  /// into its arena. `*stats` (when non-null) receives the fold's
+  /// counters (see MergeTreeStats). Errors, before the merge:
   /// InvalidArgument for no parts, a dimensionality or resolution
   /// mismatch, a part with a pending run, or summed rank bounds past
-  /// 2^32 - 1; Internal for a sealed part whose node pool is not in
-  /// creation order. No part is changed either way.
+  /// 2^32 - 1. No part is changed either way.
   [[nodiscard]] static Result<CountingTree> Fold(
       std::span<const CountingTree* const> parts, ThreadPool* pool,
       MergeTreeStats* stats);
 
-  /// False while Insert() / InsertTree() / Flush() changes await a
-  /// Seal().
+  /// False while Insert() / Flush() changes await a Seal().
   bool sealed() const { return pending_ == nullptr && run_.empty(); }
 
   /// Number of resolutions H (the root counts as resolution 0).
@@ -382,7 +370,7 @@ class CountingTree {
   /// nodes — the graceful-degradation lever under memory pressure: the
   /// paper's H trades resolution for resources, and counts at the
   /// remaining levels are untouched. The tree frees its deepest level,
-  /// turns the rest into its ranked key order (see InsertTree) and is laid
+  /// turns the rest into its ranked key order (see Flush()) and is laid
   /// out again, so it is byte-identical to a tree built with the smaller H
   /// from the start. Freeing the deepest level (the one with the most
   /// cells) first keeps the drop's transient heap near the tree's own.
@@ -394,12 +382,14 @@ class CountingTree {
   /// arena consistency, d-bit loc codes, half-space counts P[j] <= n,
   /// a child node under every cell above the deepest level, child
   /// levels/base coordinates, child count sums equal to the parent cell
-  /// count, single-parent linkage, each level's nodes tiling its arena in
-  /// pool order and the total-point count. O(cells * d) time and no allocation per
-  /// node or cell when the tree is valid. Returns OK or Internal naming
-  /// the first violated invariant. Seal() (and so Build and MergeTree)
-  /// runs it in debug builds; ParseTree (LoadTree, every shard-artifact
-  /// load) runs it unconditionally to reject corrupt bytes.
+  /// count, single-parent linkage, creation order (every child node
+  /// after its parent cell's node), each level's nodes tiling its arena
+  /// in pool order and the total-point count. O(cells * d) time and no
+  /// allocation per node or cell when the tree is valid. Returns OK or
+  /// Internal naming the first violated invariant. Every layout (Seal,
+  /// Build, Fold, MergeTree) runs it in debug builds; ParseTree
+  /// (LoadTree, every shard-artifact load) runs it unconditionally to
+  /// reject corrupt bytes.
   [[nodiscard]] Status ValidateInvariants() const;
 
   /// Approximate heap footprint of the tree in bytes, the pending run
@@ -475,7 +465,7 @@ class CountingTree {
   /// `first` ranks a cell: its lowest stream position in a run's key
   /// order, a rank below position_bound that orders cells as their first
   /// positions do wherever LayOut compares them in any other (see
-  /// InsertTree).
+  /// RankedKeyOrder).
   struct KeyOrder {
     struct Level {
       size_t cells = 0;
@@ -546,8 +536,12 @@ class CountingTree {
                              KeyOrder& key_order, ThreadPool* pool,
                              const HalfRows* deepest_half = nullptr);
 
-  /// This sealed tree's key order, ranked as InsertTree describes, with
-  /// rank bound max(nodes, deepest cells).
+  /// This sealed tree's key order, with rank bound max(nodes, deepest
+  /// cells): an upper cell is ranked by its child node's pool index, a
+  /// deepest cell by its arena index. Pool order is creation order (a
+  /// tree invariant) and arena order is creation order within a node, so
+  /// the ranks order cells as their first stream positions do wherever
+  /// the layout compares them.
   KeyOrder RankedKeyOrder() const;
 
   /// The pending key order: a sealed tree first turns its cells into one
@@ -564,11 +558,6 @@ class CountingTree {
   /// Flushes the run and lays the pending key order out on `pool`'s
   /// threads (inline when null).
   void LayOutPending(ThreadPool* pool);
-
-  /// InsertTree's check of a sealed source: its node pool is in creation
-  /// order (every node after its parent), so its ranks stand in for
-  /// first positions. Internal otherwise.
-  Status CheckCreationOrder() const;
 
   /// Arena index of the cell with position `loc` in `node`, or -1: a
   /// vector compare-scan of the node's loc slice.

@@ -135,8 +135,8 @@ struct MrCCStats {
 
   /// Threads actually used per stage (each stage caps the budget by the
   /// work available: shards by points, labeling by slice size). A window
-  /// snapshot's tree build is its fold, merged and laid out on a pool of
-  /// the run's threads.
+  /// snapshot's and the shard merger's tree build is their fold, merged
+  /// and laid out on a pool of the run's threads.
   int tree_build_threads = 1;
   int beta_search_threads = 1;
   int labeling_threads = 1;
@@ -158,14 +158,14 @@ struct MrCCStats {
   /// returned them.
   BetaSearchStats beta_search;
 
-  /// The fold counters summed over the engine's folds: the window
-  /// snapshot's k-way CountingTree::Fold of its generations and the shard
-  /// merger's pairwise InsertTree fold of its artifacts, which count
-  /// alike (a k-way fold reports what InsertTree()ing its parts in order
-  /// would). cells_merged counts cells present in more than one folded
-  /// tree — high values relative to the tree size mean the sources cover
-  /// the same regions, the expected regime — and bound the fold's extra
-  /// work. All zero for the batch build (BuildTree), which folds nothing.
+  /// The counters of the engine's one tree fold, CountingTree::Fold: of
+  /// the window snapshot's generations or of the shard merger's
+  /// artifacts (see MergeTreeStats; every cell of the first part counts
+  /// as created). cells_merged counts cells present in more than one
+  /// folded tree — high values relative to the tree size mean the
+  /// sources cover the same regions, the expected regime — and bound the
+  /// fold's extra work. All zero for the batch build (BuildTree), which
+  /// folds nothing.
   MergeTreeStats tree_merge;
 
   /// Slowest worker scan divided by the mean worker scan during the

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -323,8 +324,9 @@ Result<CountingTree> ParseTree(std::string_view bytes,
   // Field-level reads above only prove the bytes parse; a well-formed
   // stream can still encode a structurally corrupt tree (half counts
   // exceeding the cell count, child sums that do not add up, duplicate
-  // sibling locs). InsertTree and the β-search would turn such a tree
-  // into silent nonsense, so reject it at the I/O boundary.
+  // sibling locs, a pool out of creation order). A fold and the β-search
+  // would turn such a tree into silent nonsense, so reject it at the I/O
+  // boundary.
   if (Status v = tree.ValidateInvariants(); !v.ok()) {
     return Status::IOError("corrupt tree in " + path + ": " + v.message());
   }
@@ -339,11 +341,27 @@ Result<CountingTree> LoadTree(const std::string& path) {
 
 Result<MergeTreeStats> MergeTree(CountingTree* tree,
                                  const CountingTree& other) {
-  Result<MergeTreeStats> stats = tree->InsertTree(other);
-  // InsertTree fails before touching the tree, so on error this only
-  // seals a destination that arrived unsealed; on success it lays the
-  // whole tree out again.
-  tree->Seal();
+  tree->Seal();  // Points Insert()ed since its last Seal() come first.
+  if (&other == tree) {
+    return Status::InvalidArgument("cannot merge a tree into itself");
+  }
+  if (!other.sealed()) {
+    return Status::InvalidArgument(
+        "source tree is not sealed: call Seal() before merging it");
+  }
+  const CountingTree* parts[] = {tree, &other};
+  MergeTreeStats stats;
+  Result<CountingTree> merged = CountingTree::Fold(parts, nullptr, &stats);
+  MRCC_RETURN_IF_ERROR(merged.status());
+  // Fold counts the destination's own cells as created; this call
+  // reports only what `other` adds.
+  for (int h = 1; h < tree->num_resolutions(); ++h) {
+    stats.cells_created -= tree->NumCellsAtLevel(h);
+    if (h + 1 < tree->num_resolutions()) {
+      stats.nodes_created -= tree->NumCellsAtLevel(h);
+    }
+  }
+  *tree = std::move(*merged);
   return stats;
 }
 

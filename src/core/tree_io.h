@@ -59,18 +59,17 @@ std::string SerializeTree(const CountingTree& tree, size_t trailer_bytes = 0);
 [[nodiscard]] Result<CountingTree> LoadTree(const std::string& path);
 
 /// Merges `other` into `tree` and seals it: afterwards `tree` equals the
-/// tree built over the concatenation of both datasets. This is
-/// tree->InsertTree(other) followed by tree->Seal(), so it has the same
-/// requirements: equal dimensionality and resolution count, `other`
-/// sealed (a tree that took Insert()s since its last Seal() is rejected
-/// with InvalidArgument) and not `tree` itself. On error `tree` keeps its
-/// counts and is left sealed. `other` is left untouched. Returns this
-/// merge's work counters. A fold of several trees should not call it per
-/// source — every MergeTree call turns the whole destination into a key
-/// order and lays it out again — but CountingTree::Fold once over all of
-/// them (one k-way merge, one layout; what a window snapshot runs), or
-/// InsertTree per source and Seal() once when the sources must arrive one
-/// at a time (what the shard merger runs, holding one parsed artifact).
+/// tree built over the concatenation of both datasets. It is a two-part
+/// CountingTree::Fold of the sealed `tree` and `other` whose result
+/// replaces `*tree`, one thread. Requires equal dimensionality and
+/// resolution count, `other` sealed (a tree that took Insert()s since its
+/// last Seal() is rejected with InvalidArgument) and not `tree` itself.
+/// On error `tree` keeps its counts and is left sealed. `other` is left
+/// untouched. Returns this merge's work counters, counted against
+/// `tree`: its own cells are not created. Kept for the benchmark
+/// driver's in-process repeat of a sharded build; the engine folds
+/// several trees with one CountingTree::Fold over all of them (one
+/// k-way merge, one layout), never pairwise.
 [[nodiscard]] Result<MergeTreeStats> MergeTree(CountingTree* tree,
                                                const CountingTree& other);
 

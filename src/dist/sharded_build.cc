@@ -1,6 +1,7 @@
 #include "dist/sharded_build.h"
 
 #include <utility>
+#include <vector>
 
 #include "common/budget.h"
 #include "common/failpoint.h"
@@ -200,27 +201,34 @@ Result<ShardArtifact> LoadOrRebuildShard(const ShardedBuildOptions& options,
 
 Result<FoldedShards> MergeShardTrees(const ShardedBuildOptions& options,
                                      const BuildManifest& manifest) {
-  Result<ShardArtifact> first = LoadOrRebuildShard(options, manifest, 0);
-  MRCC_RETURN_IF_ERROR(first.status());
-  FoldedShards folded{std::move(first->tree), {}, first->meta.points_skipped,
-                      first->meta.points_clamped};
-  for (size_t i = 1; i < manifest.shards.size(); ++i) {
-    Result<ShardArtifact> next = LoadOrRebuildShard(options, manifest, i);
-    MRCC_RETURN_IF_ERROR(next.status());
-    MRCC_RETURN_IF_ERROR(fp::Maybe("tree.merge.alloc"));
-    // Left-to-right fold in partition order: InsertTree merges this
-    // artifact's key order, ranked after the earlier artifacts', and the
-    // one Seal below lays out exactly the serial tree
-    // (core/counting_tree.h). One parsed artifact is resident at a time.
-    Result<MergeTreeStats> merged = folded.tree.InsertTree(next->tree);
-    MRCC_RETURN_IF_ERROR(merged.status());
-    folded.merge_stats += *merged;
-    folded.points_skipped += next->meta.points_skipped;
-    folded.points_clamped += next->meta.points_clamped;
+  // Each artifact is flushed as it loads: its parsed arenas become its
+  // ranked key order and are freed, so the fold never holds a parsed
+  // tree beside the key orders.
+  std::vector<CountingTree> shards;
+  shards.reserve(manifest.shards.size());
+  uint64_t points_skipped = 0;
+  uint64_t points_clamped = 0;
+  for (size_t i = 0; i < manifest.shards.size(); ++i) {
+    Result<ShardArtifact> artifact = LoadOrRebuildShard(options, manifest, i);
+    MRCC_RETURN_IF_ERROR(artifact.status());
+    artifact->tree.Flush();
+    shards.push_back(std::move(artifact->tree));
+    points_skipped += artifact->meta.points_skipped;
+    points_clamped += artifact->meta.points_clamped;
   }
-  folded.tree.Seal();
-  PublishMergeMetrics(folded.merge_stats);
-  return folded;
+  MRCC_RETURN_IF_ERROR(fp::Maybe("tree.merge.alloc"));
+  std::vector<const CountingTree*> parts;
+  for (const CountingTree& shard : shards) parts.push_back(&shard);
+  // One fold in partition order: each artifact's ranks follow the
+  // earlier artifacts', so the one layout is exactly the serial tree
+  // (core/counting_tree.h).
+  ThreadPool pool(ResolveThreadCount(options.params.num_threads));
+  MergeTreeStats stats;
+  Result<CountingTree> tree = CountingTree::Fold(parts, &pool, &stats);
+  MRCC_RETURN_IF_ERROR(tree.status());
+  PublishMergeMetrics(stats);
+  return FoldedShards{std::move(*tree), stats, points_skipped,
+                      points_clamped, pool.num_threads()};
 }
 
 Result<MrCCResult> MergeShards(const ShardedBuildOptions& options,
@@ -246,6 +254,7 @@ Result<MrCCResult> MergeShards(const ShardedBuildOptions& options,
   MRCC_RETURN_IF_ERROR(folded.status());
   result.stats.tree_merge_seconds = phase.ElapsedSeconds();
   result.stats.tree_build_seconds = result.stats.tree_merge_seconds;
+  result.stats.tree_build_threads = folded->fold_threads;
   result.stats.tree_merge = folded->merge_stats;
   result.stats.points_skipped = folded->points_skipped;
   result.stats.points_clamped = folded->points_clamped;

@@ -4,15 +4,15 @@
 // worker processes: each worker counts one contiguous point partition
 // into a Counting-tree with the pipeline's shared range build
 // (BuildTreeOverRange, core/mrcc.h) and publishes it as a checksummed
-// artifact (dist/shard_io.h); a merger then folds the shard trees
-// left-to-right with CountingTree::InsertTree, which merges each
-// artifact's key order into the folded one, seals the result once (one
-// layout) and runs the pipeline's shared cluster tail (ClusterTree:
-// budget drops, β-search, cluster merge, labeling) once over it.
+// artifact (dist/shard_io.h); a merger then turns each artifact into its
+// key order as it loads (CountingTree::Flush), folds them all with one
+// CountingTree::Fold (one k-way merge and one layout on the run's
+// threads) and runs the pipeline's shared cluster tail (ClusterTree:
+// budget drops, β-search, cluster merge, labeling) once over the result.
 //
-// Why this is bit-identical to a single-process run: the left-to-right
-// fold over ordered contiguous partitions ranks every artifact's cells
-// after the earlier artifacts', so the one layout reproduces the serial
+// Why this is bit-identical to a single-process run: the fold over
+// ordered contiguous partitions ranks every artifact's cells after the
+// earlier artifacts', so the one layout reproduces the serial
 // build's tree node-for-node and cell-for-cell (core/counting_tree.h),
 // and every downstream stage is deterministic at any thread count — so
 // labels, clusters, and even the serialized tree bytes match the
@@ -111,17 +111,21 @@ bool ShardComplete(const ShardedBuildOptions& options,
     size_t index);
 
 /// MergeShardTrees' result: the folded, serial-equivalent tree, the
-/// InsertTree counters summed over every folded shard, and the shards'
-/// bad-point counts summed likewise.
+/// fold's counters (every shard's cells, the first's all created), the
+/// shards' bad-point counts summed, and the fold pool's thread count.
 struct FoldedShards {
   CountingTree tree;
   MergeTreeStats merge_stats;
   uint64_t points_skipped = 0;
   uint64_t points_clamped = 0;
+  int fold_threads = 1;
 };
 
-/// The merger's tree half: loads (or rebuilds) every shard and folds
-/// them left-to-right into the serial-equivalent tree.
+/// The merger's tree half: loads (or rebuilds) every shard, flushing
+/// each into its key order as it arrives, and folds them in partition
+/// order with one CountingTree::Fold on a pool of
+/// options.params.num_threads threads into the serial-equivalent tree.
+/// Honors the `tree.merge.alloc` failpoint once, before the fold.
 [[nodiscard]] Result<FoldedShards> MergeShardTrees(
     const ShardedBuildOptions& options, const BuildManifest& manifest);
 

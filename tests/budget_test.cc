@@ -64,7 +64,7 @@ Dataset Slice(const Dataset& data, size_t begin, size_t end) {
 
 // Every drop is exact: the tree is byte-identical to one built with the
 // smaller H from the start, whether it was built, folded from three
-// InsertTree sources or parsed — so the whole downstream search is too.
+// sources or parsed — so the whole downstream search is too.
 TEST_F(BudgetTest, DropDeepestLevelMatchesSmallerHBuild) {
   constexpr int kDeepest = 6;
   for (const size_t dims : {size_t{1}, size_t{2}, size_t{14}, size_t{30}}) {
@@ -81,15 +81,16 @@ TEST_F(BudgetTest, DropDeepestLevelMatchesSmallerHBuild) {
     std::vector<CountingTree> trees;
     Result<CountingTree> built = CountingTree::Build(d, kDeepest);
     ASSERT_TRUE(built.ok());
-    Result<CountingTree> folded = CountingTree::Empty(dims, kDeepest);
-    ASSERT_TRUE(folded.ok());
+    std::vector<CountingTree> sources;
     for (size_t part = 0; part < 3; ++part) {
       Result<CountingTree> source = CountingTree::Build(
           Slice(d, part * n / 3, (part + 1) * n / 3), kDeepest);
       ASSERT_TRUE(source.ok());
-      ASSERT_TRUE(folded->InsertTree(*source).ok());
+      sources.push_back(std::move(*source));
     }
-    folded->Seal();
+    const CountingTree* parts[] = {&sources[0], &sources[1], &sources[2]};
+    Result<CountingTree> folded = CountingTree::Fold(parts, nullptr, nullptr);
+    ASSERT_TRUE(folded.ok());
     Result<CountingTree> parsed = ParseTree(SerializeTree(*built), "built");
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
     trees.push_back(std::move(built).value());
@@ -111,22 +112,22 @@ TEST_F(BudgetTest, DropDeepestLevelMatchesSmallerHBuild) {
   }
 }
 
-// An unsealed tree's cells are not all in its arenas (after InsertTree)
-// and its pending run keys points at the current H (after Insert): the
-// drop refuses both before touching the tree.
+// An unsealed tree's cells are not all in its arenas (after Flush) and
+// its pending run keys points at the current H (after Insert): the drop
+// refuses both before touching the tree.
 TEST_F(BudgetTest, DropRefusesAnUnsealedTree) {
   const Dataset d = testing::UniformDataset(600, 3, 5);
   Result<CountingTree> whole = CountingTree::Build(d, 5);
   ASSERT_TRUE(whole.ok());
   const std::string expected = SerializeTree(*whole);
 
-  Result<CountingTree> folded = CountingTree::Empty(3, 5);
-  ASSERT_TRUE(folded.ok());
-  ASSERT_TRUE(folded->InsertTree(*whole).ok());
-  EXPECT_EQ(folded->DropDeepestLevel().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(folded->num_resolutions(), 5);
-  folded->Seal();
-  EXPECT_TRUE(SerializeTree(*folded) == expected);
+  Result<CountingTree> flushed = CountingTree::Build(d, 5);
+  ASSERT_TRUE(flushed.ok());
+  flushed->Flush();
+  EXPECT_EQ(flushed->DropDeepestLevel().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(flushed->num_resolutions(), 5);
+  flushed->Seal();
+  EXPECT_TRUE(SerializeTree(*flushed) == expected);
 
   Result<CountingTree> inserted = CountingTree::Build(Slice(d, 0, 300), 5);
   ASSERT_TRUE(inserted.ok());

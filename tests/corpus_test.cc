@@ -1,9 +1,9 @@
 // Fuzz-style corpus tests for the parsers that consume external bytes:
 // the binary dataset readers the pipeline uses (ChunkedBinaryDataSource,
 // MmapFileDataSource, LoadBinary — all behind ReadBinaryHeader), the
-// BenchRecord JSON reader, the build manifest loader (LoadManifest) and
-// the shard artifact loader (footer, checksum, ParseTree,
-// ValidateInvariants).
+// BenchRecord JSON reader, the build manifest loader (LoadManifest), the
+// Counting-tree reader (ParseTree, LoadTree) and the shard artifact
+// loader (footer, checksum, ParseTree, ValidateInvariants).
 //
 // Contract under test (DESIGN.md §11): any byte sequence either parses
 // or returns a non-OK Status. No crash, no abort, no unbounded
@@ -28,6 +28,7 @@
 #include "common/fs.h"
 #include "common/rng.h"
 #include "core/counting_tree.h"
+#include "core/tree_io.h"
 #include "data/data_source.h"
 #include "data/dataset_io.h"
 #include "dist/manifest.h"
@@ -364,6 +365,58 @@ TEST(CorpusManifestTest, TenThousandMutationsNeverCrashLoadManifest) {
   // manifest; a loop that never loaded one would not test that path.
   EXPECT_GT(loaded, 0);
   std::remove(tmp.c_str());
+}
+
+// ---- Counting-tree files (core/tree_io.h): what SaveTree writes and a
+// shard artifact embeds ahead of its footer.
+
+TEST(CorpusTreeTest, SeedsParseAsDocumented) {
+  // The tree of the one point 0.1 at d = 1, H = 4, pool {root, middle,
+  // leaf}: it loads, and it is what Build writes.
+  const double point[] = {0.1};
+  Dataset one(0, 1);
+  one.AppendPoint(point);
+  Result<CountingTree> built = CountingTree::Build(one, 4);
+  ASSERT_TRUE(built.ok());
+  const std::string valid = CorpusPath("tree/valid_one_point.tree");
+  EXPECT_EQ(ReadFileOrDie(valid), SerializeTree(*built));
+  Result<CountingTree> loaded = LoadTree(valid);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(SerializeTree(*loaded), SerializeTree(*built));
+
+  // The same cells with the pool out of creation order, {root, leaf,
+  // middle}: every other invariant holds, and both readers reject it.
+  const std::string reordered = CorpusPath("tree/out_of_creation_order.tree");
+  for (const Result<CountingTree>& r :
+       {ParseTree(ReadFileOrDie(reordered), reordered),
+        LoadTree(reordered)}) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kIOError);
+    EXPECT_EQ(r.status().message(),
+              "corrupt tree in " + reordered +
+                  ": tree invariant violated: node 2: cell 0: child node 1 "
+                  "is not after its parent's node");
+  }
+}
+
+TEST(CorpusTreeTest, TenThousandMutationsNeverCrashParseTree) {
+  const std::vector<std::string> seeds = LoadSeeds(
+      "tree", {"valid_one_point.tree", "out_of_creation_order.tree"});
+  Rng rng(20261020);
+  int rejected = 0;
+  for (int i = 0; i < 10000; ++i) {
+    SCOPED_TRACE("mutation iteration " + std::to_string(i));
+    const std::string& seed = seeds[rng.UniformInt(seeds.size())];
+    const Result<CountingTree> r = ParseTree(Mutate(seed, rng), "mutated");
+    if (r.ok()) {
+      EXPECT_TRUE(r->ValidateInvariants().ok());
+      continue;
+    }
+    ++rejected;
+    EXPECT_EQ(r.status().code(), StatusCode::kIOError)
+        << r.status().ToString();
+  }
+  EXPECT_GT(rejected, 0);
 }
 
 // ---- Shard artifacts (dist/shard_io.h): the only state one mrcc-build

@@ -1,9 +1,9 @@
 // The sorted-run build (counting_tree.h): Insert appends a digit key to a
-// pending run, and Seal sorts the run and writes the packed tree, folding
-// it in with InsertTree when the tree already holds points. The contract
-// is byte identity with a point-at-a-time construction, so every case
-// here compares SerializeTree bytes against a naive reference builder
-// (reference_tree.h).
+// pending run, and Seal sorts the run and writes the packed tree, merging
+// the run's key order into the tree's own when it already holds points.
+// The contract is byte identity with a point-at-a-time construction, so
+// every case here compares SerializeTree bytes against a naive reference
+// builder (reference_tree.h).
 
 #include <gtest/gtest.h>
 
@@ -99,7 +99,8 @@ TEST_P(RunBuildShapeTest, InsertAndSealMatchesThePerPointDescent) {
 
 TEST_P(RunBuildShapeTest, InsertAfterSealFoldsTheNextRun) {
   // Runs of 0, 1 and many points, each sealed: the first is adopted by
-  // the empty tree, every later one goes through the InsertTree fold.
+  // the empty tree, every later one is merged into the sealed tree's
+  // ranked key order.
   const Shape shape = GetParam();
   const Dataset data = EdgeData(300, shape.dims, 29 + shape.dims);
   const int resolutions = static_cast<int>(shape.resolutions);
@@ -248,32 +249,36 @@ TEST(RunBuildTest, PartitionedBuildPastTheRunCapPerWorkerStillMatches) {
 }
 
 TEST(RunBuildTest, InsertTreeBetweenRunsKeepsStreamOrder) {
-  // Insert -> InsertTree -> Insert -> Seal: the pending run is counted in
-  // before the sealed sub-tree, and the last run after it.
+  // Flushed run -> sealed sub-tree -> flushed run, one Fold: the first
+  // run is counted in before the sealed sub-tree, and the last run
+  // after it.
   const Dataset data = EdgeData(400, 6, 41);
   const size_t a = 150, b = 300;
   CountingTree middle = EmptyTree(6, 5);
   for (size_t i = a; i < b; ++i) ASSERT_TRUE(middle.Insert(data.Point(i)).ok());
   middle.Seal();
 
-  CountingTree tree = EmptyTree(6, 5);
+  CountingTree head = EmptyTree(6, 5);
+  CountingTree tail = EmptyTree(6, 5);
   ReferenceTree ref(6, 5);
   for (size_t i = 0; i < data.NumPoints(); ++i) ref.Insert(data.Point(i));
-  for (size_t i = 0; i < a; ++i) ASSERT_TRUE(tree.Insert(data.Point(i)).ok());
-  ASSERT_TRUE(tree.InsertTree(middle).ok());
-  EXPECT_FALSE(tree.sealed());
+  for (size_t i = 0; i < a; ++i) ASSERT_TRUE(head.Insert(data.Point(i)).ok());
   for (size_t i = b; i < data.NumPoints(); ++i) {
-    ASSERT_TRUE(tree.Insert(data.Point(i)).ok());
+    ASSERT_TRUE(tail.Insert(data.Point(i)).ok());
   }
-  tree.Seal();
-  ExpectMatches(tree, ref);
+  head.Flush();
+  tail.Flush();
+  const CountingTree* parts[] = {&head, &middle, &tail};
+  Result<CountingTree> tree = CountingTree::Fold(parts, nullptr, nullptr);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  ExpectMatches(*tree, ref);
 }
 
 TEST(RunBuildTest, WindowGenerationSequenceMatches) {
   // The window engine's life cycle: each generation is an empty tree fed
   // by Insert and sealed; a snapshot folds the retained generations and
-  // the unsealed filling one into an empty tree. At every snapshot the
-  // fold must equal a descent over exactly the retained points.
+  // the filling one, flushed, with one Fold. At every snapshot the fold
+  // must equal a descent over exactly the retained points.
   constexpr size_t kDims = 5;
   constexpr int kResolutions = 4;
   constexpr size_t kGenerationPoints = 97;
@@ -293,18 +298,19 @@ TEST(RunBuildTest, WindowGenerationSequenceMatches) {
     }
     if (i % 61 != 60) continue;
     SCOPED_TRACE("snapshot after point " + std::to_string(i));
-    CountingTree window = EmptyTree(kDims, kResolutions);
+    std::vector<const CountingTree*> parts;
     for (const auto& generation : generations) {
-      ASSERT_TRUE(window.InsertTree(generation.second).ok());
+      parts.push_back(&generation.second);
     }
-    filling.Seal();
-    ASSERT_TRUE(window.InsertTree(filling).ok());
-    window.Seal();
+    filling.Flush();
+    parts.push_back(&filling);
+    Result<CountingTree> window = CountingTree::Fold(parts, nullptr, nullptr);
+    ASSERT_TRUE(window.ok()) << window.status().ToString();
     ReferenceTree ref(kDims, kResolutions);
     const size_t first =
         generations.empty() ? filling_first : generations.front().first;
     for (size_t k = first; k <= i; ++k) ref.Insert(data.Point(k));
-    ExpectMatches(window, ref);
+    ExpectMatches(*window, ref);
   }
 }
 

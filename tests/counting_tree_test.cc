@@ -459,6 +459,16 @@ TEST_F(InvariantMessageTest, DanglingChild) {
             "pointer");
 }
 
+TEST_F(InvariantMessageTest, ChildNodeBeforeItsParentsNode) {
+  // Creation order: a child node follows its parent cell's node in the
+  // pool. Node 1 is the first level-2 node, owning level-2 cell 0; a
+  // child pointer back at node 1 (or any node before it) breaks it.
+  CountingTree::TestPeer::Child(*tree_, CellRef{2, 0}) = 1;
+  EXPECT_EQ(Message(),
+            "tree invariant violated: node 1: cell 0: child node 1 is not "
+            "after its parent's node");
+}
+
 TEST_F(InvariantMessageTest, ChildlessCellAboveTheDeepestLevel) {
   // Every point reaches the deepest level, so a cell above it without a
   // child node is corrupt; a fold's key order could not rank it.

@@ -116,6 +116,53 @@ TEST_F(DistBuildTest, MergedTreeEqualsSerialTree) {
   EXPECT_EQ(SerializeTree(merged->tree), SerializeTree(*serial));
 }
 
+TEST_F(DistBuildTest, MergeShardTreesIsIdenticalAtEveryThreadCount) {
+  // The artifacts fold with one CountingTree::Fold on a pool of the run's
+  // threads: the merge and the layout are cut across them, and the tree
+  // bytes and counters must not depend on how many there are.
+  Result<BuildManifest> manifest = PrepareManifest(options_);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  for (size_t i = 0; i < manifest->shards.size(); ++i) {
+    ASSERT_TRUE(BuildShard(options_, *manifest, i).ok());
+  }
+  std::string bytes;
+  MergeTreeStats stats;
+  for (const int threads : {1, 2, 3}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ShardedBuildOptions options = options_;
+    options.params.num_threads = threads;
+    Result<FoldedShards> merged = MergeShardTrees(options, *manifest);
+    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+    EXPECT_EQ(merged->fold_threads, threads);
+    if (threads == 1) {
+      bytes = SerializeTree(merged->tree);
+      stats = merged->merge_stats;
+      continue;
+    }
+    EXPECT_EQ(SerializeTree(merged->tree), bytes);
+    EXPECT_EQ(merged->merge_stats.cells_merged, stats.cells_merged);
+    EXPECT_EQ(merged->merge_stats.cells_created, stats.cells_created);
+    EXPECT_EQ(merged->merge_stats.nodes_created, stats.nodes_created);
+  }
+}
+
+TEST_F(DistBuildTest, MergeShardsReportsTheFoldPoolAndItsCounters) {
+  ShardedBuildOptions options = options_;
+  options.params.num_threads = 3;
+  Result<MrCCResult> sharded = RunShardedBuild(options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ExpectSameResults(*baseline_, *sharded);
+  EXPECT_EQ(sharded->stats.tree_build_threads, 3);
+  // Every cell of the folded tree was created once by the fold (the
+  // first shard's included), the rest of the shards' cells merged.
+  uint64_t cells = 0;
+  for (size_t h = 1; h < sharded->stats.cells_per_level.size(); ++h) {
+    cells += sharded->stats.cells_per_level[h];
+  }
+  EXPECT_EQ(sharded->stats.tree_merge.cells_created, cells);
+  EXPECT_GT(sharded->stats.tree_merge.cells_merged, 0u);
+}
+
 TEST_F(DistBuildTest, ResumeSkipsCompletedShards) {
   Result<BuildManifest> manifest = PrepareManifest(options_);
   ASSERT_TRUE(manifest.ok());

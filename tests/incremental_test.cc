@@ -1,11 +1,11 @@
 // Incremental tree maintenance and the sliding-window streaming engine.
 //
 // The contract under test (counting_tree.h, streaming_mrcc.h): a tree
-// grown point by point through Insert/InsertTree/Seal is byte-identical
-// to one built in a single batch over the same stream, however the stream
-// is cut into batches, sub-trees or generations; and a StreamingMrCC
-// snapshot reproduces the batch pipeline's clusters over exactly the
-// points its window retains.
+// grown point by point through Insert/Flush/Seal, MergeTree or Fold is
+// byte-identical to one built in a single batch over the same stream,
+// however the stream is cut into batches, sub-trees or generations; and
+// a StreamingMrCC snapshot reproduces the batch pipeline's clusters over
+// exactly the points its window retains.
 
 #include <gtest/gtest.h>
 
@@ -117,9 +117,9 @@ TEST(IncrementalTreeTest, SealedTreeReopensOnInsert) {
 }
 
 TEST(IncrementalTreeTest, InsertTreeBetweenInsertsMatchesBatchBuild) {
-  // Insert -> InsertTree -> Insert -> Seal: the destination is unsealed
-  // when the sealed sub-tree arrives, so InsertTree must count it in
-  // without repacking (or re-unpacking) the pending inserts.
+  // Insert -> MergeTree -> Insert -> Seal: the destination is unsealed
+  // when the sealed sub-tree arrives, so MergeTree must count its
+  // pending inserts in first, then the sub-tree's points.
   const Dataset data = testing::UniformDataset(900, 4, 19);
   const int resolutions = 5;
   Result<CountingTree> batch = CountingTree::Build(data, resolutions);
@@ -135,8 +135,8 @@ TEST(IncrementalTreeTest, InsertTreeBetweenInsertsMatchesBatchBuild) {
     ASSERT_TRUE(grown.Insert(data.Point(i)).ok());
   }
   ASSERT_FALSE(grown.sealed());
-  ASSERT_TRUE(grown.InsertTree(*sub).ok());
-  ASSERT_FALSE(grown.sealed());
+  ASSERT_TRUE(MergeTree(&grown, *sub).ok());
+  ASSERT_TRUE(grown.sealed());
   for (size_t i = 650; i < data.NumPoints(); ++i) {
     ASSERT_TRUE(grown.Insert(data.Point(i)).ok());
   }

@@ -16,6 +16,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "core/beta_cluster_finder.h"
+#include "dist/shard_io.h"
 #include "reference_tree.h"
 #include "test_util.h"
 
@@ -358,12 +359,6 @@ TEST(TreeMergeTest, RejectedCallsLeaveTheDestinationUntouched) {
                         Case{"dimensionality mismatch", &*wide},
                         Case{"resolution mismatch", &*deep}}) {
     SCOPED_TRACE(c.what);
-    Result<MergeTreeStats> inserted = a->InsertTree(*c.source);
-    ASSERT_FALSE(inserted.ok());
-    EXPECT_EQ(inserted.status().code(), StatusCode::kInvalidArgument);
-    ASSERT_TRUE(a->sealed());
-    EXPECT_EQ(SerializeTree(*a), before);
-
     Result<MergeTreeStats> merged = MergeTree(&*a, *c.source);
     ASSERT_FALSE(merged.ok());
     EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
@@ -386,10 +381,12 @@ void AppendBytes(const T& v, std::string* out) {
 }
 
 TEST(TreeMergeTest, SourceOutOfCreationOrderIsRejectedUntouched) {
-  // A structurally valid tree whose pool lists a level-3 node before its
-  // level-2 parent: one point in d = 1, H = 4, pool {root, leaf, middle}.
-  // Insert and ParseTree of real data never produce this order, and the
-  // fold cannot reproduce a serial layout from it.
+  // A tree whose pool lists a level-3 node before its level-2 parent:
+  // one point in d = 1, H = 4, pool {root, leaf, middle}. Every other
+  // invariant holds, but no stream creates this order and a fold cannot
+  // reproduce a serial layout from it, so every parse entry point
+  // rejects it: no fold ever sees it. The same bytes are the corpus seed
+  // tree/out_of_creation_order.tree.
   std::string bytes = "MRTR";
   AppendBytes(uint32_t{1}, &bytes);  // version
   AppendBytes(uint32_t{1}, &bytes);  // d
@@ -408,29 +405,42 @@ TEST(TreeMergeTest, SourceOutOfCreationOrderIsRejectedUntouched) {
   node(1, 2, 1);   // root -> node 2
   node(3, -1, 0);  // leaf, child of node 2
   node(2, 1, 1);   // middle -> node 1
-  Result<CountingTree> reordered = ParseTree(bytes, "reordered");
-  ASSERT_TRUE(reordered.ok()) << reordered.status().ToString();
+  const std::string violation =
+      "tree invariant violated: node 2: cell 0: child node 1 is not after "
+      "its parent's node";
+  const auto expect_rejected = [&](const Status& status,
+                                   const std::string& path) {
+    EXPECT_EQ(status.code(), StatusCode::kIOError);
+    EXPECT_EQ(status.message(), "corrupt tree in " + path + ": " + violation);
+  };
+  expect_rejected(ParseTree(bytes, "reordered").status(), "reordered");
 
+  const std::string path = ::testing::TempDir() + "mrcc_tree_reordered.bin";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  expect_rejected(LoadTree(path).status(), path);
+
+  // As a shard artifact: a valid one-point tree of the same shape has
+  // the same length, so its tree bytes are swapped for these and the
+  // footer re-stamped; the checksum then holds and ParseTree rejects.
   const double point[] = {0.1};
   Dataset one(0, 1);
   one.AppendPoint(point);
   Result<CountingTree> a = CountingTree::Build(one, 4);
   ASSERT_TRUE(a.ok());
-  const std::string before = SerializeTree(*a);
-  Result<MergeTreeStats> inserted = a->InsertTree(*reordered);
-  ASSERT_FALSE(inserted.ok());
-  EXPECT_EQ(inserted.status().code(), StatusCode::kInternal);
-  EXPECT_EQ(inserted.status().message(),
-            "merge source tree is not in creation order");
-  ASSERT_TRUE(a->sealed());
-  EXPECT_EQ(SerializeTree(*a), before);
-  // The k-way fold ranks a sealed part the same way, so it checks too.
-  const CountingTree* parts[] = {&*a, &*reordered};
-  const Result<CountingTree> folded =
-      CountingTree::Fold(parts, nullptr, nullptr);
-  ASSERT_FALSE(folded.ok());
-  EXPECT_EQ(folded.status().code(), StatusCode::kInternal);
-  EXPECT_EQ(SerializeTree(*a), before);
+  std::string artifact =
+      dist::SerializeShardArtifact(*a, dist::ShardMeta{0, 1, 1});
+  ASSERT_EQ(SerializeTree(*a).size(), bytes.size());
+  artifact.replace(0, bytes.size(), bytes);
+  testing::RestampShardArtifact(&artifact);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(artifact.data(), static_cast<std::streamsize>(artifact.size()));
+  }
+  expect_rejected(dist::ReadShardArtifact(path).status(), path);
+  std::remove(path.c_str());
 }
 
 /// Every cell a point lies in, as {level, coordinates...}: level h's
@@ -468,16 +478,17 @@ MergeTreeStats ExpectedFold(const CellSet& present, const CellSet& source,
 }
 
 TEST(TreeFoldTest, OneSealAfterManyInsertTreesEqualsMergeFoldAndBuild) {
-  // A stream cut into consecutive segments, counted into one destination
-  // in order: a sealed tree over a segment goes in with InsertTree (empty
-  // and one-point trees included), a run segment is Insert()ed, so the
-  // destination holds a pending run when the next tree arrives. The
-  // destination starts empty or as a sealed non-empty tree. Two
-  // destinations take the same segments: one seals once at the end, the
-  // other folds every tree with MergeTree (a Seal per source). Both must
-  // give the bytes of the point-at-a-time reference over the whole
-  // stream, and every call must report the counters of its source's
-  // cells against the cells already counted.
+  // A stream cut into consecutive segments: a sealed tree over a segment
+  // (empty and one-point trees included) or a run segment of Insert()s.
+  // The stream starts empty or with a sealed non-empty tree. Two ways
+  // take the same segments: one CountingTree::Fold over every segment's
+  // tree (a run segment's flushed, the others sealed), and one
+  // destination that Insert()s each run, so it holds a pending run when
+  // the next tree arrives, and folds every tree in with MergeTree (a
+  // Seal per source). Both must give the bytes of the point-at-a-time
+  // reference over the whole stream; the fold must report the counters
+  // of all segments' cells in order, and every MergeTree call those of
+  // its source's cells against the cells already counted.
   enum Kind { kSealed, kTree, kRun };
   struct Segment {
     Kind kind;
@@ -514,10 +525,11 @@ TEST(TreeFoldTest, OneSealAfterManyInsertTreesEqualsMergeFoldAndBuild) {
         SCOPED_TRACE("starts " + std::string(layout[0].kind == kSealed
                                                  ? "sealed"
                                                  : "empty"));
-        Result<CountingTree> folded = CountingTree::Empty(d, resolutions);
+        std::vector<CountingTree> parts;
         Result<CountingTree> merged = CountingTree::Empty(d, resolutions);
-        ASSERT_TRUE(folded.ok() && merged.ok());
+        ASSERT_TRUE(merged.ok());
         CellSet present;
+        MergeTreeStats want_fold;
         size_t begin = 0;
         for (const Segment& segment : layout) {
           const Dataset slice = Slice(data, begin, begin + segment.points);
@@ -526,39 +538,48 @@ TEST(TreeFoldTest, OneSealAfterManyInsertTreesEqualsMergeFoldAndBuild) {
           for (size_t i = 0; i < slice.NumPoints(); ++i) {
             AddCells(slice.Point(i), resolutions, &cells);
           }
+          const MergeTreeStats want =
+              ExpectedFold(present, cells, resolutions);
+          want_fold += want;
           if (segment.kind == kSealed) {
             Result<CountingTree> a = CountingTree::Build(slice, resolutions);
             Result<CountingTree> b = CountingTree::Build(slice, resolutions);
             ASSERT_TRUE(a.ok() && b.ok());
-            folded = std::move(a);
+            parts.push_back(std::move(*a));
             merged = std::move(b);
           } else if (segment.kind == kRun) {
+            Result<CountingTree> run = CountingTree::Empty(d, resolutions);
+            ASSERT_TRUE(run.ok());
             for (size_t i = 0; i < slice.NumPoints(); ++i) {
-              ASSERT_TRUE(folded->Insert(slice.Point(i)).ok());
+              ASSERT_TRUE(run->Insert(slice.Point(i)).ok());
               ASSERT_TRUE(merged->Insert(slice.Point(i)).ok());
             }
+            run->Flush();
+            parts.push_back(std::move(*run));
           } else {
             Result<CountingTree> source =
                 CountingTree::Build(slice, resolutions);
             ASSERT_TRUE(source.ok());
-            const MergeTreeStats want =
-                ExpectedFold(present, cells, resolutions);
-            Result<MergeTreeStats> s = folded->InsertTree(*source);
-            ASSERT_TRUE(s.ok()) << s.status().ToString();
-            EXPECT_FALSE(folded->sealed());
             Result<MergeTreeStats> m = MergeTree(&*merged, *source);
             ASSERT_TRUE(m.ok()) << m.status().ToString();
             EXPECT_TRUE(merged->sealed());
-            for (const MergeTreeStats& got : {*s, *m}) {
-              EXPECT_EQ(got.cells_merged, want.cells_merged);
-              EXPECT_EQ(got.cells_created, want.cells_created);
-              EXPECT_EQ(got.nodes_created, want.nodes_created);
-            }
+            EXPECT_EQ(m->cells_merged, want.cells_merged);
+            EXPECT_EQ(m->cells_created, want.cells_created);
+            EXPECT_EQ(m->nodes_created, want.nodes_created);
+            parts.push_back(std::move(*source));
           }
           present.insert(cells.begin(), cells.end());
         }
         ASSERT_EQ(begin, data.NumPoints());
-        folded->Seal();
+        std::vector<const CountingTree*> sources;
+        for (const CountingTree& part : parts) sources.push_back(&part);
+        MergeTreeStats got;
+        Result<CountingTree> folded =
+            CountingTree::Fold(sources, nullptr, &got);
+        ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+        EXPECT_EQ(got.cells_merged, want_fold.cells_merged);
+        EXPECT_EQ(got.cells_created, want_fold.cells_created);
+        EXPECT_EQ(got.nodes_created, want_fold.nodes_created);
         merged->Seal();
         EXPECT_TRUE(folded->ValidateInvariants().ok());
         EXPECT_EQ(folded->total_points(), data.NumPoints());
@@ -575,8 +596,8 @@ TEST(TreeFoldTest, KWayFoldOfFlushedAndSealedPartsEqualsBuild) {
   // flushed several times) or sealed (Build), and parts may be empty or
   // hold one point. The fold, at 1, 2 and 3 threads, must give the bytes
   // of CountingTree::Build over the whole stream and of the
-  // point-at-a-time reference, and the counters of the InsertTree fold
-  // of the same parts.
+  // point-at-a-time reference, and the counters of counting the parts'
+  // cells one part after another.
   enum Kind { kFlushed, kFlushedTwice, kSealed };
   struct Part {
     Kind kind;
@@ -620,18 +641,20 @@ TEST(TreeFoldTest, KWayFoldOfFlushedAndSealedPartsEqualsBuild) {
       for (size_t l = 0; l < layouts.size(); ++l) {
         SCOPED_TRACE("layout " + std::to_string(l));
         std::vector<CountingTree> parts;
-        Result<CountingTree> inserted = CountingTree::Empty(d, resolutions);
-        ASSERT_TRUE(inserted.ok());
+        CellSet present;
         MergeTreeStats want;
         size_t begin = 0;
         for (const Part& part : layouts[l]) {
           const Dataset slice = Slice(data, begin, begin + part.points);
           begin += part.points;
+          CellSet cells;
+          for (size_t i = 0; i < slice.NumPoints(); ++i) {
+            AddCells(slice.Point(i), resolutions, &cells);
+          }
+          want += ExpectedFold(present, cells, resolutions);
+          present.insert(cells.begin(), cells.end());
           Result<CountingTree> sealed = CountingTree::Build(slice, resolutions);
           ASSERT_TRUE(sealed.ok());
-          Result<MergeTreeStats> s = inserted->InsertTree(*sealed);
-          ASSERT_TRUE(s.ok()) << s.status().ToString();
-          want += *s;
           if (part.kind == kSealed) {
             parts.push_back(std::move(*sealed));
             continue;
@@ -645,12 +668,10 @@ TEST(TreeFoldTest, KWayFoldOfFlushedAndSealedPartsEqualsBuild) {
             }
           }
           flushed->Flush();
-          EXPECT_EQ(flushed->sealed(), slice.NumPoints() == 0);
+          EXPECT_FALSE(flushed->sealed());
           parts.push_back(std::move(*flushed));
         }
         ASSERT_EQ(begin, data.NumPoints());
-        inserted->Seal();
-        ASSERT_EQ(SerializeTree(*inserted), golden);
 
         std::vector<const CountingTree*> sources;
         for (const CountingTree& part : parts) sources.push_back(&part);
@@ -698,6 +719,43 @@ TEST(TreeFoldTest, FoldRejectsBadPartsUntouched) {
   EXPECT_EQ(SerializeTree(*a), before);
   EXPECT_FALSE(running->sealed());
   EXPECT_EQ(running->total_points(), 1u);
+}
+
+TEST(TreeFoldTest, FlushThenSealOfASealedTreeGivesTheSameBytes) {
+  // Flush() leaves a sealed tree its ranked key order and frees the
+  // arenas; Seal() lays that out again. However the tree was assembled
+  // (built, folded, parsed), the round trip must not move a byte.
+  for (size_t d : {1, 2, 14, 30}) {
+    SCOPED_TRACE("d = " + std::to_string(d));
+    const Dataset data = testing::SmallClustered(600, d, 2, 31 + d).data;
+    Result<CountingTree> built = CountingTree::Build(data, 5);
+    ASSERT_TRUE(built.ok());
+    const std::string bytes = SerializeTree(*built);
+    Result<CountingTree> first = CountingTree::Build(Slice(data, 0, 250), 5);
+    Result<CountingTree> second =
+        CountingTree::Build(Slice(data, 250, data.NumPoints()), 5);
+    ASSERT_TRUE(first.ok() && second.ok());
+    const CountingTree* parts[] = {&*first, &*second};
+    Result<CountingTree> folded = CountingTree::Fold(parts, nullptr, nullptr);
+    Result<CountingTree> parsed = ParseTree(bytes, "built");
+    ASSERT_TRUE(folded.ok() && parsed.ok());
+
+    std::vector<CountingTree> trees;
+    trees.push_back(std::move(*built));
+    trees.push_back(std::move(*folded));
+    trees.push_back(std::move(*parsed));
+    for (size_t t = 0; t < trees.size(); ++t) {
+      SCOPED_TRACE("tree " + std::to_string(t) + " (built, folded, parsed)");
+      CountingTree& tree = trees[t];
+      ASSERT_EQ(SerializeTree(tree), bytes);
+      tree.Flush();
+      EXPECT_FALSE(tree.sealed());
+      EXPECT_EQ(tree.total_points(), data.NumPoints());
+      tree.Seal();
+      EXPECT_TRUE(tree.ValidateInvariants().ok());
+      EXPECT_EQ(SerializeTree(tree), bytes);
+    }
+  }
 }
 
 TEST(TreeMergeTest, EquivalenceDetectsDifferences) {

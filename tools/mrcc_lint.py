@@ -62,17 +62,16 @@ offending line):
                      only in src/core/mrcc.cc (the one cluster tail,
                      ClusterTree). A second copy of the scan loop or of
                      the tail trips it; tests and benches are exempt.
-                     Likewise a `.InsertTree(` / `->InsertTree(` call (a
-                     pairwise tree fold) appears in src/ only in
+                     Likewise a `CountingTree::Fold(` call (the one tree
+                     fold) appears in src/ only in
+                     src/core/streaming_mrcc.cc (the window snapshot),
                      src/dist/sharded_build.cc (the artifact merger) and
                      src/core/tree_io.cc (MergeTree), so no fold creeps
                      back into the batch build, which partitions by key
                      space instead, or into the tree itself, whose run
-                     flushes and build rounds merge key orders; and a
-                     `CountingTree::Fold(` call (the k-way fold) appears
-                     only in src/core/streaming_mrcc.cc (the window
-                     snapshot). Fold's own definition, `Result<
-                     CountingTree> CountingTree::Fold(`, is not a call.
+                     flushes and build rounds merge key orders. Fold's
+                     own definition, `Result<CountingTree>
+                     CountingTree::Fold(`, is not a call.
                      Outside tests/, `public DataSource` (a DataSource
                      backend) appears only in src/data/data_source.h, so
                      a new backend lands beside the three existing ones
@@ -476,17 +475,14 @@ SINGLE_OWNER_RULES = (
     (re.compile(r"(?:\.|->)\s*DropDeepestLevel\s*\(\s*\)"),
      ("src/core/mrcc.cc",), "DropDeepestLevel()",
      "the cluster tail ClusterTree (core/mrcc.h)"),
-    (re.compile(r"(?:\.|->)\s*InsertTree\s*\("),
-     ("src/dist/sharded_build.cc", "src/core/tree_io.cc"),
-     "InsertTree(",
-     "the partitioned batch build (BuildTree, core/mrcc.h), a key-order "
-     "merge inside CountingTree, or one of the existing folds"),
     # A call, not the definition after its return type `Result<...>`.
     (re.compile(r"(?<!>)(?<!>\s)\bCountingTree\s*::\s*Fold\s*\("),
-     ("src/core/streaming_mrcc.cc",),
+     ("src/core/streaming_mrcc.cc", "src/dist/sharded_build.cc",
+      "src/core/tree_io.cc"),
      "CountingTree::Fold(",
-     "the window snapshot (StreamingMrCC, core/streaming_mrcc.h), the one "
-     "k-way fold"),
+     "the partitioned batch build (BuildTree, core/mrcc.h), a key-order "
+     "merge inside CountingTree, or one of the existing folds (the window "
+     "snapshot, the artifact merger, MergeTree)"),
 )
 
 
