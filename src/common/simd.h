@@ -143,34 +143,6 @@ inline void ScaleU32ToI64(int64_t* out, const uint32_t* in, size_t n,
 #endif
 }
 
-/// First index i in [0, n) with p[i] == key, or -1. Linear sibling-loc
-/// scan inside one packed node (nodes below the hash-index threshold).
-inline int64_t FindU64(const uint64_t* p, size_t n, uint64_t key) {
-#if defined(MRCC_SIMD_AVX2)
-  const __m256i k = _mm256_set1_epi64x(static_cast<int64_t>(key));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + i));
-    const int mask = _mm256_movemask_pd(
-        _mm256_castsi256_pd(_mm256_cmpeq_epi64(v, k)));
-    if (mask != 0) {
-      return static_cast<int64_t>(i) +
-             (__builtin_ctz(static_cast<unsigned>(mask)));
-    }
-  }
-  for (; i < n; ++i) {
-    if (p[i] == key) return static_cast<int64_t>(i);
-  }
-  return -1;
-#else
-  for (size_t i = 0; i < n; ++i) {
-    if (p[i] == key) return static_cast<int64_t>(i);
-  }
-  return -1;
-#endif
-}
-
 /// Sum of p[0..n) as uint64 (child-count checks, level totals).
 inline uint64_t SumU32(const uint32_t* p, size_t n) {
   uint64_t acc = 0;

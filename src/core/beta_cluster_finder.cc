@@ -31,8 +31,9 @@ bool BetaCluster::SharesSpaceWith(const BetaCluster& other) const {
 }
 
 bool BetaCluster::Contains(std::span<const double> point) const {
+  // Negated compares: a NaN coordinate fails both and so lies outside.
   for (size_t j = 0; j < lower.size(); ++j) {
-    if (point[j] < lower[j] || point[j] > upper[j]) return false;
+    if (!(point[j] >= lower[j] && point[j] <= upper[j])) return false;
   }
   return true;
 }
@@ -241,8 +242,8 @@ class BetaClusterFinder {
                               " has no parent cell; corrupt tree");
     }
     const uint32_t parent_n = parent_counts[parent];
-    const CountingTree::CellRef parent_ref{h - 1,
-                                           static_cast<uint32_t>(parent)};
+    const std::span<const uint32_t> parent_half =
+        tree_.Level(h - 1).half_of(static_cast<uint32_t>(parent));
 
     const uint64_t parent_max = (uint64_t{1} << (h - 1)) - 1;
     std::vector<int64_t> cp(d_), np(d_);
@@ -260,7 +261,7 @@ class BetaClusterFinder {
               (above >= 0 ? parent_counts[above] : 0);
       // cP_j: points in the half of the parent that contains a_h.
       const bool lower_half = (coords[j] & 1) == 0;
-      const int64_t lower_count = tree_.HalfCount(parent_ref, j);
+      const int64_t lower_count = parent_half[j];
       cp[j] = lower_half ? lower_count
                          : static_cast<int64_t>(parent_n) - lower_count;
       // One-sided binomial test: under the null the central region holds
@@ -384,16 +385,6 @@ Result<BetaSearchResult> RunBetaSearch(const CountingTree& tree,
       static_cast<int64_t>(finder.stats().accepted));
   if (!betas.ok()) return betas.status();
   return BetaSearchResult{std::move(betas).value(), finder.stats()};
-}
-
-std::vector<BetaCluster> FindBetaClusters(const CountingTree& tree,
-                                          const BetaFinderOptions& options) {
-  Result<BetaSearchResult> result =
-      RunBetaSearch(tree, options, /*budget=*/nullptr);
-  // Budget-less searches only fail through armed failpoints; callers of
-  // the ergonomic signature (tests, tools) do not arm beta.search.alloc.
-  MRCC_CHECK(result.ok());
-  return std::move(result).value().betas;
 }
 
 }  // namespace mrcc

@@ -58,7 +58,7 @@ struct BetaFinderOptions {
   /// Ablation knob: convolve with the full order-3 Laplacian mask (all
   /// 3^d - 1 neighbors at weight -1) instead of the production face-only
   /// mask. The paper argues the full mask "improves a little" but costs
-  /// O(3^d) per cell. Above kMaxFullMaskDims, FindBetaClusters silently
+  /// O(3^d) per cell. Above kMaxFullMaskDims, RunBetaSearch silently
   /// falls back to the face-only mask (MrCC::Run rejects the combination
   /// instead).
   bool full_mask = false;
@@ -118,13 +118,6 @@ struct BetaSearchResult {
 [[nodiscard]] Result<BetaSearchResult> RunBetaSearch(
     const CountingTree& tree, const BetaFinderOptions& options,
     BudgetTracker* budget = nullptr);
-
-/// Value-returning convenience wrapper over RunBetaSearch with no budget.
-/// Without a budget and without armed failpoints the search cannot fail,
-/// so this keeps the original ergonomic signature for callers that own
-/// their tree (tests, tools); the pipeline goes through RunBetaSearch.
-std::vector<BetaCluster> FindBetaClusters(const CountingTree& tree,
-                                          const BetaFinderOptions& options);
 
 }  // namespace mrcc
 

@@ -94,12 +94,13 @@ Result<std::vector<int>> LabelPoints(const std::vector<BetaCluster>& betas,
             // The tree-build pass's ingest step: a skipped point was
             // never counted, so it stays noise; a clamped point was
             // counted at its clamped coordinates, so it is looked up
-            // there. kReject checks nothing — the build already failed on
-            // the first bad value.
-            if (policy != BadPointPolicy::kReject &&
-                IngestPoint(&point, policy, &scratch) == PointAction::kSkip) {
-              continue;
+            // there; a rejected one fails the scan, which may read a
+            // source the build never saw (a window's label source).
+            const PointAction action = IngestPoint(&point, policy, &scratch);
+            if (action == PointAction::kReject) {
+              return BadPointError(first + j, source.Name());
             }
+            if (action == PointAction::kSkip) continue;
             for (size_t b = 0; b < betas.size(); ++b) {
               if (betas[b].Contains(point)) {
                 labels[first + j] = beta_to_cluster[b];
@@ -121,25 +122,6 @@ Result<std::vector<int>> LabelPoints(const std::vector<BetaCluster>& betas,
     for (const PrefetchStats& s : slice_prefetch) *prefetch += s;
   }
   return labels;
-}
-
-Clustering BuildCorrelationClusters(const std::vector<BetaCluster>& betas,
-                                    const Dataset& data,
-                                    std::vector<int>* beta_to_cluster,
-                                    int num_threads) {
-  std::vector<int> dense;
-  Clustering out = MergeBetaClusters(betas, data.NumDims(), &dense);
-  if (beta_to_cluster != nullptr) *beta_to_cluster = dense;
-
-  const MemoryDataSource source(data);
-  // Label points by box membership. Correlation clusters are disjoint in
-  // space, so the first containing box determines the unique label. The
-  // memory source never fails, so the labeling result is always ok.
-  Result<std::vector<int>> labels =
-      LabelPoints(betas, dense, source, num_threads);
-  MRCC_CHECK(labels.ok());
-  out.labels = std::move(*labels);
-  return out;
 }
 
 }  // namespace mrcc

@@ -5,12 +5,10 @@
 // cluster's relevant axes are the union of its β-clusters' relevant axes.
 // Points covered by a cluster's boxes take its label; all others are noise.
 //
-// The two halves are exposed separately: MergeBetaClusters is pure
-// geometry over the β-boxes, LabelPoints streams any DataSource through
-// the boxes. BuildCorrelationClusters composes them over an in-memory
-// dataset. Per-point labels are independent, so labeling parallelizes
-// over contiguous point slices with bit-identical output at any thread
-// count.
+// The two halves are separate: MergeBetaClusters is pure geometry over
+// the β-boxes, LabelPoints streams any DataSource through the boxes.
+// Per-point labels are independent, so labeling parallelizes over
+// contiguous point slices with bit-identical output at any thread count.
 
 #pragma once
 
@@ -40,11 +38,12 @@ Clustering MergeBetaClusters(const std::vector<BetaCluster>& betas,
 /// `num_threads` (0 = hardware concurrency) splits the points into
 /// contiguous slices, one ScanChunks call per worker.
 ///
-/// `policy` must match the tree-build pass: points the build skipped are
-/// labeled noise and points it clamped are looked up at their clamped
-/// coordinates, so each point's label matches what the tree counted.
-/// kReject is the historical fast path — the build already failed on the
-/// first bad value, so labeling assumes clean input and checks nothing.
+/// `policy` must match the tree-build pass: every point goes through
+/// IngestPoint, so points the build skipped are labeled noise, points it
+/// clamped are looked up at their clamped coordinates, and under kReject
+/// the first bad point fails the scan with BadPointError — the source
+/// need not be the one the build scanned (StreamingMrCC::Snapshot's
+/// label source), so a NaN row is never silently labeled.
 ///
 /// The scan consumes the source in bounded chunks of `chunk_points`
 /// points (0 = kDefaultChunkPoints, data/data_source.h); the chunk size
@@ -59,13 +58,6 @@ Clustering MergeBetaClusters(const std::vector<BetaCluster>& betas,
     int num_threads = 1, BadPointPolicy policy = BadPointPolicy::kReject,
     size_t chunk_points = 0, size_t read_ahead_chunks = 0,
     PrefetchStats* prefetch = nullptr);
-
-/// Merges β-clusters and labels `data`'s points in one call (the
-/// in-memory composition of the two functions above).
-Clustering BuildCorrelationClusters(const std::vector<BetaCluster>& betas,
-                                    const Dataset& data,
-                                    std::vector<int>* beta_to_cluster = nullptr,
-                                    int num_threads = 1);
 
 }  // namespace mrcc
 

@@ -1332,13 +1332,6 @@ Result<CountingTree> CountingTree::Build(const Dataset& data,
   return tree;
 }
 
-int64_t CountingTree::FindInNode(const Node& node, uint64_t loc) const {
-  const Arena& arena = arenas_[static_cast<size_t>(node.level)];
-  const int64_t off =
-      simd::FindU64(arena.loc.data() + node.first, node.count, loc);
-  return off < 0 ? -1 : static_cast<int64_t>(node.first) + off;
-}
-
 // ---------------------------------------------------------------------------
 // Read API.
 
@@ -1420,77 +1413,6 @@ size_t CountingTree::NumCellsAtLevel(int h) const {
   MRCC_DCHECK_GE(h, 1);
   MRCC_DCHECK_LT(h, num_resolutions_);
   return arenas_[static_cast<size_t>(h)].size();
-}
-
-uint32_t CountingTree::Count(CellRef ref) const {
-  return arenas_[static_cast<size_t>(ref.level)].n[ref.index];
-}
-
-uint64_t CountingTree::Loc(CellRef ref) const {
-  return arenas_[static_cast<size_t>(ref.level)].loc[ref.index];
-}
-
-int32_t CountingTree::Child(CellRef ref) const {
-  return arenas_[static_cast<size_t>(ref.level)].child[ref.index];
-}
-
-uint32_t CountingTree::HalfCount(CellRef ref, size_t axis) const {
-  MRCC_DCHECK_LT(axis, num_dims_);
-  return arenas_[static_cast<size_t>(ref.level)]
-      .half[ref.index * num_dims_ + axis];
-}
-
-std::vector<uint64_t> CountingTree::CellCoords(CellRef ref) const {
-  return Level(ref.level).Coords(ref.index);
-}
-
-bool CountingTree::FindCell(int level, const std::vector<uint64_t>& coords,
-                            CellRef* ref) const {
-  MRCC_DCHECK_GE(level, 1);
-  MRCC_DCHECK_LT(level, num_resolutions_);
-  MRCC_DCHECK_EQ(coords.size(), num_dims_);
-  uint32_t node_idx = 0;
-  for (int l = 1; l <= level; ++l) {
-    // Position bits of the level-l ancestor inside its parent.
-    uint64_t loc = 0;
-    const int shift = level - l;
-    for (size_t j = 0; j < num_dims_; ++j) {
-      loc |= ((coords[j] >> shift) & 1) << j;
-    }
-    const Node& node = nodes_[node_idx];
-    const int64_t cell_idx = FindInNode(node, loc);
-    if (cell_idx < 0) return false;
-    if (l == level) {
-      ref->level = level;
-      ref->index = static_cast<uint32_t>(cell_idx);
-      return true;
-    }
-    const int32_t child =
-        arenas_[static_cast<size_t>(l)].child[static_cast<size_t>(cell_idx)];
-    if (child < 0) return false;
-    node_idx = static_cast<uint32_t>(child);
-  }
-  return false;  // Unreachable.
-}
-
-bool CountingTree::FaceNeighbor(int level,
-                                const std::vector<uint64_t>& coords,
-                                size_t axis, int dir, CellRef* ref) const {
-  MRCC_DCHECK(dir == -1 || dir == 1);
-  MRCC_DCHECK_LT(axis, num_dims_);
-  const uint64_t max_coord = (uint64_t{1} << level) - 1;
-  if (dir < 0 && coords[axis] == 0) return false;
-  if (dir > 0 && coords[axis] == max_coord) return false;
-  std::vector<uint64_t> neighbor = coords;
-  neighbor[axis] += static_cast<uint64_t>(dir);
-  return FindCell(level, neighbor, ref);
-}
-
-uint32_t CountingTree::FaceNeighborCount(int level,
-                                         const std::vector<uint64_t>& coords,
-                                         size_t axis, int dir) const {
-  CellRef ref;
-  return FaceNeighbor(level, coords, axis, dir, &ref) ? Count(ref) : 0;
 }
 
 Status CountingTree::DropDeepestLevel() {

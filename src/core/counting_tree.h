@@ -22,9 +22,9 @@
 // (the paper's linked list of sibling cells sharing one parent cell) is
 // reduced to a slice [first, first + count) of its level's arena plus
 // the parent cell's absolute coordinates; a level's nodes, in pool
-// order, tile its arena. Lookups by coordinates go through the search's
-// sorted level keys (level_keys.h); FindCell's root descent scans each
-// node's contiguous loc slice.
+// order, tile its arena. A sealed tree is read one way, level by level
+// through LevelView spans (paper §III-B); the one lookup by coordinates
+// is the search's sorted level keys (level_keys.h).
 //
 // Construction counts points by sorting them; no point walks the tree.
 // Every build is a run of digit-key records: a point's key is the binary
@@ -78,8 +78,8 @@
 // That order is load-bearing: the β-search argmax breaks ties by the
 // lowest cell index in exactly this enumeration, so it is what keeps
 // results bit-identical across serial, sharded and reloaded builds.
-// All public read access requires a sealed tree; the only sanctioned
-// way to read cells is the LevelView / CellRef API below.
+// All public read access requires a sealed tree, and goes through the
+// LevelView spans below.
 //
 // Cost: O(eta * d * H) key work plus O(eta * ceil(d * (H - 1) / b))
 // radix-sort work (b = 11-bit digits) and O(cells * d) for the levels;
@@ -148,9 +148,8 @@ class CountingTree {
   /// at d * H <= 64. BuildPartitioned holds at most this much per worker.
   static constexpr size_t kMaxRunBytes = size_t{32} << 20;
 
-  /// A located cell: its level and its index in that level's arena.
-  /// Indices are stable between structural mutations (the layout only
-  /// changes when the tree itself does).
+  /// A cell's address for TestPeer: its level and its index in that
+  /// level's arena.
   struct CellRef {
     int level = 0;
     uint32_t index = 0;
@@ -196,8 +195,6 @@ class CountingTree {
     /// mod 2^64). Exact; cells of one node compare by loc bits alone, so
     /// only cells of different nodes read their nodes' base coordinates.
     bool AtOffset(uint32_t a, uint32_t b, const uint64_t* offset) const;
-
-    CellRef ref(uint32_t i) const { return CellRef{level_, i}; }
 
    private:
     friend class CountingTree;
@@ -272,8 +269,8 @@ class CountingTree {
 
   /// Counts one more point: validates it and appends its digit key to
   /// the pending run (see the file comment). The tree is unsealed until
-  /// the next Seal(); call it before any read access (Level, FindCell,
-  /// the β-search). A sealed tree that received inserts is cell-for-cell
+  /// the next Seal(); call it before any read access (Level, the
+  /// β-search). A sealed tree that received inserts is cell-for-cell
   /// identical to one built from the concatenation of the original
   /// stream and the inserted points — the canonical order depends only
   /// on cell creation order, which appending preserves. Points must lie
@@ -334,37 +331,6 @@ class CountingTree {
 
   /// Number of materialized (non-empty) cells at level h.
   size_t NumCellsAtLevel(int h) const;
-
-  // Single-cell accessors via CellRef (the view's spans are the bulk
-  // path; these are for located cells).
-  uint32_t Count(CellRef ref) const;
-  uint64_t Loc(CellRef ref) const;
-  int32_t Child(CellRef ref) const;
-
-  /// Half-space count P[axis] of the referenced cell.
-  uint32_t HalfCount(CellRef ref, size_t axis) const;
-
-  /// Absolute integer coordinates (in [0, 2^level)) of the cell.
-  std::vector<uint64_t> CellCoords(CellRef ref) const;
-
-  /// Locates the cell at `coords` on `level`. Returns true and fills `ref`
-  /// when that region holds points. Walks down from the root, scanning
-  /// one node's loc slice per level. The reference lookup of tests and
-  /// TreesEquivalent; the engine looks cells up through LevelKeys.
-  bool FindCell(int level, const std::vector<uint64_t>& coords,
-                CellRef* ref) const;
-
-  /// The face neighbor of the cell at `coords` (level `level`) along
-  /// `axis`, in direction `dir` (-1 = lower, +1 = upper). Returns false
-  /// when outside the cube or not materialized. Covers both the paper's
-  /// internal neighbor (same parent) and external neighbor (adjacent
-  /// parent) transparently.
-  bool FaceNeighbor(int level, const std::vector<uint64_t>& coords,
-                    size_t axis, int dir, CellRef* ref) const;
-
-  /// Point count of the face neighbor, 0 when absent.
-  uint32_t FaceNeighborCount(int level, const std::vector<uint64_t>& coords,
-                             size_t axis, int dir) const;
 
   /// Removes the deepest materialized level (H := H - 1) and frees its
   /// nodes — the graceful-degradation lever under memory pressure: the
@@ -558,10 +524,6 @@ class CountingTree {
   /// Flushes the run and lays the pending key order out on `pool`'s
   /// threads (inline when null).
   void LayOutPending(ThreadPool* pool);
-
-  /// Arena index of the cell with position `loc` in `node`, or -1: a
-  /// vector compare-scan of the node's loc slice.
-  int64_t FindInNode(const Node& node, uint64_t loc) const;
 
   /// Base coordinates of node `node`: d words.
   const uint64_t* BaseOf(uint32_t node) const {

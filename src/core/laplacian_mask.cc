@@ -78,86 +78,4 @@ void LaplacianConvolveLevel(const LevelKeys& keys, bool full_mask,
   }
 }
 
-int64_t FaceLaplacianConvolve(const CountingTree& tree, int level,
-                              const std::vector<uint64_t>& coords,
-                              uint32_t center_count) {
-  const size_t d = tree.num_dims();
-  MRCC_DCHECK_GE(level, 1);
-  MRCC_DCHECK_LT(level, tree.num_resolutions());
-  MRCC_DCHECK_EQ(coords.size(), d);
-  int64_t acc = 2 * static_cast<int64_t>(d) * center_count;
-  for (size_t j = 0; j < d; ++j) {
-    acc -= tree.FaceNeighborCount(level, coords, j, -1);
-    acc -= tree.FaceNeighborCount(level, coords, j, +1);
-  }
-  return acc;
-}
-
-int64_t FullLaplacianConvolve(const CountingTree& tree, int level,
-                              const std::vector<uint64_t>& coords,
-                              uint32_t center_count) {
-  const size_t d = tree.num_dims();
-  MRCC_DCHECK_LE(d, kMaxFullMaskDims);
-  MRCC_DCHECK_GE(level, 1);
-  MRCC_DCHECK_LT(level, tree.num_resolutions());
-  MRCC_DCHECK_EQ(coords.size(), d);
-  const uint64_t max_coord = (uint64_t{1} << level) - 1;
-
-  const size_t cells = Pow3(d);
-  int64_t neighbor_sum = 0;
-  std::vector<uint64_t> probe(d);
-  // Odometer over {-1,0,1}^d offsets.
-  for (size_t code = 0; code < cells; ++code) {
-    size_t rem = code;
-    bool is_center = true;
-    bool in_bounds = true;
-    for (size_t j = d; j-- > 0;) {
-      const int off = static_cast<int>(rem % 3) - 1;
-      rem /= 3;
-      if (off != 0) is_center = false;
-      if (off < 0 && coords[j] == 0) in_bounds = false;
-      if (off > 0 && coords[j] == max_coord) in_bounds = false;
-      probe[j] = coords[j] + static_cast<uint64_t>(static_cast<int64_t>(off));
-    }
-    if (is_center || !in_bounds) continue;
-    CountingTree::CellRef ref;
-    if (tree.FindCell(level, probe, &ref)) neighbor_sum += tree.Count(ref);
-  }
-  const int64_t center_weight = static_cast<int64_t>(cells) - 1;
-  return center_weight * center_count - neighbor_sum;
-}
-
-std::vector<int64_t> DenseFaceMask(size_t d) {
-  MRCC_DCHECK_GT(d, 0u);
-  MRCC_DCHECK_LE(d, kMaxFullMaskDims);
-  const size_t cells = Pow3(d);
-  std::vector<int64_t> mask(cells, 0);
-  for (size_t code = 0; code < cells; ++code) {
-    size_t rem = code;
-    size_t nonzero_axes = 0;
-    for (size_t j = 0; j < d; ++j) {
-      if (rem % 3 != 1) ++nonzero_axes;
-      rem /= 3;
-    }
-    if (nonzero_axes == 0) {
-      mask[code] = 2 * static_cast<int64_t>(d);  // Center.
-    } else if (nonzero_axes == 1) {
-      mask[code] = -1;  // Face element.
-    }
-  }
-  return mask;
-}
-
-std::vector<int64_t> DenseFullMask(size_t d) {
-  MRCC_DCHECK_GT(d, 0u);
-  MRCC_DCHECK_LE(d, kMaxFullMaskDims);
-  const size_t cells = Pow3(d);
-  std::vector<int64_t> mask(cells, -1);
-  // Center index: offset 0 on every axis -> digit 1 everywhere.
-  size_t center = 0;
-  for (size_t j = 0; j < d; ++j) center = center * 3 + 1;
-  mask[center] = static_cast<int64_t>(cells) - 1;
-  return mask;
-}
-
 }  // namespace mrcc

@@ -6,17 +6,13 @@
 // face elements, 0 on the 3^d - 2d - 1 corners — which convolves a cell in
 // O(d) instead of O(3^d).
 //
-// Two access tiers:
-//   - LaplacianConvolveLevel is the production path. A mask is a center
-//     weight minus the counts at offsets that come in ± pairs; for each
-//     positive offset o one merge-join over the level's sorted keys
-//     (LevelKeys) finds every pair of cells o apart, confirms it by an
-//     exact coordinate compare, and subtracts each cell's count from the
-//     other's response. The face-only mask is d joins: O(d) sequential
-//     work per cell, no random probes.
-//   - The single-cell functions convolve one cell through the tree's
-//     FindCell walk — the reference the joins are tested against;
-//     results are identical.
+// A level is convolved whole (LaplacianConvolveLevel). A mask is a
+// center weight minus the counts at offsets that come in ± pairs; for
+// each positive offset o one merge-join over the level's sorted keys
+// (LevelKeys) finds every pair of cells o apart, confirms it by an exact
+// coordinate compare, and subtracts each cell's count from the other's
+// response. The face-only mask is d joins: O(d) sequential work per cell,
+// no random probes.
 //
 // The full order-3 mask (center 3^d - 1, everything else -1, Fig. 2a) is
 // also provided for the ablation study: the same joins over its
@@ -34,17 +30,8 @@
 
 namespace mrcc {
 
-/// Face-only Laplacian response of the cell at `coords` on `level`:
-///   2d * n  -  sum over axes of (lower face neighbor count
-///                               + upper face neighbor count).
-/// Missing neighbors (border or empty space) contribute 0, consistent with
-/// the sparse tree storing only populated cells.
-int64_t FaceLaplacianConvolve(const CountingTree& tree, int level,
-                              const std::vector<uint64_t>& coords,
-                              uint32_t center_count);
-
-/// Maximum dimensionality accepted by the full-mask routines (3^d cells
-/// per convolution grows fast; 12 keeps it under ~0.5M neighbor offsets).
+/// Maximum dimensionality accepted by the full mask (3^d cells per
+/// convolution grows fast; 12 keeps it under ~0.5M neighbor offsets).
 inline constexpr size_t kMaxFullMaskDims = 12;
 
 /// Positive offsets of a mask, one per ± pair: d (face-only, offset k is
@@ -65,19 +52,5 @@ void SubtractNeighborPairs(const LevelKeys& keys, bool full_mask,
 /// the responses are identical for every thread count.
 void LaplacianConvolveLevel(const LevelKeys& keys, bool full_mask,
                             ThreadPool& pool, int64_t* out);
-
-/// Full order-3 Laplacian response: (3^d - 1) * n - sum of all 3^d - 1
-/// neighbor counts (faces and corners). Requires d <= kMaxFullMaskDims.
-int64_t FullLaplacianConvolve(const CountingTree& tree, int level,
-                              const std::vector<uint64_t>& coords,
-                              uint32_t center_count);
-
-/// Materializes the face-only mask as a dense 3^d weight array in odometer
-/// order (offset vector in {-1,0,1}^d, last axis fastest). Test/debug aid;
-/// requires d <= kMaxFullMaskDims.
-std::vector<int64_t> DenseFaceMask(size_t d);
-
-/// Materializes the full order-3 mask the same way.
-std::vector<int64_t> DenseFullMask(size_t d);
 
 }  // namespace mrcc

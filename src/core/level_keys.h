@@ -1,6 +1,7 @@
 // LevelKeys: one level of a packed CountingTree as its cells sorted by a
 // linear key k(c) = level + Σ_j c_j·K_j (mod 2^64), K_j fixed and odd —
-// the β-search's only lookup structure (DESIGN.md §12).
+// the one lookup of a cell by its coordinates (DESIGN.md §12); every
+// other read of a sealed tree is a LevelView span.
 //
 // The cell at offset o has key k + Σ_j o_j·K_j, and adding a constant
 // mod 2^64 only rotates a sorted array, so all pairs of cells one offset

@@ -97,6 +97,8 @@ class StreamingMrCC {
   /// Same, then labels every point of `label_source` against the
   /// window's clusters (points that left the window get the label their
   /// position earns under the current clusters, like any other point).
+  /// Its points go through IngestPoint under the window's
+  /// bad_point_policy, so under kReject a bad row fails the snapshot.
   [[nodiscard]] Result<MrCCResult> Snapshot(const DataSource& label_source) {
     return Run(&label_source);
   }

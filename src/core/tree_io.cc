@@ -365,28 +365,4 @@ Result<MergeTreeStats> MergeTree(CountingTree* tree,
   return stats;
 }
 
-bool TreesEquivalent(const CountingTree& a, const CountingTree& b) {
-  if (a.num_dims() != b.num_dims() ||
-      a.num_resolutions() != b.num_resolutions() ||
-      a.total_points() != b.total_points()) {
-    return false;
-  }
-  const size_t d = a.num_dims();
-  for (int h = 1; h < a.num_resolutions(); ++h) {
-    if (a.NumCellsAtLevel(h) != b.NumCellsAtLevel(h)) return false;
-    const CountingTree::LevelView view = a.Level(h);
-    const size_t cells = view.num_cells();
-    for (uint32_t i = 0; i < cells; ++i) {
-      const std::vector<uint64_t> coords = view.Coords(i);
-      CountingTree::CellRef ref;
-      if (!b.FindCell(h, coords, &ref)) return false;
-      if (b.Count(ref) != view.counts()[i]) return false;
-      for (size_t j = 0; j < d; ++j) {
-        if (b.HalfCount(ref, j) != view.half_of(i)[j]) return false;
-      }
-    }
-  }
-  return true;
-}
-
 }  // namespace mrcc

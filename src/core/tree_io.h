@@ -16,6 +16,8 @@
 // The layout predates the SoA arena storage and is kept byte-for-byte
 // stable: a node's cells are written from its packed arena slice, which
 // is exactly the per-node creation order the old per-node vectors held.
+// The layout is canonical (counting_tree.h), so two trees hold the same
+// counts exactly when SerializeTree gives them the same bytes.
 
 #pragma once
 
@@ -72,9 +74,5 @@ std::string SerializeTree(const CountingTree& tree, size_t trailer_bytes = 0);
 /// k-way merge, one layout), never pairwise.
 [[nodiscard]] Result<MergeTreeStats> MergeTree(CountingTree* tree,
                                                const CountingTree& other);
-
-/// True when the two trees hold identical counts everywhere (structure
-/// may differ in node ordering; comparison is by cell coordinates).
-bool TreesEquivalent(const CountingTree& a, const CountingTree& b);
 
 }  // namespace mrcc

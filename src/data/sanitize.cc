@@ -12,28 +12,8 @@ namespace {
 /// the half-open cube.
 const double kBelowOne = std::nextafter(1.0, 0.0);
 
-}  // namespace
-
-const char* BadPointPolicyName(BadPointPolicy policy) {
-  switch (policy) {
-    case BadPointPolicy::kReject:
-      return "reject";
-    case BadPointPolicy::kClamp:
-      return "clamp";
-    case BadPointPolicy::kSkip:
-      return "skip";
-  }
-  return "unknown";
-}
-
-bool PointInUnitCube(std::span<const double> point) {
-  for (double v : point) {
-    // Negated comparison is NaN-rejecting: !(NaN >= 0.0) is true.
-    if (!(v >= 0.0 && v < 1.0)) return false;
-  }
-  return true;
-}
-
+/// The policy's decision for `point`, which it does not change (kClamp
+/// means "needs clamping").
 PointAction ClassifyPoint(std::span<const double> point,
                           BadPointPolicy policy) {
   bool needs_clamp = false;
@@ -55,15 +35,26 @@ PointAction ClassifyPoint(std::span<const double> point,
   return needs_clamp ? PointAction::kClamp : PointAction::kKeep;
 }
 
-PointAction SanitizePoint(std::span<double> point, BadPointPolicy policy) {
-  const PointAction action = ClassifyPoint(point, policy);
-  if (action == PointAction::kClamp) {
-    for (double& v : point) {
-      if (v < 0.0) v = 0.0;
-      if (v >= 1.0) v = kBelowOne;
-    }
+/// Clamps a point ClassifyPoint found kClamp into the half-open cube.
+void SanitizePoint(std::span<double> point) {
+  for (double& v : point) {
+    if (v < 0.0) v = 0.0;
+    if (v >= 1.0) v = kBelowOne;
   }
-  return action;
+}
+
+}  // namespace
+
+const char* BadPointPolicyName(BadPointPolicy policy) {
+  switch (policy) {
+    case BadPointPolicy::kReject:
+      return "reject";
+    case BadPointPolicy::kClamp:
+      return "clamp";
+    case BadPointPolicy::kSkip:
+      return "skip";
+  }
+  return "unknown";
 }
 
 PointAction IngestPoint(std::span<const double>* point, BadPointPolicy policy,
@@ -78,7 +69,7 @@ PointAction IngestPoint(std::span<const double>* point, BadPointPolicy policy,
     if (point->data() != scratch->data()) {
       scratch->assign(point->begin(), point->end());
     }
-    SanitizePoint(*scratch, policy);
+    SanitizePoint(*scratch);
     *point = *scratch;
   }
   return action;

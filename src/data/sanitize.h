@@ -40,26 +40,13 @@ enum class BadPointPolicy {
 /// "reject" / "clamp" / "skip".
 const char* BadPointPolicyName(BadPointPolicy policy);
 
-/// What SanitizePoint did with one point.
+/// What IngestPoint decided for one point.
 enum class PointAction {
   kKeep = 0,  // Already clean; untouched.
-  kClamp,     // Out-of-range values clamped in place; point kept.
+  kClamp,     // Out-of-range values clamped into scratch; point kept.
   kSkip,      // Point must be dropped (and counted).
   kReject,    // Point must fail the run.
 };
-
-/// True when every value lies in [0, 1) (NaN-rejecting).
-bool PointInUnitCube(std::span<const double> point);
-
-/// Applies `policy` to `point` in place and says what to do with it.
-/// kKeep is the fast path for clean points; callers only copy a point
-/// into mutable scratch when this can return kClamp.
-PointAction SanitizePoint(std::span<double> point, BadPointPolicy policy);
-
-/// Policy decision for a point without mutating it (kClamp means "needs
-/// clamping", for callers that copy lazily).
-PointAction ClassifyPoint(std::span<const double> point,
-                          BadPointPolicy policy);
 
 /// The per-point ingest step every data pass runs (the range build,
 /// StreamingMrCC::Push, the labeling scan), so the passes cannot drift

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,19 @@ TEST(BetaClusterTest, ContainsChecksEveryAxis) {
   EXPECT_FALSE(b.Contains(outside));
 }
 
+TEST(BetaClusterTest, ContainsRejectsNaN) {
+  BetaCluster b;
+  b.lower = {0.0, 0.0};
+  b.upper = {0.25, 0.25};
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> one_nan{kNaN, 0.1};
+  const std::vector<double> all_nan{kNaN, kNaN};
+  EXPECT_FALSE(b.Contains(one_nan));
+  EXPECT_FALSE(b.Contains(all_nan));
+  const std::vector<double> corner{0.25, 0.0};  // Bounds are inclusive.
+  EXPECT_TRUE(b.Contains(corner));
+}
+
 TEST(BetaFinderTest, FindsPlantedBlobWithCorrectAxes) {
   // Blob concentrated on axes {1, 3} of a 5-d space.
   Dataset d = BlobDataset(1200, 300, 5, {1, 3}, 0.62, 17);
@@ -68,7 +82,10 @@ TEST(BetaFinderTest, FindsPlantedBlobWithCorrectAxes) {
   ASSERT_TRUE(tree.ok());
   BetaFinderOptions options;
   options.alpha = 1e-10;
-  const auto betas = FindBetaClusters(*tree, options);
+  const Result<BetaSearchResult> betas_search =
+      RunBetaSearch(*tree, options);
+  ASSERT_TRUE(betas_search.ok()) << betas_search.status().ToString();
+  const std::vector<BetaCluster>& betas = betas_search->betas;
   ASSERT_FALSE(betas.empty());
 
   const BetaCluster& first = betas.front();
@@ -94,7 +111,10 @@ TEST(BetaFinderTest, UniformNoiseYieldsNoBetaClusters) {
   ASSERT_TRUE(tree.ok());
   BetaFinderOptions options;
   options.alpha = 1e-10;
-  const auto betas = FindBetaClusters(*tree, options);
+  const Result<BetaSearchResult> betas_search =
+      RunBetaSearch(*tree, options);
+  ASSERT_TRUE(betas_search.ok()) << betas_search.status().ToString();
+  const std::vector<BetaCluster>& betas = betas_search->betas;
   EXPECT_TRUE(betas.empty());
 }
 
@@ -104,8 +124,14 @@ TEST(BetaFinderTest, DeterministicAcrossRuns) {
   Result<CountingTree> t1 = CountingTree::Build(d, 4);
   Result<CountingTree> t2 = CountingTree::Build(d, 4);
   ASSERT_TRUE(t1.ok() && t2.ok());
-  const auto a = FindBetaClusters(*t1, options);
-  const auto b = FindBetaClusters(*t2, options);
+  const Result<BetaSearchResult> a_search =
+      RunBetaSearch(*t1, options);
+  ASSERT_TRUE(a_search.ok()) << a_search.status().ToString();
+  const std::vector<BetaCluster>& a = a_search->betas;
+  const Result<BetaSearchResult> b_search =
+      RunBetaSearch(*t2, options);
+  ASSERT_TRUE(b_search.ok()) << b_search.status().ToString();
+  const std::vector<BetaCluster>& b = b_search->betas;
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].lower, b[i].lower);
@@ -125,11 +151,17 @@ TEST(BetaFinderTest, SearchLeavesTheTreeUntouched) {
   const std::string bytes = SerializeTree(*tree);
   const size_t memory = tree->MemoryBytes();
   BetaFinderOptions options;
-  const auto first = FindBetaClusters(*tree, options);
+  const Result<BetaSearchResult> first_search =
+      RunBetaSearch(*tree, options);
+  ASSERT_TRUE(first_search.ok()) << first_search.status().ToString();
+  const std::vector<BetaCluster>& first = first_search->betas;
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(SerializeTree(*tree), bytes);
   EXPECT_EQ(tree->MemoryBytes(), memory);
-  const auto second = FindBetaClusters(*tree, options);
+  const Result<BetaSearchResult> second_search =
+      RunBetaSearch(*tree, options);
+  ASSERT_TRUE(second_search.ok()) << second_search.status().ToString();
+  const std::vector<BetaCluster>& second = second_search->betas;
   ASSERT_EQ(first.size(), second.size());
   for (size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].lower, second[i].lower);
@@ -149,8 +181,14 @@ TEST(BetaFinderTest, LooserAlphaFindsAtLeastAsManyBetas) {
   strict.alpha = 1e-30;
   BetaFinderOptions loose;
   loose.alpha = 1e-4;
-  const auto strict_betas = FindBetaClusters(*t1, strict);
-  const auto loose_betas = FindBetaClusters(*t2, loose);
+  const Result<BetaSearchResult> strict_search =
+      RunBetaSearch(*t1, strict);
+  ASSERT_TRUE(strict_search.ok()) << strict_search.status().ToString();
+  const std::vector<BetaCluster>& strict_betas = strict_search->betas;
+  const Result<BetaSearchResult> loose_search =
+      RunBetaSearch(*t2, loose);
+  ASSERT_TRUE(loose_search.ok()) << loose_search.status().ToString();
+  const std::vector<BetaCluster>& loose_betas = loose_search->betas;
   EXPECT_GE(loose_betas.size(), strict_betas.size());
 }
 
@@ -171,7 +209,10 @@ TEST(BetaFinderTest, BoxesOfDistinctBlobsDoNotOverlap) {
   Result<CountingTree> tree = CountingTree::Build(d, 4);
   ASSERT_TRUE(tree.ok());
   BetaFinderOptions options;
-  const auto betas = FindBetaClusters(*tree, options);
+  const Result<BetaSearchResult> betas_search =
+      RunBetaSearch(*tree, options);
+  ASSERT_TRUE(betas_search.ok()) << betas_search.status().ToString();
+  const std::vector<BetaCluster>& betas = betas_search->betas;
   ASSERT_GE(betas.size(), 2u);
   EXPECT_FALSE(betas[0].SharesSpaceWith(betas[1]));
 }
@@ -194,7 +235,10 @@ TEST(BetaFinderTest, BoxGrowthIgnoresSparseNoiseNeighbors) {
   Result<CountingTree> tree = CountingTree::Build(d, 4);
   ASSERT_TRUE(tree.ok());
   BetaFinderOptions options;
-  const auto betas = FindBetaClusters(*tree, options);
+  const Result<BetaSearchResult> betas_search =
+      RunBetaSearch(*tree, options);
+  ASSERT_TRUE(betas_search.ok()) << betas_search.status().ToString();
+  const std::vector<BetaCluster>& betas = betas_search->betas;
   ASSERT_FALSE(betas.empty());
   const BetaCluster& first = betas.front();
   ASSERT_TRUE(first.relevant[0]);
@@ -214,7 +258,9 @@ TEST(BetaFinderTest, BorderNullUsesFourRegions) {
   ASSERT_TRUE(tree.ok());
   BetaFinderOptions options;
   options.alpha = 1e-10;
-  EXPECT_TRUE(FindBetaClusters(*tree, options).empty());
+  const Result<BetaSearchResult> search = RunBetaSearch(*tree, options);
+  ASSERT_TRUE(search.ok()) << search.status().ToString();
+  EXPECT_TRUE(search->betas.empty());
 }
 
 TEST(BetaFinderTest, FullMaskOptionFindsTheSameBlob) {
@@ -225,8 +271,14 @@ TEST(BetaFinderTest, FullMaskOptionFindsTheSameBlob) {
   BetaFinderOptions face;
   BetaFinderOptions full;
   full.full_mask = true;
-  const auto a = FindBetaClusters(*t1, face);
-  const auto b = FindBetaClusters(*t2, full);
+  const Result<BetaSearchResult> a_search =
+      RunBetaSearch(*t1, face);
+  ASSERT_TRUE(a_search.ok()) << a_search.status().ToString();
+  const std::vector<BetaCluster>& a = a_search->betas;
+  const Result<BetaSearchResult> b_search =
+      RunBetaSearch(*t2, full);
+  ASSERT_TRUE(b_search.ok()) << b_search.status().ToString();
+  const std::vector<BetaCluster>& b = b_search->betas;
   ASSERT_FALSE(a.empty());
   ASSERT_FALSE(b.empty());
   EXPECT_TRUE(a.front().relevant[0]);
@@ -240,7 +292,10 @@ TEST(BetaFinderTest, RelevanceDiagnosticsPopulated) {
   Result<CountingTree> tree = CountingTree::Build(d, 4);
   ASSERT_TRUE(tree.ok());
   BetaFinderOptions options;
-  const auto betas = FindBetaClusters(*tree, options);
+  const Result<BetaSearchResult> betas_search =
+      RunBetaSearch(*tree, options);
+  ASSERT_TRUE(betas_search.ok()) << betas_search.status().ToString();
+  const std::vector<BetaCluster>& betas = betas_search->betas;
   ASSERT_FALSE(betas.empty());
   for (const auto& beta : betas) {
     ASSERT_EQ(beta.relevance.size(), 4u);

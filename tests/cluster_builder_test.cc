@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "test_util.h"
@@ -20,7 +23,11 @@ BetaCluster MakeBeta(std::vector<double> lower, std::vector<double> upper,
 
 TEST(ClusterBuilderTest, EmptyBetasMeansAllNoise) {
   Dataset d = testing::UniformDataset(10, 2, 1);
-  Clustering c = BuildCorrelationClusters({}, d);
+  std::vector<int> b2c;
+  Clustering c = MergeBetaClusters({}, d.NumDims(), &b2c);
+  Result<std::vector<int>> labels = LabelPoints({}, b2c, MemoryDataSource(d));
+  ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+  c.labels = std::move(*labels);
   EXPECT_EQ(c.NumClusters(), 0u);
   EXPECT_EQ(c.NumNoisePoints(), 10u);
 }
@@ -31,7 +38,11 @@ TEST(ClusterBuilderTest, DisjointBetasStayDistinct) {
   betas.push_back(MakeBeta({0.0, 0.0}, {0.25, 0.25}, {true, true}));
   betas.push_back(MakeBeta({0.75, 0.75}, {1.0, 1.0}, {true, true}));
   std::vector<int> b2c;
-  Clustering c = BuildCorrelationClusters(betas, d, &b2c);
+  Clustering c = MergeBetaClusters(betas, d.NumDims(), &b2c);
+  Result<std::vector<int>> labels =
+      LabelPoints(betas, b2c, MemoryDataSource(d));
+  ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+  c.labels = std::move(*labels);
   EXPECT_EQ(c.NumClusters(), 2u);
   EXPECT_EQ(c.labels[0], 0);
   EXPECT_EQ(c.labels[1], 1);
@@ -45,7 +56,11 @@ TEST(ClusterBuilderTest, OverlappingBetasMerge) {
   betas.push_back(MakeBeta({0.0, 0.0}, {0.3, 0.3}, {true, false}));
   betas.push_back(MakeBeta({0.25, 0.25}, {0.5, 0.5}, {false, true}));
   std::vector<int> b2c;
-  Clustering c = BuildCorrelationClusters(betas, d, &b2c);
+  Clustering c = MergeBetaClusters(betas, d.NumDims(), &b2c);
+  Result<std::vector<int>> labels =
+      LabelPoints(betas, b2c, MemoryDataSource(d));
+  ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+  c.labels = std::move(*labels);
   EXPECT_EQ(c.NumClusters(), 1u);
   EXPECT_EQ(c.labels[0], 0);
   EXPECT_EQ(c.labels[1], 0);
@@ -63,7 +78,11 @@ TEST(ClusterBuilderTest, TransitiveMergeAcrossChain) {
   betas.push_back(MakeBeta({0.5, 0.0}, {0.9, 1.0}, {true, false}));
   EXPECT_FALSE(betas[0].SharesSpaceWith(betas[2]));
   std::vector<int> b2c;
-  Clustering c = BuildCorrelationClusters(betas, d, &b2c);
+  Clustering c = MergeBetaClusters(betas, d.NumDims(), &b2c);
+  Result<std::vector<int>> labels =
+      LabelPoints(betas, b2c, MemoryDataSource(d));
+  ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+  c.labels = std::move(*labels);
   EXPECT_EQ(c.NumClusters(), 1u);
   EXPECT_EQ(b2c, (std::vector<int>{0, 0, 0}));
 }
@@ -72,7 +91,12 @@ TEST(ClusterBuilderTest, PointInNoBoxIsNoise) {
   Dataset d = testing::MakeDataset({{0.99, 0.01}});
   std::vector<BetaCluster> betas;
   betas.push_back(MakeBeta({0.0, 0.0}, {0.5, 0.5}, {true, true}));
-  Clustering c = BuildCorrelationClusters(betas, d);
+  std::vector<int> b2c;
+  Clustering c = MergeBetaClusters(betas, d.NumDims(), &b2c);
+  Result<std::vector<int>> labels =
+      LabelPoints(betas, b2c, MemoryDataSource(d));
+  ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+  c.labels = std::move(*labels);
   EXPECT_EQ(c.labels[0], kNoiseLabel);
 }
 
@@ -81,7 +105,12 @@ TEST(ClusterBuilderTest, IrrelevantAxesDoNotRestrictMembership) {
   std::vector<BetaCluster> betas;
   // Axis 1 irrelevant: bounds [0, 1].
   betas.push_back(MakeBeta({0.1, 0.0}, {0.3, 1.0}, {true, false}));
-  Clustering c = BuildCorrelationClusters(betas, d);
+  std::vector<int> b2c;
+  Clustering c = MergeBetaClusters(betas, d.NumDims(), &b2c);
+  Result<std::vector<int>> labels =
+      LabelPoints(betas, b2c, MemoryDataSource(d));
+  ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+  c.labels = std::move(*labels);
   EXPECT_EQ(c.labels[0], 0);
 }
 
@@ -91,8 +120,45 @@ TEST(ClusterBuilderTest, ResultValidates) {
   betas.push_back(MakeBeta({0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
                            {0.5, 1.0, 1.0, 1.0, 1.0, 1.0},
                            {true, false, false, false, false, false}));
-  Clustering c = BuildCorrelationClusters(betas, ds.data);
+  std::vector<int> b2c;
+  Clustering c = MergeBetaClusters(betas, ds.data.NumDims(), &b2c);
+  Result<std::vector<int>> labels =
+      LabelPoints(betas, b2c, MemoryDataSource(ds.data));
+  ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+  c.labels = std::move(*labels);
   EXPECT_TRUE(c.Validate(ds.data.NumPoints(), ds.data.NumDims()).ok());
+}
+
+// Rows with NaN coordinates go through the build's ingest step: the
+// box test alone would put a NaN row inside every box (both of its
+// compares are false), so an unchecked NaN row would take a label.
+TEST(ClusterBuilderTest, NaNRowsFollowTheBadPointPolicy) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const Dataset d = testing::MakeDataset(
+      {{0.9, 0.9}, {kNaN, 0.9}, {kNaN, kNaN}, {0.1, 0.1}});
+  std::vector<BetaCluster> betas;
+  betas.push_back(MakeBeta({0.0, 0.0}, {0.25, 0.25}, {true, true}));
+  std::vector<int> b2c;
+  MergeBetaClusters(betas, d.NumDims(), &b2c);
+  const MemoryDataSource source(d);
+
+  const Result<std::vector<int>> rejected =
+      LabelPoints(betas, b2c, source, 1, BadPointPolicy::kReject);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("point 1 of"),
+            std::string::npos)
+      << rejected.status().ToString();
+
+  for (const BadPointPolicy policy :
+       {BadPointPolicy::kSkip, BadPointPolicy::kClamp}) {
+    const Result<std::vector<int>> labels =
+        LabelPoints(betas, b2c, source, 1, policy);
+    ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+    EXPECT_EQ(*labels,
+              (std::vector<int>{kNoiseLabel, kNoiseLabel, kNoiseLabel, 0}))
+        << BadPointPolicyName(policy);
+  }
 }
 
 }  // namespace

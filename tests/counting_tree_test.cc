@@ -2,74 +2,46 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <map>
 #include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "reference_grid.h"
 #include "test_util.h"
 
 namespace mrcc {
 namespace {
 
 using CellRef = CountingTree::CellRef;
+using Coords = std::vector<uint64_t>;
+using testing::ReferenceGrid;
 
-// Convenience: count of the cell at coords, or -1 if absent.
-int64_t CountAt(const CountingTree& tree, int level,
-                const std::vector<uint64_t>& coords) {
-  CellRef ref;
-  if (!tree.FindCell(level, coords, &ref)) return -1;
-  return tree.Count(ref);
+// Arena index of each cell of `level`, by its coordinates.
+std::map<Coords, uint32_t> IndexByCoords(const CountingTree::LevelView& level) {
+  std::map<Coords, uint32_t> index;
+  for (uint32_t i = 0; i < level.num_cells(); ++i) index[level.Coords(i)] = i;
+  return index;
 }
 
-// Convenience: half-space count, requires the cell to exist.
-uint32_t HalfAt(const CountingTree& tree, int level,
-                const std::vector<uint64_t>& coords, size_t axis) {
-  CellRef ref;
-  EXPECT_TRUE(tree.FindCell(level, coords, &ref));
-  return tree.HalfCount(ref, axis);
+// Count of the tree's cell at coords, or -1 if absent.
+int64_t CountAt(const CountingTree& tree, int level, const Coords& coords) {
+  const CountingTree::LevelView view = tree.Level(level);
+  const std::map<Coords, uint32_t> index = IndexByCoords(view);
+  const auto it = index.find(coords);
+  if (it == index.end()) return -1;
+  return view.counts()[it->second];
 }
 
-// Brute-force count of points inside the cell at `coords` on `level`.
-uint32_t BruteCount(const Dataset& data, int level,
-                    const std::vector<uint64_t>& coords) {
-  const double width = std::ldexp(1.0, -level);
-  uint32_t count = 0;
-  for (size_t i = 0; i < data.NumPoints(); ++i) {
-    bool inside = true;
-    for (size_t j = 0; j < data.NumDims(); ++j) {
-      const double lo = static_cast<double>(coords[j]) * width;
-      if (data(i, j) < lo || data(i, j) >= lo + width) {
-        inside = false;
-        break;
-      }
-    }
-    if (inside) ++count;
-  }
-  return count;
-}
-
-// Brute-force half-space count (lower half along `axis`).
-uint32_t BruteHalfCount(const Dataset& data, int level,
-                        const std::vector<uint64_t>& coords, size_t axis) {
-  const double width = std::ldexp(1.0, -level);
-  uint32_t count = 0;
-  for (size_t i = 0; i < data.NumPoints(); ++i) {
-    bool inside = true;
-    for (size_t j = 0; j < data.NumDims(); ++j) {
-      const double lo = static_cast<double>(coords[j]) * width;
-      if (data(i, j) < lo || data(i, j) >= lo + width) {
-        inside = false;
-        break;
-      }
-    }
-    if (inside) {
-      const double mid = (static_cast<double>(coords[axis]) + 0.5) * width;
-      if (data(i, axis) < mid) ++count;
-    }
-  }
-  return count;
+// Half-space count of the tree's cell at coords, which must exist.
+uint32_t HalfAt(const CountingTree& tree, int level, const Coords& coords,
+                size_t axis) {
+  const CountingTree::LevelView view = tree.Level(level);
+  const std::map<Coords, uint32_t> index = IndexByCoords(view);
+  const auto it = index.find(coords);
+  EXPECT_NE(it, index.end());
+  return it == index.end() ? 0 : view.half_of(it->second)[axis];
 }
 
 TEST(CountingTreeTest, RejectsBadArguments) {
@@ -120,22 +92,24 @@ TEST(CountingTreeTest, HandCraftedTwoDimensionalExample) {
 }
 
 TEST(CountingTreeTest, FaceNeighborsInHandCraftedExample) {
-  Dataset d = testing::MakeDataset({
+  const Dataset d = testing::MakeDataset({
       {0.1, 0.1},
       {0.9, 0.1},
   });
   Result<CountingTree> tree = CountingTree::Build(d, 3);
   ASSERT_TRUE(tree.ok());
-  CellRef ref;
+  Coords neighbor;
   // At level 1, (0,0) and (1,0) are face neighbors along axis 0.
-  ASSERT_TRUE(tree->FaceNeighbor(1, {0, 0}, 0, +1, &ref));
-  EXPECT_EQ(tree->Count(ref), 1u);
+  ASSERT_TRUE(ReferenceGrid::FaceNeighbor(1, {0, 0}, 0, +1, &neighbor));
+  EXPECT_EQ(neighbor, (Coords{1, 0}));
+  EXPECT_EQ(CountAt(*tree, 1, neighbor), 1);
   // Border: no neighbor below coordinate 0 / above the maximum.
-  EXPECT_FALSE(tree->FaceNeighbor(1, {0, 0}, 0, -1, &ref));
-  EXPECT_FALSE(tree->FaceNeighbor(1, {1, 0}, 0, +1, &ref));
-  // Empty space: (0,1) holds no points.
-  EXPECT_FALSE(tree->FaceNeighbor(1, {0, 0}, 1, +1, &ref));
-  EXPECT_EQ(tree->FaceNeighborCount(1, {0, 0}, 1, +1), 0u);
+  EXPECT_FALSE(ReferenceGrid::FaceNeighbor(1, {0, 0}, 0, -1, &neighbor));
+  EXPECT_FALSE(ReferenceGrid::FaceNeighbor(1, {1, 0}, 0, +1, &neighbor));
+  // Empty space: (0,1) holds no points, in the tree or on the grid.
+  ASSERT_TRUE(ReferenceGrid::FaceNeighbor(1, {0, 0}, 1, +1, &neighbor));
+  EXPECT_EQ(CountAt(*tree, 1, neighbor), -1);
+  EXPECT_EQ(ReferenceGrid(d, 3).Count(1, neighbor), 0u);
 }
 
 TEST(CountingTreeTest, MemoryGrowsWithData) {
@@ -158,6 +132,7 @@ TEST_P(CountingTreeParam, StructuralInvariants) {
   Result<CountingTree> tree = CountingTree::Build(d, resolutions);
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(tree->total_points(), points);
+  const ReferenceGrid grid(d, tree->num_resolutions());
 
   for (int h = 1; h < tree->num_resolutions(); ++h) {
     const CountingTree::LevelView level = tree->Level(h);
@@ -178,39 +153,41 @@ TEST_P(CountingTreeParam, StructuralInvariants) {
       for (size_t j = 0; j < dims; ++j) {
         EXPECT_LE(level.half_of(i)[j], n);
       }
-      // Coordinates round-trip through FindCell to the same arena slot.
+      // Coordinates name the grid cell holding the same points.
       const auto coords = level.Coords(i);
       for (size_t j = 0; j < dims; ++j) {
         EXPECT_LT(coords[j], uint64_t{1} << h);
       }
-      CellRef found;
-      ASSERT_TRUE(tree->FindCell(h, coords, &found));
-      EXPECT_EQ(found.level, h);
-      EXPECT_EQ(found.index, i);
+      const ReferenceGrid::Cell* cell = grid.Find(h, coords);
+      ASSERT_NE(cell, nullptr) << "level " << h << " cell " << i;
+      EXPECT_EQ(n, cell->n);
     }
+    // One tree cell per populated grid cell: no coordinates twice.
+    EXPECT_EQ(IndexByCoords(level).size(), cells);
+    EXPECT_EQ(grid.Level(h).size(), cells);
     // Every level counts every point exactly once.
     EXPECT_EQ(level_total, points);
     EXPECT_EQ(tree->NumCellsAtLevel(h), cells);
     EXPECT_LE(cells, points);  // At most eta cells per level.
 
     // Children sum to the parent count: group this level's cells by
-    // their parent coordinates and compare against level h - 1.
+    // their parent coordinates, which must be a grid cell of level h - 1.
     if (h >= 2) {
       const CountingTree::LevelView parents = tree->Level(h - 1);
-      std::vector<uint64_t> child_sum(parents.num_cells(), 0);
-      std::vector<uint64_t> parent_coords(dims);
+      std::map<Coords, uint64_t> child_sum;
+      Coords parent_coords(dims);
       for (uint32_t i = 0; i < cells; ++i) {
         level.CoordsInto(i, parent_coords.data());
         for (size_t j = 0; j < dims; ++j) parent_coords[j] >>= 1;
-        CellRef parent;
-        ASSERT_TRUE(tree->FindCell(h - 1, parent_coords, &parent));
-        child_sum[parent.index] += level.counts()[i];
+        ASSERT_NE(grid.Find(h - 1, parent_coords), nullptr);
+        child_sum[parent_coords] += level.counts()[i];
       }
       for (uint32_t p = 0; p < parents.num_cells(); ++p) {
+        const uint64_t sum = child_sum[parents.Coords(p)];
         if (parents.children()[p] >= 0) {
-          EXPECT_EQ(child_sum[p], parents.counts()[p]) << "parent " << p;
+          EXPECT_EQ(sum, parents.counts()[p]) << "parent " << p;
         } else {
-          EXPECT_EQ(child_sum[p], 0u) << "parent " << p;
+          EXPECT_EQ(sum, 0u) << "parent " << p;
         }
       }
     }
@@ -223,46 +200,56 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(3, 4, 6),
                        ::testing::Values<size_t>(64, 1000)));
 
-// Counts match brute force for every stored cell on a small dataset.
+// Counts match the grid built from the points for every stored cell,
+// and every populated grid cell is stored.
 TEST(CountingTreeTest, CountsMatchBruteForce) {
   Dataset d = testing::UniformDataset(300, 3, 77);
   Result<CountingTree> tree = CountingTree::Build(d, 4);
   ASSERT_TRUE(tree.ok());
+  const ReferenceGrid grid(d, 4);
   for (int h = 1; h < 4; ++h) {
     const CountingTree::LevelView level = tree->Level(h);
+    ASSERT_EQ(level.num_cells(), grid.Level(h).size());
     for (uint32_t i = 0; i < level.num_cells(); ++i) {
-      const auto coords = level.Coords(i);
-      EXPECT_EQ(level.counts()[i], BruteCount(d, h, coords));
+      const ReferenceGrid::Cell* cell = grid.Find(h, level.Coords(i));
+      ASSERT_NE(cell, nullptr);
+      EXPECT_EQ(level.counts()[i], cell->n);
       for (size_t j = 0; j < 3; ++j) {
-        EXPECT_EQ(level.half_of(i)[j], BruteHalfCount(d, h, coords, j));
+        EXPECT_EQ(level.half_of(i)[j], cell->lower[j]);
       }
     }
   }
 }
 
+// The tree's cell beside each stored cell, on every axis and side,
+// holds what the grid's face neighbour holds (absent where it is empty).
 TEST(CountingTreeTest, FaceNeighborsMatchBruteForce) {
   Dataset d = testing::UniformDataset(200, 2, 13);
   Result<CountingTree> tree = CountingTree::Build(d, 4);
   ASSERT_TRUE(tree.ok());
+  const ReferenceGrid grid(d, 4);
+  size_t found = 0;
   for (int h = 1; h < 4; ++h) {
     const CountingTree::LevelView level = tree->Level(h);
+    const std::map<Coords, uint32_t> index = IndexByCoords(level);
     for (uint32_t i = 0; i < level.num_cells(); ++i) {
-      const auto coords = level.Coords(i);
+      const Coords coords = level.Coords(i);
       for (size_t j = 0; j < 2; ++j) {
         for (int dir : {-1, +1}) {
-          std::vector<uint64_t> neighbor = coords;
-          const uint64_t max_coord = (uint64_t{1} << h) - 1;
-          uint32_t expected = 0;
-          if (!(dir < 0 && coords[j] == 0) &&
-              !(dir > 0 && coords[j] == max_coord)) {
-            neighbor[j] += dir;
-            expected = BruteCount(d, h, neighbor);
+          Coords neighbor;
+          if (!ReferenceGrid::FaceNeighbor(h, coords, j, dir, &neighbor)) {
+            continue;
           }
-          EXPECT_EQ(tree->FaceNeighborCount(h, coords, j, dir), expected);
+          const auto it = index.find(neighbor);
+          const uint32_t got =
+              it == index.end() ? 0 : level.counts()[it->second];
+          EXPECT_EQ(got, grid.Count(h, neighbor));
+          found += got > 0;
         }
       }
     }
   }
+  EXPECT_GT(found, 0u);
 }
 
 TEST(CountingTreeTest, BoundaryValuesNearOne) {
@@ -283,49 +270,6 @@ TEST(CountingTreeTest, ZeroIsInFirstCell) {
   EXPECT_EQ(CountAt(*tree, 3, {0, 0}), 1);
 }
 
-// FindCell scans each node's loc slice on its way down; nodes of 64
-// cells (a d = 6 node holds at most 2^6) must find every present cell
-// and none of the absent ones.
-TEST(CountingTreeTest, FindCellScansNodesOfSixtyFourCells) {
-  // One point at the centre of every cell of the 4^6 grid: the root and
-  // every level-1 cell's node hold 64 cells, each level-2 cell one point.
-  constexpr size_t kDims = 6;
-  constexpr uint64_t kSide = 4;
-  constexpr uint64_t kPoints = 4096;  // kSide^kDims.
-  std::vector<std::vector<double>> points;
-  for (uint64_t p = 0; p < kPoints; ++p) {
-    std::vector<double> point(kDims);
-    for (size_t j = 0; j < kDims; ++j) {
-      const uint64_t digit = (p >> (2 * j)) % kSide;
-      point[j] = (static_cast<double>(digit) + 0.5) / kSide;
-    }
-    points.push_back(point);
-  }
-  Result<CountingTree> tree =
-      CountingTree::Build(testing::MakeDataset(points), 4);
-  ASSERT_TRUE(tree.ok());
-  ASSERT_EQ(tree->NumCellsAtLevel(1), 64u);
-  ASSERT_EQ(tree->NumCellsAtLevel(2), kPoints);
-  std::vector<uint64_t> coords(kDims);
-  for (uint64_t c = 0; c < 64; ++c) {
-    for (size_t j = 0; j < kDims; ++j) coords[j] = (c >> j) & 1;
-    EXPECT_EQ(CountAt(*tree, 1, coords), 64) << "level-1 cell " << c;
-  }
-  // A level-2 cell (x_j) holds the point at ((x_j + 0.5) / 4), whose
-  // level-3 cell is (2 x_j + 1): every (2 x_j) cell is absent.
-  std::vector<uint64_t> odd(kDims), even(kDims);
-  for (uint64_t p = 0; p < kPoints; ++p) {
-    for (size_t j = 0; j < kDims; ++j) {
-      coords[j] = (p >> (2 * j)) % kSide;
-      odd[j] = 2 * coords[j] + 1;
-      even[j] = 2 * coords[j];
-    }
-    EXPECT_EQ(CountAt(*tree, 2, coords), 1) << "level-2 cell " << p;
-    EXPECT_EQ(CountAt(*tree, 3, odd), 1) << "level-3 cell " << p;
-    EXPECT_EQ(CountAt(*tree, 3, even), -1) << "level-3 cell " << p;
-  }
-}
-
 TEST(CountingTreeInvariantsTest, FreshTreeValidates) {
   Dataset d = testing::UniformDataset(2000, 5, 11);
   Result<CountingTree> tree = CountingTree::Build(d, 5);
@@ -340,7 +284,8 @@ TEST(CountingTreeInvariantsTest, DetectsHalfCountAboveCellCount) {
   // P[j] counts a subset of the cell's points, so P[j] > n is impossible
   // in a correct tree.
   const CellRef first{1, 0};
-  CountingTree::TestPeer::Half(*tree, first, 0) = tree->Count(first) + 1;
+  CountingTree::TestPeer::Half(*tree, first, 0) =
+      tree->Level(1).counts()[0] + 1;
   const Status v = tree->ValidateInvariants();
   ASSERT_FALSE(v.ok());
   EXPECT_NE(v.message().find("half-space"), std::string::npos)
@@ -427,7 +372,7 @@ TEST_F(InvariantMessageTest, OwnerMismatch) {
 
 TEST_F(InvariantMessageTest, HalfCountAboveCellCount) {
   const CellRef cell{1, 3};
-  const uint32_t n = tree_->Count(cell);
+  const uint32_t n = tree_->Level(1).counts()[3];
   CountingTree::TestPeer::Half(*tree_, cell, 2) = n + 1;
   EXPECT_EQ(Message(), "tree invariant violated: node 0: cell 3: half-space "
                        "count " + std::to_string(n + 1) +
@@ -444,7 +389,7 @@ TEST_F(InvariantMessageTest, LocBitsAboveDimension) {
 
 TEST_F(InvariantMessageTest, ChildSumMismatch) {
   const CellRef cell{1, 4};
-  const uint32_t n = tree_->Count(cell);
+  const uint32_t n = tree_->Level(1).counts()[4];
   CountingTree::TestPeer::Count(*tree_, cell) += 5;
   EXPECT_EQ(Message(), "tree invariant violated: node 0: cell 4: child "
                        "counts sum to " + std::to_string(n) +
@@ -478,25 +423,32 @@ TEST_F(InvariantMessageTest, ChildlessCellAboveTheDeepestLevel) {
             "the deepest level");
 }
 
-// ---- LevelView: the sanctioned bulk read API over the SoA arenas.
+// ---- LevelView: the one read API over the SoA arenas.
 
+// Every span entry of a cell agrees with the grid's single-cell lookup
+// at the cell's coordinates: locs are the coordinates' low bits, counts
+// and half counts the grid cell's, and every cell above the deepest level
+// has a child node.
 TEST(LevelViewTest, SpansAgreeWithSingleCellAccessors) {
   Dataset d = testing::UniformDataset(500, 3, 21);
   Result<CountingTree> tree = CountingTree::Build(d, 4);
   ASSERT_TRUE(tree.ok());
+  const ReferenceGrid grid(d, 4);
   for (int h = 1; h < 4; ++h) {
     const CountingTree::LevelView level = tree->Level(h);
     for (uint32_t i = 0; i < level.num_cells(); ++i) {
-      const CellRef ref = level.ref(i);
-      EXPECT_EQ(ref.level, h);
-      EXPECT_EQ(ref.index, i);
-      EXPECT_EQ(level.counts()[i], tree->Count(ref));
-      EXPECT_EQ(level.locs()[i], tree->Loc(ref));
-      EXPECT_EQ(level.children()[i], tree->Child(ref));
+      const Coords coords = level.Coords(i);
+      const ReferenceGrid::Cell* cell = grid.Find(h, coords);
+      ASSERT_NE(cell, nullptr);
+      uint64_t loc = 0;
+      for (size_t j = 0; j < 3; ++j) loc |= (coords[j] & 1) << j;
+      EXPECT_EQ(level.locs()[i], loc);
+      EXPECT_EQ(level.counts()[i], cell->n);
+      EXPECT_EQ(level.children()[i] >= 0, h < 3);
       for (size_t j = 0; j < 3; ++j) {
-        EXPECT_EQ(level.half_of(i)[j], tree->HalfCount(ref, j));
+        EXPECT_EQ(level.half_of(i)[j], cell->lower[j]);
+        EXPECT_EQ(level.half()[i * 3 + j], cell->lower[j]);
       }
-      EXPECT_EQ(level.Coords(i), tree->CellCoords(ref));
     }
   }
 }

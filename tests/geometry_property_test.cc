@@ -74,15 +74,14 @@ TEST(BoxPropertyTest, DisjointRelevantIntervalsNeverShareSpace) {
 }
 
 TEST(BoxPropertyTest, MergePartitionIsTransitiveClosure) {
-  // BuildCorrelationClusters must put two betas in the same cluster iff
-  // they are connected in the shares-space graph.
+  // MergeBetaClusters must put two betas in the same cluster iff they are
+  // connected in the shares-space graph.
   Rng rng(99);
-  Dataset dummy(0, 4);
   for (int trial = 0; trial < 30; ++trial) {
     std::vector<BetaCluster> betas;
     for (int b = 0; b < 8; ++b) betas.push_back(RandomBox(rng, 4));
     std::vector<int> b2c;
-    BuildCorrelationClusters(betas, dummy, &b2c);
+    MergeBetaClusters(betas, 4, &b2c);
 
     // Naive transitive closure.
     const size_t n = betas.size();

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <string>
@@ -417,6 +418,39 @@ TEST_F(StreamingMrCCTest, PushHonorsTheBadPointPolicy) {
   EXPECT_TRUE(clamp->Push(bad).ok());
   EXPECT_EQ(clamp->points_seen(), 1u);
   EXPECT_EQ(clamp->points_clamped(), 1u);
+}
+
+// A label source is scanned only by the snapshot, never by Push, so its
+// rows go through the window's bad-point policy there: a NaN row fails a
+// kReject snapshot and is noise under kSkip.
+TEST_F(StreamingMrCCTest, SnapshotLabelSourceHonorsTheBadPointPolicy) {
+  const Dataset& data = dataset_.data;
+  Dataset dirty = data;
+  dirty(5, 0) = std::numeric_limits<double>::quiet_NaN();
+  const MemoryDataSource source(dirty);
+  for (const BadPointPolicy policy :
+       {BadPointPolicy::kReject, BadPointPolicy::kSkip}) {
+    SCOPED_TRACE(BadPointPolicyName(policy));
+    MrCCParams params;
+    params.bad_point_policy = policy;
+    params.window.points = data.NumPoints();
+    Result<StreamingMrCC> engine =
+        StreamingMrCC::Create(params, data.NumDims());
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    Push(*engine, data, 0, data.NumPoints(), 500);
+    const Result<MrCCResult> snap = engine->Snapshot(source);
+    if (policy == BadPointPolicy::kReject) {
+      ASSERT_FALSE(snap.ok());
+      EXPECT_EQ(snap.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(snap.status().message().find("point 5 of"),
+                std::string::npos)
+          << snap.status().ToString();
+    } else {
+      ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+      ASSERT_EQ(snap->clustering.labels.size(), data.NumPoints());
+      EXPECT_EQ(snap->clustering.labels[5], kNoiseLabel);
+    }
+  }
 }
 
 TEST_F(StreamingMrCCTest, WindowParamsAreValidated) {

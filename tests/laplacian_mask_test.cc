@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
+#include <utility>
 #include <vector>
 
+#include "reference_grid.h"
 #include "test_util.h"
 
 namespace mrcc {
 namespace {
+
+using testing::ReferenceGrid;
 
 size_t Pow3(size_t d) {
   size_t p = 1;
@@ -16,12 +19,17 @@ size_t Pow3(size_t d) {
   return p;
 }
 
+// The reference's masks are the paper's Fig. 2: the engine's responses
+// are checked against sums over these weights.
 TEST(DenseMaskTest, FaceMaskStructure) {
   for (size_t d : {1, 2, 3}) {
-    const auto mask = DenseFaceMask(d);
-    ASSERT_EQ(mask.size(), Pow3(d));
+    const auto offsets = ReferenceGrid::Offsets(d, /*full_mask=*/false);
+    ASSERT_EQ(offsets.size(), Pow3(d));
     size_t center = 0, faces = 0, zeros = 0;
-    for (int64_t w : mask) {
+    int64_t sum = 0;
+    for (const std::vector<int>& o : offsets) {
+      const int64_t w = ReferenceGrid::MaskWeight(o, false);
+      sum += w;
       if (w == 2 * static_cast<int64_t>(d)) {
         ++center;
       } else if (w == -1) {
@@ -35,117 +43,94 @@ TEST(DenseMaskTest, FaceMaskStructure) {
     EXPECT_EQ(center, 1u);
     EXPECT_EQ(faces, 2 * d);
     EXPECT_EQ(zeros, Pow3(d) - 2 * d - 1);
-    // A Laplacian mask sums to zero.
-    EXPECT_EQ(std::accumulate(mask.begin(), mask.end(), int64_t{0}), 0);
+    EXPECT_EQ(sum, 0);  // A Laplacian mask sums to zero.
   }
 }
 
 TEST(DenseMaskTest, FullMaskStructure) {
   for (size_t d : {1, 2, 3}) {
-    const auto mask = DenseFullMask(d);
-    ASSERT_EQ(mask.size(), Pow3(d));
-    EXPECT_EQ(std::accumulate(mask.begin(), mask.end(), int64_t{0}), 0);
+    const auto offsets = ReferenceGrid::Offsets(d, /*full_mask=*/true);
+    ASSERT_EQ(offsets.size(), Pow3(d));
+    int64_t sum = 0;
+    for (const std::vector<int>& o : offsets) {
+      sum += ReferenceGrid::MaskWeight(o, true);
+    }
+    EXPECT_EQ(sum, 0);
     // 2-d case is the classic 8/-1 mask of the paper's Fig. 2a.
     if (d == 2) {
-      EXPECT_EQ(mask[4], 8);  // Center of the 3x3 grid in odometer order.
+      EXPECT_EQ(ReferenceGrid::MaskWeight(offsets[4], true), 8);  // Centre.
+      EXPECT_EQ(ReferenceGrid::MaskWeight(offsets[0], true), -1);
     }
   }
 }
 
-// Reference convolution via the dense mask and brute-force cell counts.
-int64_t DenseConvolve(const CountingTree& tree, int level,
-                      const std::vector<uint64_t>& coords,
-                      const std::vector<int64_t>& mask, size_t d) {
-  const uint64_t max_coord = (uint64_t{1} << level) - 1;
-  int64_t acc = 0;
-  std::vector<uint64_t> probe(d);
-  for (size_t code = 0; code < mask.size(); ++code) {
-    size_t rem = code;
-    bool in_bounds = true;
-    for (size_t j = d; j-- > 0;) {
-      const int off = static_cast<int>(rem % 3) - 1;
-      rem /= 3;
-      if ((off < 0 && coords[j] == 0) || (off > 0 && coords[j] == max_coord)) {
-        in_bounds = false;
-      }
-      probe[j] = coords[j] + static_cast<uint64_t>(static_cast<int64_t>(off));
-    }
-    if (!in_bounds || mask[code] == 0) continue;
-    CountingTree::CellRef ref;
-    if (tree.FindCell(level, probe, &ref)) {
-      acc += mask[code] * static_cast<int64_t>(tree.Count(ref));
+// Every cell's LaplacianConvolveLevel response against the grid's dense
+// mask sum, on every level.
+void ExpectLevelsMatchGrid(const Dataset& data, int resolutions,
+                           bool full_mask, int threads) {
+  Result<CountingTree> tree = CountingTree::Build(data, resolutions);
+  ASSERT_TRUE(tree.ok());
+  const ReferenceGrid grid(data, resolutions);
+  ThreadPool pool(threads);
+  for (int h = 1; h < resolutions; ++h) {
+    const CountingTree::LevelView level = tree->Level(h);
+    const LevelKeys keys(level);
+    std::vector<int64_t> response(level.num_cells(), -1);
+    LaplacianConvolveLevel(keys, full_mask, pool, response.data());
+    for (uint32_t i = 0; i < level.num_cells(); ++i) {
+      EXPECT_EQ(response[i], grid.Response(h, level.Coords(i), full_mask))
+          << "h=" << h << " i=" << i;
     }
   }
-  return acc;
 }
 
 TEST(ConvolveTest, FaceConvolutionMatchesDenseMask) {
-  Dataset data = testing::UniformDataset(500, 3, 21);
-  Result<CountingTree> tree = CountingTree::Build(data, 4);
-  ASSERT_TRUE(tree.ok());
-  const auto mask = DenseFaceMask(3);
-  for (int h = 1; h < 4; ++h) {
-    const CountingTree::LevelView level = tree->Level(h);
-    for (uint32_t i = 0; i < level.num_cells(); ++i) {
-      const auto coords = level.Coords(i);
-      EXPECT_EQ(FaceLaplacianConvolve(*tree, h, coords, level.counts()[i]),
-                DenseConvolve(*tree, h, coords, mask, 3));
-    }
-  }
+  ExpectLevelsMatchGrid(testing::UniformDataset(500, 3, 21), 4,
+                        /*full_mask=*/false, 1);
 }
 
 TEST(ConvolveTest, FullConvolutionMatchesDenseMask) {
-  Dataset data = testing::UniformDataset(300, 2, 31);
-  Result<CountingTree> tree = CountingTree::Build(data, 4);
-  ASSERT_TRUE(tree.ok());
-  const auto mask = DenseFullMask(2);
-  for (int h = 1; h < 4; ++h) {
-    const CountingTree::LevelView level = tree->Level(h);
-    for (uint32_t i = 0; i < level.num_cells(); ++i) {
-      const auto coords = level.Coords(i);
-      EXPECT_EQ(FullLaplacianConvolve(*tree, h, coords, level.counts()[i]),
-                DenseConvolve(*tree, h, coords, mask, 2));
-    }
+  ExpectLevelsMatchGrid(testing::UniformDataset(300, 2, 31), 4,
+                        /*full_mask=*/true, 1);
+}
+
+// The whole-level merge-join convolutions split their offsets across
+// workers; every split agrees with the single-cell sums.
+TEST(ConvolveTest, BatchedRangesMatchSingleCellForms) {
+  const Dataset data = testing::UniformDataset(800, 3, 41);
+  for (int threads : {2, 4}) {
+    ExpectLevelsMatchGrid(data, 4, /*full_mask=*/false, threads);
+    ExpectLevelsMatchGrid(data, 4, /*full_mask=*/true, threads);
   }
 }
 
-// The whole-level merge-join convolutions (the β-search hot path) must
-// agree cell for cell with the single-cell forms.
-TEST(ConvolveTest, BatchedRangesMatchSingleCellForms) {
-  Dataset data = testing::UniformDataset(800, 3, 41);
-  Result<CountingTree> tree = CountingTree::Build(data, 4);
-  ASSERT_TRUE(tree.ok());
-  for (int h = 1; h < 4; ++h) {
-    const CountingTree::LevelView level = tree->Level(h);
-    const LevelKeys keys(level);
-    const size_t cells = level.num_cells();
-    std::vector<int64_t> face(cells, -1), full(cells, -1);
-    ThreadPool pool(2);
-    LaplacianConvolveLevel(keys, /*full_mask=*/false, pool, face.data());
-    LaplacianConvolveLevel(keys, /*full_mask=*/true, pool, full.data());
-    for (uint32_t i = 0; i < cells; ++i) {
-      const auto coords = level.Coords(i);
-      EXPECT_EQ(face[i],
-                FaceLaplacianConvolve(*tree, h, coords, level.counts()[i]))
-          << "h=" << h << " i=" << i;
-      EXPECT_EQ(full[i],
-                FullLaplacianConvolve(*tree, h, coords, level.counts()[i]))
-          << "h=" << h << " i=" << i;
-    }
+// Responses of the materialized cells of level h, by coordinates.
+std::vector<std::pair<std::vector<uint64_t>, int64_t>> LevelResponses(
+    const CountingTree& tree, int h) {
+  const CountingTree::LevelView level = tree.Level(h);
+  const LevelKeys keys(level);
+  std::vector<int64_t> response(level.num_cells());
+  ThreadPool pool(1);
+  LaplacianConvolveLevel(keys, /*full_mask=*/false, pool, response.data());
+  std::vector<std::pair<std::vector<uint64_t>, int64_t>> out;
+  for (uint32_t i = 0; i < level.num_cells(); ++i) {
+    out.emplace_back(level.Coords(i), response[i]);
   }
+  return out;
 }
 
 TEST(ConvolveTest, IsolatedDenseCellGetsMaximalResponse) {
-  // All points in one tiny region: its cell response is 2d * n, any
-  // neighbor response is negative.
+  // All points in one tiny region: its cell response is 2d * n, and the
+  // one populated face neighbour, holding a single point, subtracts it.
   std::vector<std::vector<double>> points(32, {0.1, 0.1});
-  Dataset data = testing::MakeDataset(points);
-  Result<CountingTree> tree = CountingTree::Build(data, 4);
+  points.push_back({0.3, 0.1});
+  Result<CountingTree> tree =
+      CountingTree::Build(testing::MakeDataset(points), 4);
   ASSERT_TRUE(tree.ok());
-  // Level 2: all mass in cell (0, 0).
-  EXPECT_EQ(FaceLaplacianConvolve(*tree, 2, {0, 0}, 32), 2 * 2 * 32);
-  // Its face neighbor sees only the negative contribution.
-  EXPECT_EQ(FaceLaplacianConvolve(*tree, 2, {1, 0}, 0), -32);
+  // Level 2: cell (0, 0) holds 32 points, cell (1, 0) one.
+  using Responses = std::vector<std::pair<std::vector<uint64_t>, int64_t>>;
+  EXPECT_EQ(LevelResponses(*tree, 2),
+            (Responses{{{0, 0}, 2 * 2 * 32 - 1}, {{1, 0}, 2 * 2 * 1 - 32}}));
 }
 
 TEST(ConvolveTest, UniformGridResponseIsNearZero) {
@@ -157,13 +142,15 @@ TEST(ConvolveTest, UniformGridResponseIsNearZero) {
       points.push_back({(x + 0.5) / 8.0, (y + 0.5) / 8.0});
     }
   }
-  Dataset data = testing::MakeDataset(points);
-  Result<CountingTree> tree = CountingTree::Build(data, 4);
+  Result<CountingTree> tree =
+      CountingTree::Build(testing::MakeDataset(points), 4);
   ASSERT_TRUE(tree.ok());
-  // Interior cell at level 3.
-  EXPECT_EQ(FaceLaplacianConvolve(*tree, 3, {3, 3}, 1), 0);
-  // Corner cell: two neighbors missing -> positive response.
-  EXPECT_EQ(FaceLaplacianConvolve(*tree, 3, {0, 0}, 1), 2);
+  for (const auto& [coords, response] : LevelResponses(*tree, 3)) {
+    // Each cell on the border misses one neighbour per border axis.
+    int64_t missing = 0;
+    for (uint64_t c : coords) missing += (c == 0) + (c == 7);
+    EXPECT_EQ(response, missing) << coords[0] << "," << coords[1];
+  }
 }
 
 }  // namespace

@@ -1,15 +1,15 @@
 // Differential tests of LevelKeys and the merge-join convolution against
-// the tree's own root-descent lookups (CountingTree::FindCell /
-// FaceNeighbor / FaceNeighborCount, FaceLaplacianConvolve,
-// FullLaplacianConvolve) on seeded random trees, from d = 1 up to the
-// d = 62 ceiling, at several thread counts, and with every axis key
-// forced equal so that distinct cells collide.
+// a grid built straight from the points (reference_grid.h: cell lookups,
+// face neighbours and dense-mask Laplacian sums) on seeded random trees,
+// from d = 1 up to the d = 62 ceiling, at several thread counts, and with
+// every axis key forced equal so that distinct cells collide.
 
 #include "core/level_keys.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -20,6 +20,7 @@
 #include "core/counting_tree.h"
 #include "core/laplacian_mask.h"
 #include "data/dataset.h"
+#include "reference_grid.h"
 
 namespace mrcc {
 namespace {
@@ -82,6 +83,62 @@ Dataset ClusteredGridData(size_t d, int num_resolutions, uint64_t seed) {
   return data;
 }
 
+using testing::ReferenceGrid;
+
+using Coords = std::vector<uint64_t>;
+
+// The arena index of each of the level's cells by coordinates, checked
+// to hold exactly the grid's populated cells with the grid's counts.
+std::map<Coords, int64_t> IndexOfGridCells(
+    const ReferenceGrid& grid, const CountingTree::LevelView& level) {
+  std::map<Coords, int64_t> index;
+  for (uint32_t i = 0; i < level.num_cells(); ++i) index[level.Coords(i)] = i;
+  EXPECT_EQ(index.size(), grid.Level(level.level()).size());
+  for (const auto& [coords, cell] : grid.Level(level.level())) {
+    const auto it = index.find(coords);
+    if (it == index.end()) {
+      ADD_FAILURE() << "the tree lacks a cell the grid holds";
+      continue;
+    }
+    EXPECT_EQ(level.counts()[static_cast<size_t>(it->second)], cell.n);
+  }
+  return index;
+}
+
+// The arena index LevelKeys must return for `coords`: the cell's where
+// the grid holds points, else -1.
+int64_t Expected(const ReferenceGrid& grid,
+                 const std::map<Coords, int64_t>& index, int h,
+                 const Coords& coords) {
+  return grid.Find(h, coords) == nullptr ? -1 : index.at(coords);
+}
+
+// The grid's face-neighbour index of `coords` along `axis`, `dir`.
+int64_t ExpectedFaceNeighbor(const ReferenceGrid& grid,
+                             const std::map<Coords, int64_t>& index, int h,
+                             const Coords& coords, size_t axis, int dir) {
+  Coords neighbor;
+  if (!ReferenceGrid::FaceNeighbor(h, coords, axis, dir, &neighbor)) {
+    return -1;
+  }
+  return Expected(grid, index, h, neighbor);
+}
+
+// Σ of the face neighbours' counts on the grid.
+int64_t GridFaceNeighborSum(const ReferenceGrid& grid, int h,
+                            const Coords& coords) {
+  int64_t sum = 0;
+  Coords neighbor;
+  for (size_t j = 0; j < grid.num_dims(); ++j) {
+    for (int dir : {-1, +1}) {
+      if (ReferenceGrid::FaceNeighbor(h, coords, j, dir, &neighbor)) {
+        sum += grid.Count(h, neighbor);
+      }
+    }
+  }
+  return sum;
+}
+
 CountingTree BuildTree(const Dataset& data, int num_resolutions) {
   Result<CountingTree> tree = CountingTree::Build(data, num_resolutions);
   EXPECT_TRUE(tree.ok()) << tree.status().ToString();
@@ -109,50 +166,48 @@ std::vector<int64_t> ConvolveLevel(const LevelKeys& keys, bool full_mask,
   return out;
 }
 
-TEST(LevelKeysTest, FindMatchesRootDescentForEveryCell) {
+TEST(LevelKeysTest, FindMatchesGridForEveryCell) {
   for (const Shape& shape : Shapes()) {
     SCOPED_TRACE("d=" + std::to_string(shape.d) +
                  " H=" + std::to_string(shape.h));
-    const CountingTree tree =
-        BuildTree(ClusteredGridData(shape.d, shape.h, 11 + shape.d), shape.h);
+    const Dataset data = ClusteredGridData(shape.d, shape.h, 11 + shape.d);
+    const CountingTree tree = BuildTree(data, shape.h);
+    const ReferenceGrid grid(data, shape.h);
     for (int h = 1; h < shape.h; ++h) {
       const CountingTree::LevelView level = tree.Level(h);
       const LevelKeys index(level);
-      for (uint32_t i = 0; i < level.num_cells(); ++i) {
-        const std::vector<uint64_t> coords = level.Coords(i);
-        CountingTree::CellRef ref;
-        ASSERT_TRUE(tree.FindCell(h, coords, &ref));
-        ASSERT_EQ(ref.index, i);
-        ASSERT_EQ(index.Find(coords.data()), static_cast<int64_t>(i));
+      const std::map<Coords, int64_t> arena = IndexOfGridCells(grid, level);
+      for (const auto& [coords, cell] : grid.Level(h)) {
+        ASSERT_EQ(index.Find(coords.data()), arena.at(coords));
       }
     }
   }
 }
 
-TEST(LevelKeysTest, FaceNeighborsMatchRootDescentOnEveryAxis) {
+TEST(LevelKeysTest, FaceNeighborsMatchGridOnEveryAxis) {
   for (const Shape& shape : Shapes()) {
     SCOPED_TRACE("d=" + std::to_string(shape.d) +
                  " H=" + std::to_string(shape.h));
-    const CountingTree tree =
-        BuildTree(ClusteredGridData(shape.d, shape.h, 23 + shape.d), shape.h);
+    const Dataset data = ClusteredGridData(shape.d, shape.h, 23 + shape.d);
+    const CountingTree tree = BuildTree(data, shape.h);
+    const ReferenceGrid grid(data, shape.h);
     size_t found = 0, low_border = 0, high_border = 0;
     for (int h = 1; h < shape.h; ++h) {
       const CountingTree::LevelView level = tree.Level(h);
       const LevelKeys index(level);
+      const std::map<Coords, int64_t> arena = IndexOfGridCells(grid, level);
       const uint64_t max_coord = (uint64_t{1} << h) - 1;
-      for (uint32_t i = 0; i < level.num_cells(); ++i) {
-        const std::vector<uint64_t> coords = level.Coords(i);
+      for (const auto& [coords, cell] : grid.Level(h)) {
         for (size_t j = 0; j < shape.d; ++j) {
           if (coords[j] == 0) ++low_border;
           if (coords[j] == max_coord) ++high_border;
           for (int dir : {-1, +1}) {
-            CountingTree::CellRef ref;
-            const bool exists = tree.FaceNeighbor(h, coords, j, dir, &ref);
-            const int64_t got = index.FindFaceNeighbor(coords.data(), j, dir);
-            ASSERT_EQ(got, exists ? static_cast<int64_t>(ref.index) : -1)
-                << "h=" << h << " cell=" << i << " axis=" << j
+            const int64_t expected =
+                ExpectedFaceNeighbor(grid, arena, h, coords, j, dir);
+            ASSERT_EQ(index.FindFaceNeighbor(coords.data(), j, dir), expected)
+                << "h=" << h << " cell=" << arena.at(coords) << " axis=" << j
                 << " dir=" << dir;
-            if (exists) ++found;
+            if (expected >= 0) ++found;
           }
         }
       }
@@ -167,8 +222,9 @@ TEST(LevelKeysTest, FaceNeighborSumMatchesFaceNeighborCounts) {
   for (const Shape& shape : Shapes()) {
     SCOPED_TRACE("d=" + std::to_string(shape.d) +
                  " H=" + std::to_string(shape.h));
-    const CountingTree tree =
-        BuildTree(ClusteredGridData(shape.d, shape.h, 37 + shape.d), shape.h);
+    const Dataset data = ClusteredGridData(shape.d, shape.h, 37 + shape.d);
+    const CountingTree tree = BuildTree(data, shape.h);
+    const ReferenceGrid grid(data, shape.h);
     for (int h = 1; h < shape.h; ++h) {
       const CountingTree::LevelView level = tree.Level(h);
       const LevelKeys index(level);
@@ -176,13 +232,7 @@ TEST(LevelKeysTest, FaceNeighborSumMatchesFaceNeighborCounts) {
       for (size_t split : {size_t{0}, shape.d / 2, shape.d}) {
         const std::vector<int64_t> sums = NeighborSums(index, false, split);
         for (uint32_t i = 0; i < level.num_cells(); ++i) {
-          const std::vector<uint64_t> coords = level.Coords(i);
-          int64_t expected = 0;
-          for (size_t j = 0; j < shape.d; ++j) {
-            expected += tree.FaceNeighborCount(h, coords, j, -1);
-            expected += tree.FaceNeighborCount(h, coords, j, +1);
-          }
-          ASSERT_EQ(sums[i], expected)
+          ASSERT_EQ(sums[i], GridFaceNeighborSum(grid, h, level.Coords(i)))
               << "h=" << h << " cell=" << i << " split=" << split;
         }
       }
@@ -190,18 +240,27 @@ TEST(LevelKeysTest, FaceNeighborSumMatchesFaceNeighborCounts) {
   }
 }
 
-TEST(LevelKeysTest, FaceResponsesMatchRootDescentAtEveryThreadCount) {
+// The grid's dense-mask response of every cell of `level`, arena order.
+std::vector<int64_t> GridResponses(const ReferenceGrid& grid,
+                                   const CountingTree::LevelView& level,
+                                   bool full_mask) {
+  std::vector<int64_t> expected(level.num_cells());
+  for (uint32_t i = 0; i < level.num_cells(); ++i) {
+    expected[i] = grid.Response(level.level(), level.Coords(i), full_mask);
+  }
+  return expected;
+}
+
+TEST(LevelKeysTest, FaceResponsesMatchGridAtEveryThreadCount) {
   for (size_t d : {2, 14, 30, 62}) {
     SCOPED_TRACE("d=" + std::to_string(d));
-    const CountingTree tree = BuildTree(ClusteredGridData(d, 5, 53 + d), 5);
+    const Dataset data = ClusteredGridData(d, 5, 53 + d);
+    const CountingTree tree = BuildTree(data, 5);
+    const ReferenceGrid grid(data, 5);
     for (int h = 1; h < 5; ++h) {
       const CountingTree::LevelView level = tree.Level(h);
       const LevelKeys keys(level);
-      std::vector<int64_t> expected(level.num_cells());
-      for (uint32_t i = 0; i < level.num_cells(); ++i) {
-        expected[i] = FaceLaplacianConvolve(tree, h, level.Coords(i),
-                                            level.counts()[i]);
-      }
+      const std::vector<int64_t> expected = GridResponses(grid, level, false);
       for (int threads : {1, 2, 4}) {
         EXPECT_EQ(ConvolveLevel(keys, false, threads), expected)
             << "h=" << h << " threads=" << threads;
@@ -210,18 +269,16 @@ TEST(LevelKeysTest, FaceResponsesMatchRootDescentAtEveryThreadCount) {
   }
 }
 
-TEST(LevelKeysTest, FullMaskResponsesMatchRootDescent) {
+TEST(LevelKeysTest, FullMaskResponsesMatchGrid) {
   for (size_t d = 1; d <= 6; ++d) {
     SCOPED_TRACE("d=" + std::to_string(d));
-    const CountingTree tree = BuildTree(ClusteredGridData(d, 5, 61 + d), 5);
+    const Dataset data = ClusteredGridData(d, 5, 61 + d);
+    const CountingTree tree = BuildTree(data, 5);
+    const ReferenceGrid grid(data, 5);
     for (int h = 1; h < 5; ++h) {
       const CountingTree::LevelView level = tree.Level(h);
       const LevelKeys keys(level);
-      std::vector<int64_t> expected(level.num_cells());
-      for (uint32_t i = 0; i < level.num_cells(); ++i) {
-        expected[i] = FullLaplacianConvolve(tree, h, level.Coords(i),
-                                            level.counts()[i]);
-      }
+      const std::vector<int64_t> expected = GridResponses(grid, level, true);
       for (int threads : {1, 2, 4}) {
         EXPECT_EQ(ConvolveLevel(keys, true, threads), expected)
             << "h=" << h << " threads=" << threads;
@@ -243,11 +300,14 @@ TEST(LevelKeysTest, FullMaskResponsesMatchRootDescent) {
 TEST(LevelKeysTest, CollidingKeysStillResolveExactly) {
   for (size_t d : {2, 14, 30}) {
     SCOPED_TRACE("d=" + std::to_string(d));
-    const CountingTree tree = BuildTree(ClusteredGridData(d, 5, 71 + d), 5);
+    const Dataset data = ClusteredGridData(d, 5, 71 + d);
+    const CountingTree tree = BuildTree(data, 5);
+    const ReferenceGrid grid(data, 5);
     for (int h = 2; h < 5; ++h) {
       const CountingTree::LevelView level = tree.Level(h);
       const LevelKeys keys =
           LevelKeys::TestPeer::EqualAxisKeys(level, 0x9e3779b97f4a7c15ull);
+      const std::map<Coords, int64_t> arena = IndexOfGridCells(grid, level);
       // Shift 0 pairs each cell with every cell of its key's run.
       std::set<uint64_t> distinct;
       size_t self_pairs = 0;
@@ -257,23 +317,16 @@ TEST(LevelKeysTest, CollidingKeysStillResolveExactly) {
       keys.ForEachShiftedPair(0, [&](uint32_t, uint32_t) { ++self_pairs; });
       ASSERT_LT(distinct.size(), level.num_cells());
       ASSERT_GT(self_pairs, level.num_cells());
-      for (uint32_t i = 0; i < level.num_cells(); ++i) {
-        const std::vector<uint64_t> coords = level.Coords(i);
-        ASSERT_EQ(keys.Find(coords.data()), static_cast<int64_t>(i));
+      for (const auto& [coords, cell] : grid.Level(h)) {
+        ASSERT_EQ(keys.Find(coords.data()), arena.at(coords));
         for (size_t j = 0; j < d; ++j) {
           for (int dir : {-1, +1}) {
-            CountingTree::CellRef ref;
-            const bool exists = tree.FaceNeighbor(h, coords, j, dir, &ref);
             ASSERT_EQ(keys.FindFaceNeighbor(coords.data(), j, dir),
-                      exists ? static_cast<int64_t>(ref.index) : -1);
+                      ExpectedFaceNeighbor(grid, arena, h, coords, j, dir));
           }
         }
       }
-      std::vector<int64_t> expected(level.num_cells());
-      for (uint32_t i = 0; i < level.num_cells(); ++i) {
-        expected[i] = FaceLaplacianConvolve(tree, h, level.Coords(i),
-                                            level.counts()[i]);
-      }
+      const std::vector<int64_t> expected = GridResponses(grid, level, false);
       for (int threads : {1, 2}) {
         EXPECT_EQ(ConvolveLevel(keys, false, threads), expected)
             << "h=" << h << " threads=" << threads;
@@ -286,8 +339,9 @@ TEST(LevelKeysTest, CoordinatesWithoutPointsAreMisses) {
   for (const Shape& shape : Shapes()) {
     SCOPED_TRACE("d=" + std::to_string(shape.d) +
                  " H=" + std::to_string(shape.h));
-    const CountingTree tree =
-        BuildTree(ClusteredGridData(shape.d, shape.h, 41 + shape.d), shape.h);
+    const Dataset data = ClusteredGridData(shape.d, shape.h, 41 + shape.d);
+    const CountingTree tree = BuildTree(data, shape.h);
+    const ReferenceGrid grid(data, shape.h);
     Rng rng(5 + shape.d);
     size_t misses = 0;
     for (int h = 2; h < shape.h; ++h) {
@@ -299,22 +353,15 @@ TEST(LevelKeysTest, CoordinatesWithoutPointsAreMisses) {
       for (uint32_t i = 0; i < level.num_cells(); ++i) {
         std::vector<uint64_t> coords = level.Coords(i);
         coords[0] = slab_begin + rng.UniformInt(slab_width);
-        CountingTree::CellRef ref;
-        ASSERT_FALSE(tree.FindCell(h, coords, &ref));
+        ASSERT_EQ(grid.Find(h, coords), nullptr);
         ASSERT_EQ(index.Find(coords.data()), -1);
         ++misses;
       }
-      // Random coordinates: a miss exactly when the tree has no cell.
-      std::set<std::vector<uint64_t>> occupied;
-      for (uint32_t i = 0; i < level.num_cells(); ++i) {
-        occupied.insert(level.Coords(i));
-      }
+      // Random coordinates: a miss exactly when no point lies there.
       for (int k = 0; k < 200; ++k) {
         std::vector<uint64_t> coords(shape.d);
         for (uint64_t& c : coords) c = rng.UniformInt(uint64_t{1} << h);
-        const bool present = occupied.count(coords) > 0;
-        CountingTree::CellRef ref;
-        ASSERT_EQ(tree.FindCell(h, coords, &ref), present);
+        const bool present = grid.Find(h, coords) != nullptr;
         ASSERT_EQ(index.Find(coords.data()) >= 0, present);
       }
     }

@@ -31,7 +31,7 @@ TEST(TreeIoTest, SaveLoadRoundTrip) {
   ASSERT_TRUE(SaveTree(*tree, path).ok());
   Result<CountingTree> loaded = LoadTree(path);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_TRUE(TreesEquivalent(*tree, *loaded));
+  EXPECT_EQ(SerializeTree(*loaded), SerializeTree(*tree));
   EXPECT_EQ(loaded->total_points(), tree->total_points());
   std::remove(path.c_str());
 }
@@ -59,8 +59,12 @@ TEST(TreeIoTest, LoadedTreeProducesIdenticalBetaClusters) {
   ASSERT_TRUE(loaded.ok());
 
   BetaFinderOptions options;
-  const auto from_original = FindBetaClusters(*tree, options);
-  const auto from_loaded = FindBetaClusters(*loaded, options);
+  const Result<BetaSearchResult> original = RunBetaSearch(*tree, options);
+  ASSERT_TRUE(original.ok()) << original.status().ToString();
+  const std::vector<BetaCluster>& from_original = original->betas;
+  const Result<BetaSearchResult> reloaded = RunBetaSearch(*loaded, options);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  const std::vector<BetaCluster>& from_loaded = reloaded->betas;
   ASSERT_EQ(from_original.size(), from_loaded.size());
   for (size_t b = 0; b < from_original.size(); ++b) {
     EXPECT_EQ(from_original[b].lower, from_loaded[b].lower);
@@ -286,8 +290,7 @@ TEST(TreeMergeTest, ShardedBuildEqualsMonolithicBuild) {
   ASSERT_TRUE(whole.ok() && a.ok() && b.ok());
   ASSERT_TRUE(MergeTree(&*a, *b).ok());
   EXPECT_EQ(a->total_points(), whole->total_points());
-  EXPECT_TRUE(TreesEquivalent(*a, *whole));
-  EXPECT_TRUE(TreesEquivalent(*whole, *a));  // Symmetric check.
+  EXPECT_EQ(SerializeTree(*a), SerializeTree(*whole));
 }
 
 TEST(TreeMergeTest, MergedTreeClusterSearchMatches) {
@@ -304,8 +307,13 @@ TEST(TreeMergeTest, MergedTreeClusterSearchMatches) {
   ASSERT_TRUE(MergeTree(&*a, *b).ok());
 
   BetaFinderOptions options;
-  const auto from_whole = FindBetaClusters(*whole, options);
-  const auto from_merged = FindBetaClusters(*a, options);
+  const Result<BetaSearchResult> whole_search =
+      RunBetaSearch(*whole, options);
+  ASSERT_TRUE(whole_search.ok()) << whole_search.status().ToString();
+  const std::vector<BetaCluster>& from_whole = whole_search->betas;
+  const Result<BetaSearchResult> merged_search = RunBetaSearch(*a, options);
+  ASSERT_TRUE(merged_search.ok()) << merged_search.status().ToString();
+  const std::vector<BetaCluster>& from_merged = merged_search->betas;
   ASSERT_EQ(from_whole.size(), from_merged.size());
   for (size_t i = 0; i < from_whole.size(); ++i) {
     EXPECT_EQ(from_whole[i].lower, from_merged[i].lower);
@@ -764,8 +772,13 @@ TEST(TreeMergeTest, EquivalenceDetectsDifferences) {
   Result<CountingTree> a = CountingTree::Build(d1, 4);
   Result<CountingTree> b = CountingTree::Build(d2, 4);
   ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_TRUE(TreesEquivalent(*a, *a));
-  EXPECT_FALSE(TreesEquivalent(*a, *b));
+  // Trees are compared by their bytes, which the canonical layout makes
+  // a function of the counts: equal trees give equal bytes, and a tree
+  // over other points gives other bytes.
+  Result<CountingTree> a_again = CountingTree::Build(d1, 4);
+  ASSERT_TRUE(a_again.ok());
+  EXPECT_EQ(SerializeTree(*a), SerializeTree(*a_again));
+  EXPECT_NE(SerializeTree(*a), SerializeTree(*b));
 }
 
 }  // namespace

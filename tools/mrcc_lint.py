@@ -47,14 +47,15 @@ offending line):
 
   cell-storage       Raw counting-tree arena access (`.cells[`, `->cells[`,
                      `.half[`, `->half[`) outside src/core/counting_tree.*.
-                     All other code reads cells through the sanctioned
-                     CountingTree::LevelView / CellRef API so the SoA
-                     layout stays an implementation detail. (Moved here
+                     All other code reads cells through
+                     CountingTree::LevelView spans so the SoA layout
+                     stays an implementation detail. (Moved here
                      from tools/lint.sh ban #5.)
 
   single-ingest      The pipeline's one-of-each pieces stay one of each
                      (DESIGN.md §13). Inside src/, `ClassifyPoint(` and
-                     `SanitizePoint(` appear only in src/data/sanitize.*,
+                     `SanitizePoint(` (IngestPoint's private helpers)
+                     appear only in src/data/sanitize.*,
                      `fp::MaybeTrue("source.read.corrupt")` only in
                      src/data/sanitize.cc (all three belong to the one
                      per-point ingest step, IngestPoint), and a
@@ -460,8 +461,8 @@ def check_cell_storage(path, source, findings):
         line = clean.count("\n", 0, m.start()) + 1
         findings.append(Finding(
             path, line, "cell-storage",
-            "raw cell-storage access — use CountingTree::LevelView / "
-            "CellRef (tests: CountingTree::TestPeer)"))
+            "raw cell-storage access — read cells through "
+            "CountingTree::LevelView spans (tests: CountingTree::TestPeer)"))
 
 
 # single-ingest: (code pattern, owning path prefixes, the piece it
