@@ -91,7 +91,8 @@ void BM_TreeBuildThreads(benchmark::State& state) {
   for (auto _ : state) {
     MrCCStats stats;
     Result<CountingTree> tree =
-        BuildTree(source, params, threads, chunk, &stats);
+        BuildTree(source, 0, source.NumPoints(), params, threads, chunk,
+                  &stats);
     MRCC_CHECK(tree.ok());
     benchmark::DoNotOptimize(tree->total_points());
   }

@@ -59,8 +59,8 @@ void RunThreadScaling(const mrcc::bench::BenchOptions& options) {
   std::printf("\n== MrCC thread scaling on %s (%zu points x %zu dims) ==\n",
               dataset.name.c_str(), dataset.data.NumPoints(),
               dataset.data.NumDims());
-  std::printf("%8s %10s %10s %10s %10s %10s %9s\n", "threads", "tree(s)",
-              "merge(s)", "search(s)", "label(s)", "total(s)", "speedup");
+  std::printf("%8s %10s %10s %10s %10s %9s\n", "threads", "tree(s)",
+              "search(s)", "label(s)", "total(s)", "speedup");
 
   std::vector<int> serial_labels;
   double serial_core_seconds = 0.0;
@@ -87,9 +87,9 @@ void RunThreadScaling(const mrcc::bench::BenchOptions& options) {
                    threads);
       std::exit(1);
     }
-    std::printf("%8d %10.3f %10.3f %10.3f %10.3f %10.3f %8.2fx\n",
+    std::printf("%8d %10.3f %10.3f %10.3f %10.3f %8.2fx\n",
                 r->stats.num_threads, r->stats.tree_build_seconds,
-                r->stats.tree_merge_seconds, r->stats.beta_search_seconds,
+                r->stats.beta_search_seconds,
                 r->stats.cluster_build_seconds, r->stats.total_seconds,
                 core_seconds > 0.0 ? serial_core_seconds / core_seconds
                                    : 0.0);

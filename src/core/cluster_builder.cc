@@ -4,9 +4,9 @@
 #include <memory>
 
 #include "common/check.h"
-#include "common/mutex.h"
 #include "common/parallel.h"
 #include "common/union_find.h"
+#include "data/ingest_scan.h"
 
 namespace mrcc {
 
@@ -62,7 +62,6 @@ Result<std::vector<int>> LabelPoints(const std::vector<BetaCluster>& betas,
   // silently mislabels, a long one reads out of the betas' range.
   MRCC_CHECK_EQ(beta_to_cluster.size(), betas.size());
   const size_t n = source.NumPoints();
-  const size_t num_dims = source.NumDims();
   if (chunk_points == 0) chunk_points = kDefaultChunkPoints;
   std::vector<int> labels(n, kNoiseLabel);
   // Every worker labels one contiguous slice through its own scan;
@@ -74,52 +73,33 @@ Result<std::vector<int>> LabelPoints(const std::vector<BetaCluster>& betas,
       ResolveThreadCount(num_threads),
       static_cast<int>(std::max<size_t>(1, n / kMinPointsPerSlice))));
 
-  std::vector<PrefetchStats> slice_prefetch(
-      static_cast<size_t>(pool.num_threads()));
-  Mutex status_mu;
-  Status first_error;  // Guarded by status_mu (locals cannot carry the
-                       // MRCC_GUARDED_BY annotation; keep the pairing).
+  // One status and one tally per slice, reduced in slice order like
+  // every other stage: the error returned is the first slice's, not the
+  // first to fail in time.
+  const size_t slices = static_cast<size_t>(pool.num_threads());
+  std::vector<Status> slice_status(slices);
+  std::vector<ScanTally> slice_tally(slices);
   pool.ParallelFor(n, [&](int t, size_t begin, size_t end) {
-    std::vector<double> scratch;
-    // Reads of the next chunk overlap the box-membership tests of the
-    // current one; depth 0 degenerates to the plain synchronous scan.
-    const ReadAheadScanner scanner(source, read_ahead_chunks);
-    const Status slice_status = scanner.ScanChunks(
-        begin, end, chunk_points,
-        [&](size_t first, std::span<const double> values) -> Status {
-          const size_t count = values.size() / num_dims;
-          for (size_t j = 0; j < count; ++j) {
-            std::span<const double> point =
-                values.subspan(j * num_dims, num_dims);
-            // The tree-build pass's ingest step: a skipped point was
-            // never counted, so it stays noise; a clamped point was
-            // counted at its clamped coordinates, so it is looked up
-            // there; a rejected one fails the scan, which may read a
-            // source the build never saw (a window's label source).
-            const PointAction action = IngestPoint(&point, policy, &scratch);
-            if (action == PointAction::kReject) {
-              return BadPointError(first + j, source.Name());
-            }
-            if (action == PointAction::kSkip) continue;
-            for (size_t b = 0; b < betas.size(); ++b) {
-              if (betas[b].Contains(point)) {
-                labels[first + j] = beta_to_cluster[b];
-                break;
-              }
+    // The tree-build pass's ingest step: a skipped point was never
+    // counted, so it stays noise; a clamped point was counted at its
+    // clamped coordinates, so it is looked up there; a rejected one fails
+    // the scan, which may read a source the build never saw (a window's
+    // label source).
+    slice_status[static_cast<size_t>(t)] = IngestScan(
+        source, begin, end, chunk_points, read_ahead_chunks, policy,
+        &slice_tally[static_cast<size_t>(t)],
+        [&](size_t row, std::span<const double> point) {
+          for (size_t b = 0; b < betas.size(); ++b) {
+            if (betas[b].Contains(point)) {
+              labels[row] = beta_to_cluster[b];
+              break;
             }
           }
-          return Status::OK();
-        },
-        &slice_prefetch[static_cast<size_t>(t)]);
-    if (!slice_status.ok()) {
-      MutexLock lock(status_mu);
-      if (first_error.ok()) first_error = slice_status;
-    }
+        });
   });
-  MRCC_RETURN_IF_ERROR(first_error);
+  for (const Status& status : slice_status) MRCC_RETURN_IF_ERROR(status);
   if (prefetch != nullptr) {
-    // Slice order, like every other reduction in the pipeline.
-    for (const PrefetchStats& s : slice_prefetch) *prefetch += s;
+    for (const ScanTally& tally : slice_tally) *prefetch += tally.prefetch;
   }
   return labels;
 }

@@ -1,8 +1,6 @@
 #include "core/mrcc.h"
 
 #include <algorithm>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <utility>
@@ -16,6 +14,7 @@
 #include "common/trace.h"
 #include "core/laplacian_mask.h"
 #include "core/streaming_mrcc.h"
+#include "data/ingest_scan.h"
 #include "data/prefetch.h"
 
 namespace mrcc {
@@ -33,8 +32,8 @@ size_t BuffersPerScan(const MrCCParams& params) {
   return std::max<size_t>(1, params.read_ahead_chunks);
 }
 
-/// Publishes the tree-build scan's telemetry, the same for the batch and
-/// the window feed.
+/// Publishes a run's tree-build scan telemetry, the same for the batch
+/// build and the window feed.
 void PublishScanMetrics(const MrCCStats& stats) {
   MetricsRegistry& metrics = MetricsRegistry::Global();
   metrics.counter("tree.chunks_scanned").Add(
@@ -51,185 +50,12 @@ void PublishScanMetrics(const MrCCStats& stats) {
   }
 }
 
-/// Counts points [begin, end) of `source` into a sealed tree with
-/// CountingTree::BuildPartitioned on `pool`'s workers: each worker scans
-/// one contiguous slice through a read-ahead scanner and IngestPoint,
-/// tallying into tallies[worker] and timing its scan into
-/// scan_seconds[worker] (both sized to the pool). Honors the
-/// `tree.build.alloc` failpoint, and `tree.merge.alloc` for the shared
-/// record buffers of a multi-worker build.
-Result<CountingTree> BuildTreeOnPool(const DataSource& source, size_t begin,
-                                     size_t end, const MrCCParams& params,
-                                     size_t chunk_points, ThreadPool& pool,
-                                     std::vector<ScanTally>* tallies,
-                                     std::vector<double>* scan_seconds) {
-  // tree.build.alloc stands in for the tree's allocations failing under
-  // memory pressure; tree.merge.alloc for the buffers the workers share.
-  MRCC_RETURN_IF_ERROR(fp::Maybe("tree.build.alloc"));
-  if (pool.num_threads() > 1) {
-    MRCC_RETURN_IF_ERROR(fp::Maybe("tree.merge.alloc"));
-  }
-  const size_t num_dims = source.NumDims();
-  const BadPointPolicy policy = params.bad_point_policy;
-  return CountingTree::BuildPartitioned(
-      num_dims, params.num_resolutions, end - begin, pool,
-      [&](int worker, size_t first_point, size_t last_point,
-          CountingTree::SliceRun& run) -> Status {
-        MRCC_TRACE_SPAN_N("tree.build.shard",
-                          static_cast<int64_t>(last_point - first_point));
-        Timer timer;
-        ScanTally& tally = (*tallies)[static_cast<size_t>(worker)];
-        std::vector<double> scratch;
-        // Chunks arrive in order and cover the slice exactly once, so the
-        // tree is bit-identical to a point-at-a-time scan at every chunk
-        // size. The scanner keeps up to read_ahead_chunks chunks in
-        // flight behind the inserts; depth 0 is the plain synchronous
-        // scan.
-        const ReadAheadScanner scanner(source, params.read_ahead_chunks);
-        const Status scanned = scanner.ScanChunks(
-            begin + first_point, begin + last_point, chunk_points,
-            [&](size_t first, std::span<const double> values) -> Status {
-              const size_t count = values.size() / num_dims;
-              for (size_t j = 0; j < count; ++j) {
-                std::span<const double> point =
-                    values.subspan(j * num_dims, num_dims);
-                const PointAction action =
-                    IngestPoint(&point, policy, &scratch);
-                if (action == PointAction::kReject) {
-                  return BadPointError(first + j, source.Name());
-                }
-                if (action == PointAction::kSkip) {
-                  ++tally.points_skipped;
-                  continue;
-                }
-                if (action == PointAction::kClamp) ++tally.points_clamped;
-                MRCC_RETURN_IF_ERROR(run.Insert(point));
-              }
-              return Status::OK();
-            },
-            &tally.prefetch);
-        (*scan_seconds)[static_cast<size_t>(worker)] += timer.ElapsedSeconds();
-        return scanned;
-      });
-}
-
-}  // namespace
-
-Result<CountingTree> BuildTree(const DataSource& source,
-                               const MrCCParams& params, int num_threads,
-                               size_t chunk_points, MrCCStats* stats) {
-  const size_t n = source.NumPoints();
-  const size_t num_dims = source.NumDims();
-  const int want_workers = std::max(
-      1, std::min<int>(num_threads,
-                       static_cast<int>(n / kMinPointsPerWorker)));
-  stats->tree_merge_seconds = 0.0;
-
-  if (n == 0) {
-    stats->tree_build_threads = 1;
-    return CountingTree::Empty(num_dims, params.num_resolutions);
-  }
-
-  // The pool may come up short of workers (thread-limit pressure, the
-  // `pool.spawn` failpoint); the build slices by what it actually got.
-  ThreadPool pool(want_workers);
-  const int workers = pool.num_threads();
-  if (workers < want_workers) {
-    stats->degraded = true;
-    stats->degradation_reasons.push_back(
-        "thread pool spawned " + std::to_string(workers) + " of " +
-        std::to_string(want_workers) +
-        " tree-build workers; continuing with fewer (results unchanged)");
-  }
-  stats->tree_build_threads = workers;
-
-  // Each worker's scan counters and scan seconds; reduced in slice order
-  // below so the totals are deterministic like everything else.
-  std::vector<ScanTally> tallies(static_cast<size_t>(workers));
-  std::vector<double> scan_seconds(static_cast<size_t>(workers), 0.0);
-  Result<CountingTree> tree = BuildTreeOnPool(
-      source, 0, n, params, chunk_points, pool, &tallies, &scan_seconds);
-  if (!tree.ok()) return tree.status();
-  for (const ScanTally& tally : tallies) {
-    stats->points_skipped += tally.points_skipped;
-    stats->points_clamped += tally.points_clamped;
-    stats->chunks_scanned += tally.prefetch.chunks;
-    stats->prefetch_stalls += tally.prefetch.stalls;
-    stats->prefetch_queue_full_waits += tally.prefetch.queue_full_waits;
-  }
-
-  // Worst-case raw points resident at once: every worker holding all of
-  // its scan's chunk buffers (the read-ahead ring, or one buffer for a
-  // synchronous scan). Zero-copy backends (memory, mmap) stay below it.
-  const size_t buffers = BuffersPerScan(params);
-  stats->resident_point_bound =
-      static_cast<size_t>(workers) *
-      std::min(buffers * chunk_points,
-               (n + static_cast<size_t>(workers) - 1) /
-                   static_cast<size_t>(workers));
-  PublishScanMetrics(*stats);
-  if (workers > 1) {
-    // The imbalance diagnostic: slices are equal by construction, so a
-    // skewed scan profile points at data (costly rows) or the machine.
-    double sum = 0.0;
-    double slowest = 0.0;
-    for (double s : scan_seconds) {
-      sum += s;
-      slowest = std::max(slowest, s);
-    }
-    const double mean = sum / static_cast<double>(workers);
-    stats->shard_imbalance = mean > 0.0 ? slowest / mean : 0.0;
-    MetricsRegistry& metrics = MetricsRegistry::Global();
-    for (double s : scan_seconds) {
-      metrics.histogram("tree.shard_micros").Record(
-          static_cast<int64_t>(s * 1e6));
-    }
-  }
-  return tree;
-}
-
-size_t ChunkPointsFor(const MrCCParams& params, size_t num_dims, int shards) {
-  if (params.chunk_points > 0) return params.chunk_points;
-  size_t chunk = kDefaultChunkPoints;
-  if (params.budget.max_memory_bytes > 0 && num_dims > 0 && shards > 0) {
-    const size_t bytes_per_point = num_dims * sizeof(double);
-    const size_t cap =
-        params.budget.max_memory_bytes /
-        (2 * static_cast<size_t>(shards) * BuffersPerScan(params) *
-         bytes_per_point);
-    chunk = std::clamp<size_t>(cap, 1, kDefaultChunkPoints);
-  }
-  return chunk;
-}
-
-void PublishMergeMetrics(const MergeTreeStats& stats) {
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  metrics.counter("tree.merge.conflict_cells").Add(
-      static_cast<int64_t>(stats.cells_merged));
-  metrics.counter("tree.merge.cells_created").Add(
-      static_cast<int64_t>(stats.cells_created));
-}
-
-Result<CountingTree> BuildTreeOverRange(const DataSource& source,
-                                        size_t begin, size_t end,
-                                        const MrCCParams& params,
-                                        size_t chunk_points,
-                                        ScanTally* tally) {
-  ThreadPool serial(1);
-  std::vector<ScanTally> tallies(1);
-  std::vector<double> scan_seconds(1, 0.0);
-  Result<CountingTree> tree = BuildTreeOnPool(
-      source, begin, end, params, chunk_points, serial, &tallies,
-      &scan_seconds);
-  tally->points_skipped += tallies[0].points_skipped;
-  tally->points_clamped += tallies[0].points_clamped;
-  tally->prefetch += tallies[0].prefetch;
-  return tree;
-}
-
+/// The run's tail over its sealed tree (see RunPipeline). Times the
+/// β-search and the cluster phase as laps of `clock`, which started
+/// with the run.
 Status ClusterTree(CountingTree& tree, const MrCCParams& params,
                    int num_threads, const DataSource* label_source,
-                   size_t chunk_points, BudgetTracker& tracker,
+                   const Timer& clock, BudgetTracker& tracker,
                    MrCCResult* result) {
   MrCCStats& stats = result->stats;
   MetricsRegistry& metrics = MetricsRegistry::Global();
@@ -283,7 +109,7 @@ Status ClusterTree(CountingTree& tree, const MrCCParams& params,
   }
 
   // β-cluster search, parallel over the cells of each level.
-  Timer phase;
+  const double search_start = clock.ElapsedSeconds();
   BetaFinderOptions finder_options;
   finder_options.alpha = params.alpha;
   finder_options.full_mask = params.full_mask;
@@ -302,11 +128,11 @@ Status ClusterTree(CountingTree& tree, const MrCCParams& params,
         "wall deadline exceeded during the β-search: the β-clusters are "
         "a deterministic prefix of the full search");
   }
-  stats.beta_search_seconds = phase.ElapsedSeconds();
+  const double cluster_start = clock.ElapsedSeconds();
+  stats.beta_search_seconds = cluster_start - search_start;
 
   // Merge β-clusters (geometry only), then label every point in a second
   // scan of the source, parallel over point slices.
-  phase.Reset();
   {
     MRCC_TRACE_SPAN_N("cluster.merge_betas",
                       static_cast<int64_t>(result->beta_clusters.size()));
@@ -329,7 +155,7 @@ Status ClusterTree(CountingTree& tree, const MrCCParams& params,
                           static_cast<int64_t>(label_points));
         labels = LabelPoints(result->beta_clusters, result->beta_to_cluster,
                              *label_source, num_threads,
-                             params.bad_point_policy, chunk_points,
+                             params.bad_point_policy, stats.chunk_points,
                              params.read_ahead_chunks, &label_prefetch);
       }
       if (!labels.ok()) return labels.status();
@@ -338,8 +164,159 @@ Status ClusterTree(CountingTree& tree, const MrCCParams& params,
       stats.prefetch_queue_full_waits += label_prefetch.queue_full_waits;
     }
   }
-  stats.cluster_build_seconds = phase.ElapsedSeconds();
+  stats.cluster_build_seconds = clock.ElapsedSeconds() - cluster_start;
   return Status::OK();
+}
+
+}  // namespace
+
+Result<CountingTree> BuildTree(const DataSource& source, size_t begin,
+                               size_t end, const MrCCParams& params,
+                               int num_threads, size_t chunk_points,
+                               MrCCStats* stats) {
+  const size_t n = end - begin;
+  const int want_workers = std::max(
+      1, std::min<int>(num_threads,
+                       static_cast<int>(n / kMinPointsPerWorker)));
+  if (n == 0) {
+    stats->tree_build_threads = 1;
+    return CountingTree::Empty(source.NumDims(), params.num_resolutions);
+  }
+
+  // The pool may come up short of workers (thread-limit pressure, the
+  // `pool.spawn` failpoint); the build slices by what it actually got.
+  ThreadPool pool(want_workers);
+  const int workers = pool.num_threads();
+  if (workers < want_workers) {
+    stats->degraded = true;
+    stats->degradation_reasons.push_back(
+        "thread pool spawned " + std::to_string(workers) + " of " +
+        std::to_string(want_workers) +
+        " tree-build workers; continuing with fewer (results unchanged)");
+  }
+  stats->tree_build_threads = workers;
+
+  // tree.build.alloc stands in for the tree's allocations failing under
+  // memory pressure; tree.merge.alloc for the buffers the workers share.
+  MRCC_RETURN_IF_ERROR(fp::Maybe("tree.build.alloc"));
+  if (workers > 1) MRCC_RETURN_IF_ERROR(fp::Maybe("tree.merge.alloc"));
+
+  // Each worker's scan counters and scan seconds, summed over the build's
+  // rounds; reduced in slice order below so the totals are deterministic
+  // like everything else.
+  std::vector<ScanTally> tallies(static_cast<size_t>(workers));
+  std::vector<double> scan_seconds(static_cast<size_t>(workers), 0.0);
+  Result<CountingTree> tree = CountingTree::BuildPartitioned(
+      source.NumDims(), params.num_resolutions, n, pool,
+      [&](int worker, size_t first_point, size_t last_point,
+          CountingTree::SliceRun& run) -> Status {
+        MRCC_TRACE_SPAN_N("tree.build.shard",
+                          static_cast<int64_t>(last_point - first_point));
+        Timer timer;
+        const Status scanned = IngestScan(
+            source, begin + first_point, begin + last_point, chunk_points,
+            params.read_ahead_chunks, params.bad_point_policy,
+            &tallies[static_cast<size_t>(worker)],
+            [&run](size_t, std::span<const double> point) {
+              return run.Insert(point);
+            });
+        scan_seconds[static_cast<size_t>(worker)] += timer.ElapsedSeconds();
+        return scanned;
+      });
+  if (!tree.ok()) return tree.status();
+  for (const ScanTally& tally : tallies) {
+    stats->points_skipped += tally.points_skipped;
+    stats->points_clamped += tally.points_clamped;
+    stats->chunks_scanned += tally.prefetch.chunks;
+    stats->prefetch_stalls += tally.prefetch.stalls;
+    stats->prefetch_queue_full_waits += tally.prefetch.queue_full_waits;
+  }
+
+  // Worst-case raw points resident at once: every worker holding all of
+  // its scan's chunk buffers (the read-ahead ring, or one buffer for a
+  // synchronous scan). Zero-copy backends (memory, mmap) stay below it.
+  const size_t buffers = BuffersPerScan(params);
+  stats->resident_point_bound =
+      static_cast<size_t>(workers) *
+      std::min(buffers * chunk_points,
+               (n + static_cast<size_t>(workers) - 1) /
+                   static_cast<size_t>(workers));
+  if (workers > 1) {
+    // The imbalance diagnostic: slices are equal by construction, so a
+    // skewed scan profile points at data (costly rows) or the machine.
+    double sum = 0.0;
+    double slowest = 0.0;
+    for (double s : scan_seconds) {
+      sum += s;
+      slowest = std::max(slowest, s);
+    }
+    const double mean = sum / static_cast<double>(workers);
+    stats->shard_imbalance = mean > 0.0 ? slowest / mean : 0.0;
+    MetricsRegistry& metrics = MetricsRegistry::Global();
+    for (double s : scan_seconds) {
+      metrics.histogram("tree.shard_micros").Record(
+          static_cast<int64_t>(s * 1e6));
+    }
+  }
+  return tree;
+}
+
+size_t ChunkPointsFor(const MrCCParams& params, size_t num_dims, int shards) {
+  if (params.chunk_points > 0) return params.chunk_points;
+  size_t chunk = kDefaultChunkPoints;
+  if (params.budget.max_memory_bytes > 0 && num_dims > 0 && shards > 0) {
+    const size_t bytes_per_point = num_dims * sizeof(double);
+    const size_t cap =
+        params.budget.max_memory_bytes /
+        (2 * static_cast<size_t>(shards) * BuffersPerScan(params) *
+         bytes_per_point);
+    chunk = std::clamp<size_t>(cap, 1, kDefaultChunkPoints);
+  }
+  return chunk;
+}
+
+Result<MrCCResult> RunPipeline(const MrCCParams& params, size_t num_dims,
+                               size_t num_points,
+                               const DataSource* label_source,
+                               const AssembleTree& assemble) {
+  // The pipeline's single parameter gate (see MrCCParams::Validate).
+  MRCC_RETURN_IF_ERROR(params.Validate(num_dims));
+  MRCC_TRACE_SPAN_N("mrcc.run", static_cast<int64_t>(num_points));
+  const Timer clock;
+  const int num_threads = ResolveThreadCount(params.num_threads);
+  BudgetTracker tracker(params.budget);
+
+  MrCCResult result;
+  MrCCStats& stats = result.stats;
+  stats.num_threads = num_threads;
+  // Scans hold bounded chunks, so raw-point memory stays at
+  // scans × read-ahead depth × chunk regardless of dataset size
+  // (DESIGN.md §14).
+  stats.chunk_points = ChunkPointsFor(params, num_dims, num_threads);
+  stats.read_ahead_chunks = params.read_ahead_chunks;
+
+  Result<CountingTree> tree = assemble(num_threads, stats.chunk_points,
+                                       &stats);
+  if (!tree.ok()) return tree.status();
+  stats.tree_build_seconds = clock.ElapsedSeconds();
+  if (stats.tree_merge.cells_created > 0) {
+    // Only a fold creates cells from parts; the batch build folds nothing.
+    MetricsRegistry& metrics = MetricsRegistry::Global();
+    metrics.counter("tree.merge.conflict_cells").Add(
+        static_cast<int64_t>(stats.tree_merge.cells_merged));
+    metrics.counter("tree.merge.cells_created").Add(
+        static_cast<int64_t>(stats.tree_merge.cells_created));
+  }
+
+  MRCC_RETURN_IF_ERROR(ClusterTree(*tree, params, num_threads, label_source,
+                                   clock, tracker, &result));
+  stats.total_seconds = clock.ElapsedSeconds();
+  // Allocator high-water mark since the last ResetPeak() — with the
+  // bench harness's per-run reset this is the run's peak ("arena
+  // high-water"); standalone it is a process-lifetime bound.
+  MetricsRegistry::Global().gauge("memory.high_water_bytes").SetMax(
+      MemoryTracker::PeakBytes());
+  return result;
 }
 
 Status WindowParams::Validate() const {
@@ -383,85 +360,54 @@ Status MrCCParams::Validate(size_t num_dims) const {
 MrCC::MrCC(MrCCParams params) : params_(params) {}
 
 Result<MrCCResult> MrCC::Run(const DataSource& source) const {
-  // The pipeline's single parameter gate (see MrCCParams::Validate).
-  MRCC_RETURN_IF_ERROR(params_.Validate(source.NumDims()));
   if (params_.window.enabled()) return RunWindowed(source);
-  const int num_threads = ResolveThreadCount(params_.num_threads);
-
-  MRCC_TRACE_SPAN_N("mrcc.run", static_cast<int64_t>(source.NumPoints()));
-
-  MrCCResult result;
-  result.stats.num_threads = num_threads;
-  Timer total;
-  BudgetTracker tracker(params_.budget);
-
-  // Phase 1: single-scan Counting-tree construction, sliced by points and
-  // partitioned by key space. Workers consume the source in bounded
-  // chunks, so raw-point memory stays at workers × chunk regardless of
-  // dataset size (DESIGN.md §14).
-  const size_t chunk_points =
-      ChunkPointsFor(params_, source.NumDims(), num_threads);
-  result.stats.chunk_points = chunk_points;
-  result.stats.read_ahead_chunks = params_.read_ahead_chunks;
-  Timer phase;
-  Result<CountingTree> tree(Status::Internal("tree build not run"));
-  {
-    MRCC_TRACE_SPAN("tree.build");
-    tree = BuildTree(source, params_, num_threads, chunk_points,
-                     &result.stats);
-  }
-  if (!tree.ok()) return tree.status();
-  result.stats.tree_build_seconds = phase.ElapsedSeconds();
-
-  // Phases 2-3: β-search, β-cluster merge and the labeling scan.
-  MRCC_RETURN_IF_ERROR(ClusterTree(*tree, params_, num_threads, &source,
-                                   chunk_points, tracker, &result));
-  result.stats.total_seconds = total.ElapsedSeconds();
-  // Allocator high-water mark since the last ResetPeak() — with the
-  // bench harness's per-run reset this is the run's peak ("arena
-  // high-water"); standalone it is a process-lifetime bound.
-  MetricsRegistry::Global().gauge("memory.high_water_bytes").SetMax(
-      MemoryTracker::PeakBytes());
-  return result;
+  // Single-scan Counting-tree construction over the whole source, sliced
+  // by points and partitioned by key space.
+  return RunPipeline(
+      params_, source.NumDims(), source.NumPoints(), &source,
+      [&](int num_threads, size_t chunk_points,
+          MrCCStats* stats) -> Result<CountingTree> {
+        MRCC_TRACE_SPAN("tree.build");
+        Result<CountingTree> tree =
+            BuildTree(source, 0, source.NumPoints(), params_, num_threads,
+                      chunk_points, stats);
+        if (tree.ok()) PublishScanMetrics(*stats);
+        return tree;
+      });
 }
 
 Result<MrCCResult> MrCC::RunWindowed(const DataSource& source) const {
   const size_t n = source.NumPoints();
-  Timer total;
-  Result<StreamingMrCC> engine =
-      StreamingMrCC::Create(params_, source.NumDims());
-  if (!engine.ok()) return engine.status();
-
-  // Feed the whole source through the incremental engine in bounded
-  // chunks (the feed is inherently serial: generation order is stream
-  // order, which is exactly what the read-ahead scanner preserves — the
-  // reader thread overlaps the next chunk's I/O with PushChunk), then
-  // snapshot and label every point against the trailing window's
-  // clusters.
-  const size_t chunk_points = ChunkPointsFor(params_, source.NumDims(), 1);
-  PrefetchStats prefetch;
-  const ReadAheadScanner scanner(source, params_.read_ahead_chunks);
-  MRCC_RETURN_IF_ERROR(scanner.ScanChunks(
-      0, n, chunk_points,
-      [&](size_t, std::span<const double> values) {
-        return engine->PushChunk(values);
-      },
-      &prefetch));
-  Result<MrCCResult> result = engine->Snapshot(source);
-  if (!result.ok()) return result.status();
-  result->stats.chunks_scanned = prefetch.chunks;
-  result->stats.chunk_points = chunk_points;
-  result->stats.read_ahead_chunks = params_.read_ahead_chunks;
-  // The snapshot's labeling scan already counted its own prefetch stats.
-  result->stats.prefetch_stalls += prefetch.stalls;
-  result->stats.prefetch_queue_full_waits += prefetch.queue_full_waits;
-  result->stats.resident_point_bound =
-      std::min<size_t>(BuffersPerScan(params_) * chunk_points, n);
-  PublishScanMetrics(result->stats);
-  result->stats.total_seconds = total.ElapsedSeconds();
-  MetricsRegistry::Global().gauge("memory.high_water_bytes").SetMax(
-      MemoryTracker::PeakBytes());
-  return result;
+  return RunPipeline(
+      params_, source.NumDims(), n, &source,
+      [&](int num_threads, size_t chunk_points,
+          MrCCStats* stats) -> Result<CountingTree> {
+        Result<StreamingMrCC> engine =
+            StreamingMrCC::Create(params_, source.NumDims());
+        if (!engine.ok()) return engine.status();
+        // Feed the whole source through the incremental engine in bounded
+        // chunks (the feed is inherently serial: generation order is
+        // stream order, which is exactly what the read-ahead scanner
+        // preserves — the reader thread overlaps the next chunk's I/O with
+        // PushChunk), then fold the trailing window; the run labels every
+        // point against the window's clusters.
+        PrefetchStats prefetch;
+        const ReadAheadScanner scanner(source, params_.read_ahead_chunks);
+        MRCC_RETURN_IF_ERROR(scanner.ScanChunks(
+            0, n, chunk_points,
+            [&](size_t, std::span<const double> values) {
+              return engine->PushChunk(values);
+            },
+            &prefetch));
+        stats->chunks_scanned = prefetch.chunks;
+        stats->prefetch_stalls += prefetch.stalls;
+        stats->prefetch_queue_full_waits += prefetch.queue_full_waits;
+        stats->resident_point_bound =
+            std::min<size_t>(BuffersPerScan(params_) * chunk_points, n);
+        Result<CountingTree> window = engine->FoldWindow(num_threads, stats);
+        if (window.ok()) PublishScanMetrics(*stats);
+        return window;
+      });
 }
 
 Result<MrCCResult> MrCC::Run(const Dataset& data) const {

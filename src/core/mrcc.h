@@ -10,14 +10,20 @@
 // significance `alpha` and the number of resolutions `H`; the paper fixes
 // alpha = 1e-10 and H = 4 for all experiments (§IV-E).
 //
-// Run(const DataSource&) is the single pipeline entry point: in-memory
+// Run(const DataSource&) is the batch engine's entry point: in-memory
 // datasets and out-of-core binary files run the same code through the
-// DataSource abstraction. Every stage is parallel over contiguous point /
-// cell slices with order-invariant reductions, so any `num_threads`
-// produces bit-identical results to the serial run (see DESIGN.md §8).
+// DataSource abstraction. It, the sliding-window engine
+// (core/streaming_mrcc.h) and the shard merger (dist/sharded_build.h)
+// all run through one driver, RunPipeline (below), and differ only in
+// the step that assembles the sealed tree: the batch build (BuildTree),
+// the window fold, the artifact fold. Every stage is parallel over
+// contiguous point / cell slices with order-invariant reductions, so any
+// `num_threads` produces bit-identical results to the serial run (see
+// DESIGN.md §8).
 
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -28,7 +34,6 @@
 #include "core/subspace_clusterer.h"
 #include "core/tree_io.h"
 #include "data/data_source.h"
-#include "data/prefetch.h"
 #include "data/sanitize.h"
 
 namespace mrcc {
@@ -117,13 +122,10 @@ struct MrCCParams {
 
 /// Timing and size measurements of one MrCC run.
 struct MrCCStats {
+  /// Seconds of the engine's assembly step, from the first point read to
+  /// the sealed tree: the batch build, the window fold (after the feed,
+  /// for a windowed MrCC::Run), the shard merger's load and fold.
   double tree_build_seconds = 0.0;
-
-  /// Seconds spent folding sub-trees into the run's tree: the window
-  /// snapshot's fold (core/streaming_mrcc.h) and the shard merger's
-  /// (dist/sharded_build.h). Always 0 for the batch build (BuildTree),
-  /// which partitions by key space and folds nothing.
-  double tree_merge_seconds = 0.0;
 
   double beta_search_seconds = 0.0;
   double cluster_build_seconds = 0.0;
@@ -246,8 +248,10 @@ class MrCC : public SubspaceClusterer {
 
   const MrCCParams& params() const { return params_; }
 
-  /// Full run over any DataSource backend — the single pipeline entry
-  /// point. The source must provide points normalized to [0,1)^d.
+  /// Full run over any DataSource backend: RunPipeline with the batch
+  /// build (BuildTree over the whole source) as its assembly step, or
+  /// with the window feed and fold when params.window is enabled. The
+  /// source must provide points normalized to [0,1)^d.
   [[nodiscard]] Result<MrCCResult> Run(const DataSource& source) const;
 
   /// Full run over an in-memory dataset (a MemoryDataSource wrapper).
@@ -268,8 +272,8 @@ class MrCC : public SubspaceClusterer {
 
 // ---- The pipeline body. Three engines drive it — the batch engine
 // (MrCC::Run), the sliding-window engine (core/streaming_mrcc.h) and the
-// sharded merger (dist/sharded_build.h) — and differ only in how they
-// assemble the sealed tree; everything else is declared here, once.
+// sharded merger (dist/sharded_build.h) — through one run driver,
+// RunPipeline, and differ only in the step that assembles the sealed tree.
 
 /// Effective chunk size of the streaming scans: an explicit
 /// params.chunk_points wins; otherwise kDefaultChunkPoints, shrunk so
@@ -279,68 +283,56 @@ class MrCC : public SubspaceClusterer {
 /// Never zero. The chunk size never changes results, only memory.
 size_t ChunkPointsFor(const MrCCParams& params, size_t num_dims, int shards);
 
-/// The batch engine's tree (MrCC::Run's phase 1): counts every point of
-/// `source` on up to `num_threads` workers — fewer for small inputs, or
-/// when the pool spawns fewer (then stats->degraded) — with
-/// CountingTree::BuildPartitioned: each worker scans one contiguous slice
-/// in `chunk_points`-point chunks through a read-ahead scanner and
-/// IngestPoint, and the records are sorted by key-space partition and
-/// laid out once. The tree's bytes equal the serial build's at every
-/// worker count; nothing is folded. Fills stats' tree-build threads,
-/// skip/clamp counts, scan telemetry and shard_imbalance, and sets
-/// tree_merge_seconds to 0. Emits one `tree.build.shard` span per worker
-/// scan. Honors `tree.build.alloc`, and `tree.merge.alloc` (the shared
-/// record buffers) when more than one worker runs.
+/// The one source build: counts points [begin, end) of `source` into a
+/// sealed tree with params.num_resolutions levels on up to `num_threads`
+/// workers — fewer for small inputs, or when the pool spawns fewer (then
+/// stats->degraded) — with CountingTree::BuildPartitioned: each worker
+/// runs the ingesting scan (data/ingest_scan.h) over one contiguous
+/// slice in `chunk_points`-point chunks, and the records are sorted by
+/// key-space partition and laid out once. The tree's bytes equal the
+/// serial build's at every worker count and equal CountingTree::Build of
+/// the range's kept points; nothing is folded. The batch engine runs it
+/// over the whole source, a sharded worker over its partition on one
+/// thread. Fills stats' tree-build threads, skip/clamp counts, scan
+/// telemetry and shard_imbalance. Emits one `tree.build.shard` span per
+/// worker scan. Honors `tree.build.alloc`, and `tree.merge.alloc` (the
+/// shared record buffers) when more than one worker runs.
 [[nodiscard]] Result<CountingTree> BuildTree(const DataSource& source,
+                                             size_t begin, size_t end,
                                              const MrCCParams& params,
                                              int num_threads,
                                              size_t chunk_points,
                                              MrCCStats* stats);
 
-/// Counters of one BuildTreeOverRange scan. Callers that run several
-/// scans sum them in slice order, so the totals are deterministic.
-struct ScanTally {
-  /// Points dropped / clamped by the bad-point policy.
-  uint64_t points_skipped = 0;
-  uint64_t points_clamped = 0;
+/// One engine's assembly step: builds, folds or merges the sealed tree
+/// the run searches, on up to `num_threads` threads, scanning in
+/// `chunk_points`-point chunks if it reads points, and fills the
+/// tree-build fields of `stats` it knows (threads, skip/clamp counts,
+/// scan telemetry, fold counters).
+using AssembleTree = std::function<Result<CountingTree>(
+    int num_threads, size_t chunk_points, MrCCStats* stats)>;
 
-  /// The read-ahead scanner's counters (prefetch.chunks: chunks the
-  /// scan delivered).
-  PrefetchStats prefetch;
-};
-
-/// Counts points [begin, end) of `source` into a sealed tree with
-/// params.num_resolutions levels on the calling thread — BuildTree's
-/// scan and build, one worker — streaming `chunk_points`-point chunks
-/// through a read-ahead scanner of params.read_ahead_chunks depth and
-/// each point through IngestPoint under params.bad_point_policy. The
-/// tree equals the slice a serial scan would have counted, at every
-/// chunk size and depth. `tally` accumulates (+=) the scan's counters.
-/// Honors the `tree.build.alloc` failpoint.
-[[nodiscard]] Result<CountingTree> BuildTreeOverRange(
-    const DataSource& source, size_t begin, size_t end,
-    const MrCCParams& params, size_t chunk_points, ScanTally* tally);
-
-/// Publishes one tree fold's work counters — `tree.merge.conflict_cells`
-/// (cells_merged) and `tree.merge.cells_created` — to the global metrics
-/// registry. Every engine that folds trees (the window snapshot, the
-/// shard merger) reports through this one call.
-void PublishMergeMetrics(const MergeTreeStats& stats);
-
-/// The pipeline's tail over a sealed tree, shared by every engine:
-/// drops the deepest level while `tracker` reports memory pressure,
-/// records the tree's stats, returns an all-noise clustering when the
-/// wall deadline has already passed, then runs the β-search, merges the
-/// β-clusters and — when `label_source` is non-null — labels its points
-/// in a `chunk_points`-chunk scan. Fills `result`'s clusters, labels and
-/// the matching MrCCStats fields; each concession is noted in
-/// stats.degradation_reasons. Emits the `beta.search`,
-/// `cluster.merge_betas` and `cluster.label_points` spans.
-[[nodiscard]] Status ClusterTree(CountingTree& tree, const MrCCParams& params,
-                                 int num_threads,
-                                 const DataSource* label_source,
-                                 size_t chunk_points, BudgetTracker& tracker,
-                                 MrCCResult* result);
+/// The run driver every engine calls. Validates `params` against
+/// `num_dims`, resolves the thread count, opens the `mrcc.run` span
+/// (`num_points`: the points the run reads), starts the budget tracker,
+/// and sets stats' chunk_points (ChunkPointsFor over the run's threads)
+/// and read_ahead_chunks. Then runs `assemble`, timed into
+/// tree_build_seconds (from the first point read to the sealed tree), and
+/// publishes its fold's counters (`tree.merge.conflict_cells`,
+/// `tree.merge.cells_created`) if it folded. Then the tail: drops the
+/// deepest level while the tracker reports memory pressure, records the
+/// tree's stats, returns an all-noise clustering when the wall deadline
+/// has already passed, runs the β-search, merges the β-clusters and —
+/// when `label_source` is non-null — labels its points with LabelPoints.
+/// Each concession is noted in stats.degradation_reasons. Emits the
+/// `beta.search`, `cluster.merge_betas` and `cluster.label_points` spans.
+/// Fills total_seconds, which covers every phase, and the
+/// `memory.high_water_bytes` gauge.
+[[nodiscard]] Result<MrCCResult> RunPipeline(const MrCCParams& params,
+                                             size_t num_dims,
+                                             size_t num_points,
+                                             const DataSource* label_source,
+                                             const AssembleTree& assemble);
 
 }  // namespace mrcc
 

@@ -7,7 +7,6 @@
 
 #include "common/metrics.h"
 #include "common/parallel.h"
-#include "common/timer.h"
 #include "common/trace.h"
 #include "data/sanitize.h"
 
@@ -93,50 +92,34 @@ Status StreamingMrCC::SealGeneration() {
   return Status::OK();
 }
 
-Result<MrCCResult> StreamingMrCC::Run(const DataSource* label_source) {
-  MRCC_TRACE_SPAN_N("mrcc.run", static_cast<int64_t>(retained_));
-  Timer total;
-  const int num_threads = ResolveThreadCount(params_.num_threads);
-  BudgetTracker tracker(params_.budget);
-
-  MrCCResult result;
-  result.stats.num_threads = num_threads;
-  result.stats.points_skipped = points_skipped_;
-  result.stats.points_clamped = points_clamped_;
-
-  // Assemble the window tree: fold the generations oldest to newest, the
-  // filling one (flushed, not sealed) last — creation order equals
-  // stream order, so the fold reproduces a batch build over the retained
-  // points exactly. One k-way merge of the generations' key orders and
-  // one layout on the run's threads. The fold reads the generations and
-  // writes a fresh tree: the budget drops in the cluster tail must never
-  // mutate the live generations (the next snapshot starts from full H).
-  Timer phase;
+Result<CountingTree> StreamingMrCC::FoldWindow(int num_threads,
+                                               MrCCStats* stats) {
+  // Fold the generations oldest to newest, the filling one (flushed, not
+  // sealed) last — creation order equals stream order, so the fold
+  // reproduces a batch build over the retained points exactly. One k-way
+  // merge of the generations' key orders and one layout on the run's
+  // threads. The fold reads the generations and writes a fresh tree: the
+  // budget drops in the cluster tail must never mutate the live
+  // generations (the next snapshot starts from full H).
   current_->Flush();
   std::vector<const CountingTree*> parts;
   for (const CountingTree& generation : generations_) {
     parts.push_back(&generation);
   }
   parts.push_back(&*current_);
-  MergeTreeStats merge_stats;
-  Result<CountingTree> merged = [&] {
-    MRCC_TRACE_SPAN_N("tree.merge", static_cast<int64_t>(parts.size()));
-    ThreadPool pool(num_threads);  // Joined once the window is laid out.
-    result.stats.tree_build_threads = pool.num_threads();
-    return CountingTree::Fold(parts, &pool, &merge_stats);
-  }();
-  if (!merged.ok()) return merged.status();
-  PublishMergeMetrics(merge_stats);
-  result.stats.tree_merge = merge_stats;
-  result.stats.tree_build_seconds = phase.ElapsedSeconds();
-  result.stats.tree_merge_seconds = result.stats.tree_build_seconds;
+  stats->points_skipped = points_skipped_;
+  stats->points_clamped = points_clamped_;
+  MRCC_TRACE_SPAN_N("tree.merge", static_cast<int64_t>(parts.size()));
+  ThreadPool pool(num_threads);  // Joined once the window is laid out.
+  stats->tree_build_threads = pool.num_threads();
+  return CountingTree::Fold(parts, &pool, &stats->tree_merge);
+}
 
-  // β-search over the folded window, identical to the batch pipeline.
-  MRCC_RETURN_IF_ERROR(ClusterTree(
-      *merged, params_, num_threads, label_source,
-      ChunkPointsFor(params_, num_dims_, num_threads), tracker, &result));
-  result.stats.total_seconds = total.ElapsedSeconds();
-  return result;
+Result<MrCCResult> StreamingMrCC::Run(const DataSource* label_source) {
+  return RunPipeline(params_, num_dims_, retained_, label_source,
+                     [this](int num_threads, size_t, MrCCStats* stats) {
+                       return FoldWindow(num_threads, stats);
+                     });
 }
 
 }  // namespace mrcc

@@ -23,15 +23,17 @@
 //     halving was rejected: it cannot keep the child-sum-equals-parent
 //     invariant exact; see DESIGN.md §14.)
 //
-// Snapshot() re-runs the β-search over the current window: it flushes
-// the filling generation's run into that generation's key order, folds
-// every generation oldest to newest, the filling one last, in one k-way
-// merge read from where the generations lie, and lays the window out
-// once on a pool of the run's threads — a tree equal, cell for cell, to
-// a batch build over exactly the retained points — then searches it. No
-// raw points are kept, so a plain Snapshot() returns empty labels; pass
-// a DataSource holding the points to label them against the window's
-// clusters.
+// Snapshot() re-runs the β-search over the current window through the
+// pipeline's run driver (RunPipeline, core/mrcc.h), with FoldWindow as
+// its assembly step: it flushes the filling generation's run into that
+// generation's key order, folds every generation oldest to newest, the
+// filling one last, in one k-way merge read from where the generations
+// lie, and lays the window out once on a pool of the run's threads — a
+// tree equal, cell for cell, to a batch build over exactly the retained
+// points — then the driver searches it. A windowed MrCC::Run feeds its
+// source and then runs the same FoldWindow. No raw points are kept, so
+// a plain Snapshot() returns empty labels; pass a DataSource holding the
+// points to label them against the window's clusters.
 
 #pragma once
 
@@ -103,6 +105,16 @@ class StreamingMrCC {
     return Run(&label_source);
   }
 
+  /// The window's assembly step, shared by Snapshot and a windowed
+  /// MrCC::Run (after its feed): flushes the filling generation and folds
+  /// every retained generation, oldest first, into a fresh sealed tree
+  /// on a pool of `num_threads` threads (see file comment). Fills stats'
+  /// tree_build_threads, tree_merge (the fold's counters) and the feed's
+  /// skip/clamp counts. Emits the `tree.merge` span. The stream state is
+  /// unchanged apart from the flush.
+  [[nodiscard]] Result<CountingTree> FoldWindow(int num_threads,
+                                                MrCCStats* stats);
+
  private:
   StreamingMrCC(const MrCCParams& params, size_t num_dims);
 
@@ -110,6 +122,7 @@ class StreamingMrCC {
   /// generations that fell out of the window.
   [[nodiscard]] Status SealGeneration();
 
+  /// Snapshot's body: RunPipeline with FoldWindow as the assembly step.
   [[nodiscard]] Result<MrCCResult> Run(const DataSource* label_source);
 
   MrCCParams params_;

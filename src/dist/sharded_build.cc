@@ -3,12 +3,10 @@
 #include <utility>
 #include <vector>
 
-#include "common/budget.h"
 #include "common/failpoint.h"
 #include "common/fs.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
-#include "common/timer.h"
 #include "common/trace.h"
 #include "core/tree_io.h"
 
@@ -94,7 +92,7 @@ bool ShardComplete(const ShardedBuildOptions& options,
 
 Result<CountingTree> BuildShardTree(const ShardedBuildOptions& options,
                                     uint64_t begin, uint64_t end,
-                                    ScanTally* tally) {
+                                    MrCCStats* stats) {
   Result<ChunkedBinaryDataSource> source =
       ChunkedBinaryDataSource::Open(options.dataset_path);
   MRCC_RETURN_IF_ERROR(source.status());
@@ -105,25 +103,24 @@ Result<CountingTree> BuildShardTree(const ShardedBuildOptions& options,
         std::to_string(source->NumPoints()) + " points");
   }
   MRCC_TRACE_SPAN_N("shard.build", static_cast<int64_t>(end - begin));
-  // MrCC::Run's scan and build on one worker, so this tree equals the
-  // tree a single-process run counts over the same slice.
-  ScanTally unused;
-  return BuildTreeOverRange(
-      *source, begin, end, options.params,
-      ChunkPointsFor(options.params, source->NumDims(), 1),
-      tally != nullptr ? tally : &unused);
+  // MrCC::Run's source build on one worker, so this tree equals the tree
+  // a single-process run counts over the same slice.
+  MrCCStats unused;
+  return BuildTree(*source, begin, end, options.params, 1,
+                   ChunkPointsFor(options.params, source->NumDims(), 1),
+                   stats != nullptr ? stats : &unused);
 }
 
 namespace {
 
 /// The artifact footer of partition `plan`, with its scan's counts.
-ShardMeta MetaFor(const ShardPlan& plan, const ScanTally& tally) {
+ShardMeta MetaFor(const ShardPlan& plan, const MrCCStats& stats) {
   ShardMeta meta;
   meta.begin = plan.begin;
   meta.end = plan.end;
   meta.point_count = plan.end - plan.begin;
-  meta.points_skipped = tally.points_skipped;
-  meta.points_clamped = tally.points_clamped;
+  meta.points_skipped = stats.points_skipped;
+  meta.points_clamped = stats.points_clamped;
   return meta;
 }
 
@@ -143,12 +140,12 @@ Status BuildShard(const ShardedBuildOptions& options,
     return MarkShardDone(ManifestPath(options.work_dir), index);
   }
   const ShardPlan& plan = manifest.shards[index];
-  ScanTally tally;
+  MrCCStats stats;
   Result<CountingTree> tree =
-      BuildShardTree(options, plan.begin, plan.end, &tally);
+      BuildShardTree(options, plan.begin, plan.end, &stats);
   MRCC_RETURN_IF_ERROR(tree.status());
   MRCC_RETURN_IF_ERROR(
-      WriteShardArtifact(*tree, MetaFor(plan, tally),
+      WriteShardArtifact(*tree, MetaFor(plan, stats),
                          ShardArtifactPath(options.work_dir, index)));
   // Strictly after the artifact's rename: a kill between the two lines
   // leaves a stale-false hint, which resume re-verifies away; the
@@ -192,29 +189,30 @@ Result<ShardArtifact> LoadOrRebuildShard(const ShardedBuildOptions& options,
   // right here — slower, never wrong.
   MetricsRegistry::Global().counter("shard.rebuilds").Increment();
   MRCC_TRACE_SPAN_N("shard.rebuild", static_cast<int64_t>(index));
-  ScanTally tally;
+  MrCCStats stats;
   Result<CountingTree> tree =
-      BuildShardTree(options, plan.begin, plan.end, &tally);
+      BuildShardTree(options, plan.begin, plan.end, &stats);
   MRCC_RETURN_IF_ERROR(tree.status());
-  return ShardArtifact{std::move(*tree), MetaFor(plan, tally)};
+  return ShardArtifact{std::move(*tree), MetaFor(plan, stats)};
 }
 
-Result<FoldedShards> MergeShardTrees(const ShardedBuildOptions& options,
-                                     const BuildManifest& manifest) {
+Result<CountingTree> MergeShardTrees(const ShardedBuildOptions& options,
+                                     const BuildManifest& manifest,
+                                     MrCCStats* stats) {
+  MRCC_TRACE_SPAN_N("merge.fold",
+                    static_cast<int64_t>(manifest.shards.size()));
   // Each artifact is flushed as it loads: its parsed arenas become its
   // ranked key order and are freed, so the fold never holds a parsed
   // tree beside the key orders.
   std::vector<CountingTree> shards;
   shards.reserve(manifest.shards.size());
-  uint64_t points_skipped = 0;
-  uint64_t points_clamped = 0;
   for (size_t i = 0; i < manifest.shards.size(); ++i) {
     Result<ShardArtifact> artifact = LoadOrRebuildShard(options, manifest, i);
     MRCC_RETURN_IF_ERROR(artifact.status());
     artifact->tree.Flush();
     shards.push_back(std::move(artifact->tree));
-    points_skipped += artifact->meta.points_skipped;
-    points_clamped += artifact->meta.points_clamped;
+    stats->points_skipped += artifact->meta.points_skipped;
+    stats->points_clamped += artifact->meta.points_clamped;
   }
   MRCC_RETURN_IF_ERROR(fp::Maybe("tree.merge.alloc"));
   std::vector<const CountingTree*> parts;
@@ -223,12 +221,8 @@ Result<FoldedShards> MergeShardTrees(const ShardedBuildOptions& options,
   // earlier artifacts', so the one layout is exactly the serial tree
   // (core/counting_tree.h).
   ThreadPool pool(ResolveThreadCount(options.params.num_threads));
-  MergeTreeStats stats;
-  Result<CountingTree> tree = CountingTree::Fold(parts, &pool, &stats);
-  MRCC_RETURN_IF_ERROR(tree.status());
-  PublishMergeMetrics(stats);
-  return FoldedShards{std::move(*tree), stats, points_skipped,
-                      points_clamped, pool.num_threads()};
+  stats->tree_build_threads = pool.num_threads();
+  return CountingTree::Fold(parts, &pool, &stats->tree_merge);
 }
 
 Result<MrCCResult> MergeShards(const ShardedBuildOptions& options,
@@ -236,42 +230,13 @@ Result<MrCCResult> MergeShards(const ShardedBuildOptions& options,
   Result<ChunkedBinaryDataSource> source =
       ChunkedBinaryDataSource::Open(options.dataset_path);
   MRCC_RETURN_IF_ERROR(source.status());
-  MRCC_RETURN_IF_ERROR(options.params.Validate(source->NumDims()));
-  const int num_threads = ResolveThreadCount(options.params.num_threads);
-
-  MrCCResult result;
-  result.stats.num_threads = num_threads;
-  Timer total;
-  BudgetTracker tracker(options.params.budget);
-
-  Timer phase;
-  Result<FoldedShards> folded(Status::Internal("merge not run"));
-  {
-    MRCC_TRACE_SPAN_N("merge.fold",
-                      static_cast<int64_t>(manifest.shards.size()));
-    folded = MergeShardTrees(options, manifest);
-  }
-  MRCC_RETURN_IF_ERROR(folded.status());
-  result.stats.tree_merge_seconds = phase.ElapsedSeconds();
-  result.stats.tree_build_seconds = result.stats.tree_merge_seconds;
-  result.stats.tree_build_threads = folded->fold_threads;
-  result.stats.tree_merge = folded->merge_stats;
-  result.stats.points_skipped = folded->points_skipped;
-  result.stats.points_clamped = folded->points_clamped;
-
-  // From here the pipeline is MrCC::Run's own tail: the merged tree
-  // equals the serial tree and every phase is deterministic, so the
-  // result is bit-identical to the single-process run — budget
-  // concessions included.
-  const size_t chunk_points =
-      ChunkPointsFor(options.params, source->NumDims(), num_threads);
-  result.stats.chunk_points = chunk_points;
-  result.stats.read_ahead_chunks = options.params.read_ahead_chunks;
-  MRCC_RETURN_IF_ERROR(ClusterTree(folded->tree, options.params, num_threads,
-                                   &*source, chunk_points, tracker,
-                                   &result));
-  result.stats.total_seconds = total.ElapsedSeconds();
-  return result;
+  // The merged tree equals the serial tree and every phase after it is
+  // deterministic, so the result is bit-identical to the single-process
+  // run — budget concessions included.
+  return RunPipeline(options.params, source->NumDims(), source->NumPoints(),
+                     &*source, [&](int, size_t, MrCCStats* stats) {
+                       return MergeShardTrees(options, manifest, stats);
+                     });
 }
 
 Result<MrCCResult> RunShardedBuild(const ShardedBuildOptions& options) {

@@ -2,13 +2,14 @@
 //
 // The distributed pipeline splits the paper's single data scan across N
 // worker processes: each worker counts one contiguous point partition
-// into a Counting-tree with the pipeline's shared range build
-// (BuildTreeOverRange, core/mrcc.h) and publishes it as a checksummed
-// artifact (dist/shard_io.h); a merger then turns each artifact into its
-// key order as it loads (CountingTree::Flush), folds them all with one
+// into a Counting-tree with the pipeline's one source build (BuildTree,
+// core/mrcc.h, on one thread) and publishes it as a checksummed artifact
+// (dist/shard_io.h); a merger then runs the pipeline's one run driver
+// (RunPipeline) with its own assembly step — turn each artifact into its
+// key order as it loads (CountingTree::Flush) and fold them all with one
 // CountingTree::Fold (one k-way merge and one layout on the run's
-// threads) and runs the pipeline's shared cluster tail (ClusterTree:
-// budget drops, β-search, cluster merge, labeling) once over the result.
+// threads) — followed by the shared tail (budget drops, β-search,
+// cluster merge, labeling) once over the result.
 //
 // Why this is bit-identical to a single-process run: the fold over
 // ordered contiguous partitions ranks every artifact's cells after the
@@ -86,13 +87,14 @@ bool ShardComplete(const ShardedBuildOptions& options,
                    const BuildManifest& manifest, size_t index);
 
 /// Builds the Counting-tree over points [begin, end) of the dataset —
-/// the worker's core: BuildTreeOverRange over the block-read backend,
-/// MrCC::Run's scan and build on one worker. When
-/// `tally` is non-null it receives (+=) the scan's counters, whose skip
-/// and clamp counts the artifact footer carries.
+/// the worker's core: the pipeline's one source build (BuildTree,
+/// core/mrcc.h) on one thread over the block-read backend, so the tree
+/// equals the one a single-process run counts over the same slice. When
+/// `stats` is non-null it receives the build's stats, whose skip and
+/// clamp counts the artifact footer carries.
 [[nodiscard]] Result<CountingTree> BuildShardTree(
     const ShardedBuildOptions& options, uint64_t begin, uint64_t end,
-    ScanTally* tally = nullptr);
+    MrCCStats* stats = nullptr);
 
 /// One worker's whole job: skip if ShardComplete (resume), else build
 /// the partition's tree, publish the artifact atomically, then flip the
@@ -110,29 +112,23 @@ bool ShardComplete(const ShardedBuildOptions& options,
     const ShardedBuildOptions& options, const BuildManifest& manifest,
     size_t index);
 
-/// MergeShardTrees' result: the folded, serial-equivalent tree, the
-/// fold's counters (every shard's cells, the first's all created), the
-/// shards' bad-point counts summed, and the fold pool's thread count.
-struct FoldedShards {
-  CountingTree tree;
-  MergeTreeStats merge_stats;
-  uint64_t points_skipped = 0;
-  uint64_t points_clamped = 0;
-  int fold_threads = 1;
-};
-
-/// The merger's tree half: loads (or rebuilds) every shard, flushing
-/// each into its key order as it arrives, and folds them in partition
-/// order with one CountingTree::Fold on a pool of
+/// The merger's assembly step: loads (or rebuilds) every shard,
+/// flushing each into its key order as it arrives, and folds them in
+/// partition order with one CountingTree::Fold on a pool of
 /// options.params.num_threads threads into the serial-equivalent tree.
+/// Fills stats' tree_build_threads (the fold pool), tree_merge (the
+/// fold's counters: every shard's cells, the first's all created) and
+/// the shards' bad-point counts, summed. Emits the `merge.fold` span.
 /// Honors the `tree.merge.alloc` failpoint once, before the fold.
-[[nodiscard]] Result<FoldedShards> MergeShardTrees(
-    const ShardedBuildOptions& options, const BuildManifest& manifest);
+[[nodiscard]] Result<CountingTree> MergeShardTrees(
+    const ShardedBuildOptions& options, const BuildManifest& manifest,
+    MrCCStats* stats);
 
-/// The merger's whole job: MergeShardTrees, then ClusterTree — the same
-/// tail MrCC::Run runs after its tree build (memory-budget resolution
-/// drops, tree stats, deadline gates, β-search, cluster merge, labeling
-/// scan), producing a bit-identical MrCCResult.
+/// The merger's whole job: the run driver (RunPipeline, core/mrcc.h)
+/// with MergeShardTrees as its assembly step, then the same tail
+/// MrCC::Run runs after its tree build (memory-budget resolution drops,
+/// tree stats, deadline gates, β-search, cluster merge, labeling scan),
+/// producing a bit-identical MrCCResult.
 [[nodiscard]] Result<MrCCResult> MergeShards(
     const ShardedBuildOptions& options, const BuildManifest& manifest);
 

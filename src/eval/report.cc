@@ -115,11 +115,10 @@ std::string RenderRunReportHtml(const Dataset& data, const MrCCResult& result,
           result.stats.beta_search_seconds,
           static_cast<double>(result.stats.tree_memory_bytes) / 1024.0);
   Appendf(&html,
-          "<p>engine: %d threads (tree build %d, merge %.3f s; β-search "
-          "%d; labeling %d).</p>",
+          "<p>engine: %d threads (tree build %d; β-search %d; labeling "
+          "%d).</p>",
           result.stats.num_threads, result.stats.tree_build_threads,
-          result.stats.tree_merge_seconds, result.stats.beta_search_threads,
-          result.stats.labeling_threads);
+          result.stats.beta_search_threads, result.stats.labeling_threads);
   Appendf(&html,
           "<p>work: %llu cells convolved, %llu binomial tests over %llu "
           "candidates (%llu accepted); %llu merge conflicts, shard "

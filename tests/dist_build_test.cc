@@ -13,6 +13,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -87,6 +88,54 @@ TEST_F(DistBuildTest, ShardedBuildMatchesSingleProcessBitForBit) {
   ExpectSameResults(*baseline_, *sharded);
 }
 
+TEST_F(DistBuildTest, EveryEngineReportsTheSameRun) {
+  // The batch engine, a window snapshot whose window holds every point
+  // and the shard merger run through one driver and differ only in how
+  // they assemble the tree: the same settings, the same tree shape and
+  // labels, and a total that covers every phase.
+  MrCCParams params = options_.params;
+  params.num_threads = 2;
+  Result<MrCCResult> batch = MrCC(params).Run(data_);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+
+  MrCCParams window_params = params;
+  window_params.window.points = data_.NumPoints();
+  Result<StreamingMrCC> engine =
+      StreamingMrCC::Create(window_params, data_.NumDims());
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  for (size_t i = 0; i < data_.NumPoints(); ++i) {
+    ASSERT_TRUE(engine->Push(data_.Point(i)).ok());
+  }
+  Result<MrCCResult> window = engine->Snapshot(MemoryDataSource(data_));
+  ASSERT_TRUE(window.ok()) << window.status().ToString();
+
+  ShardedBuildOptions options = options_;
+  options.params = params;
+  Result<MrCCResult> sharded = RunShardedBuild(options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+
+  for (const auto& [name, result] :
+       {std::pair{"window snapshot", &*window},
+        std::pair{"sharded build", &*sharded}}) {
+    SCOPED_TRACE(name);
+    const MrCCStats& a = batch->stats;
+    const MrCCStats& b = result->stats;
+    EXPECT_EQ(b.num_threads, a.num_threads);
+    EXPECT_EQ(b.chunk_points, a.chunk_points);
+    EXPECT_EQ(b.read_ahead_chunks, a.read_ahead_chunks);
+    EXPECT_EQ(b.effective_resolutions, a.effective_resolutions);
+    EXPECT_EQ(b.cells_per_level, a.cells_per_level);
+    EXPECT_EQ(result->clustering.labels, batch->clustering.labels);
+  }
+  for (const MrCCResult* result : {&*batch, &*window, &*sharded}) {
+    const MrCCStats& s = result->stats;
+    EXPECT_EQ(s.chunk_points, kDefaultChunkPoints);
+    EXPECT_EQ(s.read_ahead_chunks, 2u);
+    EXPECT_GE(s.total_seconds, s.tree_build_seconds + s.beta_search_seconds +
+                                   s.cluster_build_seconds);
+  }
+}
+
 TEST_F(DistBuildTest, ShardCountNeverChangesResults) {
   for (const int shards : {1, 3, 7}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
@@ -106,14 +155,15 @@ TEST_F(DistBuildTest, MergedTreeEqualsSerialTree) {
   for (size_t i = 0; i < manifest->shards.size(); ++i) {
     ASSERT_TRUE(BuildShard(options_, *manifest, i).ok());
   }
-  Result<FoldedShards> merged = MergeShardTrees(options_, *manifest);
+  MrCCStats stats;
+  Result<CountingTree> merged = MergeShardTrees(options_, *manifest, &stats);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   Result<CountingTree> serial =
       CountingTree::Build(data_, options_.params.num_resolutions);
   ASSERT_TRUE(serial.ok());
   // Byte equality, not just equivalence: the sharded path must reproduce
   // the serial tree's serialized form exactly (the golden contract).
-  EXPECT_EQ(SerializeTree(merged->tree), SerializeTree(*serial));
+  EXPECT_EQ(SerializeTree(*merged), SerializeTree(*serial));
 }
 
 TEST_F(DistBuildTest, MergeShardTreesIsIdenticalAtEveryThreadCount) {
@@ -131,18 +181,21 @@ TEST_F(DistBuildTest, MergeShardTreesIsIdenticalAtEveryThreadCount) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ShardedBuildOptions options = options_;
     options.params.num_threads = threads;
-    Result<FoldedShards> merged = MergeShardTrees(options, *manifest);
+    MrCCStats merged_stats;
+    Result<CountingTree> merged =
+        MergeShardTrees(options, *manifest, &merged_stats);
     ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-    EXPECT_EQ(merged->fold_threads, threads);
+    EXPECT_EQ(merged_stats.tree_build_threads, threads);
+    const MergeTreeStats& fold = merged_stats.tree_merge;
     if (threads == 1) {
-      bytes = SerializeTree(merged->tree);
-      stats = merged->merge_stats;
+      bytes = SerializeTree(*merged);
+      stats = fold;
       continue;
     }
-    EXPECT_EQ(SerializeTree(merged->tree), bytes);
-    EXPECT_EQ(merged->merge_stats.cells_merged, stats.cells_merged);
-    EXPECT_EQ(merged->merge_stats.cells_created, stats.cells_created);
-    EXPECT_EQ(merged->merge_stats.nodes_created, stats.nodes_created);
+    EXPECT_EQ(SerializeTree(*merged), bytes);
+    EXPECT_EQ(fold.cells_merged, stats.cells_merged);
+    EXPECT_EQ(fold.cells_created, stats.cells_created);
+    EXPECT_EQ(fold.nodes_created, stats.nodes_created);
   }
 }
 
@@ -486,7 +539,6 @@ TEST_F(DistBuildTest, EveryTreeFoldPublishesBothMergeCounters) {
         return MergeTreeStats{};
       }
       EXPECT_EQ(result->stats.tree_build_threads, 2);
-      EXPECT_EQ(result->stats.tree_merge_seconds, 0.0);
       return result->stats.tree_merge;
     });
     EXPECT_EQ(batch.cells_merged, 0u);

@@ -249,11 +249,12 @@ TEST(GoldenRegressionTest, ShardedBuildsMatchThePinnedHashes) {
     Result<dist::BuildManifest> manifest =
         dist::LoadManifest(dist::ManifestPath(dir));
     ASSERT_TRUE(manifest.ok());
-    Result<dist::FoldedShards> merged =
-        dist::MergeShardTrees(options, *manifest);
+    MrCCStats merged_stats;
+    Result<CountingTree> merged =
+        dist::MergeShardTrees(options, *manifest, &merged_stats);
     ASSERT_TRUE(merged.ok()) << merged.status().ToString();
     const std::string tree_path = dir + "/merged.bin";
-    EXPECT_EQ(HashTreeBytes(merged->tree, tree_path), c.tree_hash);
+    EXPECT_EQ(HashTreeBytes(*merged, tree_path), c.tree_hash);
 
     // Shard-loss recovery keeps the pinned hash: delete one artifact and
     // re-merge — the rebuilt partition folds to the identical result.

@@ -453,6 +453,37 @@ TEST_F(StreamingMrCCTest, SnapshotLabelSourceHonorsTheBadPointPolicy) {
   }
 }
 
+TEST_F(StreamingMrCCTest, SnapshotLabelScanNamesTheFirstBadRowInSliceOrder) {
+  // 262,144 label rows on four labeling slices of 65,536: bad rows at the
+  // end of slice 0 and the start of slice 3. Slice 3 fails first in time,
+  // but like every stage the scan reports the first failure in slice
+  // order, on every run.
+  constexpr size_t kRows = 262144;
+  const Dataset& data = dataset_.data;
+  Dataset dirty(kRows, data.NumDims());
+  for (size_t i = 0; i < kRows; ++i) {
+    for (size_t j = 0; j < data.NumDims(); ++j) {
+      dirty(i, j) = data(i % data.NumPoints(), j);
+    }
+  }
+  dirty(65535, 0) = std::numeric_limits<double>::quiet_NaN();
+  dirty(196608, 1) = std::numeric_limits<double>::quiet_NaN();
+  const MemoryDataSource source(dirty);
+  MrCCParams params;
+  params.num_threads = 4;
+  params.window.points = data.NumPoints();
+  Result<StreamingMrCC> engine = StreamingMrCC::Create(params, data.NumDims());
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  Push(*engine, data, 0, data.NumPoints(), 500);
+  for (int run = 0; run < 20; ++run) {
+    const Result<MrCCResult> snap = engine->Snapshot(source);
+    ASSERT_FALSE(snap.ok());
+    EXPECT_NE(snap.status().message().find("point 65535 of"),
+              std::string::npos)
+        << "run " << run << ": " << snap.status().ToString();
+  }
+}
+
 TEST_F(StreamingMrCCTest, WindowParamsAreValidated) {
   MrCCParams params;
   params.window.points = 100;

@@ -20,52 +20,62 @@ import tempfile
 # src/ and the DESIGN.md span table.
 LINTED = ("src", "tests", "bench", "examples", "DESIGN.md")
 
-# One violation per check, each a file of its own under src/ (the
-# src-only checks skip everything else). The code is linted, never built.
-SEEDS = {
-    "failpoint-site": """
+# One violation per check (and per single-ingest rule), each a file of
+# its own under src/ (the src-only checks skip everything else). The code
+# is linted, never built.
+SEEDS = [
+    ("failpoint-site", """
 #include "common/failpoint.h"
 namespace mrcc {
 bool LintSeed() { return fp::MaybeTrue("no.such.site"); }
 }  // namespace mrcc
-""",
-    "metric-name": """
+"""),
+    ("metric-name", """
 #include "common/metrics.h"
 namespace mrcc {
 void LintSeed() { MetricsRegistry::Global().counter("NotATaxonomyName"); }
 }  // namespace mrcc
-""",
-    "span-name": """
+"""),
+    ("span-name", """
 #include "common/trace.h"
 namespace mrcc {
 void LintSeed() { MRCC_TRACE_SPAN("Bad Span"); }
 }  // namespace mrcc
-""",
-    "span-documented": """
+"""),
+    ("span-documented", """
 #include "common/trace.h"
 namespace mrcc {
 void LintSeed() { MRCC_TRACE_SPAN("tree.undocumented_lint_seed"); }
 }  // namespace mrcc
-""",
-    "result-unchecked": """
+"""),
+    ("result-unchecked", """
 #include "common/status.h"
 namespace mrcc {
 int LintSeed(Result<int> r) { return r.value(); }
 }  // namespace mrcc
-""",
-    "cell-storage": """
+"""),
+    ("cell-storage", """
 namespace mrcc {
 template <typename Arena>
 unsigned LintSeed(const Arena& arena) { return arena.half[0]; }
 }  // namespace mrcc
-""",
-    "single-ingest": """
+"""),
+    ("single-ingest", """
 #include "core/counting_tree.h"
 namespace mrcc {
 Status LintSeed(CountingTree& tree) { return tree.DropDeepestLevel(); }
 }  // namespace mrcc
-""",
+"""),
+    ("single-ingest", """
+#include "data/sanitize.h"
+namespace mrcc {
+bool LintSeed(std::span<const double> point, std::vector<double>* scratch) {
+  return IngestPoint(&point, BadPointPolicy::kSkip, scratch) ==
+         PointAction::kKeep;
 }
+}  // namespace mrcc
+"""),
+]
 
 SEED_PATH = os.path.join("src", "core", "lint_seed.cc")
 
@@ -94,7 +104,7 @@ def main():
         copy = copy_tree(root, directory)
         out = lint(script, copy)
         assert out.returncode == 0, out.stdout + out.stderr
-        for check, code in SEEDS.items():
+        for check, code in SEEDS:
             seed = os.path.join(copy, SEED_PATH)
             with open(seed, "w", encoding="utf-8") as f:
                 f.write(code)
@@ -106,7 +116,7 @@ def main():
             assert any("lint_seed.cc" in line and "[%s]" % check in line
                        for line in report.splitlines()), \
                 "%s: the seed was not reported\n%s" % (check, report)
-    print("mrcc_lint_test: OK (%d checks)" % len(SEEDS))
+    print("mrcc_lint_test: OK (%d seeds)" % len(SEEDS))
 
 
 if __name__ == "__main__":

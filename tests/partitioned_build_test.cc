@@ -47,7 +47,7 @@ Built BuildBytes(const Dataset& data, const MrCCParams& params, int threads) {
   const MemoryDataSource source(data);
   Built built;
   Result<CountingTree> tree =
-      BuildTree(source, params, threads,
+      BuildTree(source, 0, data.NumPoints(), params, threads,
                 ChunkPointsFor(params, data.NumDims(), threads), &built.stats);
   EXPECT_TRUE(tree.ok()) << tree.status().ToString();
   if (tree.ok()) built.bytes = SerializeTree(*tree);
@@ -201,6 +201,71 @@ TEST(PartitionedBuildTest, ShortPoolBuildsTheSameBytes) {
   EXPECT_TRUE(degraded.stats.degraded);
   EXPECT_EQ(degraded.stats.tree_build_threads, 3);
   EXPECT_TRUE(degraded.bytes == serial.bytes) << "tree bytes differ";
+}
+
+TEST(PartitionedBuildTest, RangeBuildEqualsTheBuildOfItsSlice) {
+  // BuildTree over [begin, end), the sharded worker's build: the tree's
+  // bytes must equal CountingTree::Build of the slice's kept points at
+  // every worker count, and its skip and clamp counts must be the
+  // slice's own. Bad rows sit inside the range and just outside it,
+  // where the scan must never read.
+  Dataset data = testing::SmallClustered(kPoints, 3, 3, 53).data;
+  const size_t begin = 1001;
+  const size_t end = begin + 4 * 2048 + 5;  // Room for four workers.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  data(begin - 1, 0) = nan;
+  data(end, 1) = nan;
+  data(begin, 2) = 1.5;
+  data(begin + 1, 0) = nan;
+  data(end - 2, 1) = -0.25;
+  data(end - 1, 0) = nan;
+
+  for (BadPointPolicy policy : {BadPointPolicy::kReject,
+                                BadPointPolicy::kSkip,
+                                BadPointPolicy::kClamp}) {
+    SCOPED_TRACE(BadPointPolicyName(policy));
+    MrCCParams params;
+    params.bad_point_policy = policy;
+    // Under kReject only the clean middle of the range can build.
+    const bool reject = policy == BadPointPolicy::kReject;
+    const size_t first = reject ? begin + 2 : begin;
+    const size_t last = reject ? end - 2 : end;
+    Dataset kept(0, data.NumDims());
+    uint64_t skipped = 0;
+    uint64_t clamped = 0;
+    std::vector<double> scratch;
+    for (size_t i = first; i < last; ++i) {
+      std::span<const double> point = data.Point(i);
+      const PointAction action = IngestPoint(&point, policy, &scratch);
+      ASSERT_NE(action, PointAction::kReject);
+      if (action == PointAction::kSkip) {
+        ++skipped;
+        continue;
+      }
+      if (action == PointAction::kClamp) ++clamped;
+      kept.AppendPoint(point);
+    }
+    EXPECT_EQ(skipped > 0, !reject);
+    EXPECT_EQ(clamped > 0, policy == BadPointPolicy::kClamp);
+    Result<CountingTree> expected =
+        CountingTree::Build(kept, params.num_resolutions);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+    const MemoryDataSource source(data);
+    for (int threads : {1, 2, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      MrCCStats stats;
+      Result<CountingTree> tree =
+          BuildTree(source, first, last, params, threads,
+                    ChunkPointsFor(params, data.NumDims(), threads), &stats);
+      ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+      EXPECT_EQ(stats.tree_build_threads, threads);
+      EXPECT_EQ(stats.points_skipped, skipped);
+      EXPECT_EQ(stats.points_clamped, clamped);
+      EXPECT_TRUE(SerializeTree(*tree) == SerializeTree(*expected))
+          << "tree bytes differ";
+    }
+  }
 }
 
 TEST(PartitionedBuildTest, FirstFailingSliceFailsTheBuild) {

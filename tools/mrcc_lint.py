@@ -58,11 +58,16 @@ offending line):
                      appear only in src/data/sanitize.*,
                      `fp::MaybeTrue("source.read.corrupt")` only in
                      src/data/sanitize.cc (all three belong to the one
-                     per-point ingest step, IngestPoint), and a
-                     `.DropDeepestLevel()` / `->DropDeepestLevel()` call
-                     only in src/core/mrcc.cc (the one cluster tail,
-                     ClusterTree). A second copy of the scan loop or of
-                     the tail trips it; tests and benches are exempt.
+                     per-point ingest step, IngestPoint), an
+                     `IngestPoint(` call only in src/data/sanitize.*,
+                     src/data/ingest_scan.h (the one ingesting slice
+                     scan, IngestScan) and src/core/streaming_mrcc.cc
+                     (StreamingMrCC::Push, the feed's one point at a
+                     time), and a `.DropDeepestLevel()` /
+                     `->DropDeepestLevel()` call only in src/core/mrcc.cc
+                     (the tail of the one run driver, RunPipeline). A
+                     second copy of the scan loop or of the tail trips
+                     it; tests and benches are exempt.
                      Likewise a `CountingTree::Fold(` call (the one tree
                      fold) appears in src/ only in
                      src/core/streaming_mrcc.cc (the window snapshot),
@@ -114,6 +119,10 @@ class Token:
         self.kind = kind
         self.text = text
         self.line = line
+
+
+# Characters where a comment, a string or a char literal may start.
+CODE_STOP_RE = re.compile(r"[/\"']")
 
 
 def lex(source):
@@ -187,25 +196,31 @@ def lex(source):
             i = j + 1
             code_start, code_line = i, line
         else:
-            if c == "\n":
-                line += 1
-            i += 1
+            # Plain code: jump to the next character that can open a
+            # comment or a literal.
+            m = CODE_STOP_RE.search(source, i + 1)
+            j = m.start() if m else n
+            line += source.count("\n", i, j)
+            i = j
     flush_code(n)
     return tokens
 
 
-def neutralized(source):
-    """Source with comments and string contents replaced by spaces
-    (newlines kept), so offsets and line numbers are preserved but
+NOT_NEWLINE_RE = re.compile(r"[^\n]")
+
+
+def neutralize(tokens):
+    """The lexed source with comments and string contents replaced by
+    spaces (newlines kept), so offsets and line numbers are preserved but
     neither can confuse a code-level scan. String tokens keep their
     outermost quote characters so a scan can still locate where a
     literal starts and ends (call_string_literals relies on this)."""
     out = []
-    for tok in lex(source):
+    for tok in tokens:
         if tok.kind == "code":
             out.append(tok.text)
             continue
-        blank = "".join(ch if ch == "\n" else " " for ch in tok.text)
+        blank = NOT_NEWLINE_RE.sub(" ", tok.text)
         if tok.kind == "string":
             first = tok.text.find('"')
             last = tok.text.rfind('"')
@@ -216,10 +231,27 @@ def neutralized(source):
     return "".join(out)
 
 
-def suppressed_lines(source):
+class Unit:
+    """One source file, lexed once: its text, its tokens and its
+    neutralized form, shared by every check."""
+
+    __slots__ = ("source", "tokens", "clean")
+
+    def __init__(self, source):
+        self.source = source
+        self.tokens = lex(source)
+        self.clean = neutralize(self.tokens)
+
+
+def read_unit(path):
+    with open(path, encoding="utf-8", errors="replace") as f:
+        return Unit(f.read())
+
+
+def suppressed_lines(unit):
     """Line -> set of check names with a lint-allow comment on that line."""
     allow = {}
-    for tok in lex(source):
+    for tok in unit.tokens:
         if tok.kind != "comment":
             continue
         for m in SUPPRESS_RE.finditer(tok.text):
@@ -229,12 +261,12 @@ def suppressed_lines(source):
     return allow
 
 
-def call_string_literals(source, callee_re):
+def call_string_literals(unit, callee_re):
     """Yields (line, literal) for every `callee("literal"...` call in the
-    code regions of `source`. Only adjacent plain literals are handled —
+    code regions of `unit`. Only adjacent plain literals are handled —
     names built at runtime (e.g. "tree.cells.level" + std::to_string(h))
     yield their literal prefix, which is what the taxonomy check wants."""
-    clean = neutralized(source)
+    clean, source = unit.clean, unit.source
     pattern = re.compile(callee_re + r"\s*\(")
     for m in pattern.finditer(clean):
         j = m.end()
@@ -290,18 +322,16 @@ class Finding:
                                    self.message)
 
 
-def check_failpoint_sites(path, source, sites, findings):
+def check_failpoint_sites(path, unit, sites, findings):
     # Single-site callees: the literal is the site name verbatim.
-    single = r"(?:fp::|::)?(?:Maybe|MaybeTrue|HitCount|SiteCode)"
-    for line, lit in call_string_literals(source, r"\bfp::" +
+    for line, lit in call_string_literals(unit, r"\bfp::" +
                                           r"(?:Maybe|MaybeTrue|HitCount|SiteCode)"):
         if lit not in sites:
             findings.append(Finding(
                 path, line, "failpoint-site",
                 "'%s' is not in fp::AllSites() (kSites, failpoint.cc)" % lit))
-    del single
     # Spec callees: "site[=trigger]" lists, comma/semicolon separated.
-    for line, lit in call_string_literals(source,
+    for line, lit in call_string_literals(unit,
                                           r"\b(?:fp::)?(?:ScopedArm|Arm)"):
         for item in re.split(r"[,;]", lit):
             item = item.strip()
@@ -315,8 +345,8 @@ def check_failpoint_sites(path, source, sites, findings):
                     % site))
 
 
-def check_spans_documented(path, source, spans, findings):
-    for line, lit in call_string_literals(source,
+def check_spans_documented(path, unit, spans, findings):
+    for line, lit in call_string_literals(unit,
                                           r"\bMRCC_TRACE_SPAN(?:_N)?"):
         if lit not in spans:
             findings.append(Finding(
@@ -325,7 +355,7 @@ def check_spans_documented(path, source, spans, findings):
                 % lit))
 
 
-def check_metric_and_span_names(path, source, findings):
+def check_metric_and_span_names(path, unit, findings):
     specs = [
         (r"\.\s*counter", "metric-name"),
         (r"\.\s*gauge", "metric-name"),
@@ -333,7 +363,7 @@ def check_metric_and_span_names(path, source, findings):
         (r"\bMRCC_TRACE_SPAN(?:_N)?", "span-name"),
     ]
     for callee_re, check in specs:
-        for line, lit in call_string_literals(source, callee_re):
+        for line, lit in call_string_literals(unit, callee_re):
             ok = bool(NAME_RE.match(lit)) and lit.split(".")[0] in \
                 STAGE_PREFIXES
             # Literal prefixes of runtime-composed names ("tree.cells.level"
@@ -373,12 +403,14 @@ def function_start_offsets(clean):
     return opens
 
 
-def load_result_returning_functions(root):
+def load_result_returning_functions(root, units):
     """Names of functions that src/ headers declare to return Result<T>.
 
     This is the 'semantic' half of the result-unchecked check: the set of
     producers is read off the library's own API surface, so the linter
     knows `GenerateSynthetic(...)` yields a Result without a compiler.
+    `units` maps a path to its lexed Unit, so a header the lint visits
+    too is lexed only once.
     """
     names = set()
     decl = re.compile(r"\bResult<[^;{}]*?>\s+([A-Za-z_]\w*)\s*\(")
@@ -386,9 +418,7 @@ def load_result_returning_functions(root):
         for name in files:
             if not name.endswith(".h"):
                 continue
-            with open(os.path.join(dirpath, name), encoding="utf-8") as f:
-                clean = neutralized(f.read())
-            names.update(decl.findall(clean))
+            names.update(decl.findall(units(os.path.join(dirpath, name)).clean))
     return names
 
 
@@ -400,9 +430,9 @@ def is_visible_result(clean, ident, end):
         clean[:end]) is not None
 
 
-def check_result_value(path, source, result_fns, findings):
-    clean = neutralized(source)
-    opens = function_start_offsets(clean)
+def check_result_value(path, unit, result_fns, findings):
+    clean = unit.clean
+    opens = None
     for m in VALUE_CALL_RE.finditer(clean):
         ident = m.group("moved") or m.group("ident")
         assigned_from_result = re.search(
@@ -412,6 +442,8 @@ def check_result_value(path, source, result_fns, findings):
         if not is_visible_result(clean, ident, m.start()) and \
                 not assigned_from_result:
             continue  # Not provably a Result (Counter::value() etc).
+        if opens is None:
+            opens = function_start_offsets(clean)
         start = opens[m.start()]
         region = clean[start:m.start()]
         checked = re.search(
@@ -453,10 +485,10 @@ def check_result_value(path, source, result_fns, findings):
 CELL_STORAGE_RE = re.compile(r"(?:\.|->)\s*(?:cells|half)\s*\[")
 
 
-def check_cell_storage(path, source, findings):
+def check_cell_storage(path, unit, findings):
     if re.search(r"core/counting_tree\.(h|cc)$", path.replace(os.sep, "/")):
         return
-    clean = neutralized(source)
+    clean = unit.clean
     for m in CELL_STORAGE_RE.finditer(clean):
         line = clean.count("\n", 0, m.start()) + 1
         findings.append(Finding(
@@ -473,23 +505,28 @@ SINGLE_OWNER_RULES = (
      "ClassifyPoint(", "the ingest step IngestPoint (data/sanitize.h)"),
     (re.compile(r"\bSanitizePoint\s*\("), ("src/data/sanitize.",),
      "SanitizePoint(", "the ingest step IngestPoint (data/sanitize.h)"),
+    (re.compile(r"\bIngestPoint\s*\("),
+     ("src/data/sanitize.", "src/data/ingest_scan.h",
+      "src/core/streaming_mrcc.cc"),
+     "IngestPoint(",
+     "the ingesting slice scan IngestScan (data/ingest_scan.h)"),
     (re.compile(r"(?:\.|->)\s*DropDeepestLevel\s*\(\s*\)"),
      ("src/core/mrcc.cc",), "DropDeepestLevel()",
-     "the cluster tail ClusterTree (core/mrcc.h)"),
+     "the run driver RunPipeline's tail (core/mrcc.h)"),
     # A call, not the definition after its return type `Result<...>`.
     (re.compile(r"(?<!>)(?<!>\s)\bCountingTree\s*::\s*Fold\s*\("),
      ("src/core/streaming_mrcc.cc", "src/dist/sharded_build.cc",
       "src/core/tree_io.cc"),
      "CountingTree::Fold(",
-     "the partitioned batch build (BuildTree, core/mrcc.h), a key-order "
+     "the partitioned source build (BuildTree, core/mrcc.h), a key-order "
      "merge inside CountingTree, or one of the existing folds (the window "
      "snapshot, the artifact merger, MergeTree)"),
 )
 
 
-def check_single_ingest(path, source, findings):
+def check_single_ingest(path, unit, findings):
     rel = path.replace(os.sep, "/")
-    clean = neutralized(source)
+    clean = unit.clean
     for pattern, owners, what, piece in SINGLE_OWNER_RULES:
         if any(rel.startswith(owner) for owner in owners):
             continue
@@ -502,7 +539,7 @@ def check_single_ingest(path, source, findings):
                                    else owner for owner in owners),
                    piece)))
     if rel != "src/data/sanitize.cc":
-        for line, lit in call_string_literals(source, r"\bfp::MaybeTrue"):
+        for line, lit in call_string_literals(unit, r"\bfp::MaybeTrue"):
             if lit == "source.read.corrupt":
                 findings.append(Finding(
                     path, line, "single-ingest",
@@ -516,11 +553,11 @@ DATA_SOURCE_BACKEND_RE = re.compile(
 DATA_SOURCE_OWNER = "src/data/data_source.h"
 
 
-def check_data_source_backends(path, source, findings):
+def check_data_source_backends(path, unit, findings):
     rel = path.replace(os.sep, "/")
     if rel == DATA_SOURCE_OWNER or rel.startswith("tests/"):
         return
-    clean = neutralized(source)
+    clean = unit.clean
     for m in DATA_SOURCE_BACKEND_RE.finditer(clean):
         line = clean.count("\n", 0, m.start()) + 1
         findings.append(Finding(
@@ -529,19 +566,17 @@ def check_data_source_backends(path, source, findings):
             "every-backend tests" % DATA_SOURCE_OWNER))
 
 
-def lint_file(path, rel, sites, spans, result_fns, findings):
-    with open(path, encoding="utf-8", errors="replace") as f:
-        source = f.read()
+def lint_file(unit, rel, sites, spans, result_fns, findings):
     raw = []
-    check_failpoint_sites(rel, source, sites, raw)
+    check_failpoint_sites(rel, unit, sites, raw)
     if rel.replace(os.sep, "/").startswith("src/"):
-        check_metric_and_span_names(rel, source, raw)
-        check_spans_documented(rel, source, spans, raw)
-        check_single_ingest(rel, source, raw)
-    check_data_source_backends(rel, source, raw)
-    check_result_value(rel, source, result_fns, raw)
-    check_cell_storage(rel, source, raw)
-    allow = suppressed_lines(source)
+        check_metric_and_span_names(rel, unit, raw)
+        check_spans_documented(rel, unit, spans, raw)
+        check_single_ingest(rel, unit, raw)
+    check_data_source_backends(rel, unit, raw)
+    check_result_value(rel, unit, result_fns, raw)
+    check_cell_storage(rel, unit, raw)
+    allow = suppressed_lines(unit)
     # A lint-allow comment suppresses its named check on the same line
     # (trailing comment) or on the following line (comment-above style).
     for f_ in raw:
@@ -561,10 +596,19 @@ def main(argv):
 
     root = args.root or os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))
+    # Every file is read and lexed once, whichever use comes first.
+    cache = {}
+
+    def units(path):
+        path = os.path.abspath(path)
+        if path not in cache:
+            cache[path] = read_unit(path)
+        return cache[path]
+
     try:
         sites = load_registered_sites(root)
         spans = load_documented_spans(root)
-        result_fns = load_result_returning_functions(root)
+        result_fns = load_result_returning_functions(root, units)
     except (OSError, RuntimeError) as e:
         print("mrcc_lint.py: %s" % e, file=sys.stderr)
         return 2
@@ -587,7 +631,7 @@ def main(argv):
     findings = []
     for path in paths:
         rel = os.path.relpath(path, root)
-        lint_file(path, rel, sites, spans, result_fns, findings)
+        lint_file(units(path), rel, sites, spans, result_fns, findings)
 
     for f_ in findings:
         print(f_, file=sys.stderr)
